@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Matrix, Rng, Vector, outer, softmax_stable, tanh, uniform_init
+from .numerics import Matrix, Rng, Vector, softmax_stable, tanh, uniform_init
 
 
 class AttentionParams:
@@ -64,7 +64,7 @@ def attention_backward(params: AttentionParams, trace: dict, d_pooled: Vector, g
     weights = trace["weights"]
 
     d_weights = hiddens @ d_pooled
-    d_hiddens = outer(weights, d_pooled)
+    d_hiddens = np.outer(weights, d_pooled)
 
     # softmax jacobian: dL/ds_k = w_k * (dL/dw_k - sum_j w_j dL/dw_j)
     d_scores = weights * (d_weights - float(weights @ d_weights))
@@ -72,7 +72,7 @@ def attention_backward(params: AttentionParams, trace: dict, d_pooled: Vector, g
 
     grads.b_a += d_raw.sum()
     hden = hiddens.T @ d_raw
-    grads.W_a += outer(hden, query)
-    d_hiddens += outer(d_raw, params.W_a @ query)
+    grads.W_a += np.outer(hden, query)
+    d_hiddens += np.outer(d_raw, params.W_a @ query)
     d_query = params.W_a.T @ hden
     return d_hiddens, d_query

@@ -17,28 +17,21 @@ import numpy as np
 
 from .data import (
     AspectTerm,
-    Dataset,
     Instance,
     RawReview,
     build_instances,
     build_vocab,
     dataset_stats,
     dump_instances,
+    load_category,
     load_reviews,
     render_stats,
     tokenize,
 )
 from .embeddings import load_pretrained
-from .evaluate import evaluate_model, render_report, reports_tsv
+from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
 from .gradcheck import GROUPS, check_tiny_model
-from .model import (
-    LABELS,
-    VARIANTS,
-    ModelParams,
-    load_checkpoint,
-    predict_index,
-    save_checkpoint,
-)
+from .model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .training import TrainConfig, train
 from .viz import write_attention_files
@@ -91,7 +84,7 @@ def read_config_file(path: str) -> dict:
     return cfg
 
 
-def _as_bool(value, key):
+def _as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
     lowered = str(value).lower()
@@ -99,11 +92,12 @@ def _as_bool(value, key):
         return True
     if lowered in _FALSE:
         return False
-    raise ValueError(f"config key {key} expects a boolean, got {value!r}")
+    raise ValueError(f"expects a boolean, got {value!r}")
 
 
-def _as_optional_float(value, key):
-    if value is None or str(value).lower() == "none":
+def optional_float(value) -> float | None:
+    """A float, or None for the word "none" (any case)."""
+    if str(value).lower() == "none":
         return None
     return float(value)
 
@@ -119,34 +113,12 @@ class Settings:
         value = getattr(self._args, key, None)
         if value is None:
             value = self._file.get(key, default)
-        if value is None:
-            return None
-        if cast is bool:
-            return _as_bool(value, key)
-        if cast is not None and not isinstance(value, cast):
+        if value is None or cast is None:
+            return value
+        try:
             return cast(value)
-        return value
-
-    def optional_float(self, key, default=None):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._file.get(key, default)
-        return _as_optional_float(value, key)
-
-
-def _load_pair(category: str, data_dir):
-    """Both splits of a category with a shared transductive vocabulary,
-    plus per-split build reports and offset-realignment counts."""
-    train_reviews, train_realigned = load_reviews(category, "train", data_dir)
-    test_reviews, test_realigned = load_reviews(category, "test", data_dir)
-    vocab = build_vocab([train_reviews, test_reviews])
-    train_instances, train_report = build_instances(train_reviews, vocab)
-    test_instances, test_report = build_instances(test_reviews, vocab)
-    return (
-        Dataset(train_instances, vocab, "train", category),
-        Dataset(test_instances, vocab, "test", category),
-        {"train": (train_report, train_realigned), "test": (test_report, test_realigned)},
-    )
+        except ValueError as err:
+            raise ValueError(f"config key {key}: {err}") from None
 
 
 # --- stats ---------------------------------------------------------------
@@ -159,7 +131,7 @@ def cmd_stats(args) -> int:
     categories = ("restaurant", "laptop") if which == "both" else (which,)
     dump_dir = args.dump_dir
     for category in categories:
-        train_ds, test_ds, reports = _load_pair(category, data_dir)
+        train_ds, test_ds, reports = load_category(category, data_dir)
         for ds in (train_ds, test_ds):
             print(render_stats(dataset_stats(ds)))
             report, realigned = reports[ds.split]
@@ -207,9 +179,9 @@ def cmd_train(args) -> int:
     variant = cfg.get("variant", "ian")
     embed_dim = cfg.get("embed_dim", 300, int)
     hidden_dim = cfg.get("hidden_dim", 300, int)
-    tie = cfg.get("tie_attention", False, bool)
+    tie = cfg.get("tie_attention", False, _as_bool)
 
-    train_ds, test_ds, _ = _load_pair(category, cfg.get("data_dir"))
+    train_ds, test_ds, _ = load_category(category, cfg.get("data_dir"))
     print(
         f"{category}: {len(train_ds.instances)} train / {len(test_ds.instances)} test "
         f"instances, vocabulary {len(train_ds.vocab)}"
@@ -238,11 +210,9 @@ def cmd_train(args) -> int:
         dropout=cfg.get("dropout", 0.5, float),
         batch_size=cfg.get("batch_size", 32, int),
         seed=seed,
-        clip_norm=cfg.optional_float("clip_norm"),
-        freeze_embeddings=cfg.get("freeze_embeddings", False, bool),
-        variant=variant,
-        tie_attention=tie,
-        shuffle=cfg.get("shuffle", True, bool),
+        clip_norm=cfg.get("clip_norm", cast=optional_float),
+        freeze_embeddings=cfg.get("freeze_embeddings", False, _as_bool),
+        shuffle=cfg.get("shuffle", True, _as_bool),
     )
     history = train(
         params, train_ds.instances, config, rng,
@@ -378,7 +348,7 @@ def cmd_predict(args) -> int:
                     out.write("?\n")
                     failures += 1
                     continue
-                pred = predict_index(params, inst.context_ids, inst.target_ids, inst.span)
+                pred = predict_all(params, [inst])[0]
                 out.write(LABELS[pred] + "\n")
                 if gold is not None and inst.label is not None:
                     golds.append(inst.label)
@@ -541,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
+    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
                    dest="freeze_embeddings", default=None)
     p.add_argument("--no-shuffle", action="store_const", const=False, dest="shuffle",

@@ -339,19 +339,21 @@ def load_reviews(category: str, split: str, data_dir=None):
     return parse_semeval_xml(path)
 
 
-def load_category(category: str, data_dir=None, drop_unknown: bool = False):
+def load_category(category: str, data_dir=None):
     """Both splits of one category with a shared transductive vocabulary.
 
-    Returns (train_dataset, test_dataset).
+    Returns (train_dataset, test_dataset, reports), where reports maps each
+    split name to its (BuildReport, realigned offset count).
     """
-    train_reviews, _ = load_reviews(category, "train", data_dir)
-    test_reviews, _ = load_reviews(category, "test", data_dir)
+    train_reviews, train_realigned = load_reviews(category, "train", data_dir)
+    test_reviews, test_realigned = load_reviews(category, "test", data_dir)
     vocab = build_vocab([train_reviews, test_reviews])
-    train_instances, _ = build_instances(train_reviews, vocab, drop_unknown)
-    test_instances, _ = build_instances(test_reviews, vocab, drop_unknown)
+    train_instances, train_report = build_instances(train_reviews, vocab)
+    test_instances, test_report = build_instances(test_reviews, vocab)
     return (
         Dataset(train_instances, vocab, "train", category),
         Dataset(test_instances, vocab, "test", category),
+        {"train": (train_report, train_realigned), "test": (test_report, test_realigned)},
     )
 
 

@@ -24,15 +24,6 @@ class Vocabulary:
         for t in tokens:
             self.add(t)
 
-    @classmethod
-    def from_token_lists(cls, token_lists) -> "Vocabulary":
-        """Build from an iterable of token lists, in first-appearance order."""
-        vocab = cls()
-        for toks in token_lists:
-            for t in toks:
-                vocab.add(t)
-        return vocab
-
     def add(self, token: str) -> int:
         if token in self._index:
             return self._index[token]
@@ -41,18 +32,12 @@ class Vocabulary:
         self._index[token] = idx
         return idx
 
-    def index(self, token: str):
-        """Index of token, or None if unknown."""
-        return self._index.get(token)
-
-    def encode(self, tokens, drop_unknown: bool = False) -> np.ndarray:
-        """Token list -> int index array. Unknown tokens raise unless dropped."""
+    def encode(self, tokens) -> np.ndarray:
+        """Token list -> int index array. Unknown tokens raise KeyError."""
         out = []
         for t in tokens:
             idx = self._index.get(t)
             if idx is None:
-                if drop_unknown:
-                    continue
                 raise KeyError(f"token not in vocabulary: {t!r}")
             out.append(idx)
         return np.array(out, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Accuracy metric, confusion counts and side-by-side model comparison tables.
+"""Accuracy metric, confusion counts and report rendering.
 
 The benchmark metric is plain accuracy (correct / total).  Macro-F1 is
 computed as an auxiliary diagnostic only and every rendering marks it as
@@ -111,47 +111,6 @@ def render_report(report: EvalReport) -> str:
         recall = report.confusion[i, i] / gold_total if gold_total else float("nan")
         lines.append(f"gold {name:>{width}}  {row}   {recall:.4f}")
     lines.append("(rows gold, columns predicted)")
-    return "\n".join(lines)
-
-
-def compare_variants(reports) -> str:
-    """Aligned text table over several reports, in the given order.
-
-    The best accuracy within each dataset is flagged with ``*`` (every
-    report tied for best is flagged).  Macro-F1 stays marked auxiliary.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("compare_variants needs at least one report")
-    best = {}
-    for rep in reports:
-        cur = best.get(rep.dataset)
-        if cur is None or rep.accuracy > cur:
-            best[rep.dataset] = rep.accuracy
-    rows = []
-    for rep in reports:
-        flag = " *" if rep.accuracy == best[rep.dataset] else "  "
-        rows.append(
-            (
-                rep.variant or "model",
-                rep.dataset or "-",
-                f"{rep.accuracy:.4f}{flag}",
-                f"{rep.macro_f1:.4f}",
-                f"{rep.correct}/{rep.total}",
-            )
-        )
-    headers = ("variant", "dataset", "accuracy", "macro-F1(aux)", "correct/total")
-    widths = [
-        max(len(headers[c]), max(len(row[c]) for row in rows))
-        for c in range(len(headers))
-    ]
-    lines = [
-        "  ".join(f"{headers[c]:<{widths[c]}}" for c in range(len(headers))),
-        "  ".join("-" * widths[c] for c in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(f"{row[c]:<{widths[c]}}" for c in range(len(headers))))
-    lines.append("(* best accuracy within its dataset; macro-F1 is auxiliary only)")
     return "\n".join(lines)
 
 

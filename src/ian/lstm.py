@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Matrix, Rng, outer, sigmoid, tanh, uniform_init
+from .numerics import Matrix, Rng, sigmoid, tanh, uniform_init
 
 
 class LstmParams:
@@ -118,14 +118,14 @@ def lstm_backward(params: LstmParams, trace: dict, d_hiddens: Matrix, grads) -> 
         d_pre_o = do * o_g * (1.0 - o_g)
         d_pre_c = dc_hat * (1.0 - c_hat**2)
 
-        grads.Wi_w += outer(d_pre_i, w)
-        grads.Wf_w += outer(d_pre_f, w)
-        grads.Wo_w += outer(d_pre_o, w)
-        grads.Wc_w += outer(d_pre_c, w)
-        grads.Wi_h += outer(d_pre_i, h_prev)
-        grads.Wf_h += outer(d_pre_f, h_prev)
-        grads.Wo_h += outer(d_pre_o, h_prev)
-        grads.Wc_h += outer(d_pre_c, h_prev)
+        grads.Wi_w += np.outer(d_pre_i, w)
+        grads.Wf_w += np.outer(d_pre_f, w)
+        grads.Wo_w += np.outer(d_pre_o, w)
+        grads.Wc_w += np.outer(d_pre_c, w)
+        grads.Wi_h += np.outer(d_pre_i, h_prev)
+        grads.Wf_h += np.outer(d_pre_f, h_prev)
+        grads.Wo_h += np.outer(d_pre_o, h_prev)
+        grads.Wc_h += np.outer(d_pre_c, h_prev)
         grads.bi += d_pre_i
         grads.bf += d_pre_f
         grads.bo += d_pre_o

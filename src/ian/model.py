@@ -5,7 +5,9 @@ LSTMs, averages each side, attends each sequence with the other side's
 average as the query, concatenates the two pooled vectors and classifies
 with a tanh layer plus softmax.
 
-Ablations share the same pieces wired differently:
+The ablations reuse those parts. ROUTES below is the single declaration of
+how each of them is wired: the target side's encoder, and which side's
+average queries each attention (None pools that side by its plain mean).
 
   no_target       one LSTM over the sentence, attended with the average of
                   the raw target word embeddings; classifier sees only the
@@ -15,6 +17,9 @@ Ablations share the same pieces wired differently:
   target2content  sentence attended by the target average; the target side
                   contributes its plain LSTM average, unattended.
   lstm_avg        one LSTM over the sentence, mean-pooled, no attention.
+
+Two baselines are built differently and keep their own code paths:
+
   td_lstm         two LSTMs meeting at the target: left-to-right up to the
                   end of the target span, right-to-left down to its start;
                   final hidden states are concatenated.
@@ -26,6 +31,8 @@ Class order everywhere: positive=0, neutral=1, negative=2.
 from __future__ import annotations
 
 import json
+import zipfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,23 +44,41 @@ from .numerics import Rng, softmax_stable, tanh, uniform_init
 LABELS = ("positive", "neutral", "negative")
 LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
 
-VARIANTS = (
-    "ian",
-    "no_target",
-    "no_interaction",
-    "target2content",
-    "lstm_avg",
-    "td_lstm",
-    "majority",
-)
 
-# which structural pieces each variant owns
-_HAS_TGT_LSTM = {"ian", "no_interaction", "target2content", "td_lstm"}
-_HAS_CTX_ATTN = {"ian", "no_target", "no_interaction", "target2content"}
-_HAS_TGT_ATTN = {"ian", "no_interaction"}
-_TWO_PART_FEATURES = {"ian", "no_interaction", "target2content", "td_lstm"}
+class Route(NamedTuple):
+    """How one variant wires the shared parts.
+
+    target is the target side's encoder: "lstm", "embed" (the raw word
+    vectors) or None (no target side). ctx_query and tgt_query name the
+    side, "ctx" or "tgt", whose average queries that side's attention;
+    None pools the side by its plain mean instead. The target side joins
+    the classifier input only when it has its own LSTM.
+    """
+
+    target: str | None
+    ctx_query: str | None
+    tgt_query: str | None
+
+
+ROUTES = {
+    "ian": Route("lstm", ctx_query="tgt", tgt_query="ctx"),
+    "no_target": Route("embed", ctx_query="tgt", tgt_query=None),
+    "no_interaction": Route("lstm", ctx_query="ctx", tgt_query="tgt"),
+    "target2content": Route("lstm", ctx_query="tgt", tgt_query=None),
+    "lstm_avg": Route(None, ctx_query=None, tgt_query=None),
+}
+
+VARIANTS = (*ROUTES, "td_lstm", "majority")
 
 CHECKPOINT_FORMAT = 1
+
+
+def feature_sides(route: Route):
+    """(side, query side) per pooled vector of the classifier input, in
+    concatenation order."""
+    if route.target == "lstm":
+        return (("ctx", route.ctx_query), ("tgt", route.tgt_query))
+    return (("ctx", route.ctx_query),)
 
 
 class ModelParams:
@@ -77,7 +102,8 @@ class ModelParams:
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if tie_attention and variant not in _HAS_TGT_ATTN:
+        route = ROUTES.get(variant)
+        if tie_attention and (route is None or route.tgt_query is None):
             raise ValueError(f"variant {variant!r} has no second attention to tie")
         self.variant = variant
         self.vocab = vocab
@@ -112,27 +138,28 @@ class ModelParams:
             self.embeddings = random_embeddings(rng, vocab, embed_dim)
 
         self.ctx_lstm = LstmParams(rng, embed_dim, hidden_dim)
-        if variant in _HAS_TGT_LSTM:
+        if route is None or route.target == "lstm":  # td_lstm has no route, two LSTMs
             self.tgt_lstm = LstmParams(rng, embed_dim, hidden_dim)
-        if variant in _HAS_CTX_ATTN:
-            # the no_target query is an embedding average, so its score
-            # matrix is hidden_dim x embed_dim instead of square
-            qdim = embed_dim if variant == "no_target" else hidden_dim
-            self.ctx_attn = AttentionParams(rng, hidden_dim, qdim)
-        if variant in _HAS_TGT_ATTN:
+        if route is not None:
+            # an average of raw target embeddings is embed_dim wide, so the
+            # score matrix it queries is hidden_dim x embed_dim
+            query_dim = {"ctx": hidden_dim,
+                         "tgt": embed_dim if route.target == "embed" else hidden_dim}
+            if route.ctx_query is not None:
+                self.ctx_attn = AttentionParams(rng, hidden_dim, query_dim[route.ctx_query])
             if tie_attention:
                 self.tgt_attn = self.ctx_attn
-            else:
-                self.tgt_attn = AttentionParams(rng, hidden_dim, hidden_dim)
+            elif route.tgt_query is not None:
+                self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_query])
 
         feat = self.feature_dim()
         self.W_l = uniform_init(rng, n_classes, feat)
         self.b_l = np.zeros(n_classes)
 
     def feature_dim(self) -> int:
-        if self.variant in _TWO_PART_FEATURES:
-            return 2 * self.hidden_dim
-        return self.hidden_dim
+        route = ROUTES.get(self.variant)
+        parts = 2 if route is None else len(feature_sides(route))  # td_lstm: 2
+        return parts * self.hidden_dim
 
     def named_arrays(self, trainable_only: bool = True):
         """Yield (name, array) for every distinct parameter array.
@@ -201,10 +228,7 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None)
 
     ctx_idx = np.asarray(ctx_idx, dtype=np.int64)
     tgt_idx = np.asarray(tgt_idx, dtype=np.int64)
-    ctx_mask = ctx_idx != PAD_INDEX
-    trace = {"variant": variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx,
-             "ctx_mask": ctx_mask, "span": span}
-
+    trace = {"variant": variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx, "span": span}
     ctx_emb = lookup(params.embeddings, ctx_idx)
 
     if variant == "td_lstm":
@@ -221,53 +245,28 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None)
         probs = _classify(params, features, dropout_mask, trace)
         return probs, trace
 
-    ctx_h, ctx_lstm_trace = lstm_forward(params.ctx_lstm, ctx_emb)
-    trace.update(ctx_emb=ctx_emb, ctx_lstm_trace=ctx_lstm_trace, ctx_h=ctx_h)
+    route = ROUTES[variant]
+    ctx_h, trace["ctx_lstm_trace"] = lstm_forward(params.ctx_lstm, ctx_emb)
+    states = {"ctx": ctx_h}
+    masks = {"ctx": ctx_idx != PAD_INDEX}
+    if route.target is not None:
+        masks["tgt"] = tgt_idx != PAD_INDEX
+        states["tgt"] = lookup(params.embeddings, tgt_idx)
+        if route.target == "lstm":
+            states["tgt"], trace["tgt_lstm_trace"] = lstm_forward(params.tgt_lstm, states["tgt"])
+    avgs = {side: masked_mean(states[side], masks[side]) for side in states}
+    trace.update(states=states, masks=masks)
 
-    if variant == "lstm_avg":
-        features = masked_mean(ctx_h, ctx_mask)
-        probs = _classify(params, features, dropout_mask, trace)
-        return probs, trace
-
-    tgt_mask = tgt_idx != PAD_INDEX
-    tgt_emb = lookup(params.embeddings, tgt_idx)
-    trace.update(tgt_mask=tgt_mask, tgt_emb=tgt_emb)
-
-    if variant == "no_target":
-        query = masked_mean(tgt_emb, tgt_mask)
-        c_r, ctx_weights, ctx_attn_trace = attend(params.ctx_attn, ctx_h, query, ctx_mask)
-        trace.update(tgt_emb_avg=query, ctx_attn_trace=ctx_attn_trace, ctx_weights=ctx_weights)
-        probs = _classify(params, c_r, dropout_mask, trace)
-        return probs, trace
-
-    tgt_h, tgt_lstm_trace = lstm_forward(params.tgt_lstm, tgt_emb)
-    c_avg = masked_mean(ctx_h, ctx_mask)
-    t_avg = masked_mean(tgt_h, tgt_mask)
-    trace.update(tgt_lstm_trace=tgt_lstm_trace, tgt_h=tgt_h, c_avg=c_avg, t_avg=t_avg)
-
-    if variant == "ian":
-        c_r, ctx_weights, ctx_attn_trace = attend(params.ctx_attn, ctx_h, t_avg, ctx_mask)
-        t_r, tgt_weights, tgt_attn_trace = attend(params.tgt_attn, tgt_h, c_avg, tgt_mask)
-    elif variant == "no_interaction":
-        c_r, ctx_weights, ctx_attn_trace = attend(params.ctx_attn, ctx_h, c_avg, ctx_mask)
-        t_r, tgt_weights, tgt_attn_trace = attend(params.tgt_attn, tgt_h, t_avg, tgt_mask)
-    elif variant == "target2content":
-        c_r, ctx_weights, ctx_attn_trace = attend(params.ctx_attn, ctx_h, t_avg, ctx_mask)
-        t_r, tgt_weights, tgt_attn_trace = t_avg, None, None
-    else:  # pragma: no cover - VARIANTS is closed above
-        raise ValueError(f"unhandled variant {variant!r}")
-
-    trace.update(ctx_attn_trace=ctx_attn_trace, tgt_attn_trace=tgt_attn_trace,
-                 ctx_weights=ctx_weights, tgt_weights=tgt_weights, c_r=c_r, t_r=t_r)
-    features = np.concatenate([c_r, t_r])
-    probs = _classify(params, features, dropout_mask, trace)
+    pooled = []
+    for side, query in feature_sides(route):
+        if query is None:
+            vec = avgs[side]
+        else:
+            vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
+                getattr(params, f"{side}_attn"), states[side], avgs[query], masks[side])
+        pooled.append(vec)
+    probs = _classify(params, np.concatenate(pooled), dropout_mask, trace)
     return probs, trace
-
-
-def predict_index(params: ModelParams, ctx_idx, tgt_idx, span=None) -> int:
-    """Label index of the most probable class (lowest index on ties)."""
-    probs, _ = forward(params, ctx_idx, tgt_idx, span=span)
-    return int(np.argmax(probs))
 
 
 def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:
@@ -295,11 +294,33 @@ def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):
 
 
 def load_checkpoint(path: str):
-    """Rebuild (params, meta) from a checkpoint written by save_checkpoint."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["__meta__"]))
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
+    """Rebuild (params, meta) from a checkpoint written by save_checkpoint.
+
+    A file that cannot be read as one (not a zip archive, truncated, no
+    or bad metadata, missing or misshapen arrays) raises one ValueError
+    naming the path and the cause.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not a zip archive (truncated, or not an npz file)")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                return _params_from_npz(data)
+    except (ValueError, KeyError, TypeError, EOFError, OSError, zipfile.BadZipFile) as err:
+        raise ValueError(f"cannot load checkpoint {path}: {err}") from None
+
+
+def _params_from_npz(data):
+    if "__meta__" not in data.files:
+        raise ValueError("no __meta__ record")
+    try:
+        meta = json.loads(str(data["__meta__"]))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"__meta__ is not valid JSON ({err})") from None
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format: {fmt!r}")
     tokens = meta["vocab"]
     if tokens:
         if tokens[0] != PAD_TOKEN:

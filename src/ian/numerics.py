@@ -38,17 +38,6 @@ class Rng:
         return self._gen.integers(lo, hi, shape)
 
 
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """Matrix-vector product with an explicit shape check."""
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"matvec shape mismatch: matrix {m.shape} vs vector {v.shape}"
-        )
-    return m @ v
-
-
 def softmax_stable(v: Vector) -> Vector:
     """Softmax with max-subtraction so large finite inputs never overflow.
 
@@ -73,18 +62,6 @@ def sigmoid(x):
 
 
 tanh = np.tanh
-
-
-def outer(a: Vector, b: Vector) -> Matrix:
-    return np.outer(a, b)
-
-
-def argmax(v: Vector) -> int:
-    """Index of the largest entry; ties break toward the lowest index."""
-    v = np.asarray(v)
-    if v.size == 0:
-        raise ValueError("argmax of an empty vector")
-    return int(np.argmax(v))
 
 
 def uniform_init(rng: Rng, rows: int, cols: int, lo: float = -0.1, hi: float = 0.1) -> Matrix:

@@ -17,8 +17,8 @@ from .attention import attention_backward
 from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
 from .lstm import lstm_backward
-from .model import ModelParams, forward, touched_rows
-from .numerics import Rng, outer
+from .model import ROUTES, ModelParams, feature_sides, forward, touched_rows
+from .numerics import Rng
 
 
 class _Slot:
@@ -132,6 +132,10 @@ def _mean_backward(d_avg: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _accumulate(total: dict, key: str, grad: np.ndarray):
+    total[key] = total[key] + grad if key in total else grad
+
+
 def _scatter_embedding_grads(table_grads, idx, d_emb):
     real = idx != PAD_INDEX
     np.add.at(table_grads, idx[real], d_emb[real])
@@ -148,16 +152,13 @@ def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
     dx = probs.copy()
     dx[label] -= 1.0
     dz = dx * (1.0 - x**2)
-    grads.W_l += outer(dz, trace["dropped"])
+    grads.W_l += np.outer(dz, trace["dropped"])
     grads.b_l += dz
     dd = params.W_l.T @ dz
     if trace["dropout_mask"] is not None:
         dd = dd * trace["dropout_mask"]
 
     dh = params.hidden_dim
-    ctx_idx = trace["ctx_idx"]
-    ctx_mask = trace["ctx_mask"]
-
     if variant == "td_lstm":
         d_left_h = np.zeros((trace["left_len"], dh))
         d_left_h[-1] = dd[:dh]
@@ -169,61 +170,32 @@ def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
         d_ctx_emb = np.zeros_like(trace["ctx_emb"])
         d_ctx_emb[:end] += d_left
         d_ctx_emb[start:] += d_right[::-1]
-        _scatter_embedding_grads(grads.embeddings, ctx_idx, d_ctx_emb)
+        _scatter_embedding_grads(grads.embeddings, trace["ctx_idx"], d_ctx_emb)
         return
 
-    if variant == "lstm_avg":
-        d_ctx_h = _mean_backward(dd, ctx_mask)
-        d_ctx_emb = lstm_backward(params.ctx_lstm, trace["ctx_lstm_trace"], d_ctx_h, grads.ctx_lstm)
-        _scatter_embedding_grads(grads.embeddings, ctx_idx, d_ctx_emb)
-        return
-
-    tgt_idx = trace["tgt_idx"]
-    tgt_mask = trace["tgt_mask"]
-
-    if variant == "no_target":
-        d_ctx_h, d_query = attention_backward(
-            params.ctx_attn, trace["ctx_attn_trace"], dd, grads.ctx_attn
-        )
-        d_ctx_emb = lstm_backward(params.ctx_lstm, trace["ctx_lstm_trace"], d_ctx_h, grads.ctx_lstm)
-        d_tgt_emb = _mean_backward(d_query, tgt_mask)
-        _scatter_embedding_grads(grads.embeddings, ctx_idx, d_ctx_emb)
-        _scatter_embedding_grads(grads.embeddings, tgt_idx, d_tgt_emb)
-        return
-
-    d_c_r = dd[:dh]
-    d_t_r = dd[dh:]
-
-    if variant == "ian":
-        d_ctx_h, d_t_avg = attention_backward(
-            params.ctx_attn, trace["ctx_attn_trace"], d_c_r, grads.ctx_attn
-        )
-        d_tgt_h, d_c_avg = attention_backward(
-            params.tgt_attn, trace["tgt_attn_trace"], d_t_r, grads.tgt_attn
-        )
-    elif variant == "no_interaction":
-        d_ctx_h, d_c_avg = attention_backward(
-            params.ctx_attn, trace["ctx_attn_trace"], d_c_r, grads.ctx_attn
-        )
-        d_tgt_h, d_t_avg = attention_backward(
-            params.tgt_attn, trace["tgt_attn_trace"], d_t_r, grads.tgt_attn
-        )
-    elif variant == "target2content":
-        d_ctx_h, d_t_avg_q = attention_backward(
-            params.ctx_attn, trace["ctx_attn_trace"], d_c_r, grads.ctx_attn
-        )
-        d_tgt_h = np.zeros_like(trace["tgt_h"])
-        d_t_avg = d_t_r + d_t_avg_q
-        d_c_avg = np.zeros(dh)
-    else:  # pragma: no cover - closed variant set
-        raise ValueError(f"unhandled variant {variant!r}")
-
-    d_ctx_h = d_ctx_h + _mean_backward(d_c_avg, ctx_mask)
-    d_tgt_h = d_tgt_h + _mean_backward(d_t_avg, tgt_mask)
-    d_ctx_emb = lstm_backward(params.ctx_lstm, trace["ctx_lstm_trace"], d_ctx_h, grads.ctx_lstm)
-    d_tgt_emb = lstm_backward(params.tgt_lstm, trace["tgt_lstm_trace"], d_tgt_h, grads.tgt_lstm)
-    _scatter_embedding_grads(grads.embeddings, ctx_idx, d_ctx_emb)
-    _scatter_embedding_grads(grads.embeddings, tgt_idx, d_tgt_emb)
+    # mirror of the routed part of model.forward: pooled vectors back to
+    # the side states and to the averages they were built from
+    route = ROUTES[variant]
+    masks = trace["masks"]
+    d_states, d_avgs = {}, {}
+    for k, (side, query) in enumerate(feature_sides(route)):
+        d_pooled = dd[k * dh:(k + 1) * dh]
+        if query is None:
+            _accumulate(d_avgs, side, d_pooled)
+        else:
+            d_states[side], d_query = attention_backward(
+                getattr(params, f"{side}_attn"), trace[f"{side}_attn_trace"],
+                d_pooled, getattr(grads, f"{side}_attn"),
+            )
+            _accumulate(d_avgs, query, d_query)
+    for side, d_avg in d_avgs.items():
+        _accumulate(d_states, side, _mean_backward(d_avg, masks[side]))
+    for side in masks:  # context first, as in forward
+        d_emb = d_states[side]
+        if side == "ctx" or route.target == "lstm":
+            d_emb = lstm_backward(getattr(params, f"{side}_lstm"), trace[f"{side}_lstm_trace"],
+                                  d_emb, getattr(grads, f"{side}_lstm"))
+        _scatter_embedding_grads(grads.embeddings, trace[f"{side}_idx"], d_emb)
 
 
 def case_loss(params: ModelParams, ctx_idx, tgt_idx, span, label,
@@ -269,8 +241,6 @@ class TrainConfig:
     seed: int = 0
     clip_norm: float | None = None
     freeze_embeddings: bool = False
-    variant: str = "ian"
-    tie_attention: bool = False
     shuffle: bool = True
 
     def __post_init__(self):

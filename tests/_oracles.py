@@ -64,8 +64,11 @@ def _lstm_lists(lstm):
     return out
 
 
-def oracle_ian_probs(params, ctx_idx, tgt_idx):
-    """Class probabilities of the full two-sided attention model."""
+def oracle_probs(params, ctx_idx, tgt_idx):
+    """Class probabilities of the ian model or one of its ablations
+    (no_interaction, target2content, no_target, lstm_avg), each wired out
+    by hand from the paper's description."""
+    variant = params.variant
     table = params.embeddings.tolist()
     ctx = [table[int(i)] for i in ctx_idx]
     tgt = [table[int(i)] for i in tgt_idx]
@@ -73,17 +76,29 @@ def oracle_ian_probs(params, ctx_idx, tgt_idx):
     tgt_mask = [int(i) != 0 for i in tgt_idx]
     dh = params.hidden_dim
 
+    def attend(attn, hiddens, query, mask):
+        return _attend(attn.W_a.tolist(), float(attn.b_a), hiddens, query, mask)[0]
+
     ctx_h = _lstm_run(_lstm_lists(params.ctx_lstm), ctx, dh)
-    tgt_h = _lstm_run(_lstm_lists(params.tgt_lstm), tgt, dh)
     c_avg = _masked_mean(ctx_h, ctx_mask)
-    t_avg = _masked_mean(tgt_h, tgt_mask)
+    if variant == "lstm_avg":
+        d = c_avg
+    elif variant == "no_target":
+        d = attend(params.ctx_attn, ctx_h, _masked_mean(tgt, tgt_mask), ctx_mask)
+    else:
+        tgt_h = _lstm_run(_lstm_lists(params.tgt_lstm), tgt, dh)
+        t_avg = _masked_mean(tgt_h, tgt_mask)
+        if variant == "ian":
+            d = (attend(params.ctx_attn, ctx_h, t_avg, ctx_mask)
+                 + attend(params.tgt_attn, tgt_h, c_avg, tgt_mask))
+        elif variant == "no_interaction":
+            d = (attend(params.ctx_attn, ctx_h, c_avg, ctx_mask)
+                 + attend(params.tgt_attn, tgt_h, t_avg, tgt_mask))
+        elif variant == "target2content":
+            d = attend(params.ctx_attn, ctx_h, t_avg, ctx_mask) + t_avg
+        else:
+            raise ValueError(f"no oracle for variant {variant!r}")
 
-    c_r, _ = _attend(params.ctx_attn.W_a.tolist(), float(params.ctx_attn.b_a),
-                     ctx_h, t_avg, ctx_mask)
-    t_r, _ = _attend(params.tgt_attn.W_a.tolist(), float(params.tgt_attn.b_a),
-                     tgt_h, c_avg, tgt_mask)
-
-    d = c_r + t_r
     x = [math.tanh(z) for z in _add(_mv(params.W_l.tolist(), d), params.b_l.tolist())]
     exps = [math.exp(v) for v in x]
     total = sum(exps)

@@ -25,7 +25,7 @@ def synthetic_separable(n=20):
             span = (3, 4)
         token_lists.append(tokens)
         raw.append((tokens, span, label, noun))
-    vocab = Vocabulary.from_token_lists(token_lists)
+    vocab = Vocabulary(t for tokens in token_lists for t in tokens)
     instances = []
     for tokens, span, label, noun in raw:
         instances.append(SimpleNamespace(

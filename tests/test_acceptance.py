@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from synth import synthetic_separable
-from _oracles import oracle_ian_probs
+from _oracles import oracle_probs
 
 from ian import cli
 from ian.data import DATA_ENV, dataset_stats, load_category
@@ -57,7 +57,7 @@ def test_criterion_1_gradcheck(capsys):
 
 def test_criterion_2_forward_matches_oracle():
     rng = Rng(7321)
-    vocab = Vocabulary.from_token_lists([[f"w{i}" for i in range(10)]])
+    vocab = Vocabulary([f"w{i}" for i in range(10)])
     worst = 0.0
     for case in range(100):
         de = dh = int(rng.integers(2, 5))
@@ -68,7 +68,7 @@ def test_criterion_2_forward_matches_oracle():
         ctx = rng.integers(1, 11, n)
         tgt = rng.integers(1, 11, m)
         probs, _ = forward(params, ctx, tgt)
-        ref = np.array(oracle_ian_probs(params, ctx, tgt))
+        ref = np.array(oracle_probs(params, ctx, tgt))
         worst = max(worst, float(np.max(np.abs(probs - ref))))
     ok = worst <= 1e-10
     criterion(2, ok,
@@ -144,8 +144,8 @@ def test_criterion_4_statistics(capsys, monkeypatch):
     # fixture mode always runs, through the same loader the CLI uses
     mismatches = []
     for category in ("restaurant", "laptop"):
-        pair = load_category(category)
-        for dataset in pair:
+        train_ds, test_ds, _ = load_category(category)
+        for dataset in (train_ds, test_ds):
             stats = dataset_stats(dataset)
             want_pol, want_hist = FIXTURE_EXPECTED[(category, dataset.split)]
             if polarity_triple(stats) != want_pol:
@@ -162,8 +162,8 @@ def test_criterion_4_statistics(capsys, monkeypatch):
 
     if data_dir:
         for category in ("restaurant", "laptop"):
-            pair = load_category(category, data_dir=data_dir)
-            for dataset in pair:
+            train_ds, test_ds, _ = load_category(category, data_dir=data_dir)
+            for dataset in (train_ds, test_ds):
                 stats = dataset_stats(dataset)
                 want_pol, want_hist, want_ratio = REAL_EXPECTED[
                     (category, dataset.split)]
@@ -221,7 +221,7 @@ def test_criterion_5_majority_accuracy_and_transposition_note():
 
 def test_criterion_6_invariants():
     failures = []
-    vocab = Vocabulary.from_token_lists([[f"w{i}" for i in range(10)]])
+    vocab = Vocabulary([f"w{i}" for i in range(10)])
 
     # attention weights are distributions
     rng = Rng(66)
@@ -302,7 +302,7 @@ def test_criterion_7_stretch_accuracy():
     report = []
     ok = True
     for category in ("restaurant", "laptop"):
-        train_ds, test_ds = load_category(category, data_dir=data_dir)
+        train_ds, test_ds, _ = load_category(category, data_dir=data_dir)
         table, hits, misses = load_pretrained(vectors, train_ds.vocab, 300,
                                               Rng(0))
         print(f"{category}: {hits} pretrained hits, {misses} misses")
@@ -311,7 +311,7 @@ def test_criterion_7_stretch_accuracy():
             params = ModelParams(Rng(seed), train_ds.vocab, variant=variant,
                                  embed_dim=300, hidden_dim=300,
                                  embeddings=table.copy())
-            config = TrainConfig(seed=seed, variant=variant)
+            config = TrainConfig(seed=seed)
             train(params, train_ds.instances, config, Rng(seed))
             return evaluate_model(params, test_ds.instances).accuracy
 

@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from ian import cli
 from ian.cli import main, read_config_file
-from ian.model import ModelParams, load_checkpoint
+from ian.data import RawReview, build_instances, load_category, load_reviews
+from ian.embeddings import Vocabulary
+from ian.evaluate import predict_all
+from ian.model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.viz import render_svg, weight_dump
 
@@ -71,6 +73,29 @@ def test_config_values_feed_train_and_flags_override(tmp_path, capsys):
     assert run(["train", "--config", str(cfg), "--epochs", "1",
                 "--out-dir", str(out_b)]) == 0
     assert len((out_b / "history.txt").read_text().strip().splitlines()) == 1 + 1
+
+
+def test_clip_norm_none_from_flag_and_config_file(tmp_path, capsys):
+    base = ["train", *TINY, "--epochs", "1"]
+    assert run([*base, "--clip-norm", "none", "--out-dir", str(tmp_path / "a")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clip_norm = none\n", encoding="utf-8")
+    assert run([*base, "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+    cfg_num = tmp_path / "num.cfg"
+    cfg_num.write_text("clip_norm = 0.5\n", encoding="utf-8")
+    assert run([*base, "--config", str(cfg_num), "--out-dir", str(tmp_path / "c")]) == 0
+    assert run([*base, "--config", str(cfg), "--clip-norm", "0.25",
+                "--out-dir", str(tmp_path / "d")]) == 0
+    got = [load_checkpoint(str(tmp_path / d / "model.npz"))[1]["config"]["clip_norm"]
+           for d in "abcd"]
+    assert got == [None, None, 0.5, 0.25]
+
+
+def test_clip_norm_rejects_a_word_other_than_none(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--clip-norm", "off"])
+    assert exc.value.code == 2
+    assert "--clip-norm" in capsys.readouterr().err
 
 
 # --- stats ----------------------------------------------------------------
@@ -145,7 +170,7 @@ def test_train_lr_zero_leaves_params_at_init(tmp_path):
     saved, _ = load_checkpoint(str(out / "model.npz"))
 
     # rebuild the init exactly as cmd_train does: one seeded stream
-    train_ds, _, _ = cli._load_pair("laptop", None)
+    train_ds, _, _ = load_category("laptop")
     fresh = ModelParams(Rng(3), train_ds.vocab, variant="ian",
                         embed_dim=8, hidden_dim=8)
     for (name, arr), (_, ref) in zip(
@@ -195,6 +220,48 @@ def test_eval_matches_train_final_accuracy(tmp_path, capsys):
 def test_eval_missing_checkpoint_fails(capsys):
     assert run(["eval", "--checkpoint", "/no/file.npz"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command, damage):
+    path = tmp_path / "model.npz"
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    save_checkpoint(str(path), params)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"not a model\n")
+    src = tmp_path / "in.txt"
+    src.write_text("the food\tfood\n", encoding="utf-8")
+    argv = {"eval": ["eval", "--checkpoint", str(path)],
+            "predict": ["predict", "--checkpoint", str(path), "--input", str(src)]}
+    assert run(argv[command]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
+    train_ds, _, _ = load_category("laptop")
+    params = ModelParams(Rng(4), train_ds.vocab, variant=variant, embed_dim=4, hidden_dim=4)
+    for _, arr in params.named_arrays():
+        arr *= 10.0  # spread the classes so the labels differ between lines
+    if variant == "majority":
+        params.class_priors[:] = [0.2, 0.3, 0.5]
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(ckpt, params)
+
+    reviews = [RawReview(r.text, [t]) for r in load_reviews("laptop", "test")[0]
+               for t in r.terms if r.text.count(t.text) == 1 and t.polarity != "conflict"]
+    instances, _ = build_instances(reviews, train_ds.vocab)
+    src = tmp_path / "in.txt"
+    src.write_text("".join(f"{r.text}\t{r.terms[0].text}\n" for r in reviews),
+                   encoding="utf-8")
+    dst = tmp_path / "out.txt"
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src),
+                "--output", str(dst)]) == 0
+    expected = [LABELS[k] for k in predict_all(params, instances)]
+    assert len(expected) == len(reviews) >= 3
+    assert dst.read_text().splitlines() == expected
 
 
 def test_predict_labels_warnings_and_gold_summary(tmp_path, capsys):

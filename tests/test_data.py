@@ -399,7 +399,7 @@ def test_dump_instances_format():
 
 
 def test_load_category_shares_transductive_vocab():
-    train, test = load_category("laptop")
+    train, test, _ = load_category("laptop")
     assert train.vocab is test.vocab
     assert (train.split, train.category) == ("train", "laptop")
     assert (test.split, test.category) == ("test", "laptop")

@@ -3,7 +3,6 @@ import pytest
 
 from ian.evaluate import (
     accuracy,
-    compare_variants,
     evaluate_model,
     predict_all,
     render_report,
@@ -113,36 +112,6 @@ def test_render_report_mentions_counts_and_labels():
     assert "auxiliary" in text
     for name in ("positive", "neutral", "negative"):
         assert name in text
-
-
-def test_compare_variants_single_row():
-    report = accuracy([0, 1], [0, 1], variant="ian", dataset="toy")
-    table = compare_variants([report])
-    lines = table.splitlines()
-    body = [ln for ln in lines if ln.startswith("ian")]
-    assert len(body) == 1
-    assert "1.0000 *" in body[0]
-
-
-def test_compare_variants_flags_ties_and_keeps_order():
-    a = accuracy([0, 1], [0, 1], variant="lstm_avg", dataset="toy")
-    b = accuracy([1, 0], [1, 0], variant="td_lstm", dataset="toy")
-    c = accuracy([0, 0], [0, 1], variant="majority", dataset="toy")
-    table = compare_variants([b, a, c])
-    lines = table.splitlines()
-    assert lines[2].startswith("td_lstm") and "1.0000 *" in lines[2]
-    assert lines[3].startswith("lstm_avg") and "1.0000 *" in lines[3]
-    assert lines[4].startswith("majority") and "*" not in lines[4]
-    assert "macro-F1(aux)" in lines[0]
-
-
-def test_compare_variants_best_is_per_dataset():
-    a = accuracy([0, 0], [0, 1], variant="ian", dataset="restaurant")
-    b = accuracy([0, 1], [0, 1], variant="ian", dataset="laptop")
-    table = compare_variants([a, b])
-    lines = table.splitlines()
-    assert "0.5000 *" in lines[2]  # best of its own dataset despite lower score
-    assert "1.0000 *" in lines[3]
 
 
 def test_reports_tsv_round_trips_fields():

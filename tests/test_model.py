@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_ian_probs
+from _oracles import oracle_probs
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import lstm_forward
 from ian.model import (
@@ -11,7 +11,6 @@ from ian.model import (
     forward,
     load_checkpoint,
     masked_mean,
-    predict_index,
     save_checkpoint,
     touched_rows,
 )
@@ -47,7 +46,22 @@ def test_forward_matches_oracle_on_100_random_instances():
         pad_tail = int(rng.integers(0, 3))
         ctx, tgt = random_instance(rng, 10, pad_tail=pad_tail)
         probs, _ = forward(params, ctx, tgt)
-        ref = oracle_ian_probs(params, ctx, tgt)
+        ref = oracle_probs(params, ctx, tgt)
+        assert np.max(np.abs(probs - np.array(ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["no_interaction", "target2content", "no_target", "lstm_avg"])
+def test_ablation_forward_matches_oracle_on_100_random_instances(variant):
+    rng = Rng(2025)
+    for case in range(100):
+        de = int(rng.integers(2, 5))
+        dh = int(rng.integers(2, 5))
+        params = make(variant, seed=case, de=de, dh=dh)
+        ctx, tgt = random_instance(rng, 10, pad_tail=int(rng.integers(0, 3)))
+        if case % 2:
+            tgt = np.concatenate([tgt, [PAD_INDEX]])
+        probs, _ = forward(params, ctx, tgt)
+        ref = oracle_probs(params, ctx, tgt)
         assert np.max(np.abs(probs - np.array(ref))) <= 1e-10
 
 
@@ -184,12 +198,6 @@ def test_touched_rows_unique_and_pad_free():
     assert rows.tolist() == [3, 5, 7]
 
 
-def test_predict_index_is_argmax():
-    params = make("majority")
-    params.class_priors[:] = [0.1, 0.6, 0.3]
-    assert predict_index(params, [1], [1]) == 1
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_checkpoint_round_trip_bit_identical(tmp_path, variant):
     tie = variant == "ian"
@@ -227,3 +235,34 @@ def test_checkpoint_rejects_missing_arrays(tmp_path):
     np.savez(broken, **data)
     with pytest.raises(ValueError):
         load_checkpoint(broken)
+
+
+def _damaged(tmp_path, how):
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), make("ian", seed=2))
+    raw = path.read_bytes()
+    if how == "not_zip":
+        path.write_bytes(b"x" * len(raw))
+    elif how == "truncated":
+        path.write_bytes(raw[: len(raw) - 40])
+    else:
+        data = dict(np.load(str(path), allow_pickle=False))
+        if how == "no_meta":
+            del data["__meta__"]
+        else:  # bad_json
+            data["__meta__"] = np.array("{not json")
+        np.savez(str(path), **data)
+    return str(path)
+
+
+@pytest.mark.parametrize("how, cause", [
+    ("not_zip", "not a zip archive"),
+    ("truncated", "not a zip archive"),
+    ("no_meta", "no __meta__ record"),
+    ("bad_json", "not valid JSON"),
+])
+def test_checkpoint_load_failure_is_one_value_error(tmp_path, how, cause):
+    path = _damaged(tmp_path, how)
+    with pytest.raises(ValueError, match=cause) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")

@@ -3,54 +3,11 @@ import pytest
 
 from ian.numerics import (
     Rng,
-    argmax,
-    matvec,
-    outer,
     sigmoid,
     softmax_stable,
     tanh,
     uniform_init,
 )
-
-
-def matvec_loops(m, v):
-    # independent double-loop reference
-    out = np.zeros(m.shape[0])
-    for i in range(m.shape[0]):
-        s = 0.0
-        for j in range(m.shape[1]):
-            s += m[i, j] * v[j]
-        out[i] = s
-    return out
-
-
-def test_matvec_identity():
-    v = np.array([3.0, -1.0, 2.5])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_zero_matrix():
-    assert np.array_equal(matvec(np.zeros((2, 4)), np.ones(4)), np.zeros(2))
-
-
-def test_matvec_hand_arithmetic():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = np.array([5.0, 6.0])
-    assert np.array_equal(matvec(m, v), np.array([17.0, 39.0]))
-
-
-def test_matvec_matches_loop_reference():
-    rng = Rng(7)
-    for _ in range(20):
-        m = rng.uniform(-2, 2, (16, 16))
-        v = rng.uniform(-2, 2, 16)
-        assert np.allclose(matvec(m, v), matvec_loops(m, v), atol=1e-12)
-
-
-def test_matvec_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ValueError) as err:
-        matvec(np.zeros((3, 4)), np.zeros(5))
-    assert "(3, 4)" in str(err.value) and "(5,)" in str(err.value)
 
 
 def test_softmax_uniform_input():
@@ -113,16 +70,6 @@ def test_sigmoid_extreme_arguments_stay_finite():
 def test_tanh_is_odd():
     x = np.linspace(-4, 4, 33)
     assert np.allclose(tanh(x) + tanh(-x), 0.0, atol=1e-12)
-
-
-def test_outer_shape_and_values():
-    got = outer(np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]))
-    assert np.array_equal(got, [[3.0, 4.0, 5.0], [6.0, 8.0, 10.0]])
-
-
-def test_argmax_breaks_ties_low():
-    assert argmax(np.array([1.0, 3.0, 3.0, 0.0])) == 1
-    assert argmax(np.array([2.0, 2.0, 2.0])) == 0
 
 
 def test_uniform_init_deterministic_and_in_range():

@@ -1,0 +1,49 @@
+"""Whole-package checks on the source tree itself."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import ian
+
+SRC = Path(ian.__file__).parent
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and each
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _name_uses(node) -> Counter:
+    """How often each bare name or attribute name occurs under node."""
+    uses = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+    return uses
+
+
+def test_every_function_in_src_is_used_in_src():
+    # name-based: a method counts as used when any attribute of its name is
+    # read, so this misses an unused method that shares a name with a used one
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = sum((_name_uses(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if uses[node.name] == _name_uses(node)[node.name]
+    ]
+    assert unused == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_cross_entropy, oracle_ian_probs
+from _oracles import oracle_cross_entropy, oracle_probs
 from fdcheck import fd_grad, grads_close, max_rel_err
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.model import ModelParams, forward
@@ -124,7 +124,7 @@ def test_cross_entropy_matches_reference():
     ctx, tgt, span, label = tiny_instance(Rng(77))
     probs, _ = forward(params, ctx, tgt)
     ours = cross_entropy(probs, label)
-    ref = oracle_cross_entropy(oracle_ian_probs(params, ctx, tgt), label)
+    ref = oracle_cross_entropy(oracle_probs(params, ctx, tgt), label)
     assert abs(ours - ref) < 1e-10
 
 
