@@ -10,10 +10,9 @@ given its flags, files and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-
-import numpy as np
 
 from .data import (
     AspectTerm,
@@ -63,6 +62,9 @@ CONFIG_KEYS = frozenset(
     )
 )
 
+# every variant with trainable parameters
+GRADCHECK_VARIANTS = tuple(v for v in VARIANTS if v != "majority")
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -100,6 +102,14 @@ def optional_float(value) -> float | None:
     if str(value).lower() == "none":
         return None
     return float(value)
+
+
+def optional_float_flag(value: str) -> str:
+    """argparse type for an optional_float flag: checks the value but keeps
+    its text, because None stands for "flag not given" in Settings and an
+    explicit "none" must still override the config file."""
+    optional_float(value)
+    return value
 
 
 class Settings:
@@ -369,12 +379,19 @@ def cmd_gradcheck(args) -> int:
     if (args.embed_dim is None) != (args.hidden_dim is None):
         print("error: give both --embed-dim and --hidden-dim or neither", file=sys.stderr)
         return 2
+    if args.variant == "all":
+        if args.tie_attention:
+            print("error: --tie-attention needs a single variant", file=sys.stderr)
+            return 2
+        variants = GRADCHECK_VARIANTS
+    else:
+        variants = (args.variant,)
     if args.embed_dim is None:
         dims = ((3, 3), (8, 8))
     else:
         dims = ((args.embed_dim, args.hidden_dim),)
     ok = True
-    for embed_dim, hidden_dim in dims:
+    for variant, (embed_dim, hidden_dim) in itertools.product(variants, dims):
         details = {}
         errors, elapsed = check_tiny_model(
             args.seed,
@@ -382,7 +399,7 @@ def cmd_gradcheck(args) -> int:
             hidden_dim,
             n_ctx=args.ctx_len,
             n_tgt=args.tgt_len,
-            variant=args.variant,
+            variant=variant,
             tie_attention=args.tie_attention,
             l2=args.l2,
             eps=args.eps,
@@ -396,7 +413,7 @@ def cmd_gradcheck(args) -> int:
             passed = err <= args.tolerance
             status = "ok" if passed else "FAIL"
             line = (
-                f"d_e={embed_dim} d_h={hidden_dim}  {group:<11} "
+                f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  {group:<11} "
                 f"max rel err {err:.3e}  {status}"
             )
             if not passed:
@@ -407,7 +424,7 @@ def cmd_gradcheck(args) -> int:
                 )
                 ok = False
             print(line)
-        print(f"d_e={embed_dim} d_h={hidden_dim}  elapsed {elapsed:.2f}s")
+        print(f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  elapsed {elapsed:.2f}s")
     return 0 if ok else 1
 
 
@@ -511,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
+    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float_flag)
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
                    dest="freeze_embeddings", default=None)
     p.add_argument("--no-shuffle", action="store_const", const=False, dest="shuffle",
@@ -546,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=27)
     p.add_argument("--ctx-len", dest="ctx_len", type=int, default=4)
     p.add_argument("--tgt-len", dest="tgt_len", type=int, default=2)
-    p.add_argument("--variant", choices=[v for v in VARIANTS if v != "majority"],
-                   default="ian")
+    p.add_argument("--variant", choices=(*GRADCHECK_VARIANTS, "all"), default="ian",
+                   help="a trainable variant, or all of them")
     p.add_argument("--tie-attention", action="store_true", dest="tie_attention")
     p.add_argument("--l2", type=float, default=0.01,
                    help="penalty used during the check; keeps every weight "

@@ -1,0 +1,122 @@
+"""Per-gate LSTM loop kept as the reference for the fused implementation.
+
+This is the LSTM the package ran before its gates were fused: one
+matrix-vector product per gate and input per step, and per-step outer
+products for the weight gradients. It reads only the per-gate names
+(Wi_w ... Wc_h, bi ... bc) of an LstmParams, so the fused package code and
+this loop run on the very same parameters. `reference_init` draws a fresh
+parameter set the way the loop-era constructor did.
+"""
+
+import numpy as np
+
+from ian.lstm import LstmParams
+from ian.numerics import sigmoid, tanh, uniform_init
+
+
+def reference_init(rng, input_dim, hidden_dim):
+    """Per-gate arrays in the loop-era draw order: matrices, then zero biases."""
+    arrays = {}
+    for name in LstmParams.MATRIX_NAMES:
+        cols = input_dim if name.endswith("_w") else hidden_dim
+        arrays[name] = uniform_init(rng, hidden_dim, cols)
+    for name in LstmParams.BIAS_NAMES:
+        arrays[name] = np.zeros(hidden_dim)
+    return arrays
+
+
+def loop_lstm_forward(params, inputs):
+    n = inputs.shape[0]
+    dh = params.hidden_dim
+    i_g = np.zeros((n, dh))
+    f_g = np.zeros((n, dh))
+    o_g = np.zeros((n, dh))
+    c_hat = np.zeros((n, dh))
+    cells = np.zeros((n, dh))
+    tanh_c = np.zeros((n, dh))
+    hiddens = np.zeros((n, dh))
+    h_prevs = np.zeros((n, dh))
+    c_prevs = np.zeros((n, dh))
+
+    h = np.zeros(dh)
+    c = np.zeros(dh)
+    for k in range(n):
+        w = inputs[k]
+        h_prevs[k] = h
+        c_prevs[k] = c
+        i_g[k] = sigmoid(params.Wi_w @ w + params.Wi_h @ h + params.bi)
+        f_g[k] = sigmoid(params.Wf_w @ w + params.Wf_h @ h + params.bf)
+        o_g[k] = sigmoid(params.Wo_w @ w + params.Wo_h @ h + params.bo)
+        c_hat[k] = tanh(params.Wc_w @ w + params.Wc_h @ h + params.bc)
+        c = f_g[k] * c + i_g[k] * c_hat[k]
+        cells[k] = c
+        tanh_c[k] = tanh(c)
+        h = o_g[k] * tanh_c[k]
+        hiddens[k] = h
+
+    trace = {
+        "inputs": inputs,
+        "i": i_g, "f": f_g, "o": o_g, "c_hat": c_hat,
+        "cells": cells, "tanh_c": tanh_c,
+        "h_prevs": h_prevs, "c_prevs": c_prevs,
+    }
+    return hiddens, trace
+
+
+def loop_lstm_backward(params, trace, d_hiddens, grads):
+    inputs = trace["inputs"]
+    n = inputs.shape[0]
+    d_inputs = np.zeros_like(inputs)
+    dh_next = np.zeros(params.hidden_dim)
+    dc_next = np.zeros(params.hidden_dim)
+
+    for k in reversed(range(n)):
+        i_g = trace["i"][k]
+        f_g = trace["f"][k]
+        o_g = trace["o"][k]
+        c_hat = trace["c_hat"][k]
+        tanh_c = trace["tanh_c"][k]
+        h_prev = trace["h_prevs"][k]
+        c_prev = trace["c_prevs"][k]
+        w = inputs[k]
+
+        dh = d_hiddens[k] + dh_next
+        do = dh * tanh_c
+        dc = dh * o_g * (1.0 - tanh_c**2) + dc_next
+        df = dc * c_prev
+        di = dc * c_hat
+        dc_hat = dc * i_g
+
+        d_pre_i = di * i_g * (1.0 - i_g)
+        d_pre_f = df * f_g * (1.0 - f_g)
+        d_pre_o = do * o_g * (1.0 - o_g)
+        d_pre_c = dc_hat * (1.0 - c_hat**2)
+
+        grads.Wi_w += np.outer(d_pre_i, w)
+        grads.Wf_w += np.outer(d_pre_f, w)
+        grads.Wo_w += np.outer(d_pre_o, w)
+        grads.Wc_w += np.outer(d_pre_c, w)
+        grads.Wi_h += np.outer(d_pre_i, h_prev)
+        grads.Wf_h += np.outer(d_pre_f, h_prev)
+        grads.Wo_h += np.outer(d_pre_o, h_prev)
+        grads.Wc_h += np.outer(d_pre_c, h_prev)
+        grads.bi += d_pre_i
+        grads.bf += d_pre_f
+        grads.bo += d_pre_o
+        grads.bc += d_pre_c
+
+        d_inputs[k] = (
+            params.Wi_w.T @ d_pre_i
+            + params.Wf_w.T @ d_pre_f
+            + params.Wo_w.T @ d_pre_o
+            + params.Wc_w.T @ d_pre_c
+        )
+        dh_next = (
+            params.Wi_h.T @ d_pre_i
+            + params.Wf_h.T @ d_pre_f
+            + params.Wo_h.T @ d_pre_o
+            + params.Wc_h.T @ d_pre_c
+        )
+        dc_next = dc * f_g
+
+    return d_inputs

@@ -86,9 +86,11 @@ def test_clip_norm_none_from_flag_and_config_file(tmp_path, capsys):
     assert run([*base, "--config", str(cfg_num), "--out-dir", str(tmp_path / "c")]) == 0
     assert run([*base, "--config", str(cfg), "--clip-norm", "0.25",
                 "--out-dir", str(tmp_path / "d")]) == 0
+    assert run([*base, "--config", str(cfg_num), "--clip-norm", "none",
+                "--out-dir", str(tmp_path / "e")]) == 0
     got = [load_checkpoint(str(tmp_path / d / "model.npz"))[1]["config"]["clip_norm"]
-           for d in "abcd"]
-    assert got == [None, None, 0.5, 0.25]
+           for d in "abcde"]
+    assert got == [None, None, 0.5, 0.25, None]
 
 
 def test_clip_norm_rejects_a_word_other_than_none(capsys):
@@ -330,6 +332,30 @@ def test_gradcheck_cli_detects_corruption(capsys):
 
 def test_gradcheck_requires_both_dims(capsys):
     assert run(["gradcheck", "--embed-dim", "3"]) == 2
+
+
+def test_gradcheck_all_variants_passes(capsys):
+    assert run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3"]) == 0
+    out = capsys.readouterr().out
+    trainable = [v for v in VARIANTS if v != "majority"]
+    assert len(trainable) == 6
+    for variant in trainable:
+        assert re.search(rf"^{variant}\s+d_e=3 d_h=3  ctx_lstm\s+max rel err \S+  ok$",
+                         out, re.M), variant
+        assert re.search(rf"^{variant}\s+d_e=3 d_h=3  elapsed", out, re.M), variant
+    assert "FAIL" not in out
+
+
+def test_gradcheck_all_variants_fails_on_one_corrupt_group(capsys):
+    rc = run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3",
+              "--corrupt-group", "ctx_lstm"])
+    assert rc == 1
+    assert capsys.readouterr().out.count("worst ctx_lstm") == 6
+
+
+def test_gradcheck_all_variants_refuses_tied_attention(capsys):
+    assert run(["gradcheck", "--variant", "all", "--tie-attention"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --- attention-viz ----------------------------------------------------
