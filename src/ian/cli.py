@@ -16,7 +16,6 @@ import sys
 
 from .data import (
     AspectTerm,
-    Instance,
     RawReview,
     build_instances,
     build_vocab,
@@ -26,6 +25,7 @@ from .data import (
     load_reviews,
     render_stats,
     tokenize,
+    tokenize_with_spans,
 )
 from .embeddings import load_pretrained
 from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
@@ -295,24 +295,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _instance_from_line(sentence, target, vocab, drop_unknown, gold=None):
-    """Build the single instance for one predict-input line, or None."""
-    start = sentence.find(target)
-    if start < 0:
-        start = sentence.lower().find(target.lower())
+def _instance_from_line(params, sentence, target, gold=None, start=None):
+    """The single instance for a target inside a sentence, or None.
+
+    start is the target's character offset; by default, the first
+    occurrence of the target text (exact case first). When the text is not
+    found, build_instances searches the sentence tokens for it instead.
+    """
+    if start is None:
+        start = sentence.find(target)
+        if start < 0:
+            start = sentence.lower().find(target.lower())
     end = start + len(target) if start >= 0 else 0
-    start = max(start, 0)
     review = RawReview(
         text=sentence,
-        terms=[AspectTerm(text=target, start=start, end=end, polarity=gold)],
+        terms=[AspectTerm(text=target, start=max(start, 0), end=end, polarity=gold)],
     )
-    instances, _ = build_instances([review], vocab, drop_unknown=drop_unknown)
+    instances, _ = _instances_for_checkpoint(params, [review])
     return instances[0] if instances else None
 
 
 def cmd_predict(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
-    drop_unknown = params.embeddings is not None
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     failures = 0
     golds, preds = [], []
@@ -342,13 +346,7 @@ def cmd_predict(args) -> int:
                     out.write("?\n")
                     failures += 1
                     continue
-                vocab = params.vocab if drop_unknown else build_vocab(
-                    [[RawReview(sentence, [])]]
-                )
-                if not drop_unknown:
-                    for tok in tokenize(target):
-                        vocab.add(tok)
-                inst = _instance_from_line(sentence, target, vocab, drop_unknown, gold)
+                inst = _instance_from_line(params, sentence, target, gold)
                 if inst is None:
                     print(
                         f"warning: line {lineno}: target {target!r} not usable "
@@ -444,29 +442,19 @@ def cmd_attention_viz(args) -> int:
         except ValueError:
             print("error: --span expects START:END token positions", file=sys.stderr)
             return 2
-        tokens = tokenize(sentence)
-        if not (0 <= start < end <= len(tokens)):
-            print(f"error: span {start}:{end} outside the {len(tokens)}-token sentence",
+        _, offsets = tokenize_with_spans(sentence)
+        if not (0 <= start < end <= len(offsets)):
+            print(f"error: span {start}:{end} outside the {len(offsets)}-token sentence",
                   file=sys.stderr)
             return 2
-        kept = [t for t in tokens if t in params.vocab]
-        if kept != tokens:
-            print("error: --span cannot be combined with unknown tokens; "
-                  "ids would shift", file=sys.stderr)
-            return 2
-        ids = tuple(int(i) for i in params.vocab.encode(tokens))
-        tgt_tokens = tuple(tokens[start:end])
-        inst = Instance(
-            context_tokens=tuple(tokens),
-            target_tokens=tgt_tokens,
-            context_ids=ids,
-            target_ids=ids[start:end],
-            span=(start, end),
-            label=None,
-            target_text=" ".join(tgt_tokens),
-        )
+        first, last = offsets[start][0], offsets[end - 1][1]
+        inst = _instance_from_line(params, sentence, sentence[first:last], start=first)
+        if inst is None:
+            print(f"error: no token of span {start}:{end} is in the checkpoint vocabulary",
+                  file=sys.stderr)
+            return 1
     else:
-        inst = _instance_from_line(sentence, target, params.vocab, True)
+        inst = _instance_from_line(params, sentence, target)
         if inst is None:
             print(
                 f"error: target {target!r} not found in the sentence; "
@@ -474,13 +462,13 @@ def cmd_attention_viz(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        n_dropped = len(tokenize(sentence)) - len(inst.context_tokens)
-        if n_dropped:
-            print(
-                f"note: {n_dropped} tokens unknown to the checkpoint "
-                "vocabulary were dropped",
-                file=sys.stderr,
-            )
+    n_dropped = len(tokenize(sentence)) - len(inst.context_tokens)
+    if n_dropped:
+        print(
+            f"note: {n_dropped} tokens unknown to the checkpoint "
+            "vocabulary were dropped",
+            file=sys.stderr,
+        )
     paths, predicted = write_attention_files(args.out_dir, params, inst,
                                              basename=args.basename)
     print(f"predicted: {predicted}")

@@ -39,7 +39,7 @@ import numpy as np
 from .attention import AttentionParams, attend
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
 from .lstm import LstmParams, lstm_forward
-from .numerics import Rng, softmax_stable, tanh, uniform_init
+from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
 
 LABELS = ("positive", "neutral", "negative")
 LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -72,6 +72,10 @@ VARIANTS = (*ROUTES, "td_lstm", "majority")
 
 CHECKPOINT_FORMAT = 1
 
+# constructor arguments that, with the vocabulary, fix which arrays a model
+# has, their shapes and which are tied; a checkpoint's meta records them
+LAYOUT = ("variant", "tie_attention", "embed_dim", "hidden_dim", "n_classes")
+
 
 def feature_sides(route: Route):
     """(side, query side) per pooled vector of the classifier input, in
@@ -86,7 +90,9 @@ class ModelParams:
 
     Construction draws from the rng in a fixed order (embeddings, context
     LSTM, target LSTM, context attention, target attention, classifier),
-    so a given seed and configuration always yields the same model.
+    so a given seed and configuration always yields the same model. Given
+    a numerics.ZeroInit instead, it builds the same arrays, fused views
+    and attention tie, all zero.
     """
 
     def __init__(
@@ -155,6 +161,9 @@ class ModelParams:
         feat = self.feature_dim()
         self.W_l = uniform_init(rng, n_classes, feat)
         self.b_l = np.zeros(n_classes)
+
+    def layout(self) -> dict:
+        return {key: getattr(self, key) for key in LAYOUT}
 
     def feature_dim(self) -> int:
         route = ROUTES.get(self.variant)
@@ -281,11 +290,7 @@ def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):
     arrays = {name: arr for name, arr in params.named_arrays(trainable_only=False)}
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "variant": params.variant,
-        "tie_attention": params.tie_attention,
-        "embed_dim": params.embed_dim,
-        "hidden_dim": params.hidden_dim,
-        "n_classes": params.n_classes,
+        **params.layout(),
         "vocab": list(params.vocab.tokens) if params.embeddings is not None else [],
         "config": config or {},
     }
@@ -297,8 +302,11 @@ def load_checkpoint(path: str):
     """Rebuild (params, meta) from a checkpoint written by save_checkpoint.
 
     A file that cannot be read as one (not a zip archive, truncated, no
-    or bad metadata, missing or misshapen arrays) raises one ValueError
-    naming the path and the cause.
+    or bad metadata, missing or misshapen arrays, a zip entry flagged as
+    encrypted or stored by an unsupported method or version) raises one
+    ValueError naming the path and the cause. The shell the arrays are
+    read into is built from a zero init source: loading draws no random
+    numbers.
     """
     try:
         with open(path, "rb") as fh:
@@ -307,7 +315,8 @@ def load_checkpoint(path: str):
             fh.seek(0)
             with np.load(fh, allow_pickle=False) as data:
                 return _params_from_npz(data)
-    except (ValueError, KeyError, TypeError, EOFError, OSError, zipfile.BadZipFile) as err:
+    except (ValueError, KeyError, TypeError, EOFError, OSError, zipfile.BadZipFile,
+            NotImplementedError, RuntimeError) as err:
         raise ValueError(f"cannot load checkpoint {path}: {err}") from None
 
 
@@ -328,15 +337,7 @@ def _params_from_npz(data):
         vocab = Vocabulary(tokens[1:])
     else:
         vocab = Vocabulary()
-    params = ModelParams(
-        Rng(0),
-        vocab,
-        variant=meta["variant"],
-        embed_dim=meta["embed_dim"],
-        hidden_dim=meta["hidden_dim"],
-        n_classes=meta["n_classes"],
-        tie_attention=meta["tie_attention"],
-    )
+    params = ModelParams(ZeroInit(), vocab, **{key: meta[key] for key in LAYOUT})
     for name, arr in params.named_arrays(trainable_only=False):
         if name not in data:
             raise ValueError(f"checkpoint is missing array {name!r}")

@@ -14,28 +14,22 @@ Vector = np.ndarray  # 1-D
 Matrix = np.ndarray  # 2-D, row-major
 
 
-class Rng:
-    """Deterministic random source: same seed, same stream, any platform.
+# Deterministic random source: same seed, same PCG64 stream, any platform.
+# One generator drives all randomness of a run (init, shuffling, dropout)
+# and is never shared between concurrent consumers.
+Rng = np.random.default_rng
 
-    One instance drives all randomness of a run (init, shuffling, dropout),
-    and is never shared between concurrent consumers.
+
+class ZeroInit:
+    """Init source whose every draw is zero.
+
+    Handing it to a parameter constructor builds a zero twin of the seeded
+    model (gradients, velocity, the shell a checkpoint fills) without
+    drawing a random number.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, lo: float, hi: float, shape=None) -> np.ndarray:
-        return self._gen.uniform(lo, hi, shape)
-
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, lo: int, hi: int, shape=None):
-        return self._gen.integers(lo, hi, shape)
+    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
+        return np.zeros(shape)
 
 
 def softmax_stable(v: Vector) -> Vector:

@@ -18,69 +18,40 @@ from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
 from .lstm import lstm_backward
 from .model import ROUTES, ModelParams, feature_sides, forward, touched_rows
-from .numerics import Rng
+from .numerics import Rng, ZeroInit
 
 
-class _Slot:
-    """Attribute bag mirroring one component's arrays."""
+class GradSet(ModelParams):
+    """Zero twin of a model, for gradients and momentum velocity.
 
-
-class GradSet:
-    """Zero arrays shaped like a model's parameters.
-
-    Offers both flat named iteration (for the optimizer and checks) and
-    per-component attribute access (for the layer backward functions).
-    When the model ties its two attentions, the tied slot is shared here
-    too, so both backward calls accumulate into the same arrays.
+    Built by ModelParams' own constructor from an all-zero init source, so
+    it has the model's component attributes (for the layer backward
+    functions), its fused LSTM storage with the per-gate views, and its
+    attention tie: when the model ties its two attentions, both backward
+    calls accumulate into the same arrays. Flat named iteration serves the
+    optimizer and the checks.
     """
 
     def __init__(self, params: ModelParams):
-        self._pairs = [(name, np.zeros_like(arr)) for name, arr in params.named_arrays()]
-        self._by_name = dict(self._pairs)
-        self.embeddings = self._by_name.get("embeddings")
-        self.ctx_lstm = self._component("ctx_lstm.")
-        self.tgt_lstm = self._component("tgt_lstm.")
-        self.ctx_attn = self._component("ctx_attn.")
-        if params.tgt_attn is not None and params.tgt_attn is params.ctx_attn:
-            self.tgt_attn = self.ctx_attn
-        else:
-            self.tgt_attn = self._component("tgt_attn.")
-        self.W_l = self._by_name.get("W_l")
-        self.b_l = self._by_name.get("b_l")
-
-    def _component(self, prefix: str):
-        fields = {
-            name[len(prefix):]: arr
-            for name, arr in self._pairs
-            if name.startswith(prefix)
-        }
-        if not fields:
-            return None
-        slot = _Slot()
-        slot.__dict__.update(fields)
-        return slot
+        super().__init__(ZeroInit(), params.vocab, **params.layout())
+        self._by_name = dict(self.named_arrays())
 
     def arrays(self):
-        yield from self._pairs
+        return self.named_arrays()
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._by_name[name]
 
-    def __setitem__(self, name: str, value):
-        # keep the stored array object; += on an indexed GradSet lands here
-        if value is not self._by_name[name]:
-            self._by_name[name][...] = value
-
     def zero(self):
-        for _, arr in self._pairs:
+        for arr in self._by_name.values():
             arr[...] = 0.0
 
     def scale(self, factor: float):
-        for _, arr in self._pairs:
+        for arr in self._by_name.values():
             arr *= factor
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for _, a in self._pairs)))
+        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._by_name.values())))
 
 
 def dropout_mask(rng: Rng, dim: int, rate: float):
@@ -120,7 +91,8 @@ def _add_l2_grads(params: ModelParams, rows: np.ndarray, l2: float, grads: GradS
         return
     named = dict(params.named_arrays())
     for name in params.weight_matrix_names():
-        grads[name] += 2.0 * l2 * named[name]
+        grad = grads[name]
+        grad += 2.0 * l2 * named[name]
     if rows.size:
         grads.embeddings[rows] += 2.0 * l2 * params.embeddings[rows]
 

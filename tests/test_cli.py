@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from ian.cli import main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
 from ian.embeddings import Vocabulary
@@ -241,6 +242,21 @@ def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command,
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
+@pytest.mark.parametrize("field", CENTRAL_ENTRY_EDITS)
+def test_unsupported_zip_entry_fails_with_one_error_line(tmp_path, capsys, field):
+    path = tmp_path / "model.npz"
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    save_checkpoint(str(path), params)
+    path.write_bytes(edit_central_entry(path.read_bytes(), field))
+    src = tmp_path / "in.txt"
+    src.write_text("the food\tfood\n", encoding="utf-8")
+    assert run(["predict", "--checkpoint", str(path), "--input", str(src)]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot load checkpoint {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
     train_ds, _, _ = load_category("laptop")
@@ -392,6 +408,20 @@ def test_attention_viz_span_flag(tmp_path, capsys):
     assert rc == 0
     txt = (out_dir / "attention.txt").read_text()
     assert "battery" in txt and "life" in txt
+
+
+def test_attention_viz_span_over_unknown_word_drops_it(tmp_path, capsys):
+    ckpt, _ = trained_checkpoint(tmp_path, capsys)
+    out_dir = tmp_path / "viz"
+    rc = run(["attention-viz", "--checkpoint", ckpt,
+              "--sentence", "the zqxv battery life is the size of a sandwich",
+              "--target", "ignored", "--span", "2:4", "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert "1 tokens unknown" in capsys.readouterr().err
+    txt = (out_dir / "attention.txt").read_text()
+    context, target = txt.split("target:\n")
+    assert "zqxv" not in context and "battery" in context
+    assert [line.split("\t")[0].strip() for line in target.splitlines()] == ["battery", "life"]
 
 
 def test_attention_viz_target_not_found_suggests_span(tmp_path, capsys):

@@ -2,6 +2,8 @@ import os
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ian.data import (
     AspectTerm,
@@ -102,6 +104,65 @@ def test_tokenize_idempotent_on_own_output():
 
 
 # --- parsing ------------------------------------------------------------
+
+
+# --- properties ---------------------------------------------------------
+
+# derandomized and without an example database: same examples every run
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# letters of both cases (including one whose lowercase is two characters),
+# digits, joiners, punctuation and whitespace
+TEXT = st.text(alphabet="abAB\u0130\u00df9'-.,$ \t", max_size=30)
+
+
+@PROPERTY
+@given(TEXT)
+def test_token_offsets_slice_back_to_the_tokens(text):
+    tokens, spans = tokenize_with_spans(text)
+    assert tokens == [text[a:b].lower() for a, b in spans]
+    assert all(a < b <= c for (a, b), (c, _) in zip(spans, spans[1:] + [(len(text), 0)]))
+
+
+def _span_term(data, text):
+    """A labelled term covering a drawn token range of text, at its offsets."""
+    tokens, spans = tokenize_with_spans(text)
+    assume(tokens)
+    start = data.draw(st.integers(0, len(tokens) - 1))
+    end = data.draw(st.integers(start + 1, len(tokens)))
+    first, last = spans[start][0], spans[end - 1][1]
+    return tokens, AspectTerm(text[first:last], first, last, "positive")
+
+
+@PROPERTY
+@given(TEXT, st.data())
+def test_span_tokens_equal_the_term_tokens(text, data):
+    tokens, term = _span_term(data, text)
+    review = RawReview(text, [term])
+    (inst,), _ = build_instances([review], build_vocab([[review]]))
+    start, end = inst.span
+    assert list(inst.context_tokens) == tokens
+    assert list(inst.context_tokens[start:end]) == tokenize(term.text)
+    assert list(inst.target_tokens) == tokenize(term.text)
+
+
+@PROPERTY
+@given(TEXT, st.data())
+def test_drop_unknown_span_holds_the_kept_target_tokens(text, data):
+    tokens, term = _span_term(data, text)
+    known = data.draw(st.sets(st.sampled_from(tokens)))
+    kept_target = [t for t in tokenize(term.text) if t in known]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        instances, report = build_instances([RawReview(text, [term])],
+                                            Vocabulary(sorted(known)), drop_unknown=True)
+    if not kept_target:
+        assert instances == [] and report.dropped_empty == 1
+        return
+    (inst,) = instances
+    start, end = inst.span
+    assert list(inst.context_tokens) == [t for t in tokens if t in known]
+    assert list(inst.context_tokens[start:end]) == kept_target
+    assert list(inst.target_tokens) == kept_target
 
 
 def test_parse_fixture_structure():

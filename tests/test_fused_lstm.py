@@ -121,6 +121,27 @@ def test_checkpoint_round_trip_reaches_fused_storage(tmp_path):
             assert np.array_equal(getattr(before, name), getattr(after, name)), name
 
 
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_gradset_is_a_zero_twin_with_fused_storage(variant, tie):
+    params = make_model(variant, tie, 6, 4, seed=8)
+    grads = GradSet(params)
+    assert isinstance(grads, ModelParams)
+    assert [(name, arr.shape) for name, arr in grads.arrays()] == [
+        (name, arr.shape) for name, arr in params.named_arrays()]
+    assert not any(arr.any() for _, arr in grads.arrays())
+    for part in ("ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn"):
+        assert (getattr(grads, part) is None) == (getattr(params, part) is None), part
+    if tie:  # both attention backward calls accumulate into one object
+        assert grads.tgt_attn is grads.ctx_attn
+    rng = Rng(9)
+    ctx, tgt, span = make_case(rng, 2, 1, 1)
+    loss_and_grads(params, ctx, tgt, span, 1, l2=1e-3, grads=grads)
+    # backward writes through the per-gate names into the fused storage
+    for lstm in lstms(grads):
+        assert_views(lstm)
+        assert lstm.W_x.any() and lstm.W_h.any() and lstm.b.any()
+
+
 def test_momentum_step_reaches_fused_storage():
     params = make_model("ian", False, 6, 4, seed=4)
     before = [(lstm.W_x.copy(), lstm.W_h.copy(), lstm.b.copy()) for lstm in lstms(params)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from _oracles import oracle_probs
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import lstm_forward
@@ -14,7 +15,7 @@ from ian.model import (
     save_checkpoint,
     touched_rows,
 )
-from ian.numerics import Rng
+from ian.numerics import Rng, ZeroInit
 
 
 def tiny_vocab(n_tokens=10):
@@ -266,3 +267,62 @@ def test_checkpoint_load_failure_is_one_value_error(tmp_path, how, cause):
     with pytest.raises(ValueError, match=cause) as exc:
         load_checkpoint(path)
     assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")
+
+
+@pytest.mark.parametrize("field", CENTRAL_ENTRY_EDITS)
+def test_unsupported_zip_entry_is_one_value_error(tmp_path, field):
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), make("ian", seed=2))
+    path.write_bytes(edit_central_entry(path.read_bytes(), field))
+    cause = CENTRAL_ENTRY_EDITS[field][2]
+    with pytest.raises(ValueError, match=cause) as exc:
+        load_checkpoint(str(path))
+    assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")
+
+
+def test_damaged_checkpoint_loads_intact_or_fails_as_one_value_error(tmp_path):
+    # every prefix at a 61-byte stride, plus seeded single-bit flips: 300
+    # anywhere, 300 inside the central directory (where most of the zip
+    # fields are); a file either loads the original arrays bit for bit or
+    # raises the one ValueError, never another exception
+    params = make("ian", seed=2, de=3, dh=3)
+    good = tmp_path / "model.npz"
+    save_checkpoint(str(good), params)
+    raw = good.read_bytes()
+    orig = dict(params.named_arrays(trainable_only=False))
+    rng = Rng(17)
+    damaged = [raw[:cut] for cut in range(0, len(raw), 61)]
+    for lo in [0] * 300 + [raw.index(b"PK\x01\x02")] * 300:
+        flipped = bytearray(raw)
+        flipped[int(rng.integers(lo, len(raw)))] ^= 1 << int(rng.integers(0, 8))
+        damaged.append(bytes(flipped))
+    path = tmp_path / "damaged.npz"
+    outcomes = {"loaded": 0, "refused": 0}
+    for data in damaged:
+        path.write_bytes(data)
+        try:
+            loaded, _ = load_checkpoint(str(path))
+        except ValueError as err:
+            assert str(err).startswith(f"cannot load checkpoint {path}: ")
+            outcomes["refused"] += 1
+            continue
+        back = dict(loaded.named_arrays(trainable_only=False))
+        assert back.keys() == orig.keys()
+        assert all(np.array_equal(back[name], orig[name]) for name in orig)
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["refused"]
+
+
+def test_checkpoint_load_builds_its_shell_from_zero_init(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, make("ian", seed=3, tie=True))
+    sources = []
+    init = ModelParams.__init__
+
+    def spy(self, rng, *args, **kwargs):
+        sources.append(rng)
+        init(self, rng, *args, **kwargs)
+
+    monkeypatch.setattr(ModelParams, "__init__", spy)
+    load_checkpoint(path)
+    assert len(sources) == 1 and isinstance(sources[0], ZeroInit)
