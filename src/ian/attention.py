@@ -4,13 +4,18 @@ Each position gets a raw score tanh(h_k . (W q) + b); the scores pass
 through a softmax restricted to unmasked positions, and the pooled output
 is the weight-averaged hidden state. Masked positions receive weight
 exactly zero, so padding never contributes.
+
+Both passes run on a time-major chunk of B sequences: hiddens (n, B, H),
+one query per row (B, Q) and a mask (n, B); the softmax runs down each
+row's own column. Sums over positions add step by step, so trailing
+padding (exact zeros) leaves every result bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Matrix, Rng, Vector, softmax_stable, tanh, uniform_init
+from .numerics import Rng, softmax_stable, tanh, uniform_init
 
 
 class AttentionParams:
@@ -31,19 +36,21 @@ class AttentionParams:
         yield prefix + "b_a", self.b_a
 
 
-def attend(params: AttentionParams, hiddens: Matrix, query: Vector, mask: np.ndarray):
-    """Pool hiddens (n, hidden_dim) under the query (query_dim,).
+def attend(params: AttentionParams, hiddens: np.ndarray, query: np.ndarray, mask: np.ndarray):
+    """Pool hiddens (n, B, hidden_dim), row b under query[b] (B, query_dim).
 
-    mask is a boolean (n,) array; False positions are excluded from the
-    softmax and get weight 0. Returns (pooled, weights, trace).
+    mask is a boolean (n, B) array; False positions are excluded from
+    their row's softmax and get weight 0. Returns (pooled (B, hidden_dim),
+    weights (n, B), trace).
     """
-    raw = tanh(hiddens @ (params.W_a @ query) + float(params.b_a))
-    masked = np.where(mask, raw, -np.inf)
-    weights = softmax_stable(masked)
-    pooled = weights @ hiddens
+    proj = query @ params.W_a.T
+    raw = tanh(np.einsum("nbh,bh->nb", hiddens, proj) + float(params.b_a))
+    weights = softmax_stable(np.where(mask, raw, -np.inf), axis=0)
+    pooled = (weights[..., None] * hiddens).sum(axis=0)
     trace = {
         "hiddens": hiddens,
         "query": query,
+        "proj": proj,
         "raw": raw,
         "weights": weights,
         "mask": mask,
@@ -51,28 +58,26 @@ def attend(params: AttentionParams, hiddens: Matrix, query: Vector, mask: np.nda
     return pooled, weights, trace
 
 
-def attention_backward(params: AttentionParams, trace: dict, d_pooled: Vector, grads):
-    """Backpropagate d_pooled through the pooling.
+def attention_backward(params: AttentionParams, trace: dict, d_pooled: np.ndarray, grads):
+    """Backpropagate d_pooled (B, hidden_dim) through the pooling.
 
-    Accumulates into grads.W_a / grads.b_a and returns (d_hiddens, d_query).
-    Masked positions end up with exactly zero d_hiddens rows because their
-    weights are zero on both paths.
+    Accumulates into grads.W_a / grads.b_a and returns (d_hiddens
+    (n, B, hidden_dim), d_query (B, query_dim)). Masked positions end up
+    with exactly zero d_hiddens rows because their weights are zero on
+    both paths.
     """
     hiddens = trace["hiddens"]
-    query = trace["query"]
     raw = trace["raw"]
     weights = trace["weights"]
 
-    d_weights = hiddens @ d_pooled
-    d_hiddens = np.outer(weights, d_pooled)
-
+    d_weights = np.einsum("nbh,bh->nb", hiddens, d_pooled)
     # softmax jacobian: dL/ds_k = w_k * (dL/dw_k - sum_j w_j dL/dw_j)
-    d_scores = weights * (d_weights - float(weights @ d_weights))
+    d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
     d_raw = d_scores * (1.0 - raw**2)
 
     grads.b_a += d_raw.sum()
-    hden = hiddens.T @ d_raw
-    grads.W_a += np.outer(hden, query)
-    d_hiddens += np.outer(d_raw, params.W_a @ query)
-    d_query = params.W_a.T @ hden
-    return d_hiddens, d_query
+    hden = np.einsum("nb,nbh->bh", d_raw, hiddens)
+    grads.W_a += hden.T @ trace["query"]
+    d_hiddens = weights[..., None] * d_pooled
+    d_hiddens += d_raw[..., None] * trace["proj"]
+    return d_hiddens, hden @ params.W_a

@@ -316,58 +316,54 @@ def _instance_from_line(params, sentence, target, gold=None, start=None):
 
 
 def cmd_predict(args) -> int:
+    """Label every line with one predict_all call; --output is opened only
+    once every line has been read and labelled, so a failing call leaves
+    an existing output file as it was."""
     params, _ = load_checkpoint(args.checkpoint)
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
-    failures = 0
-    golds, preds = [], []
     try:
         with open(args.input, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) not in (2, 3) or not parts[0].strip() or not parts[1].strip():
-                    print(
-                        f"warning: line {lineno}: expected sentence<TAB>target"
-                        "[<TAB>gold]",
-                        file=sys.stderr,
-                    )
-                    out.write("?\n")
-                    failures += 1
-                    continue
-                sentence, target = parts[0], parts[1]
-                gold = parts[2].strip() if len(parts) == 3 else None
-                if gold is not None and gold not in LABELS:
-                    print(
-                        f"warning: line {lineno}: unknown gold label {gold!r}",
-                        file=sys.stderr,
-                    )
-                    out.write("?\n")
-                    failures += 1
-                    continue
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {args.input}: {err}") from None
+    slots = []  # per non-blank line: its index into instances, or None for "?"
+    instances = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3) or not parts[0].strip() or not parts[1].strip():
+            warning = "expected sentence<TAB>target[<TAB>gold]"
+            inst = None
+        else:
+            sentence, target = parts[0], parts[1]
+            gold = parts[2].strip() if len(parts) == 3 else None
+            if gold is not None and gold not in LABELS:
+                warning = f"unknown gold label {gold!r}"
+                inst = None
+            else:
+                warning = f"target {target!r} not usable in this sentence"
                 inst = _instance_from_line(params, sentence, target, gold)
-                if inst is None:
-                    print(
-                        f"warning: line {lineno}: target {target!r} not usable "
-                        "in this sentence",
-                        file=sys.stderr,
-                    )
-                    out.write("?\n")
-                    failures += 1
-                    continue
-                pred = predict_all(params, [inst])[0]
-                out.write(LABELS[pred] + "\n")
-                if gold is not None and inst.label is not None:
-                    golds.append(inst.label)
-                    preds.append(pred)
+        if inst is None:
+            print(f"warning: line {lineno}: {warning}", file=sys.stderr)
+            slots.append(None)
+            continue
+        slots.append(len(instances))
+        instances.append(inst)
+    preds = predict_all(params, instances)
+
+    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
+    try:
+        for slot in slots:
+            out.write("?\n" if slot is None else LABELS[preds[slot]] + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
+    golds = [k for k, inst in enumerate(instances) if inst.label is not None]
     if golds:
-        correct = sum(p == g for p, g in zip(preds, golds))
+        correct = sum(preds[k] == instances[k].label for k in golds)
         print(f"gold given for {len(golds)} lines: accuracy {correct / len(golds):.4f}")
-    return 1 if failures else 0
+    return 1 if None in slots else 0
 
 
 # --- gradcheck -----------------------------------------------------------
@@ -582,7 +578,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, FloatingPointError) as err:
+    except (ValueError, OSError, KeyError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LABELS, ModelParams, forward
+from .model import LABELS, ModelParams, chunks, forward
 
 
 @dataclass
@@ -28,11 +28,12 @@ class EvalReport:
 
 
 def predict_all(params: ModelParams, instances) -> np.ndarray:
-    """Predicted label index per instance (dropout off)."""
+    """Predicted label index per instance (dropout off), run in the
+    length-sorted chunks of model.chunks."""
     out = np.zeros(len(instances), dtype=np.int64)
-    for i, inst in enumerate(instances):
-        probs, _ = forward(params, inst.context_ids, inst.target_ids, span=inst.span)
-        out[i] = int(np.argmax(probs))
+    for pos, ctx_idx, tgt_idx, spans, lengths in chunks(instances):
+        probs = forward(params, ctx_idx, tgt_idx, span=spans, lengths=lengths)[0]
+        out[pos] = np.argmax(probs, axis=1)
     return out
 
 

@@ -1,6 +1,6 @@
 """Finite-difference verification of the hand-derived backward pass.
 
-Compares every analytic parameter gradient of the one-case training loss
+Compares every analytic parameter gradient of the batched training loss
 against central differences, grouped by component, and reports the worst
 relative error per group. A deliberate-corruption hook exists so tests can
 prove the check actually catches wrong gradients.
@@ -12,10 +12,11 @@ import time
 
 import numpy as np
 
-from .embeddings import Vocabulary
+from .data import Instance
+from .embeddings import PAD_INDEX, Vocabulary
 from .model import ModelParams
 from .numerics import Rng
-from .training import case_loss, loss_and_grads
+from .training import batch_loss, loss_and_grads
 
 GROUPS = ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn", "classifier")
 
@@ -47,18 +48,20 @@ def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def gradient_check(params: ModelParams, ctx_idx, tgt_idx, span, label,
-                   l2: float = 0.0, eps: float = 1e-5,
+def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-5,
                    corrupt_group: str | None = None, corrupt_scale: float = 2.0,
-                   details: dict | None = None):
-    """Max relative error of analytic vs numeric gradients, per group.
+                   details: dict | None = None, chunk_tokens: int | None = None):
+    """Max relative error of analytic vs numeric gradients of the batch
+    loss over cases, per group.
 
-    corrupt_group scales that group's analytic gradients so the check must
-    flag it; leave it None for a real verification. When a details dict is
-    passed, it is filled with the worst coordinate per group as
-    (parameter name, index, analytic, numeric).
+    chunk_tokens is passed to the batch loss, so a small budget checks the
+    loss summed over several chunks. corrupt_group scales that group's
+    analytic gradients so the check must flag it; leave it None for a real
+    verification. When a details dict is passed, it is filled with the
+    worst coordinate per group as (parameter name, index, analytic,
+    numeric).
     """
-    _, grads = loss_and_grads(params, ctx_idx, tgt_idx, span, label, l2=l2)
+    _, grads = loss_and_grads(params, cases, l2=l2, chunk_tokens=chunk_tokens)
     if corrupt_group is not None:
         if corrupt_group not in GROUPS:
             raise ValueError(f"unknown gradient group {corrupt_group!r}")
@@ -67,11 +70,15 @@ def gradient_check(params: ModelParams, ctx_idx, tgt_idx, span, label,
                 arr *= corrupt_scale
 
     def objective():
-        return case_loss(params, ctx_idx, tgt_idx, span, label, l2=l2)
+        return batch_loss(params, cases, l2=l2, chunk_tokens=chunk_tokens)
 
     errors: dict[str, float] = {}
     for name, arr in params.named_arrays():
         numeric = numeric_gradient(objective, arr, eps=eps)
+        if name == "embeddings":
+            # the pad row is fixed at zero and never trained, though
+            # td_lstm reads a case's trailing pads and so moves with it
+            numeric[PAD_INDEX] = 0.0
         analytic = grads[name]
         err = worst_relative_error(analytic, numeric)
         group = group_of(name)
@@ -91,21 +98,34 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
                      variant: str = "ian", tie_attention: bool = False,
                      l2: float = 0.01, eps: float = 1e-5,
                      corrupt_group: str | None = None, details: dict | None = None):
-    """Build a small random model and instance, then run gradient_check.
+    """Build a small random model and a batch, then run gradient_check.
 
-    Returns (errors, elapsed_seconds). The instance's target words are a
-    slice of the context so every variant, span included, is exercised.
+    The batch holds three cases of n_ctx, n_ctx + 1 and n_ctx + 2 context
+    tokens; the middle one ends in a padding token, on the context and on
+    the target. It runs as two chunks, so the check covers padding masks,
+    the loss summed over chunks and the once-per-batch L2 term. Each
+    case's target words are a slice of its context, so every variant,
+    span included, is exercised. Returns (errors, elapsed_seconds).
     """
     rng = Rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(vocab_size)])
     params = ModelParams(rng, vocab, variant=variant, embed_dim=embed_dim,
                          hidden_dim=hidden_dim, tie_attention=tie_attention)
-    ctx_idx = rng.integers(1, vocab_size + 1, n_ctx)
-    start = int(rng.integers(0, n_ctx - n_tgt + 1))
-    span = (start, start + n_tgt)
-    tgt_idx = ctx_idx[start:start + n_tgt]
-    label = int(rng.integers(0, params.n_classes))
+    cases = []
+    for extra in range(3):
+        # the middle case is n_ctx tokens plus a trailing pad
+        ctx_idx = rng.integers(1, vocab_size + 1, n_ctx + 2 * (extra == 2))
+        start = int(rng.integers(0, n_ctx - n_tgt + 1))
+        tgt_idx = ctx_idx[start:start + n_tgt]
+        if extra == 1:
+            ctx_idx = np.append(ctx_idx, PAD_INDEX)
+            tgt_idx = np.append(tgt_idx, PAD_INDEX)
+        label = int(rng.integers(0, params.n_classes))
+        cases.append(Instance(context_tokens=(), target_tokens=(),
+                              context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
+                              span=(start, start + n_tgt), label=label, target_text=""))
     began = time.perf_counter()
-    errors = gradient_check(params, ctx_idx, tgt_idx, span, label, l2=l2,
-                            eps=eps, corrupt_group=corrupt_group, details=details)
+    # the two shorter cases fill one chunk; the longest needs a second
+    errors = gradient_check(params, cases, l2=l2, eps=eps, corrupt_group=corrupt_group,
+                            details=details, chunk_tokens=2 * (n_ctx + 1))
     return errors, time.perf_counter() - began

@@ -16,20 +16,23 @@ are row-slice views into those three arrays, not copies, so writing
 through either name writes the same memory; checkpoints, gradient sets
 and the optimizer address the parameters by the per-gate names.
 
+Both passes run on time-major chunks: inputs (n, B, E) hold B sequences
+side by side, step k of all of them in the contiguous slice inputs[k].
 The forward pass projects every word through W_x in one matrix product
-before the recurrence, leaving one W_h product per step (Appleyard et al.
-2016, arXiv:1604.01946). The backward pass is derived by hand: the
-recurrence fills the gate pre-activation gradients dZ (n x 4H) step by
-step, and the input gradients and every weight gradient are matrix
-products of dZ after the loop. It is checked against finite differences
-and against the per-gate loop it replaced in the tests.
+before the recurrence, leaving one (B, H) x (H, 4H) product per step
+(Appleyard et al. 2016, arXiv:1604.01946). The backward pass is derived
+by hand: the recurrence writes the gate pre-activation gradients dZ
+(n, B, 4H) over the gate activations of the trace, step by step, and the
+input gradients and every weight gradient are matrix products of dZ after
+the loop; tanh(c) is recomputed rather than stored. It is checked against
+finite differences and against the per-gate loop it replaced in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Matrix, Rng, sigmoid, tanh, uniform_init
+from .numerics import Rng, sigmoid, tanh, uniform_init
 
 GATES = ("i", "f", "o", "c")
 
@@ -65,84 +68,83 @@ class LstmParams:
             yield prefix + name, getattr(self, name)
 
 
-def lstm_forward(params: LstmParams, inputs: Matrix):
-    """Run the cell over inputs (n, input_dim).
+def lstm_forward(params: LstmParams, inputs: np.ndarray):
+    """Run the cell over a time-major chunk inputs (n, B, input_dim).
 
-    Returns (hiddens, trace): hiddens is (n, hidden_dim); the trace holds
-    every intermediate the backward pass needs.
+    Every row of the chunk runs all n steps; a row shorter than n reads
+    zero (pad) vectors after its end, which leaves its earlier states
+    unchanged. Returns (hiddens, trace): hiddens is (n, B, hidden_dim);
+    the trace holds what the backward pass needs.
     """
-    n = inputs.shape[0]
+    n, batch, _ = inputs.shape
     dh = params.hidden_dim
     # pre-activations from the words, then the gate activations, in place
-    gates = inputs @ params.W_x.T + params.b
-    cells = np.empty((n, dh))
-    tanh_c = np.empty((n, dh))
-    hiddens = np.empty((n, dh))
+    gates = inputs.reshape(n * batch, -1) @ params.W_x.T
+    gates += params.b
+    gates = gates.reshape(n, batch, 4 * dh)
+    cells = np.empty((n, batch, dh))
+    hiddens = np.empty((n, batch, dh))
 
-    h = np.zeros(dh)
-    c = np.zeros(dh)
+    h = np.zeros((batch, dh))
+    c = np.zeros((batch, dh))
     for k in range(n):
         z = gates[k]
-        z += params.W_h @ h
-        z[:3 * dh] = sigmoid(z[:3 * dh])
-        z[3 * dh:] = tanh(z[3 * dh:])
-        c = z[dh:2 * dh] * c + z[:dh] * z[3 * dh:]
+        z += h @ params.W_h.T
+        z[:, :3 * dh] = sigmoid(z[:, :3 * dh])
+        z[:, 3 * dh:] = tanh(z[:, 3 * dh:])
+        c = z[:, dh:2 * dh] * c + z[:, :dh] * z[:, 3 * dh:]
         cells[k] = c
-        tanh_c[k] = tanh(c)
-        h = z[2 * dh:3 * dh] * tanh_c[k]
+        h = z[:, 2 * dh:3 * dh] * tanh(c)
         hiddens[k] = h
 
-    trace = {
-        "inputs": inputs, "gates": gates, "cells": cells, "tanh_c": tanh_c,
-        "hiddens": hiddens,
-    }
+    trace = {"inputs": inputs, "gates": gates, "cells": cells, "hiddens": hiddens}
     for g, gate in enumerate(("i", "f", "o", "c_hat")):
-        trace[gate] = gates[:, g * dh:(g + 1) * dh]
+        trace[gate] = gates[..., g * dh:(g + 1) * dh]
     return hiddens, trace
 
 
-def lstm_backward(params: LstmParams, trace: dict, d_hiddens: Matrix, grads) -> Matrix:
-    """Backpropagate d_hiddens (n, hidden_dim) through the whole sequence.
+def lstm_backward(params: LstmParams, trace: dict, d_hiddens: np.ndarray, grads) -> np.ndarray:
+    """Backpropagate d_hiddens (n, B, hidden_dim) through the whole chunk.
 
     Accumulates parameter gradients into `grads` (per-gate attribute
-    access, += on matching shapes) and returns d_inputs (n, input_dim).
+    access, += on matching shapes) and returns d_inputs (n, B, input_dim).
+    The trace is consumed: the gate pre-activation gradients are written
+    over its gate activations, step by step from the last.
     """
     inputs = trace["inputs"]
-    gates = trace["gates"]
     cells = trace["cells"]
-    tanh_c = trace["tanh_c"]
-    i_g, f_g, o_g, c_hat = trace["i"], trace["f"], trace["o"], trace["c_hat"]
-    n = inputs.shape[0]
+    dZ = trace["gates"]
+    n, batch, _ = inputs.shape
     dh = params.hidden_dim
 
-    # derivative of each gate's nonlinearity at its pre-activation
-    d_act = gates * (1.0 - gates)
-    d_act[:, 3 * dh:] = 1.0 - c_hat**2
-    d_cell = o_g * (1.0 - tanh_c**2)
-
-    dZ = np.empty((n, 4 * dh))
-    dh_next = np.zeros(dh)
-    dc_next = np.zeros(dh)
+    dh_next = np.zeros((batch, dh))
+    dc_next = np.zeros((batch, dh))
     for k in reversed(range(n)):
+        # each gate slot is read for the last time before its gradient
+        # is written over it
+        z = dZ[k]
+        i_g, f_g, o_g, c_hat = (z[:, g * dh:(g + 1) * dh] for g in range(4))
+        tanh_c = tanh(cells[k])
         dh_k = d_hiddens[k] + dh_next
-        dc = dh_k * d_cell[k] + dc_next
-        dz = dZ[k]
-        dz[:dh] = dc * c_hat[k]
-        dz[dh:2 * dh] = dc * cells[k - 1] if k else 0.0
-        dz[2 * dh:3 * dh] = dh_k * tanh_c[k]
-        dz[3 * dh:] = dc * i_g[k]
-        dz *= d_act[k]
-        dh_next = params.W_h.T @ dz
-        dc_next = dc * f_g[k]
+        dc = dh_k * o_g * (1.0 - tanh_c**2) + dc_next
+        d_i = dc * c_hat * i_g * (1.0 - i_g)
+        c_hat[...] = dc * i_g * (1.0 - c_hat**2)
+        i_g[...] = d_i
+        o_g[...] = dh_k * tanh_c * o_g * (1.0 - o_g)
+        dc_next = dc * f_g
+        f_g[...] = dc * cells[k - 1] * f_g * (1.0 - f_g) if k else 0.0
+        dh_next = z @ params.W_h
 
     # h_prev is zero at step 0, so only steps 1..n-1 reach the W_h gradient
-    h_prevs = trace["hiddens"][:-1]
+    flat_dZ = dZ.reshape(n * batch, 4 * dh)
+    flat_inputs = inputs.reshape(n * batch, -1)
+    h_prevs = trace["hiddens"][:-1].reshape((n - 1) * batch, dh)
     for g, gate in enumerate(GATES):
-        dz_gate = dZ[:, g * dh:(g + 1) * dh]
+        dz_gate = flat_dZ[:, g * dh:(g + 1) * dh]
         w_grad = getattr(grads, f"W{gate}_w")
-        w_grad += dz_gate.T @ inputs
+        w_grad += dz_gate.T @ flat_inputs
         h_grad = getattr(grads, f"W{gate}_h")
-        h_grad += dz_gate[1:].T @ h_prevs
+        h_grad += dz_gate[batch:].T @ h_prevs
         b_grad = getattr(grads, f"b{gate}")
         b_grad += dz_gate.sum(axis=0)
-    return dZ @ params.W_x
+    return (flat_dZ @ params.W_x).reshape(n, batch, -1)

@@ -30,6 +30,7 @@ Class order everywhere: positive=0, neutral=1, negative=2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import zipfile
 from typing import NamedTuple
@@ -71,6 +72,11 @@ ROUTES = {
 VARIANTS = (*ROUTES, "td_lstm", "majority")
 
 CHECKPOINT_FORMAT = 1
+
+# the padded context ids (rows times the longest row) of one chunk, the
+# unit every forward and backward pass runs on; see README.md for the
+# measurement behind the figure
+CHUNK_TOKENS = 256
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
@@ -202,11 +208,12 @@ class ModelParams:
 
 
 def masked_mean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean over the rows where mask is True."""
-    count = int(mask.sum())
-    if count == 0:
+    """Mean over the positions (axis 0) where mask is True, per column of a
+    time-major chunk: rows (n, B, D) and mask (n, B) give (B, D)."""
+    count = mask.sum(axis=0)
+    if np.any(count == 0):
         raise ValueError("masked_mean over an empty selection")
-    return rows[mask].sum(axis=0) / count
+    return (rows * mask[..., None]).sum(axis=0) / count[..., None]
 
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
@@ -214,48 +221,87 @@ def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: di
         dropped = features * dropout_mask
     else:
         dropped = features
-    x = tanh(params.W_l @ dropped + params.b_l)
-    probs = softmax_stable(x)
+    x = tanh(dropped @ params.W_l.T + params.b_l)
+    probs = softmax_stable(x, axis=-1)
     trace.update(
         features=features, dropout_mask=dropout_mask, dropped=dropped, x=x, probs=probs
     )
     return probs
 
 
-def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None):
-    """Run one instance through the model.
+def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
+            lengths=None):
+    """Run one instance, or a time-major chunk of B instances, through the model.
 
-    ctx_idx / tgt_idx are int index arrays (padding index 0 allowed and
-    masked out); span is the (start, end) token range of the target inside
-    the context, needed only by td_lstm. dropout_mask, when given, is a
-    feature_dim vector multiplied onto the classifier input (training
-    only). Returns (probs, trace).
+    One instance: ctx_idx / tgt_idx are 1-D int index arrays, span the
+    (start, end) token range of the target inside the context (needed
+    only by td_lstm), dropout_mask a feature_dim vector multiplied onto
+    the classifier input (training only). Returns (probs (n_classes,),
+    trace); it runs as a chunk of one.
+
+    A chunk: ctx_idx (n, B) and tgt_idx (m, B) hold instance b in column
+    b, padded after its end with the padding index; span is (B, 2),
+    dropout_mask (B, feature_dim), and lengths (B,) the rows' own context
+    lengths (default n), from which td_lstm's right-to-left LSTM starts.
+    Returns (probs (B, n_classes), trace). The padding index is masked
+    out of every attention and average.
     """
-    variant = params.variant
-    if variant == "majority":
-        return params.class_priors.copy(), {"variant": variant}
-
+    single = np.ndim(ctx_idx) == 1
+    if params.variant == "majority":
+        priors = params.class_priors.copy()
+        return (priors if single else np.tile(priors, (np.shape(ctx_idx)[1], 1)),
+                {"variant": params.variant})
     ctx_idx = np.asarray(ctx_idx, dtype=np.int64)
     tgt_idx = np.asarray(tgt_idx, dtype=np.int64)
-    trace = {"variant": variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx, "span": span}
-    ctx_emb = lookup(params.embeddings, ctx_idx)
+    if single:
+        ctx_idx, tgt_idx = ctx_idx[:, None], tgt_idx[:, None]
+        span = None if span is None else [span]
+        dropout_mask = None if dropout_mask is None else dropout_mask[None]
+    trace = {"variant": params.variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx}
+    if params.variant == "td_lstm":
+        features = _td_lstm_features(params, ctx_idx, span, lengths, trace)
+    else:
+        features = _routed_features(params, ctx_idx, tgt_idx, trace)
+    probs = _classify(params, features, dropout_mask, trace)
+    if single:
+        for key in ("ctx_weights", "tgt_weights"):
+            if key in trace:
+                trace[key] = trace[key][:, 0]
+        trace["features"] = trace["features"][0]
+        probs = probs[0]
+    return probs, trace
 
-    if variant == "td_lstm":
-        if span is None:
-            raise ValueError("td_lstm needs the target span inside the context")
-        start, end = span
-        left = ctx_emb[:end]
-        right = ctx_emb[start:][::-1]
-        left_h, left_trace = lstm_forward(params.ctx_lstm, left)
-        right_h, right_trace = lstm_forward(params.tgt_lstm, right)
-        features = np.concatenate([left_h[-1], right_h[-1]])
-        trace.update(ctx_emb=ctx_emb, left_trace=left_trace, right_trace=right_trace,
-                     left_len=left.shape[0], right_len=right.shape[0])
-        probs = _classify(params, features, dropout_mask, trace)
-        return probs, trace
 
-    route = ROUTES[variant]
-    ctx_h, trace["ctx_lstm_trace"] = lstm_forward(params.ctx_lstm, ctx_emb)
+def _td_lstm_features(params, ctx_idx, span, lengths, trace):
+    """Final states of the two LSTMs meeting at the target: left-to-right
+    up to each row's target end, right-to-left from each row's own end
+    down to its target start. Each side runs on its own id array, so a
+    row's padding always comes after its last real step."""
+    if span is None:
+        raise ValueError("td_lstm needs the target span inside the context")
+    n, batch = ctx_idx.shape
+    span = np.asarray(span, dtype=np.int64).reshape(batch, 2)
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
+    # a span reaching past the row's end is cut there, as a slice would be
+    start, end = span[:, 0], np.minimum(span[:, 1], lengths)
+    steps = np.arange(n)[:, None]
+    left_idx = np.where(steps[:end.max()] < end, ctx_idx[:end.max()], PAD_INDEX)
+    rev = lengths - 1 - steps[:(lengths - start).max()]
+    right_idx = np.where(rev >= start,
+                         np.take_along_axis(ctx_idx, np.maximum(rev, 0), axis=0), PAD_INDEX)
+    finals = []
+    for side, lstm, idx, last in (("left", params.ctx_lstm, left_idx, end),
+                                  ("right", params.tgt_lstm, right_idx, lengths - start)):
+        hiddens, trace[f"{side}_trace"] = lstm_forward(lstm, lookup(params.embeddings, idx))
+        finals.append(hiddens[last - 1, np.arange(batch)])
+        trace[f"{side}_idx"], trace[f"{side}_last"] = idx, last
+    return np.concatenate(finals, axis=1)
+
+
+def _routed_features(params, ctx_idx, tgt_idx, trace):
+    route = ROUTES[params.variant]
+    ctx_h, trace["ctx_lstm_trace"] = lstm_forward(params.ctx_lstm,
+                                                  lookup(params.embeddings, ctx_idx))
     states = {"ctx": ctx_h}
     masks = {"ctx": ctx_idx != PAD_INDEX}
     if route.target is not None:
@@ -274,15 +320,55 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None)
             vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
                 getattr(params, f"{side}_attn"), states[side], avgs[query], masks[side])
         pooled.append(vec)
-    probs = _classify(params, np.concatenate(pooled), dropout_mask, trace)
-    return probs, trace
+    return np.concatenate(pooled, axis=1)
 
 
 def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:
-    """Distinct non-pad embedding rows an instance reads."""
-    both = np.concatenate([np.asarray(ctx_idx), np.asarray(tgt_idx)])
-    rows = np.unique(both)
-    return rows[rows != PAD_INDEX]
+    """Non-pad embedding rows read, once per instance that reads them:
+    sorted and distinct for one instance's 1-D ids; for a time-major
+    chunk, each column's distinct rows."""
+    both = np.sort(np.concatenate([np.asarray(ctx_idx), np.asarray(tgt_idx)]), axis=0)
+    first = np.ones(both.shape, dtype=bool)
+    first[1:] = both[1:] != both[:-1]
+    return both[first & (both != PAD_INDEX)]
+
+
+def _pad_time_major(rows) -> np.ndarray:
+    """(longest, B) int array holding row b in column b, padded after its
+    end with the padding index."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    out = np.full((lengths.max(), len(rows)), PAD_INDEX, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    steps = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    out[steps, np.repeat(np.arange(len(rows)), lengths)] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64)
+    return out
+
+
+def chunks(instances, tokens: int | None = None):
+    """Cut instances into the time-major chunks every pass runs on.
+
+    Instances are sorted by context length (stably) and cut into runs
+    whose padded context, rows times the longest row, holds at most
+    `tokens` ids (default CHUNK_TOKENS); a longer instance is a chunk of
+    its own. Yields (positions, ctx_idx, tgt_idx, spans, lengths) per
+    chunk, positions indexing instances; the rest are forward's chunk
+    arguments.
+    """
+    budget = CHUNK_TOKENS if tokens is None else tokens
+    lengths = np.array([len(inst.context_ids) for inst in instances], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    start = 0
+    for stop in range(1, len(order) + 1):
+        if stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= budget:
+            continue
+        rows = [instances[i] for i in order[start:stop]]
+        yield (order[start:stop],
+               _pad_time_major([inst.context_ids for inst in rows]),
+               _pad_time_major([inst.target_ids for inst in rows]),
+               [inst.span for inst in rows],
+               lengths[order[start:stop]])
+        start = stop
 
 
 def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Vector = np.ndarray  # 1-D
 Matrix = np.ndarray  # 2-D, row-major
 
 
@@ -32,20 +31,21 @@ class ZeroInit:
         return np.zeros(shape)
 
 
-def softmax_stable(v: Vector) -> Vector:
-    """Softmax with max-subtraction so large finite inputs never overflow.
+def softmax_stable(v, axis: int = -1):
+    """Softmax along axis, with max-subtraction so large finite inputs
+    never overflow.
 
-    Entries of -inf (used for masking) come out exactly zero; at least one
-    entry must be finite.
+    Entries of -inf (used for masking) come out exactly zero; every slice
+    along axis needs at least one finite entry.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
-    hi = np.max(v)
-    if not np.isfinite(hi):
+    hi = np.max(v, axis=axis, keepdims=True)
+    if not np.isfinite(hi).all():
         raise ValueError("softmax input has no finite entry")
     e = np.exp(v - hi)
-    return e / e.sum()
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def sigmoid(x):

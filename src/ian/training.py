@@ -4,6 +4,8 @@ The per-case loss is cross-entropy plus an L2 penalty on every 2-D weight
 matrix and on the embedding rows the case actually reads; biases and the
 pad row are never penalized. A batch's gradient is the average of its
 per-case gradients, so batch size 1 reproduces plain per-case updates.
+The batch runs as padded, length-sorted chunks (model.chunks), one
+forward and one backward pass per chunk, and its L2 term is applied once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .attention import attention_backward
 from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
 from .lstm import lstm_backward
-from .model import ROUTES, ModelParams, feature_sides, forward, touched_rows
+from .model import ROUTES, ModelParams, chunks, feature_sides, forward, touched_rows
 from .numerics import Rng, ZeroInit
 
 
@@ -54,54 +56,57 @@ class GradSet(ModelParams):
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._by_name.values())))
 
 
-def dropout_mask(rng: Rng, dim: int, rate: float):
+def dropout_mask(rng: Rng, shape, rate: float):
     """Inverted-dropout mask: zero with probability rate, else 1/(1-rate).
 
-    Returns None for rate 0 so evaluation paths stay untouched.
+    shape is one vector's length, or (B, dim) for a batch, whose rows are
+    drawn in the order B single draws would take them. Returns None for
+    rate 0 so evaluation paths stay untouched.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return None
-    keep = rng.random(dim) >= rate
+    keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    p = float(probs[label])
-    if p < 1e-12:
-        warnings.warn(f"gold-class probability {p} clamped to 1e-12 before log")
-        p = 1e-12
-    return -np.log(p)
+def cross_entropy(probs: np.ndarray, labels) -> float:
+    """-log of the gold-class probability, summed over the rows of a
+    chunk's probs (B, n_classes) with labels (B,), or of one probs vector
+    and its label."""
+    probs = np.atleast_2d(probs)
+    gold = probs[np.arange(probs.shape[0]), np.reshape(labels, -1)]
+    if gold.min() < 1e-12:
+        warnings.warn(f"gold-class probability {gold.min()} clamped to 1e-12 before log")
+        gold = np.maximum(gold, 1e-12)
+    return float(-np.log(gold).sum())
 
 
-def l2_penalty(params: ModelParams, rows: np.ndarray, l2: float) -> float:
-    """l2 * (sum of squared weight-matrix entries + squared touched rows)."""
+def _l2_term(params: ModelParams, rows: np.ndarray, n_cases: int, l2: float,
+             grads: GradSet | None) -> float:
+    """L2 penalty of n_cases cases; its gradient is added into grads if given.
+
+    Each case pays l2 times the squared weight-matrix entries, and the
+    squared embedding rows it reads; rows lists those rows once per case
+    that reads them, so a row read by k cases is penalized k times.
+    """
     if l2 == 0.0:
         return 0.0
     named = dict(params.named_arrays())
-    total = sum(float(np.sum(named[n] ** 2)) for n in params.weight_matrix_names())
-    if rows.size:
-        total += float(np.sum(params.embeddings[rows] ** 2))
-    return l2 * total
-
-
-def _add_l2_grads(params: ModelParams, rows: np.ndarray, l2: float, grads: GradSet):
-    if l2 == 0.0:
-        return
-    named = dict(params.named_arrays())
+    counts = np.bincount(rows, minlength=len(params.embeddings))
+    hit = np.flatnonzero(counts)
+    table = params.embeddings[hit]
+    weights = counts[hit][:, None]
+    total = float(np.sum(weights * table**2))
     for name in params.weight_matrix_names():
-        grad = grads[name]
-        grad += 2.0 * l2 * named[name]
-    if rows.size:
-        grads.embeddings[rows] += 2.0 * l2 * params.embeddings[rows]
-
-
-def _mean_backward(d_avg: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gradient of a masked mean, spread evenly over the selected rows."""
-    out = np.zeros((mask.shape[0], d_avg.shape[0]))
-    out[mask] = d_avg / int(mask.sum())
-    return out
+        total += n_cases * float(np.sum(named[name] ** 2))
+        if grads is not None:
+            grad = grads[name]
+            grad += (2.0 * l2 * n_cases) * named[name]
+    if grads is not None:
+        grads.embeddings[hit] += (2.0 * l2) * weights * table
+    return l2 * total
 
 
 def _accumulate(total: dict, key: str, grad: np.ndarray):
@@ -113,36 +118,34 @@ def _scatter_embedding_grads(table_grads, idx, d_emb):
     np.add.at(table_grads, idx[real], d_emb[real])
 
 
-def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
-    """Accumulate d(cross-entropy)/d(parameters) for one traced forward."""
+def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
+    """Accumulate d(summed cross-entropy)/d(parameters) for one traced
+    chunk, labels (B,). Consumes the trace: the LSTM backward passes
+    overwrite its gate arrays."""
     variant = trace["variant"]
     if variant == "majority":
         raise ValueError("the majority baseline has no gradients")
 
     probs = trace["probs"]
-    x = trace["x"]
-    dx = probs.copy()
-    dx[label] -= 1.0
-    dz = dx * (1.0 - x**2)
-    grads.W_l += np.outer(dz, trace["dropped"])
-    grads.b_l += dz
-    dd = params.W_l.T @ dz
+    rows = np.arange(probs.shape[0])
+    dz = probs.copy()
+    dz[rows, labels] -= 1.0
+    dz *= 1.0 - trace["x"] ** 2
+    grads.W_l += dz.T @ trace["dropped"]
+    grads.b_l += dz.sum(axis=0)
+    dd = dz @ params.W_l
     if trace["dropout_mask"] is not None:
-        dd = dd * trace["dropout_mask"]
+        dd *= trace["dropout_mask"]
 
     dh = params.hidden_dim
     if variant == "td_lstm":
-        d_left_h = np.zeros((trace["left_len"], dh))
-        d_left_h[-1] = dd[:dh]
-        d_right_h = np.zeros((trace["right_len"], dh))
-        d_right_h[-1] = dd[dh:]
-        d_left = lstm_backward(params.ctx_lstm, trace["left_trace"], d_left_h, grads.ctx_lstm)
-        d_right = lstm_backward(params.tgt_lstm, trace["right_trace"], d_right_h, grads.tgt_lstm)
-        start, end = trace["span"]
-        d_ctx_emb = np.zeros_like(trace["ctx_emb"])
-        d_ctx_emb[:end] += d_left
-        d_ctx_emb[start:] += d_right[::-1]
-        _scatter_embedding_grads(grads.embeddings, trace["ctx_idx"], d_ctx_emb)
+        for k, (side, lstm) in enumerate((("left", "ctx_lstm"), ("right", "tgt_lstm"))):
+            idx = trace[f"{side}_idx"]
+            d_hiddens = np.zeros((*idx.shape, dh))
+            d_hiddens[trace[f"{side}_last"] - 1, rows] = dd[:, k * dh:(k + 1) * dh]
+            d_emb = lstm_backward(getattr(params, lstm), trace[f"{side}_trace"], d_hiddens,
+                                  getattr(grads, lstm))
+            _scatter_embedding_grads(grads.embeddings, idx, d_emb)
         return
 
     # mirror of the routed part of model.forward: pooled vectors back to
@@ -151,7 +154,7 @@ def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
     masks = trace["masks"]
     d_states, d_avgs = {}, {}
     for k, (side, query) in enumerate(feature_sides(route)):
-        d_pooled = dd[k * dh:(k + 1) * dh]
+        d_pooled = dd[:, k * dh:(k + 1) * dh]
         if query is None:
             _accumulate(d_avgs, side, d_pooled)
         else:
@@ -161,7 +164,9 @@ def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
             )
             _accumulate(d_avgs, query, d_query)
     for side, d_avg in d_avgs.items():
-        _accumulate(d_states, side, _mean_backward(d_avg, masks[side]))
+        # a masked mean spreads its gradient evenly over the selected rows
+        mask = masks[side]
+        _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
     for side in masks:  # context first, as in forward
         d_emb = d_states[side]
         if side == "ctx" or route.target == "lstm":
@@ -170,25 +175,40 @@ def backward(params: ModelParams, trace: dict, label: int, grads: GradSet):
         _scatter_embedding_grads(grads.embeddings, trace[f"{side}_idx"], d_emb)
 
 
-def case_loss(params: ModelParams, ctx_idx, tgt_idx, span, label,
-              l2: float = 0.0, drop_mask=None) -> float:
-    """Scalar training loss of one case; the quantity the gradients match."""
-    probs, _ = forward(params, ctx_idx, tgt_idx, span=span, dropout_mask=drop_mask)
-    rows = touched_rows(ctx_idx, tgt_idx)
-    return cross_entropy(probs, label) + l2_penalty(params, rows, l2)
+def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
+               grads: GradSet | None = None, chunk_tokens: int | None = None) -> float:
+    """Training loss of a batch of cases; accumulates its gradient into
+    grads if given.
+
+    cases are instances (context_ids, target_ids, span, label); they run in
+    the length-sorted chunks of model.chunks (chunk_tokens overrides its
+    budget), one forward and, with grads, one backward pass per chunk.
+    drop_masks, when given, holds one dropout mask row per case. The loss
+    is the sum of the per-case losses, cross-entropy plus the L2 penalty;
+    the L2 term is applied once for the whole batch.
+    """
+    labels = np.array([case.label for case in cases])
+    loss = 0.0
+    rows = []
+    for pos, ctx_idx, tgt_idx, spans, lengths in chunks(cases, chunk_tokens):
+        masks = None if drop_masks is None else drop_masks[pos]
+        probs, trace = forward(params, ctx_idx, tgt_idx, span=spans, dropout_mask=masks,
+                               lengths=lengths)
+        if grads is not None:
+            backward(params, trace, labels[pos], grads)
+        del trace  # free this chunk's activations before the next forward
+        loss += cross_entropy(probs, labels[pos])
+        rows.append(touched_rows(ctx_idx, tgt_idx))
+    return loss + _l2_term(params, np.concatenate(rows), len(cases), l2, grads)
 
 
-def loss_and_grads(params: ModelParams, ctx_idx, tgt_idx, span, label,
-                   l2: float = 0.0, drop_mask=None, grads: GradSet | None = None):
-    """Forward + backward for one case. Accumulates into grads if given."""
+def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
+                   grads: GradSet | None = None, chunk_tokens: int | None = None):
+    """batch_loss with its gradient: returns (loss, grads), accumulating
+    into grads if given, else into a fresh GradSet."""
     if grads is None:
         grads = GradSet(params)
-    probs, trace = forward(params, ctx_idx, tgt_idx, span=span, dropout_mask=drop_mask)
-    backward(params, trace, label, grads)
-    rows = touched_rows(ctx_idx, tgt_idx)
-    _add_l2_grads(params, rows, l2, grads)
-    loss = cross_entropy(probs, label) + l2_penalty(params, rows, l2)
-    return loss, grads
+    return batch_loss(params, cases, l2, drop_masks, grads, chunk_tokens), grads
 
 
 def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
@@ -257,20 +277,17 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         total_loss = 0.0
         for lo in range(0, n, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
+            batch = [instances[j] for j in order[lo:lo + config.batch_size]]
+            masks = dropout_mask(rng, (len(batch), feat), config.dropout)
             grads.zero()
-            for j in batch:
-                inst = instances[j]
-                mask = dropout_mask(rng, feat, config.dropout)
-                loss, _ = loss_and_grads(
-                    params, inst.context_ids, inst.target_ids, inst.span,
-                    inst.label, l2=config.l2, drop_mask=mask, grads=grads,
+            loss, _ = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,
+                                     grads=grads)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"loss became {loss} at epoch {epoch}, "
+                    f"batch {lo // config.batch_size + 1}"
                 )
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"loss became {loss} at epoch {epoch}, instance {j}"
-                    )
-                total_loss += loss
+            total_loss += loss
             grads.scale(1.0 / len(batch))
             if config.freeze_embeddings and grads.embeddings is not None:
                 grads.embeddings[...] = 0.0

@@ -5,7 +5,9 @@ matrix-vector product per gate and input per step, and per-step outer
 products for the weight gradients. It reads only the per-gate names
 (Wi_w ... Wc_h, bi ... bc) of an LstmParams, so the fused package code and
 this loop run on the very same parameters. `reference_init` draws a fresh
-parameter set the way the loop-era constructor did.
+parameter set the way the loop-era constructor did; `chunk_forward` and
+`chunk_backward` run the loop on each sequence of a time-major chunk, so it
+can stand in for the package's chunk passes.
 """
 
 import numpy as np
@@ -120,3 +122,15 @@ def loop_lstm_backward(params, trace, d_hiddens, grads):
         dc_next = dc * f_g
 
     return d_inputs
+
+
+def chunk_forward(params, inputs):
+    """loop_lstm_forward on each sequence of a time-major chunk (n, B, E)."""
+    runs = [loop_lstm_forward(params, inputs[:, b]) for b in range(inputs.shape[1])]
+    return np.stack([hiddens for hiddens, _ in runs], axis=1), {"rows": [t for _, t in runs]}
+
+
+def chunk_backward(params, trace, d_hiddens, grads):
+    """loop_lstm_backward on each sequence of a chunk traced by chunk_forward."""
+    return np.stack([loop_lstm_backward(params, t, d_hiddens[:, b], grads)
+                     for b, t in enumerate(trace["rows"])], axis=1)

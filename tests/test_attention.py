@@ -8,6 +8,17 @@ from ian.attention import AttentionParams, attend, attention_backward
 from ian.numerics import Rng
 
 
+def attend_one(params, hiddens, query, mask):
+    """attend on a chunk of one sequence, outputs without the batch axis."""
+    pooled, weights, trace = attend(params, hiddens[:, None], query[None], mask[:, None])
+    return pooled[0], weights[:, 0], trace
+
+
+def backward_one(params, trace, d_pooled, grads):
+    d_hiddens, d_query = attention_backward(params, trace, d_pooled[None], grads)
+    return d_hiddens[:, 0], d_query[0]
+
+
 def zero_grads(params):
     return types.SimpleNamespace(
         **{name: np.zeros_like(arr) for name, arr in params.named_arrays()}
@@ -30,7 +41,7 @@ def test_weights_sum_to_one():
         mask = rng.random(6) > 0.3
         if not mask.any():
             mask[0] = True
-        _, weights, _ = attend(p, h, q, mask)
+        _, weights, _ = attend_one(p, h, q, mask)
         assert abs(weights.sum() - 1.0) < 1e-10
 
 
@@ -38,7 +49,7 @@ def test_zero_scores_give_uniform_weights():
     p = AttentionParams(Rng(0), 3, 3)
     p.W_a[:] = 0.0
     h = np.ones((4, 3))
-    _, weights, _ = attend(p, h, np.ones(3), np.ones(4, dtype=bool))
+    _, weights, _ = attend_one(p, h, np.ones(3), np.ones(4, dtype=bool))
     assert np.allclose(weights, 0.25, atol=1e-12)
 
 
@@ -48,10 +59,10 @@ def test_masked_positions_get_exactly_zero_weight():
     h = rng.uniform(-1, 1, (5, 3))
     q = rng.uniform(-1, 1, 3)
     mask = np.array([True, False, True, False, True])
-    pooled, weights, _ = attend(p, h, q, mask)
+    pooled, weights, _ = attend_one(p, h, q, mask)
     assert weights[1] == 0.0 and weights[3] == 0.0
     # pooled must equal pooling only the surviving rows
-    keep = attend(p, h[mask], q, np.ones(3, dtype=bool))[0]
+    keep = attend_one(p, h[mask], q, np.ones(3, dtype=bool))[0]
     assert np.allclose(pooled, keep, atol=1e-15)
 
 
@@ -65,7 +76,7 @@ def test_two_position_hand_case():
     s1, s2 = math.tanh(1.0), math.tanh(0.25)
     e1, e2 = math.exp(s1), math.exp(s2)
     w1 = e1 / (e1 + e2)
-    pooled, weights, _ = attend(p, h, q, np.ones(2, dtype=bool))
+    pooled, weights, _ = attend_one(p, h, q, np.ones(2, dtype=bool))
     assert abs(weights[0] - w1) < 1e-12
     assert abs(pooled[0] - (w1 * 1.0 + (1 - w1) * -0.5)) < 1e-12
 
@@ -79,12 +90,12 @@ def test_backward_matches_finite_differences():
     r = rng.uniform(-1, 1, 4)
 
     def objective():
-        pooled, _, _ = attend(p, h, q, mask)
+        pooled, _, _ = attend_one(p, h, q, mask)
         return float(pooled @ r)
 
-    _, _, trace = attend(p, h, q, mask)
+    _, _, trace = attend_one(p, h, q, mask)
     grads = zero_grads(p)
-    d_hiddens, d_query = attention_backward(p, trace, r.copy(), grads)
+    d_hiddens, d_query = backward_one(p, trace, r.copy(), grads)
 
     assert max_rel_err(grads.W_a, fd_grad(objective, p.W_a)) < 1e-5
     assert max_rel_err(grads.b_a, fd_grad(objective, p.b_a)) < 1e-5
@@ -98,7 +109,7 @@ def test_masked_rows_receive_zero_gradient():
     h = rng.uniform(-1, 1, (4, 3))
     q = rng.uniform(-1, 1, 3)
     mask = np.array([True, False, True, False])
-    _, _, trace = attend(p, h, q, mask)
-    d_hiddens, _ = attention_backward(p, trace, rng.uniform(-1, 1, 3), zero_grads(p))
+    _, _, trace = attend_one(p, h, q, mask)
+    d_hiddens, _ = backward_one(p, trace, rng.uniform(-1, 1, 3), zero_grads(p))
     assert np.array_equal(d_hiddens[1], np.zeros(3))
     assert np.array_equal(d_hiddens[3], np.zeros(3))

@@ -1,0 +1,190 @@
+"""The chunked batch passes against the per-case reference they replaced.
+
+_per_case.py holds the per-case model, loss and training loop. Every test
+here lowers the chunk budget (model.CHUNK_TOKENS) so that one batch runs as
+several chunks, each padded to its longest row. Chunking changes the order
+of floating-point sums (GEMMs over all rows of a chunk, gradients added
+chunk by chunk, the L2 term once per batch), so the results agree to
+rounding: the loss and every gradient array within 1e-10 absolute, a
+seeded training run within 1e-9, and predicted labels exactly.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ian.model
+from _per_case import case, case_loss_and_grads, case_predict, case_train
+from ian.embeddings import PAD_INDEX, Vocabulary
+from ian.evaluate import predict_all
+from ian.model import VARIANTS, ModelParams
+from ian.numerics import Rng
+from ian.training import GradSet, TrainConfig, dropout_mask, loss_and_grads, train
+
+VOCAB = Vocabulary([f"w{i}" for i in range(30)])
+# every trainable variant, plus ian with its two attentions tied
+TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+LOW_BUDGET = 12  # padded context ids per chunk: a batch of ragged cases spans several
+
+
+def make_model(variant, tie=False, embed_dim=5, hidden_dim=4, seed=0, scale=1.0):
+    rng = Rng(seed)
+    params = ModelParams(rng, VOCAB, variant=variant, embed_dim=embed_dim,
+                         hidden_dim=hidden_dim, tie_attention=tie)
+    for lstm in (params.ctx_lstm, params.tgt_lstm):
+        if lstm is not None:  # biases start at zero; give them weight
+            lstm.b[...] = rng.uniform(-0.1, 0.1, lstm.b.shape)
+    for _, arr in params.named_arrays():
+        arr *= scale
+    return params
+
+
+@st.composite
+def cases(draw, max_cases=7):
+    """A batch of ragged cases: 1-12 context tokens, 1-3 target tokens
+    taken from the context at its start, middle or end, trailing pads on
+    either side, any label."""
+    batch = []
+    for _ in range(draw(st.integers(1, max_cases))):
+        n = draw(st.integers(1, 12))
+        m = draw(st.integers(1, min(n, 3)))
+        start = {"start": 0, "end": n - m, "middle": (n - m) // 2}[
+            draw(st.sampled_from(["start", "middle", "end"]))]
+        ctx = draw(st.lists(st.integers(1, len(VOCAB) - 1), min_size=n, max_size=n))
+        tgt = ctx[start:start + m]
+        ctx = ctx + [PAD_INDEX] * draw(st.integers(0, 2))
+        tgt = tgt + [PAD_INDEX] * draw(st.integers(0, 1))
+        batch.append(case(ctx, tgt, (start, start + m), draw(st.integers(0, 2))))
+    return batch
+
+
+def per_case_sums(params, batch, l2, masks):
+    grads = GradSet(params)
+    loss = 0.0
+    for k, inst in enumerate(batch):
+        mask = None if masks is None else masks[k]
+        loss += case_loss_and_grads(params, inst.context_ids, inst.target_ids, inst.span,
+                                    inst.label, l2=l2, drop_mask=mask, grads=grads)[0]
+    return loss, grads
+
+
+def assert_batch_equals_per_case(params, batch, l2, masks, atol=1e-10):
+    loss, grads = loss_and_grads(params, batch, l2=l2, drop_masks=masks)
+    ref_loss, ref_grads = per_case_sums(params, batch, l2, masks)
+    assert abs(loss - ref_loss) <= atol
+    for name, arr in grads.arrays():
+        assert np.max(np.abs(arr - ref_grads[name]), initial=0.0) <= atol, name
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+@PROPERTY
+@given(batch=cases(), dropout=st.booleans(), l2=st.sampled_from([0.0, 1e-3]))
+def test_batch_loss_and_grads_equal_per_case_sums(variant, tie, batch, dropout, l2):
+    params = make_model(variant, tie)
+    masks = dropout_mask(Rng(len(batch)), (len(batch), params.feature_dim()),
+                         0.5 if dropout else 0.0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        assert_batch_equals_per_case(params, batch, l2, masks)
+
+
+def test_batch_equals_per_case_at_paper_dims(monkeypatch):
+    monkeypatch.setattr(ian.model, "CHUNK_TOKENS", 40)
+    params = make_model("ian", embed_dim=300, hidden_dim=300, seed=3)
+    rng = Rng(4)
+    batch = []
+    for n, pads in ((9, 0), (3, 2), (12, 1), (1, 0), (7, 0), (11, 3)):
+        ctx = list(rng.integers(1, len(VOCAB), n))
+        start = int(rng.integers(0, n))
+        batch.append(case(ctx + [PAD_INDEX] * pads, ctx[start:start + 1] + [PAD_INDEX],
+                          (start, start + 1), int(rng.integers(0, 3))))
+    masks = dropout_mask(rng, (len(batch), params.feature_dim()), 0.5)
+    assert_batch_equals_per_case(params, batch, 1e-3, masks)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@PROPERTY
+@given(batch=cases(max_cases=12))
+def test_predict_all_equals_per_case_argmax(variant, batch):
+    params = make_model(variant, scale=10.0)  # spread the classes apart
+    if variant == "majority":
+        params.class_priors[:] = [0.2, 0.5, 0.3]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
+
+
+def test_batch_dropout_masks_take_the_per_case_draws():
+    rng, ref_rng = Rng(8), Rng(8)
+    masks = dropout_mask(rng, (5, 12), 0.5)
+    for row in masks:
+        assert np.array_equal(row, dropout_mask(ref_rng, 12, 0.5))
+    assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+
+@pytest.mark.parametrize("variant,tie", [("ian", False), ("td_lstm", False), ("ian", True)])
+def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
+    monkeypatch.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+    rng = Rng(21)
+    instances = []
+    for k in range(11):
+        n = int(rng.integers(1, 10))
+        start = int(rng.integers(0, n))
+        ctx = list(rng.integers(1, len(VOCAB), n)) + [PAD_INDEX] * (k % 2)
+        instances.append(case(ctx, ctx[start:start + 1], (start, start + 1), k % 3))
+    config = TrainConfig(epochs=2, learning_rate=0.5, momentum=0.9, l2=1e-3,
+                         dropout=0.5, batch_size=4, shuffle=True)
+    params = make_model(variant, tie, seed=5)
+    ref = make_model(variant, tie, seed=5)
+    history = train(params, instances, config, Rng(9))
+    ref_losses = case_train(ref, instances, config, Rng(9))
+    assert np.allclose([h["loss"] for h in history], ref_losses, rtol=0, atol=1e-9)
+    for (name, arr), (_, ref_arr) in zip(params.named_arrays(), ref.named_arrays()):
+        assert np.max(np.abs(arr - ref_arr)) <= 1e-9, name
+
+
+# tracemalloc sees numpy's buffers. Peaks measured at 300/300 with numpy 2.4
+# (loss_and_grads on 32 cases of 60 context tokens: 6.1 MB; predict_all on
+# 200 such cases: 4.9 MB), bounded at about 1.5 times that; the train
+# process holds about 77 MB before any activation exists, so a chunk layout
+# that grows these peaks past the bounds would break the benchmark's
+# peak_rss_mb bound (10%) too.
+LOSS_AND_GRADS_PEAK_MB = 9.0
+PREDICT_ALL_PEAK_MB = 7.0
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def sixty_token_cases(rng, n):
+    out = []
+    for _ in range(n):
+        ctx = rng.integers(1, 500, 60)
+        start = int(rng.integers(0, 58))
+        out.append(case(ctx, ctx[start:start + 2], (start, start + 2), int(rng.integers(0, 3))))
+    return out
+
+
+def test_activation_memory_stays_bounded_at_paper_dims():
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    grads = GradSet(params)
+    rng = Rng(1)
+    batch = sixty_token_cases(rng, 32)
+    peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
+    assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
+    many = sixty_token_cases(rng, 200)
+    peak = traced_peak_mb(lambda: predict_all(params, many))
+    assert peak <= PREDICT_ALL_PEAK_MB, peak

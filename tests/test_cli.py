@@ -327,6 +327,49 @@ def test_predict_gold_free_prints_labels_only(tmp_path, capsys):
     assert dst.read_text().strip() in ("positive", "neutral", "negative")
 
 
+def tiny_checkpoint(tmp_path):
+    path = tmp_path / "model.npz"
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    save_checkpoint(str(path), params)
+    return str(path)
+
+
+def assert_one_error_line_naming(capsys, path):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_input", ["missing", "directory", "not_utf8"])
+def test_failing_predict_leaves_existing_output_intact(tmp_path, capsys, bad_input):
+    ckpt = tiny_checkpoint(tmp_path)
+    src = {"missing": tmp_path / "no_such.txt", "directory": tmp_path,
+           "not_utf8": tmp_path / "latin1.txt"}[bad_input]
+    if bad_input == "not_utf8":
+        src.write_bytes("the food was tr\xe8s bon\tfood\n".encode("latin-1"))
+    dst = tmp_path / "keep.txt"
+    dst.write_bytes(b"an earlier run's labels\npositive\n")
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src),
+                "--output", str(dst)]) == 1
+    assert_one_error_line_naming(capsys, src)
+    assert dst.read_bytes() == b"an earlier run's labels\npositive\n"
+
+
+def test_predict_input_directory_is_one_error_line(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(tmp_path)]) == 1
+    assert_one_error_line_naming(capsys, tmp_path)
+
+
+def test_predict_non_utf8_input_names_the_file(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    src = tmp_path / "latin1.txt"
+    src.write_bytes("caf\xe9 food\tfood\n".encode("latin-1"))
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src)]) == 1
+    assert_one_error_line_naming(capsys, src)
+
+
 # --- gradcheck --------------------------------------------------------
 
 

@@ -14,7 +14,8 @@ import pytest
 
 import ian.model
 import ian.training
-from _loop_lstm import loop_lstm_backward, loop_lstm_forward, reference_init
+from _loop_lstm import chunk_backward, chunk_forward, reference_init
+from _per_case import case
 
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import GATES, LstmParams
@@ -52,12 +53,14 @@ def make_case(rng, n_tgt, ctx_pads, tgt_pads):
 
 
 def run_both(monkeypatch, params, ctx, tgt, span, label, l2, mask):
-    fused = loss_and_grads(params, ctx, tgt, span, label, l2=l2, drop_mask=mask)
+    cases = [case(ctx, tgt, span, label)]
+    masks = None if mask is None else mask[None]
+    fused = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
     probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
     with monkeypatch.context() as m:
-        m.setattr(ian.model, "lstm_forward", loop_lstm_forward)
-        m.setattr(ian.training, "lstm_backward", loop_lstm_backward)
-        loop = loss_and_grads(params, ctx, tgt, span, label, l2=l2, drop_mask=mask)
+        m.setattr(ian.model, "lstm_forward", chunk_forward)
+        m.setattr(ian.training, "lstm_backward", chunk_backward)
+        loop = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
         loop_probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
     return (probs, *fused), (loop_probs, *loop)
 
@@ -135,7 +138,7 @@ def test_gradset_is_a_zero_twin_with_fused_storage(variant, tie):
         assert grads.tgt_attn is grads.ctx_attn
     rng = Rng(9)
     ctx, tgt, span = make_case(rng, 2, 1, 1)
-    loss_and_grads(params, ctx, tgt, span, 1, l2=1e-3, grads=grads)
+    loss_and_grads(params, [case(ctx, tgt, span, 1)], l2=1e-3, grads=grads)
     # backward writes through the per-gate names into the fused storage
     for lstm in lstms(grads):
         assert_views(lstm)

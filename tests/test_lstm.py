@@ -36,9 +36,9 @@ def test_zero_weights_give_zero_hiddens():
     p = LstmParams(Rng(0), 2, 3)
     for name in LstmParams.MATRIX_NAMES:
         getattr(p, name)[:] = 0.0
-    hiddens, trace = lstm_forward(p, np.ones((4, 2)))
+    hiddens, trace = lstm_forward(p, np.ones((4, 1, 2)))
     # gates sit at 0.5 but the candidate cell is tanh(0) = 0
-    assert np.array_equal(hiddens, np.zeros((4, 3)))
+    assert np.array_equal(hiddens, np.zeros((4, 1, 3)))
     assert np.allclose(trace["i"], 0.5)
 
 
@@ -61,14 +61,14 @@ def test_single_step_against_scalar_reference():
     c = i * chat  # c_prev = 0
     h = o * math.tanh(c)
 
-    hiddens, _ = lstm_forward(p, np.array([[w]]))
-    assert abs(hiddens[0, 0] - h) < 1e-12
+    hiddens, _ = lstm_forward(p, np.array([[[w]]]))
+    assert abs(hiddens[0, 0, 0] - h) < 1e-12
 
 
 def test_second_step_uses_first_hidden():
     rng = Rng(8)
     p = LstmParams(rng, 2, 3)
-    x = rng.uniform(-1, 1, (2, 2))
+    x = rng.uniform(-1, 1, (2, 2))[:, None]
     full, _ = lstm_forward(p, x)
     # second step must differ from running it with zeroed history
     fresh, _ = lstm_forward(p, x[1:])
@@ -78,7 +78,7 @@ def test_second_step_uses_first_hidden():
 def test_hiddens_bounded_by_one():
     rng = Rng(12)
     p = LstmParams(rng, 3, 4)
-    x = rng.uniform(-50, 50, (10, 3))
+    x = rng.uniform(-50, 50, (10, 3))[:, None]
     hiddens, _ = lstm_forward(p, x)
     assert np.all(np.abs(hiddens) <= 1.0)
 
@@ -86,8 +86,8 @@ def test_hiddens_bounded_by_one():
 def test_backward_matches_finite_differences():
     rng = Rng(21)
     p = LstmParams(rng, 3, 4)
-    x = rng.uniform(-1, 1, (5, 3))
-    r = rng.uniform(-1, 1, (5, 4))  # fixed projection making J scalar
+    x = rng.uniform(-1, 1, (5, 3))[:, None]
+    r = rng.uniform(-1, 1, (5, 4))[:, None]  # fixed projection making J scalar
 
     def objective():
         hiddens, _ = lstm_forward(p, x)
@@ -106,9 +106,9 @@ def test_backward_matches_finite_differences():
 def test_backward_reaches_first_input_from_last_step_only():
     rng = Rng(30)
     p = LstmParams(rng, 2, 3)
-    x = rng.uniform(-1, 1, (4, 2))
+    x = rng.uniform(-1, 1, (4, 2))[:, None]
     _, trace = lstm_forward(p, x)
-    d_hiddens = np.zeros((4, 3))
+    d_hiddens = np.zeros((4, 1, 3))
     d_hiddens[-1] = 1.0
     d_inputs = lstm_backward(p, trace, d_hiddens, zero_grads(p))
     assert np.any(d_inputs[0] != 0.0)
@@ -117,13 +117,13 @@ def test_backward_reaches_first_input_from_last_step_only():
 def test_backward_accumulates_into_existing_grads():
     rng = Rng(33)
     p = LstmParams(rng, 2, 2)
-    x = rng.uniform(-1, 1, (3, 2))
-    d = rng.uniform(-1, 1, (3, 2))
-    _, trace = lstm_forward(p, x)
+    x = rng.uniform(-1, 1, (3, 2))[:, None]
+    d = rng.uniform(-1, 1, (3, 2))[:, None]
     once = zero_grads(p)
-    lstm_backward(p, trace, d, once)
+    lstm_backward(p, lstm_forward(p, x)[1], d, once)
     twice = zero_grads(p)
-    lstm_backward(p, trace, d, twice)
-    lstm_backward(p, trace, d, twice)
+    # the backward pass consumes its trace, so each call gets a fresh one
+    lstm_backward(p, lstm_forward(p, x)[1], d, twice)
+    lstm_backward(p, lstm_forward(p, x)[1], d, twice)
     assert np.allclose(twice.Wi_w, 2.0 * once.Wi_w)
     assert np.allclose(twice.bc, 2.0 * once.bc)

@@ -121,9 +121,9 @@ def test_td_lstm_branches_meet_at_the_span():
     span = (2, 4)
     _, trace = forward(params, ctx, ctx[2:4], span=span)
     emb = params.embeddings[ctx]
-    left_h, _ = lstm_forward(params.ctx_lstm, emb[:4])
-    right_h, _ = lstm_forward(params.tgt_lstm, emb[2:][::-1])
-    expected = np.concatenate([left_h[-1], right_h[-1]])
+    left_h, _ = lstm_forward(params.ctx_lstm, emb[:4, None])
+    right_h, _ = lstm_forward(params.tgt_lstm, emb[2:][::-1, None])
+    expected = np.concatenate([left_h[-1, 0], right_h[-1, 0]])
     assert np.allclose(trace["features"], expected, atol=1e-15)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import oracle_cross_entropy, oracle_probs
+from _per_case import case
 from fdcheck import fd_grad, grads_close, max_rel_err
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.model import ModelParams, forward
@@ -9,7 +10,7 @@ from ian.numerics import Rng
 from ian.training import (
     GradSet,
     TrainConfig,
-    case_loss,
+    batch_loss,
     cross_entropy,
     dropout_mask,
     fit_majority,
@@ -35,11 +36,12 @@ def tiny_instance(rng, vocab_size=8, n=5, m=2):
 
 
 def check_all_grads(params, ctx, tgt, span, label, l2=0.0, mask=None, tol=1e-4):
-    loss, grads = loss_and_grads(params, ctx, tgt, span, label,
-                                 l2=l2, drop_mask=mask)
+    cases = [case(ctx, tgt, span, label)]
+    masks = None if mask is None else mask[None]
+    loss, grads = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
 
     def objective():
-        return case_loss(params, ctx, tgt, span, label, l2=l2, drop_mask=mask)
+        return batch_loss(params, cases, l2=l2, drop_masks=masks)
 
     assert abs(loss - objective()) < 1e-12
     for name, arr in params.named_arrays():
@@ -75,7 +77,7 @@ def test_classifier_preactivation_gradient_shortcut():
     params.W_l[...] = 0.0
     params.b_l[...] = 0.0
     ctx, tgt, span, _ = tiny_instance(Rng(42))
-    _, grads = loss_and_grads(params, ctx, tgt, span, 1)
+    _, grads = loss_and_grads(params, [case(ctx, tgt, span, 1)])
     assert np.allclose(grads["b_l"], [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -104,7 +106,7 @@ def test_pad_row_gradient_is_exactly_zero():
     params = tiny_model("ian", seed=13)
     ctx = np.array([3, 5, 2, PAD_INDEX])
     tgt = np.array([5, PAD_INDEX])
-    _, grads = loss_and_grads(params, ctx, tgt, (1, 2), 0, l2=0.05)
+    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=0.05)
     assert np.array_equal(grads.embeddings[PAD_INDEX], np.zeros(params.embed_dim))
 
 
@@ -112,7 +114,7 @@ def test_untouched_embedding_rows_get_zero_gradient():
     params = tiny_model("ian", seed=15, vocab_size=8)
     ctx = np.array([1, 2, 3])
     tgt = np.array([2])
-    _, grads = loss_and_grads(params, ctx, tgt, (1, 2), 1, l2=0.05)
+    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 1)], l2=0.05)
     for row in (4, 5, 6, 7, 8):
         assert np.array_equal(grads.embeddings[row], np.zeros(params.embed_dim)), row
     for row in (1, 2, 3):
@@ -132,8 +134,9 @@ def test_l2_zero_leaves_loss_as_plain_cross_entropy():
     params = tiny_model("ian", seed=19)
     ctx, tgt, span, label = tiny_instance(Rng(88))
     probs, _ = forward(params, ctx, tgt)
-    assert case_loss(params, ctx, tgt, span, label, l2=0.0) == cross_entropy(probs, label)
-    assert case_loss(params, ctx, tgt, span, label, l2=0.1) > cross_entropy(probs, label)
+    cases = [case(ctx, tgt, span, label)]
+    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs, label)
+    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs, label)
 
 
 def test_dropout_mask_values_and_determinism():
@@ -155,13 +158,13 @@ def test_dropout_mask_is_unbiased_scaling():
 def test_grad_accumulation_sums_cases():
     params = tiny_model("ian", seed=21)
     rng = Rng(99)
-    a = tiny_instance(rng)
-    b = tiny_instance(rng)
-    lone_a = loss_and_grads(params, *a)[1]
-    lone_b = loss_and_grads(params, *b)[1]
+    a = case(*tiny_instance(rng))
+    b = case(*tiny_instance(rng))
+    lone_a = loss_and_grads(params, [a])[1]
+    lone_b = loss_and_grads(params, [b])[1]
     both = GradSet(params)
-    loss_and_grads(params, *a, grads=both)
-    loss_and_grads(params, *b, grads=both)
+    loss_and_grads(params, [a], grads=both)
+    loss_and_grads(params, [b], grads=both)
     for (name, got), (_, xa), (_, xb) in zip(both.arrays(), lone_a.arrays(), lone_b.arrays()):
         assert np.allclose(got, xa + xb, atol=1e-14), name
 
@@ -169,7 +172,7 @@ def test_grad_accumulation_sums_cases():
 def test_gradset_zero():
     params = tiny_model("ian", seed=23)
     ctx, tgt, span, label = tiny_instance(Rng(111))
-    _, grads = loss_and_grads(params, ctx, tgt, span, label)
+    _, grads = loss_and_grads(params, [case(ctx, tgt, span, label)])
     grads.zero()
     assert all(np.all(arr == 0.0) for _, arr in grads.arrays())
 
@@ -261,7 +264,7 @@ def test_untouched_weight_matrix_gets_exactly_the_penalty_gradient():
     ctx = np.array([1, 2, 3, 4])
     tgt = np.array([2])
     l2 = 0.01
-    _, grads = loss_and_grads(params, ctx, tgt, (1, 2), 0, l2=l2)
+    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=l2)
     assert np.array_equal(grads["tgt_attn.W_a"], 2.0 * l2 * params.tgt_attn.W_a)
 
 
