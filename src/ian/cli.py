@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: stats, train, eval, predict, gradcheck, attention-viz.
-Every subcommand accepts --config FILE, a flat key=value text file whose
-values fill in any flag not given on the command line (explicit flags
+stats, train and eval accept --config FILE, a flat key=value text file
+whose values become the defaults of the subcommand's flags (explicit flags
 win).  All randomness is keyed to --seed, so a command is deterministic
 given its flags, files and seed.
 """
@@ -13,6 +13,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .data import (
     AspectTerm,
@@ -35,33 +36,6 @@ from .numerics import Rng
 from .training import TrainConfig, train
 from .viz import write_attention_files
 
-# keys accepted in a --config file; each mirrors a command-line flag
-CONFIG_KEYS = frozenset(
-    (
-        "data_dir",
-        "category",
-        "split",
-        "variant",
-        "tie_attention",
-        "embed_dim",
-        "hidden_dim",
-        "epochs",
-        "learning_rate",
-        "momentum",
-        "l2",
-        "dropout",
-        "batch_size",
-        "seed",
-        "clip_norm",
-        "freeze_embeddings",
-        "shuffle",
-        "embeddings_path",
-        "checkpoint",
-        "history",
-        "out_dir",
-    )
-)
-
 # every variant with trainable parameters
 GRADCHECK_VARIANTS = tuple(v for v in VARIANTS if v != "majority")
 
@@ -72,24 +46,24 @@ _FALSE = {"0", "false", "no", "off"}
 def read_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        cfg[key] = value
     return cfg
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).lower()
+def _as_bool(value: str) -> bool:
+    lowered = value.lower()
     if lowered in _TRUE:
         return True
     if lowered in _FALSE:
@@ -97,51 +71,46 @@ def _as_bool(value) -> bool:
     raise ValueError(f"expects a boolean, got {value!r}")
 
 
-def optional_float(value) -> float | None:
+def optional_float(value: str) -> float | None:
     """A float, or None for the word "none" (any case)."""
-    if str(value).lower() == "none":
+    if value.lower() == "none":
         return None
     return float(value)
 
 
-def optional_float_flag(value: str) -> str:
-    """argparse type for an optional_float flag: checks the value but keeps
-    its text, because None stands for "flag not given" in Settings and an
-    explicit "none" must still override the config file."""
-    optional_float(value)
-    return value
-
-
-class Settings:
-    """Resolved configuration: flag > config file > default."""
-
-    def __init__(self, args):
-        self._args = args
-        self._file = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, default=None, cast=None):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._file.get(key, default)
-        if value is None or cast is None:
-            return value
+def config_defaults(path: str, configurable: dict, command: str) -> dict:
+    """The --config file's values for `command`'s flags, each cast as its
+    flag casts it. The keys are the flag dests of every configurable
+    subcommand, so one file serves them all: `command` ignores the keys
+    of the others."""
+    flags = {
+        name: {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+        for name, sub in configurable.items()
+    }
+    defaults = {}
+    for key, value in read_config_file(path).items():
+        action = flags[command].get(key)
+        if action is None:
+            if not any(key in dests for dests in flags.values()):
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            continue
         try:
-            return cast(value)
+            value = _as_bool(value) if action.nargs == 0 else (action.type or str)(value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"expects one of {', '.join(action.choices)}, got {value!r}")
         except ValueError as err:
-            raise ValueError(f"config key {key}: {err}") from None
+            raise ValueError(f"{path}: config key {key}: {err}") from None
+        defaults[key] = value
+    return defaults
 
 
 # --- stats ---------------------------------------------------------------
 
 
 def cmd_stats(args) -> int:
-    cfg = Settings(args)
-    data_dir = cfg.get("data_dir")
-    which = cfg.get("category", "both")
-    categories = ("restaurant", "laptop") if which == "both" else (which,)
-    dump_dir = args.dump_dir
+    categories = ("restaurant", "laptop") if args.category == "both" else (args.category,)
     for category in categories:
-        train_ds, test_ds, reports = load_category(category, data_dir)
+        train_ds, test_ds, reports = load_category(category, args.data_dir)
         for ds in (train_ds, test_ds):
             print(render_stats(dataset_stats(ds)))
             report, realigned = reports[ds.split]
@@ -158,9 +127,9 @@ def cmd_stats(args) -> int:
                 notes.append(f"{realigned} offsets realigned")
             if notes:
                 print("  note  " + ", ".join(notes))
-            if dump_dir:
-                os.makedirs(dump_dir, exist_ok=True)
-                path = os.path.join(dump_dir, f"{category}_{ds.split}.txt")
+            if args.dump_dir:
+                os.makedirs(args.dump_dir, exist_ok=True)
+                path = os.path.join(args.dump_dir, f"{category}_{ds.split}.txt")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(dump_instances(ds.instances))
                 print(f"  wrote {path}")
@@ -182,80 +151,42 @@ def _write_history(history, path):
 
 
 def cmd_train(args) -> int:
-    cfg = Settings(args)
-    category = cfg.get("category", "restaurant")
-    seed = cfg.get("seed", 0, int)
-    out_dir = cfg.get("out_dir", ".")
-    variant = cfg.get("variant", "ian")
-    embed_dim = cfg.get("embed_dim", 300, int)
-    hidden_dim = cfg.get("hidden_dim", 300, int)
-    tie = cfg.get("tie_attention", False, _as_bool)
-
-    train_ds, test_ds, _ = load_category(category, cfg.get("data_dir"))
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    train_ds, test_ds, _ = load_category(args.category, args.data_dir)
     print(
-        f"{category}: {len(train_ds.instances)} train / {len(test_ds.instances)} test "
+        f"{args.category}: {len(train_ds.instances)} train / {len(test_ds.instances)} test "
         f"instances, vocabulary {len(train_ds.vocab)}"
     )
 
-    rng = Rng(seed)
+    rng = Rng(config.seed)
     table = None
-    emb_path = cfg.get("embeddings_path")
-    if emb_path and variant != "majority":
-        table, hits, misses = load_pretrained(emb_path, train_ds.vocab, embed_dim, rng)
+    if args.embeddings_path and args.variant != "majority":
+        table, hits, misses = load_pretrained(args.embeddings_path, train_ds.vocab,
+                                              args.embed_dim, rng)
         print(f"pretrained vectors: {hits} hits, {misses} misses")
     params = ModelParams(
         rng,
         train_ds.vocab,
-        variant=variant,
-        embed_dim=embed_dim,
-        hidden_dim=hidden_dim,
-        tie_attention=tie,
+        variant=args.variant,
+        embed_dim=args.embed_dim,
+        hidden_dim=args.hidden_dim,
+        tie_attention=args.tie_attention,
         embeddings=table,
-    )
-    config = TrainConfig(
-        epochs=cfg.get("epochs", 25, int),
-        learning_rate=cfg.get("learning_rate", 0.01, float),
-        momentum=cfg.get("momentum", 0.9, float),
-        l2=cfg.get("l2", 1e-5, float),
-        dropout=cfg.get("dropout", 0.5, float),
-        batch_size=cfg.get("batch_size", 32, int),
-        seed=seed,
-        clip_norm=cfg.get("clip_norm", cast=optional_float),
-        freeze_embeddings=cfg.get("freeze_embeddings", False, _as_bool),
-        shuffle=cfg.get("shuffle", True, _as_bool),
     )
     history = train(
         params, train_ds.instances, config, rng,
         eval_instances=test_ds.instances, log=print,
     )
 
-    os.makedirs(out_dir, exist_ok=True)
-    history_path = cfg.get("history") or os.path.join(out_dir, "history.txt")
+    os.makedirs(args.out_dir, exist_ok=True)
+    history_path = args.history or os.path.join(args.out_dir, "history.txt")
     _write_history(history, history_path)
-    checkpoint_path = cfg.get("checkpoint") or os.path.join(out_dir, "model.npz")
-    save_checkpoint(
-        checkpoint_path,
-        params,
-        config={
-            "category": category,
-            "variant": variant,
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "l2": config.l2,
-            "dropout": config.dropout,
-            "batch_size": config.batch_size,
-            "seed": seed,
-            "clip_norm": config.clip_norm,
-            "freeze_embeddings": config.freeze_embeddings,
-            "tie_attention": tie,
-            "embed_dim": embed_dim,
-            "hidden_dim": hidden_dim,
-        },
-    )
+    checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
+    save_checkpoint(checkpoint_path, params,
+                    config={"category": args.category, **asdict(config)})
     print(f"wrote {checkpoint_path} and {history_path}")
 
-    report = evaluate_model(params, test_ds.instances, dataset=f"{category} test")
+    report = evaluate_model(params, test_ds.instances, dataset=f"{args.category} test")
     print(render_report(report))
     return 0
 
@@ -277,16 +208,14 @@ def _instances_for_checkpoint(params, reviews):
 
 
 def cmd_eval(args) -> int:
-    cfg = Settings(args)
     params, meta = load_checkpoint(args.checkpoint)
-    category = cfg.get("category") or meta.get("config", {}).get("category", "restaurant")
-    split = cfg.get("split", "test")
-    reviews, _ = load_reviews(category, split, cfg.get("data_dir"))
+    category = args.category or meta.get("config", {}).get("category", "restaurant")
+    reviews, _ = load_reviews(category, args.split, args.data_dir)
     instances, report = _instances_for_checkpoint(params, reviews)
     dropped = report.dropped_unlocatable + report.dropped_empty
     if dropped:
         print(f"note: {dropped} instances dropped during encoding", file=sys.stderr)
-    result = evaluate_model(params, instances, dataset=f"{category} {split}")
+    result = evaluate_model(params, instances, dataset=f"{category} {args.split}")
     print(render_report(result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -477,34 +406,38 @@ def cmd_attention_viz(args) -> int:
 
 
 def _add_config_flags(sub):
-    sub.add_argument("--config", help="flat key=value config file")
+    sub.add_argument("--config", help="flat key=value file of defaults for these flags")
     sub.add_argument("--data-dir", dest="data_dir",
                      help="directory with the corpus XML files "
                           "(default: $SEMEVAL_DATA_DIR, else bundled fixtures)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subparsers that accept --config, by command."""
     parser = argparse.ArgumentParser(
         prog="ian",
         description="Aspect-level sentiment classifier with interacting "
                     "context/target attention, built on plain numpy.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    configurable = {}
 
-    p = subs.add_parser("stats", help="dataset polarity and target-length tables")
+    p = configurable["stats"] = subs.add_parser(
+        "stats", help="dataset polarity and target-length tables")
     _add_config_flags(p)
-    p.add_argument("--category", choices=("restaurant", "laptop", "both"))
+    p.add_argument("--category", choices=("restaurant", "laptop", "both"), default="both")
     p.add_argument("--dump-dir", help="also write canonical instance dumps here")
     p.set_defaults(func=cmd_stats)
 
-    p = subs.add_parser("train", help="train a variant and write checkpoint + history")
+    p = configurable["train"] = subs.add_parser(
+        "train", help="train a variant and write checkpoint + history")
     _add_config_flags(p)
-    p.add_argument("--category", choices=("restaurant", "laptop"))
-    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--category", choices=("restaurant", "laptop"), default="restaurant")
+    p.add_argument("--variant", choices=VARIANTS, default="ian")
     p.add_argument("--tie-attention", action=argparse.BooleanOptionalAction,
-                   dest="tie_attention", default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+                   dest="tie_attention", default=False)
+    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=300)
+    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=300)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--momentum", type=float)
@@ -512,23 +445,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float_flag)
+    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
-                   dest="freeze_embeddings", default=None)
-    p.add_argument("--no-shuffle", action="store_const", const=False, dest="shuffle",
-                   default=None)
+                   dest="freeze_embeddings")
+    p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
     p.add_argument("--embeddings", dest="embeddings_path",
                    help="pretrained word-vector text file")
     p.add_argument("--checkpoint", help="output checkpoint path (default out_dir/model.npz)")
     p.add_argument("--history", help="output history path (default out_dir/history.txt)")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--out-dir", dest="out_dir", default=".")
+    p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
-    p = subs.add_parser("eval", help="score a checkpoint on a data split")
+    p = configurable["eval"] = subs.add_parser(
+        "eval", help="score a checkpoint on a data split")
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--category", choices=("restaurant", "laptop"))
-    p.add_argument("--split", choices=("train", "test"))
+    p.add_argument("--category", choices=("restaurant", "laptop"),
+                   help="default: the checkpoint's training category")
+    p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--out", help="also write a machine-readable TSV report here")
     p.set_defaults(func=cmd_eval)
 
@@ -571,12 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basename", default="attention")
     p.set_defaults(func=cmd_attention_viz)
 
-    return parser
+    return parser, configurable
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, configurable = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # file values become defaults, so flags given in argv still win
+            configurable[args.command].set_defaults(
+                **config_defaults(args.config, configurable, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,16 +20,6 @@ def weight_str(w: float) -> str:
     return f"{float(w):.6f}"
 
 
-def attention_rows(params, ctx_idx, tgt_idx, span=None):
-    """Forward one instance and pull out its attention weights.
-
-    Returns (probs, ctx_weights, tgt_weights) where either weight vector is
-    None when the variant has no attention over that branch.
-    """
-    probs, trace = forward(params, ctx_idx, tgt_idx, span=span)
-    return probs, trace.get("ctx_weights"), trace.get("tgt_weights")
-
-
 def weight_dump(context_tokens, ctx_weights, target_tokens, tgt_weights,
                 predicted_label: str) -> str:
     """Plain-text weights, one token per line."""
@@ -117,9 +107,9 @@ def write_attention_files(out_dir, params, instance, basename="attention"):
     Returns (paths dict, predicted label name).  Raises ValueError when the
     model variant exposes no attention weights.
     """
-    probs, ctx_w, tgt_w = attention_rows(
-        params, instance.context_ids, instance.target_ids, span=instance.span
-    )
+    probs, trace = forward(params, instance.context_ids, instance.target_ids,
+                           span=instance.span)
+    ctx_w, tgt_w = trace.get("ctx_weights"), trace.get("tgt_weights")
     if ctx_w is None and tgt_w is None:
         raise ValueError(
             f"variant {params.variant!r} has no attention weights to visualize"

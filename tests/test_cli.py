@@ -1,5 +1,7 @@
+import itertools
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ian.embeddings import Vocabulary
 from ian.evaluate import predict_all
 from ian.model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
+from ian.training import TrainConfig
 from ian.viz import render_svg, weight_dump
 
 
@@ -48,11 +51,11 @@ def test_read_config_file(tmp_path):
     }
 
 
-def test_read_config_file_rejects_unknown_key_and_bad_line(tmp_path):
+def test_read_config_file_rejects_unknown_key_and_bad_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus_key = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bogus_key"):
-        read_config_file(str(bad))
+    assert run(["train", "--config", str(bad)]) == 1
+    assert "bogus_key" in assert_one_error_line_naming(capsys, bad)
     bad.write_text("epochs\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key=value"):
         read_config_file(str(bad))
@@ -92,6 +95,61 @@ def test_clip_norm_none_from_flag_and_config_file(tmp_path, capsys):
     got = [load_checkpoint(str(tmp_path / d / "model.npz"))[1]["config"]["clip_norm"]
            for d in "abcde"]
     assert got == [None, None, 0.5, 0.25, None]
+
+
+def test_non_utf8_config_file_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\xe9 settings\nepochs = 1\n".encode("latin-1"))
+    assert run(["train", "--config", str(cfg)]) == 1
+    assert_one_error_line_naming(capsys, cfg)
+
+
+# a non-default value for every TrainConfig field: (config text, parsed value)
+FIELD_SAMPLES = {
+    "epochs": ("2", 2),
+    "learning_rate": ("0.05", 0.05),
+    "momentum": ("0.5", 0.5),
+    "l2": ("0.001", 0.001),
+    "dropout": ("0.25", 0.25),
+    "batch_size": ("4", 4),
+    "seed": ("7", 7),
+    "clip_norm": ("1.5", 1.5),
+    "freeze_embeddings": ("yes", True),
+    "shuffle": ("off", False),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)])
+def test_checkpoint_records_every_train_config_field(tmp_path, capsys, field):
+    text, value = FIELD_SAMPLES[field]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{field} = {text}\n", encoding="utf-8")
+    flags = {"shuffle": ["--no-shuffle"], "epochs": ["--epochs", "1"]}
+    argv = ["train", "--category", "laptop", "--embed-dim", "4", "--hidden-dim", "4",
+            *itertools.chain.from_iterable(v for k, v in flags.items() if k != field),
+            "--config", str(cfg), "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    config = load_checkpoint(str(tmp_path / "model.npz"))[1]["config"]
+    assert set(config) == {"category", *FIELD_SAMPLES}
+    assert config["category"] == "laptop" and config["shuffle"] is False
+    assert config[field] == value
+
+
+def test_one_config_file_serves_train_eval_and_stats(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("epochs = 1\nembed_dim = 8\nhidden_dim = 8\ncategory = laptop\n",
+                   encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert run(["eval", "--config", str(cfg),
+                "--checkpoint", str(tmp_path / "model.npz")]) == 0
+    assert "laptop test" in capsys.readouterr().out
+    assert run(["stats", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "laptop train" in out and "restaurant" not in out
+
+    cfg.write_text("epochs = x\ncategory = laptop\n", encoding="utf-8")
+    assert run(["train", "--config", str(cfg)]) == 1
+    assert "epochs" in assert_one_error_line_naming(capsys, cfg)
 
 
 def test_clip_norm_rejects_a_word_other_than_none(capsys):
@@ -339,6 +397,7 @@ def assert_one_error_line_naming(capsys, path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], err
     assert "Traceback" not in err
+    return lines[0]
 
 
 @pytest.mark.parametrize("bad_input", ["missing", "directory", "not_utf8"])
