@@ -71,6 +71,14 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expects a boolean, got {value!r}")
 
 
+def positive_int(value: str) -> int:
+    """An integer of at least 1; argparse names the flag in the error."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
+    return number
+
+
 def optional_float(value: str) -> float | None:
     """A float, or None for the word "none" (any case)."""
     if value.lower() == "none":
@@ -98,7 +106,7 @@ def config_defaults(path: str, configurable: dict, command: str) -> dict:
             value = _as_bool(value) if action.nargs == 0 else (action.type or str)(value)
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"expects one of {', '.join(action.choices)}, got {value!r}")
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ValueError(f"{path}: config key {key}: {err}") from None
         defaults[key] = value
     return defaults
@@ -436,14 +444,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--variant", choices=VARIANTS, default="ian")
     p.add_argument("--tie-attention", action=argparse.BooleanOptionalAction,
                    dest="tie_attention", default=False)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=300)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=300)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--embed-dim", dest="embed_dim", type=positive_int, default=300)
+    p.add_argument("--hidden-dim", dest="hidden_dim", type=positive_int, default=300)
+    p.add_argument("--epochs", type=positive_int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--l2", type=float)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
@@ -475,12 +483,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("gradcheck",
                         help="finite-difference check of the backward pass")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int,
+    p.add_argument("--embed-dim", dest="embed_dim", type=positive_int,
                    help="default: run both 3 and 8")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+    p.add_argument("--hidden-dim", dest="hidden_dim", type=positive_int)
     p.add_argument("--seed", type=int, default=27)
-    p.add_argument("--ctx-len", dest="ctx_len", type=int, default=4)
-    p.add_argument("--tgt-len", dest="tgt_len", type=int, default=2)
+    p.add_argument("--ctx-len", dest="ctx_len", type=positive_int, default=4)
+    p.add_argument("--tgt-len", dest="tgt_len", type=positive_int, default=2)
     p.add_argument("--variant", choices=(*GRADCHECK_VARIANTS, "all"), default="ian",
                    help="a trainable variant, or all of them")
     p.add_argument("--tie-attention", action="store_true", dest="tie_attention")

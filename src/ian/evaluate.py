@@ -31,8 +31,8 @@ def predict_all(params: ModelParams, instances) -> np.ndarray:
     """Predicted label index per instance (dropout off), run in the
     length-sorted chunks of model.chunks."""
     out = np.zeros(len(instances), dtype=np.int64)
-    for pos, ctx_idx, tgt_idx, spans, lengths in chunks(instances):
-        probs = forward(params, ctx_idx, tgt_idx, span=spans, lengths=lengths)[0]
+    for pos, ctx_idx, tgt_idx, layout in chunks(instances):
+        probs = forward(params, ctx_idx, tgt_idx, **layout)[0]
         out[pos] = np.argmax(probs, axis=1)
     return out
 

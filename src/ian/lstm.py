@@ -17,15 +17,20 @@ through either name writes the same memory; checkpoints, gradient sets
 and the optimizer address the parameters by the per-gate names.
 
 Both passes run on time-major chunks: inputs (n, B, E) hold B sequences
-side by side, step k of all of them in the contiguous slice inputs[k].
-The forward pass projects every word through W_x in one matrix product
-before the recurrence, leaving one (B, H) x (H, 4H) product per step
-(Appleyard et al. 2016, arXiv:1604.01946). The backward pass is derived
-by hand: the recurrence writes the gate pre-activation gradients dZ
-(n, B, 4H) over the gate activations of the trace, step by step, and the
-input gradients and every weight gradient are matrix products of dZ after
-the loop; tanh(c) is recomputed rather than stored. It is checked against
-finite differences and against the per-gate loop it replaced in the tests.
+side by side, step k of all of them in inputs[k], and each row has its
+own length. Steps are packed (the idea of PyTorch's pack_padded_sequence;
+Khomenko et al. 2016, arXiv:1708.05604, bucket by length for the same
+reason): with the rows taken longest first, step k runs only the prefix
+of rows still inside their length, so no step of a finished row is
+computed. The forward pass projects every real word through W_x in one
+matrix product before the recurrence, leaving one (b_k, H) x (H, 4H)
+product per step (Appleyard et al. 2016, arXiv:1604.01946). The backward
+pass is derived by hand: the recurrence writes the gate pre-activation
+gradients dZ over the packed gate activations of the trace, step by step,
+and the input gradients and every weight gradient are matrix products of
+dZ after the loop; tanh(c) is recomputed rather than stored. It is checked
+against finite differences and against the per-gate loop it replaced in
+the tests.
 """
 
 from __future__ import annotations
@@ -68,38 +73,58 @@ class LstmParams:
             yield prefix + name, getattr(self, name)
 
 
-def lstm_forward(params: LstmParams, inputs: np.ndarray):
+def _packing(n: int, lengths: np.ndarray) -> dict:
+    """Where each step's rows sit in the packed arrays of a chunk.
+
+    Rows run longest first: order lists the chunk's columns that way, and
+    step k runs the prefix order[:widths[k]], the rows still inside their
+    own length. Packed row t is step steps[t] of column cols[t]; step k
+    owns the packed rows starts[k] to starts[k] + widths[k].
+    """
+    order = np.argsort(-lengths, kind="stable")
+    widths = np.count_nonzero(lengths[:, None] > np.arange(n), axis=0)
+    steps, ranks = np.nonzero(np.arange(len(lengths)) < widths[:, None])
+    return {"order": order, "widths": widths, "starts": np.cumsum(widths) - widths,
+            "steps": steps, "cols": order[ranks]}
+
+
+def lstm_forward(params: LstmParams, inputs: np.ndarray, lengths=None):
     """Run the cell over a time-major chunk inputs (n, B, input_dim).
 
-    Every row of the chunk runs all n steps; a row shorter than n reads
-    zero (pad) vectors after its end, which leaves its earlier states
-    unchanged. Returns (hiddens, trace): hiddens is (n, B, hidden_dim);
-    the trace holds what the backward pass needs.
+    Row b runs its first lengths[b] steps (default: all n); its inputs
+    after that are never read, and its states there are exactly zero.
+    Returns (hiddens, trace): hiddens is (n, B, hidden_dim); the trace
+    holds what the backward pass needs, every per-step array packed.
     """
     n, batch, _ = inputs.shape
     dh = params.hidden_dim
-    # pre-activations from the words, then the gate activations, in place
-    gates = inputs.reshape(n * batch, -1) @ params.W_x.T
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
+    trace = _packing(n, lengths)
+    order, widths, starts = trace["order"], trace["widths"], trace["starts"]
+    # pre-activations from the real words only, then the gate activations,
+    # in place; the trace keeps the packed words, not the padded chunk
+    words = inputs[trace["steps"], trace["cols"]]
+    gates = words @ params.W_x.T
     gates += params.b
-    gates = gates.reshape(n, batch, 4 * dh)
-    cells = np.empty((n, batch, dh))
-    hiddens = np.empty((n, batch, dh))
+    cells = np.empty((len(gates), dh))
+    hiddens = np.zeros((n, batch, dh))
 
-    h = np.zeros((batch, dh))
-    c = np.zeros((batch, dh))
+    h = c = np.zeros((batch, dh))
     for k in range(n):
-        z = gates[k]
-        z += h @ params.W_h.T
-        z[:, :3 * dh] = sigmoid(z[:, :3 * dh])
-        z[:, 3 * dh:] = tanh(z[:, 3 * dh:])
-        c = z[:, dh:2 * dh] * c + z[:, :dh] * z[:, 3 * dh:]
-        cells[k] = c
+        b, lo = widths[k], starts[k]
+        z = gates[lo:lo + b]
+        if k:  # h is zero before the first step
+            z += h[:b] @ params.W_h.T
+        sigmoid(z[:, :3 * dh], out=z[:, :3 * dh])
+        tanh(z[:, 3 * dh:], out=z[:, 3 * dh:])
+        c = z[:, dh:2 * dh] * c[:b] + z[:, :dh] * z[:, 3 * dh:]
+        cells[lo:lo + b] = c
         h = z[:, 2 * dh:3 * dh] * tanh(c)
-        hiddens[k] = h
+        hiddens[k, order[:b]] = h
 
-    trace = {"inputs": inputs, "gates": gates, "cells": cells, "hiddens": hiddens}
+    trace.update(shape=inputs.shape, words=words, gates=gates, cells=cells, hiddens=hiddens)
     for g, gate in enumerate(("i", "f", "o", "c_hat")):
-        trace[gate] = gates[..., g * dh:(g + 1) * dh]
+        trace[gate] = gates[:, g * dh:(g + 1) * dh]
     return hiddens, trace
 
 
@@ -107,44 +132,56 @@ def lstm_backward(params: LstmParams, trace: dict, d_hiddens: np.ndarray, grads)
     """Backpropagate d_hiddens (n, B, hidden_dim) through the whole chunk.
 
     Accumulates parameter gradients into `grads` (per-gate attribute
-    access, += on matching shapes) and returns d_inputs (n, B, input_dim).
-    The trace is consumed: the gate pre-activation gradients are written
-    over its gate activations, step by step from the last.
+    access, += on matching shapes) and returns d_inputs (n, B, input_dim),
+    zero past each row's length. The trace is consumed: the gate
+    pre-activation gradients are written over its gate activations, step
+    by step from the last.
     """
-    inputs = trace["inputs"]
+    order, widths, starts, steps, cols = (
+        trace[key] for key in ("order", "widths", "starts", "steps", "cols"))
     cells = trace["cells"]
     dZ = trace["gates"]
-    n, batch, _ = inputs.shape
     dh = params.hidden_dim
 
-    dh_next = np.zeros((batch, dh))
-    dc_next = np.zeros((batch, dh))
-    for k in reversed(range(n)):
+    # the gradients flowing back from step k + 1 cover its rows only, a
+    # prefix of step k's
+    dh_next = dc_next = np.zeros((0, dh))
+    for k in reversed(range(len(widths))):
+        b, lo = widths[k], starts[k]
         # each gate slot is read for the last time before its gradient
         # is written over it
-        z = dZ[k]
+        z = dZ[lo:lo + b]
         i_g, f_g, o_g, c_hat = (z[:, g * dh:(g + 1) * dh] for g in range(4))
-        tanh_c = tanh(cells[k])
-        dh_k = d_hiddens[k] + dh_next
-        dc = dh_k * o_g * (1.0 - tanh_c**2) + dc_next
+        tanh_c = tanh(cells[lo:lo + b])
+        dh_k = d_hiddens[k, order[:b]]
+        dh_k[:len(dh_next)] += dh_next
+        dc = dh_k * o_g * (1.0 - tanh_c**2)
+        dc[:len(dc_next)] += dc_next
         d_i = dc * c_hat * i_g * (1.0 - i_g)
         c_hat[...] = dc * i_g * (1.0 - c_hat**2)
         i_g[...] = d_i
         o_g[...] = dh_k * tanh_c * o_g * (1.0 - o_g)
         dc_next = dc * f_g
-        f_g[...] = dc * cells[k - 1] * f_g * (1.0 - f_g) if k else 0.0
-        dh_next = z @ params.W_h
+        if k:
+            prev = starts[k - 1]
+            f_g[...] = dc * cells[prev:prev + b] * f_g * (1.0 - f_g)
+            dh_next = z @ params.W_h
+        else:  # c and h are zero before the first step
+            f_g[...] = 0.0
 
-    # h_prev is zero at step 0, so only steps 1..n-1 reach the W_h gradient
-    flat_dZ = dZ.reshape(n * batch, 4 * dh)
-    flat_inputs = inputs.reshape(n * batch, -1)
-    h_prevs = trace["hiddens"][:-1].reshape((n - 1) * batch, dh)
+    # step k's rows pair with their own states at step k - 1, so only the
+    # packed rows after step 0 reach the W_h gradient
+    first = widths[0]
+    words = trace["words"]
+    h_prevs = trace["hiddens"][steps[first:] - 1, cols[first:]]
     for g, gate in enumerate(GATES):
-        dz_gate = flat_dZ[:, g * dh:(g + 1) * dh]
+        dz_gate = dZ[:, g * dh:(g + 1) * dh]
         w_grad = getattr(grads, f"W{gate}_w")
-        w_grad += dz_gate.T @ flat_inputs
+        w_grad += dz_gate.T @ words
         h_grad = getattr(grads, f"W{gate}_h")
-        h_grad += dz_gate[batch:].T @ h_prevs
+        h_grad += dz_gate[first:].T @ h_prevs
         b_grad = getattr(grads, f"b{gate}")
         b_grad += dz_gate.sum(axis=0)
-    return (flat_dZ @ params.W_x).reshape(n, batch, -1)
+    d_inputs = np.zeros(trace["shape"])
+    d_inputs[steps, cols] = dZ @ params.W_x
+    return d_inputs

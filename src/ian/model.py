@@ -73,9 +73,9 @@ VARIANTS = (*ROUTES, "td_lstm", "majority")
 
 CHECKPOINT_FORMAT = 1
 
-# the padded context ids (rows times the longest row) of one chunk, the
-# unit every forward and backward pass runs on; see README.md for the
-# measurement behind the figure
+# the real tokens of one chunk's distinct contexts, the unit every forward
+# and backward pass runs on; see README.md for the measurement behind the
+# figure
 CHUNK_TOKENS = 256
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
@@ -230,7 +230,7 @@ def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: di
 
 
 def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
-            lengths=None):
+            lengths=None, tgt_lengths=None, contexts=None):
     """Run one instance, or a time-major chunk of B instances, through the model.
 
     One instance: ctx_idx / tgt_idx are 1-D int index arrays, span the
@@ -239,17 +239,20 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
     the classifier input (training only). Returns (probs (n_classes,),
     trace); it runs as a chunk of one.
 
-    A chunk: ctx_idx (n, B) and tgt_idx (m, B) hold instance b in column
-    b, padded after its end with the padding index; span is (B, 2),
-    dropout_mask (B, feature_dim), and lengths (B,) the rows' own context
-    lengths (default n), from which td_lstm's right-to-left LSTM starts.
-    Returns (probs (B, n_classes), trace). The padding index is masked
-    out of every attention and average.
+    A chunk: ctx_idx (n, G) holds G distinct contexts, context g in
+    column g, padded after its end with the padding index, and lengths
+    (G,) their own lengths (default n). contexts (B,) is the column of
+    instance b's context, non-decreasing, so the instances of one context
+    sit side by side (default: column b). tgt_idx (m, B) holds instance
+    b's target in column b, padded likewise, tgt_lengths (B,) their
+    lengths (default m); span is (B, 2) and dropout_mask (B,
+    feature_dim). Returns (probs (B, n_classes), trace). The padding index
+    is masked out of every attention and average.
     """
     single = np.ndim(ctx_idx) == 1
     if params.variant == "majority":
         priors = params.class_priors.copy()
-        return (priors if single else np.tile(priors, (np.shape(ctx_idx)[1], 1)),
+        return (priors if single else np.tile(priors, (np.shape(tgt_idx)[1], 1)),
                 {"variant": params.variant})
     ctx_idx = np.asarray(ctx_idx, dtype=np.int64)
     tgt_idx = np.asarray(tgt_idx, dtype=np.int64)
@@ -257,11 +260,16 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
         ctx_idx, tgt_idx = ctx_idx[:, None], tgt_idx[:, None]
         span = None if span is None else [span]
         dropout_mask = None if dropout_mask is None else dropout_mask[None]
-    trace = {"variant": params.variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx}
+    n, groups = ctx_idx.shape
+    lengths = np.full(groups, n) if lengths is None else np.asarray(lengths)
+    contexts = np.arange(groups) if contexts is None else np.asarray(contexts)
+    trace = {"variant": params.variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx,
+             "contexts": contexts}
     if params.variant == "td_lstm":
-        features = _td_lstm_features(params, ctx_idx, span, lengths, trace)
+        features = _td_lstm_features(params, ctx_idx[:, contexts], span, lengths[contexts],
+                                     trace)
     else:
-        features = _routed_features(params, ctx_idx, tgt_idx, trace)
+        features = _routed_features(params, ctx_idx, tgt_idx, lengths, tgt_lengths, trace)
     probs = _classify(params, features, dropout_mask, trace)
     if single:
         for key in ("ctx_weights", "tgt_weights"):
@@ -275,13 +283,12 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
 def _td_lstm_features(params, ctx_idx, span, lengths, trace):
     """Final states of the two LSTMs meeting at the target: left-to-right
     up to each row's target end, right-to-left from each row's own end
-    down to its target start. Each side runs on its own id array, so a
-    row's padding always comes after its last real step."""
+    down to its target start. Each side runs on its own id array and row
+    lengths, one row per instance, as the span sets where they start."""
     if span is None:
         raise ValueError("td_lstm needs the target span inside the context")
     n, batch = ctx_idx.shape
     span = np.asarray(span, dtype=np.int64).reshape(batch, 2)
-    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
     # a span reaching past the row's end is cut there, as a slice would be
     start, end = span[:, 0], np.minimum(span[:, 1], lengths)
     steps = np.arange(n)[:, None]
@@ -292,23 +299,27 @@ def _td_lstm_features(params, ctx_idx, span, lengths, trace):
     finals = []
     for side, lstm, idx, last in (("left", params.ctx_lstm, left_idx, end),
                                   ("right", params.tgt_lstm, right_idx, lengths - start)):
-        hiddens, trace[f"{side}_trace"] = lstm_forward(lstm, lookup(params.embeddings, idx))
+        hiddens, trace[f"{side}_trace"] = lstm_forward(lstm, lookup(params.embeddings, idx),
+                                                       last)
         finals.append(hiddens[last - 1, np.arange(batch)])
         trace[f"{side}_idx"], trace[f"{side}_last"] = idx, last
     return np.concatenate(finals, axis=1)
 
 
-def _routed_features(params, ctx_idx, tgt_idx, trace):
+def _routed_features(params, ctx_idx, tgt_idx, lengths, tgt_lengths, trace):
     route = ROUTES[params.variant]
+    contexts = trace["contexts"]
     ctx_h, trace["ctx_lstm_trace"] = lstm_forward(params.ctx_lstm,
-                                                  lookup(params.embeddings, ctx_idx))
-    states = {"ctx": ctx_h}
-    masks = {"ctx": ctx_idx != PAD_INDEX}
+                                                  lookup(params.embeddings, ctx_idx), lengths)
+    # each distinct context ran once; its states serve all its instances
+    states = {"ctx": ctx_h[:, contexts]}
+    masks = {"ctx": (ctx_idx != PAD_INDEX)[:, contexts]}
     if route.target is not None:
         masks["tgt"] = tgt_idx != PAD_INDEX
         states["tgt"] = lookup(params.embeddings, tgt_idx)
         if route.target == "lstm":
-            states["tgt"], trace["tgt_lstm_trace"] = lstm_forward(params.tgt_lstm, states["tgt"])
+            states["tgt"], trace["tgt_lstm_trace"] = lstm_forward(
+                params.tgt_lstm, states["tgt"], tgt_lengths)
     avgs = {side: masked_mean(states[side], masks[side]) for side in states}
     trace.update(states=states, masks=masks)
 
@@ -333,42 +344,55 @@ def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:
     return both[first & (both != PAD_INDEX)]
 
 
-def _pad_time_major(rows) -> np.ndarray:
-    """(longest, B) int array holding row b in column b, padded after its
-    end with the padding index."""
+def _pad_time_major(rows):
+    """((longest, B) int array holding row b in column b, padded after its
+    end with the padding index; the rows' lengths (B,))."""
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     out = np.full((lengths.max(), len(rows)), PAD_INDEX, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     steps = np.arange(lengths.sum()) - np.repeat(starts, lengths)
     out[steps, np.repeat(np.arange(len(rows)), lengths)] = np.fromiter(
         itertools.chain.from_iterable(rows), dtype=np.int64)
-    return out
+    return out, lengths
 
 
 def chunks(instances, tokens: int | None = None):
     """Cut instances into the time-major chunks every pass runs on.
 
-    Instances are sorted by context length (stably) and cut into runs
-    whose padded context, rows times the longest row, holds at most
-    `tokens` ids (default CHUNK_TOKENS); a longer instance is a chunk of
-    its own. Yields (positions, ctx_idx, tgt_idx, spans, lengths) per
-    chunk, positions indexing instances; the rest are forward's chunk
-    arguments.
+    Instances are ordered by context length, longest first, then by
+    context ids, so the instances sharing a context (one sentence's aspect
+    terms) sit side by side, and each chunk's contexts run through the
+    context LSTM once each. A chunk's budget is the real tokens of its
+    distinct contexts: at most `tokens` (default CHUNK_TOKENS), a longer
+    context being a chunk of its own; a run of instances sharing a
+    context is never cut. Yields (positions, ctx_idx, tgt_idx, layout) per
+    chunk: positions index instances in column order, ctx_idx holds the
+    distinct contexts, and layout holds the rest of forward's chunk
+    arguments (span, lengths, tgt_lengths, contexts).
     """
     budget = CHUNK_TOKENS if tokens is None else tokens
-    lengths = np.array([len(inst.context_ids) for inst in instances], dtype=np.int64)
-    order = np.argsort(lengths, kind="stable")
-    start = 0
-    for stop in range(1, len(order) + 1):
-        if stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= budget:
-            continue
-        rows = [instances[i] for i in order[start:stop]]
-        yield (order[start:stop],
-               _pad_time_major([inst.context_ids for inst in rows]),
-               _pad_time_major([inst.target_ids for inst in rows]),
-               [inst.span for inst in rows],
-               lengths[order[start:stop]])
-        start = stop
+    ids = [tuple(inst.context_ids) for inst in instances]
+    order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
+                     dtype=np.int64)
+    # where in order each distinct context's run of instances starts
+    firsts = [k for k in range(len(order)) if k == 0 or ids[order[k]] != ids[order[k - 1]]]
+    bounds = np.array(firsts + [len(order)])
+    cuts, used = [], 0
+    for g, k in enumerate(firsts):
+        if g == 0 or used + len(ids[order[k]]) > budget:
+            cuts.append(g)
+            used = 0
+        used += len(ids[order[k]])
+    for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
+        rows = order[bounds[g0]:bounds[g1]]
+        ctx_idx, lengths = _pad_time_major([ids[order[k]] for k in firsts[g0:g1]])
+        tgt_idx, tgt_lengths = _pad_time_major([instances[i].target_ids for i in rows])
+        yield rows, ctx_idx, tgt_idx, {
+            "span": [instances[i].span for i in rows],
+            "lengths": lengths,
+            "tgt_lengths": tgt_lengths,
+            "contexts": np.repeat(np.arange(g1 - g0), np.diff(bounds[g0:g1 + 1])),
+        }
 
 
 def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):

@@ -36,23 +36,31 @@ def softmax_stable(v, axis: int = -1):
     never overflow.
 
     Entries of -inf (used for masking) come out exactly zero; every slice
-    along axis needs at least one finite entry.
+    along axis needs at least one finite entry. A NaN entry is a numerical
+    fault, not a usage error, and raises FloatingPointError.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     hi = np.max(v, axis=axis, keepdims=True)
+    if np.isnan(hi).any():
+        raise FloatingPointError("softmax input holds NaN")
     if not np.isfinite(hi).all():
         raise ValueError("softmax input has no finite entry")
     e = np.exp(v - hi)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def sigmoid(x):
-    """Logistic function, stable on both tails."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5: one tanh, no exp to
+    overflow on either tail. out (x itself allowed) takes the result."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 tanh = np.tanh

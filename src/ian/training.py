@@ -4,8 +4,9 @@ The per-case loss is cross-entropy plus an L2 penalty on every 2-D weight
 matrix and on the embedding rows the case actually reads; biases and the
 pad row are never penalized. A batch's gradient is the average of its
 per-case gradients, so batch size 1 reproduces plain per-case updates.
-The batch runs as padded, length-sorted chunks (model.chunks), one
-forward and one backward pass per chunk, and its L2 term is applied once.
+The batch runs as the length-sorted chunks of model.chunks, one forward
+and one backward pass per chunk, each distinct context through the context
+LSTM once; its L2 term is applied once.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def _scatter_embedding_grads(table_grads, idx, d_emb):
 def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
     """Accumulate d(summed cross-entropy)/d(parameters) for one traced
     chunk, labels (B,). Consumes the trace: the LSTM backward passes
-    overwrite its gate arrays."""
+    overwrite its gate arrays, and the per-instance states and attention
+    traces leave it once read."""
     variant = trace["variant"]
     if variant == "majority":
         raise ValueError("the majority baseline has no gradients")
@@ -152,6 +154,9 @@ def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
     # the side states and to the averages they were built from
     route = ROUTES[variant]
     masks = trace["masks"]
+    # each activation is dropped from the trace once read, so the LSTM
+    # passes run without the chunk's per-instance states alongside
+    del trace["states"]
     d_states, d_avgs = {}, {}
     for k, (side, query) in enumerate(feature_sides(route)):
         d_pooled = dd[:, k * dh:(k + 1) * dh]
@@ -159,7 +164,7 @@ def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
             _accumulate(d_avgs, side, d_pooled)
         else:
             d_states[side], d_query = attention_backward(
-                getattr(params, f"{side}_attn"), trace[f"{side}_attn_trace"],
+                getattr(params, f"{side}_attn"), trace.pop(f"{side}_attn_trace"),
                 d_pooled, getattr(grads, f"{side}_attn"),
             )
             _accumulate(d_avgs, query, d_query)
@@ -168,7 +173,13 @@ def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
         mask = masks[side]
         _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
     for side in masks:  # context first, as in forward
-        d_emb = d_states[side]
+        d_emb = d_states.pop(side)
+        if side == "ctx":
+            # the instances of one context sit side by side; their
+            # gradients meet on the context's one LSTM run
+            contexts = trace["contexts"]
+            d_emb = np.add.reduceat(d_emb, np.flatnonzero(np.diff(contexts, prepend=-1)),
+                                    axis=1)
         if side == "ctx" or route.target == "lstm":
             d_emb = lstm_backward(getattr(params, f"{side}_lstm"), trace[f"{side}_lstm_trace"],
                                   d_emb, getattr(grads, f"{side}_lstm"))
@@ -190,15 +201,14 @@ def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
     labels = np.array([case.label for case in cases])
     loss = 0.0
     rows = []
-    for pos, ctx_idx, tgt_idx, spans, lengths in chunks(cases, chunk_tokens):
+    for pos, ctx_idx, tgt_idx, layout in chunks(cases, chunk_tokens):
         masks = None if drop_masks is None else drop_masks[pos]
-        probs, trace = forward(params, ctx_idx, tgt_idx, span=spans, dropout_mask=masks,
-                               lengths=lengths)
+        probs, trace = forward(params, ctx_idx, tgt_idx, dropout_mask=masks, **layout)
         if grads is not None:
             backward(params, trace, labels[pos], grads)
         del trace  # free this chunk's activations before the next forward
         loss += cross_entropy(probs, labels[pos])
-        rows.append(touched_rows(ctx_idx, tgt_idx))
+        rows.append(touched_rows(ctx_idx[:, layout["contexts"]], tgt_idx))
     return loss + _l2_term(params, np.concatenate(rows), len(cases), l2, grads)
 
 
@@ -244,6 +254,16 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+def _first_non_finite(params: ModelParams, grads: GradSet) -> str:
+    """Names the first array holding a non-finite entry, parameters before
+    gradients, each in named_arrays order; empty when all are finite."""
+    for kind, arrays in (("parameter", params.named_arrays()), ("gradient", grads.arrays())):
+        for name, arr in arrays:
+            if not np.isfinite(arr).all():
+                return f"; first non-finite {kind}: {name}"
+    return ""
+
+
 def fit_majority(params: ModelParams, instances):
     labels = np.array([inst.label for inst in instances])
     counts = np.bincount(labels, minlength=params.n_classes).astype(float)
@@ -280,13 +300,16 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
             batch = [instances[j] for j in order[lo:lo + config.batch_size]]
             masks = dropout_mask(rng, (len(batch), feat), config.dropout)
             grads.zero()
-            loss, _ = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,
-                                     grads=grads)
-            if not np.isfinite(loss):
+            try:
+                loss, _ = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,
+                                         grads=grads)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(f"loss became {loss}")
+            except FloatingPointError as err:
                 raise FloatingPointError(
-                    f"loss became {loss} at epoch {epoch}, "
-                    f"batch {lo // config.batch_size + 1}"
-                )
+                    f"{err} at epoch {epoch}, batch {lo // config.batch_size + 1}"
+                    f"{_first_non_finite(params, grads)}"
+                ) from None
             total_loss += loss
             grads.scale(1.0 / len(batch))
             if config.freeze_embeddings and grads.embeddings is not None:

@@ -6,14 +6,15 @@ products for the weight gradients. It reads only the per-gate names
 (Wi_w ... Wc_h, bi ... bc) of an LstmParams, so the fused package code and
 this loop run on the very same parameters. `reference_init` draws a fresh
 parameter set the way the loop-era constructor did; `chunk_forward` and
-`chunk_backward` run the loop on each sequence of a time-major chunk, so it
-can stand in for the package's chunk passes.
+`chunk_backward` run the loop on each sequence of a time-major chunk, over
+its own length, so it can stand in for the package's chunk passes.
 """
 
 import numpy as np
 
+from _per_case import sigmoid
 from ian.lstm import LstmParams
-from ian.numerics import sigmoid, tanh, uniform_init
+from ian.numerics import tanh, uniform_init
 
 
 def reference_init(rng, input_dim, hidden_dim):
@@ -124,13 +125,25 @@ def loop_lstm_backward(params, trace, d_hiddens, grads):
     return d_inputs
 
 
-def chunk_forward(params, inputs):
-    """loop_lstm_forward on each sequence of a time-major chunk (n, B, E)."""
-    runs = [loop_lstm_forward(params, inputs[:, b]) for b in range(inputs.shape[1])]
-    return np.stack([hiddens for hiddens, _ in runs], axis=1), {"rows": [t for _, t in runs]}
+def chunk_forward(params, inputs, lengths=None):
+    """loop_lstm_forward on each sequence of a time-major chunk (n, B, E),
+    row b over its first lengths[b] steps (default all n); states past a
+    row's end are zero."""
+    n, batch, _ = inputs.shape
+    lengths = [n] * batch if lengths is None else lengths
+    hiddens = np.zeros((n, batch, params.hidden_dim))
+    rows = []
+    for b, length in enumerate(lengths):
+        hiddens[:length, b], trace = loop_lstm_forward(params, inputs[:length, b])
+        rows.append(trace)
+    return hiddens, {"rows": rows, "shape": inputs.shape}
 
 
 def chunk_backward(params, trace, d_hiddens, grads):
-    """loop_lstm_backward on each sequence of a chunk traced by chunk_forward."""
-    return np.stack([loop_lstm_backward(params, t, d_hiddens[:, b], grads)
-                     for b, t in enumerate(trace["rows"])], axis=1)
+    """loop_lstm_backward on each sequence of a chunk traced by
+    chunk_forward; input gradients past a row's end are zero."""
+    d_inputs = np.zeros(trace["shape"])
+    for b, row in enumerate(trace["rows"]):
+        length = len(row["inputs"])
+        d_inputs[:length, b] = loop_lstm_backward(params, row, d_hiddens[:length, b], grads)
+    return d_inputs

@@ -16,7 +16,7 @@ import numpy as np
 from ian.data import Instance
 from ian.embeddings import PAD_INDEX
 from ian.model import ROUTES, feature_sides
-from ian.numerics import sigmoid, tanh
+from ian.numerics import tanh
 from ian.training import GradSet, momentum_step
 
 GATES = ("i", "f", "o", "c")
@@ -26,6 +26,14 @@ def case(ctx_idx, tgt_idx, span, label):
     """An Instance holding only what the passes read."""
     return Instance(context_tokens=(), target_tokens=(), context_ids=tuple(ctx_idx),
                     target_ids=tuple(tgt_idx), span=span, label=label, target_text="")
+
+
+def sigmoid(x):
+    """Logistic function, stable on both tails: the np.where form the
+    package computed before it moved to 0.5 * tanh(x / 2) + 0.5."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(v):

@@ -2,13 +2,16 @@
 
 _per_case.py holds the per-case model, loss and training loop. Every test
 here lowers the chunk budget (model.CHUNK_TOKENS) so that one batch runs as
-several chunks, each padded to its longest row. Chunking changes the order
-of floating-point sums (GEMMs over all rows of a chunk, gradients added
-chunk by chunk, the L2 term once per batch), so the results agree to
-rounding: the loss and every gradient array within 1e-10 absolute, a
-seeded training run within 1e-9, and predicted labels exactly.
+several chunks, each running its distinct contexts through the context LSTM
+once, on packed steps. Chunking changes the order of floating-point sums
+(GEMMs over all rows of a chunk, the gradients of a shared context summed
+before its LSTM backward pass, gradients added chunk by chunk, the L2 term
+once per batch), so the results agree to rounding: the loss and every
+gradient array within 1e-10 absolute, a seeded training run within 1e-9,
+and predicted labels exactly.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +23,7 @@ import ian.model
 from _per_case import case, case_loss_and_grads, case_predict, case_train
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.evaluate import predict_all
-from ian.model import VARIANTS, ModelParams
+from ian.model import VARIANTS, ModelParams, chunks
 from ian.numerics import Rng
 from ian.training import GradSet, TrainConfig, dropout_mask, loss_and_grads, train
 
@@ -62,6 +65,23 @@ def cases(draw, max_cases=7):
     return batch
 
 
+@st.composite
+def shared_contexts(draw):
+    """A batch in which each of 1-3 contexts (3-12 tokens, trailing pads
+    or none) is repeated with 2-4 different targets, mixed in a drawn
+    order with up to 3 ragged cases of `cases`."""
+    batch = draw(cases(max_cases=3))
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(3, 12))
+        ctx = draw(st.lists(st.integers(1, len(VOCAB) - 1), min_size=n, max_size=n))
+        pads = [PAD_INDEX] * draw(st.integers(0, 2))
+        spans = [(start, start + m) for m in (1, 2, 3) for start in range(n - m + 1)]
+        for start, end in draw(st.lists(st.sampled_from(spans), min_size=2, max_size=4,
+                                        unique=True)):
+            batch.append(case(ctx + pads, ctx[start:end], (start, end), draw(st.integers(0, 2))))
+    return draw(st.permutations(batch))
+
+
 def per_case_sums(params, batch, l2, masks):
     grads = GradSet(params)
     loss = 0.0
@@ -90,6 +110,54 @@ def test_batch_loss_and_grads_equal_per_case_sums(variant, tie, batch, dropout, 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
         assert_batch_equals_per_case(params, batch, l2, masks)
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+@PROPERTY
+@given(batch=shared_contexts(), dropout=st.booleans(), l2=st.sampled_from([0.0, 1e-3]))
+def test_shared_contexts_equal_per_case(variant, tie, batch, dropout, l2):
+    params = make_model(variant, tie)
+    masks = dropout_mask(Rng(len(batch)), (len(batch), params.feature_dim()),
+                         0.5 if dropout else 0.0)
+    spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        assert_batch_equals_per_case(params, batch, l2, masks)
+        assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
+
+
+@PROPERTY
+@given(batch=shared_contexts(), budget=st.integers(1, 30))
+def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget):
+    seen, chunk_contexts = [], []
+    for pos, ctx_idx, tgt_idx, layout in chunks(batch, budget):
+        lengths, contexts = layout["lengths"], layout["contexts"]
+        distinct = [tuple(ctx_idx[:length, g]) for g, length in enumerate(lengths)]
+        # one column per distinct context, its instances side by side
+        assert len(set(distinct)) == len(distinct)
+        assert np.array_equal(contexts, np.sort(contexts))
+        assert [distinct[g] for g in contexts] == [tuple(batch[i].context_ids) for i in pos]
+        for b, i in enumerate(pos):
+            length = layout["tgt_lengths"][b]
+            assert tuple(tgt_idx[:length, b]) == tuple(batch[i].target_ids)
+            assert layout["span"][b] == batch[i].span
+        # the budget counts each distinct context's tokens once
+        assert sum(lengths) <= budget or len(lengths) == 1
+        seen += list(pos)
+        chunk_contexts.append(set(distinct))
+    assert sorted(seen) == list(range(len(batch)))
+    for a, b in itertools.combinations(chunk_contexts, 2):
+        assert not a & b  # no run of one context is cut across chunks
+
+
+def test_chunk_budget_counts_a_shared_context_once():
+    ctx = [3, 4, 5, 6, 7]
+    batch = [case(ctx, ctx[k:k + 1], (k, k + 1), 0) for k in range(5)]
+    batch.append(case([8, 9], [9], (1, 2), 1))
+    (pos, ctx_idx, tgt_idx, layout), = chunks(batch, 7)  # 25 instance tokens, 7 distinct
+    assert ctx_idx.shape == (5, 2) and list(layout["lengths"]) == [5, 2]
+    assert list(layout["contexts"]) == [0, 0, 0, 0, 0, 1]
+    assert len(list(chunks(batch, 6))) == 2
 
 
 def test_batch_equals_per_case_at_paper_dims(monkeypatch):

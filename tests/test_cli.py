@@ -159,6 +159,38 @@ def test_clip_norm_rejects_a_word_other_than_none(capsys):
     assert "--clip-norm" in capsys.readouterr().err
 
 
+TRAIN_ARGS = ["train", "--category", "laptop", "--embed-dim", "3", "--hidden-dim", "3",
+              "--epochs", "1"]
+GRADCHECK_ARGS = ["gradcheck", "--embed-dim", "3", "--hidden-dim", "3"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (TRAIN_ARGS, "--epochs"), (TRAIN_ARGS, "--embed-dim"), (TRAIN_ARGS, "--hidden-dim"),
+    (TRAIN_ARGS, "--batch-size"), (GRADCHECK_ARGS, "--embed-dim"),
+    (GRADCHECK_ARGS, "--hidden-dim"), (GRADCHECK_ARGS, "--ctx-len"),
+    (GRADCHECK_ARGS, "--tgt-len"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_flags_take_positive_integers_only(tmp_path, capsys, argv, flag, value):
+    out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "train" else []
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *out_dir, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expects a positive integer, got {value}" in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no history
+
+
+def test_count_flag_in_a_config_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 0\n", encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    line = assert_one_error_line_naming(capsys, cfg)
+    assert "config key epochs: expects a positive integer, got 0" in line
+    assert not (tmp_path / "out").exists()
+
+
 # --- stats ----------------------------------------------------------------
 
 

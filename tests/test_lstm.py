@@ -127,3 +127,25 @@ def test_backward_accumulates_into_existing_grads():
     lstm_backward(p, lstm_forward(p, x)[1], d, twice)
     assert np.allclose(twice.Wi_w, 2.0 * once.Wi_w)
     assert np.allclose(twice.bc, 2.0 * once.bc)
+
+
+def test_packed_rows_equal_each_row_run_alone():
+    rng = Rng(40)
+    p = LstmParams(rng, 5, 4)
+    p.b[...] = rng.uniform(-0.1, 0.1, p.b.shape)
+    lengths = [7, 1, 60]  # not longest first: the pass orders the rows itself
+    x = rng.uniform(-1, 1, (60, 3, 5))
+    d = rng.uniform(-1, 1, (60, 3, 4))
+    packed = zero_grads(p)
+    hiddens, trace = lstm_forward(p, x, lengths)
+    d_inputs = lstm_backward(p, trace, d, packed)
+    alone = zero_grads(p)
+    for b, n in enumerate(lengths):
+        h, t = lstm_forward(p, x[:n, b:b + 1])
+        assert np.max(np.abs(hiddens[:n, b] - h[:, 0])) <= 1e-12
+        assert not hiddens[n:, b].any()
+        d_x = lstm_backward(p, t, d[:n, b:b + 1], alone)
+        assert np.max(np.abs(d_inputs[:n, b] - d_x[:, 0])) <= 1e-12
+        assert not d_inputs[n:, b].any()
+    for name, _ in p.named_arrays():
+        assert np.max(np.abs(getattr(packed, name) - getattr(alone, name))) <= 1e-12, name

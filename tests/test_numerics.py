@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from _per_case import sigmoid as where_sigmoid
 from ian.numerics import (
     Rng,
     sigmoid,
@@ -65,6 +68,18 @@ def test_sigmoid_extreme_arguments_stay_finite():
         hi = sigmoid(np.array([1e4]))
     assert 0.0 <= lo[0] < 1e-300 or lo[0] == 0.0
     assert hi[0] == 1.0
+
+
+def test_sigmoid_agrees_with_the_where_form_without_warnings():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), Rng(5).uniform(-40, 40, 10_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ref = where_sigmoid(x)
+        got = sigmoid(x)
+        in_place = x.copy()
+        sigmoid(in_place, out=in_place)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    assert np.array_equal(in_place, got)
 
 
 def test_tanh_is_odd():

@@ -327,6 +327,32 @@ def test_nan_loss_aborts_with_diagnostics(monkeypatch):
         train(params, instances, TrainConfig(epochs=1), rng)
 
 
+def test_nan_abort_names_the_first_non_finite_parameter():
+    vocab, instances = synthetic_separable()
+    rng = Rng(37)
+    params = ModelParams(rng, vocab, variant="ian", embed_dim=4, hidden_dim=4)
+    params.ctx_lstm.Wi_w[1, 2] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"epoch 1, batch 1; first non-finite parameter: ctx_lstm\.Wi_w$"):
+        train(params, instances, TrainConfig(epochs=1), rng)
+
+
+def test_nan_abort_names_the_first_non_finite_gradient(monkeypatch):
+    import ian.training as training_module
+
+    def poisoned(params, cases, grads=None, **kwargs):
+        grads["tgt_attn.W_a"][0, 0] = np.inf
+        grads["W_l"][0, 0] = np.nan
+        return float("nan"), grads
+
+    monkeypatch.setattr(training_module, "loss_and_grads", poisoned)
+    vocab, instances = synthetic_separable()
+    rng = Rng(37)
+    params = ModelParams(rng, vocab, variant="ian", embed_dim=4, hidden_dim=4)
+    with pytest.raises(FloatingPointError, match=r"first non-finite gradient: tgt_attn\.W_a$"):
+        train(params, instances, TrainConfig(epochs=1), rng)
+
+
 def test_cross_entropy_clamps_vanished_gold_probability():
     with pytest.warns(UserWarning):
         value = cross_entropy(np.array([1.0, 0.0, 0.0]), 1)
