@@ -22,6 +22,7 @@ from .data import (
     build_vocab,
     dataset_stats,
     dump_instances,
+    find_term,
     load_category,
     load_reviews,
     render_stats,
@@ -31,13 +32,13 @@ from .data import (
 from .embeddings import load_pretrained
 from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
 from .gradcheck import GROUPS, check_tiny_model
-from .model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
+from .model import LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .training import TrainConfig, train
 from .viz import write_attention_files
 
 # every variant with trainable parameters
-GRADCHECK_VARIANTS = tuple(v for v in VARIANTS if v != "majority")
+GRADCHECK_VARIANTS = tuple(ROUTES)
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -240,9 +241,7 @@ def _instance_from_line(params, sentence, target, gold=None, start=None):
     found, build_instances searches the sentence tokens for it instead.
     """
     if start is None:
-        start = sentence.find(target)
-        if start < 0:
-            start = sentence.lower().find(target.lower())
+        start = find_term(sentence, target)
     end = start + len(target) if start >= 0 else 0
     review = RawReview(
         text=sentence,
@@ -309,6 +308,10 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if (args.embed_dim is None) != (args.hidden_dim is None):
         print("error: give both --embed-dim and --hidden-dim or neither", file=sys.stderr)
+        return 2
+    if args.tgt_len > args.ctx_len:
+        print(f"error: --tgt-len {args.tgt_len} is longer than --ctx-len {args.ctx_len}",
+              file=sys.stderr)
         return 2
     if args.variant == "all":
         if args.tie_attention:

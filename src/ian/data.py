@@ -122,6 +122,13 @@ def _collapse_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+def find_term(text: str, term: str) -> int:
+    """Character offset of the first occurrence of term in text: an exact
+    match first, else a case-insensitive one; -1 when neither exists."""
+    pos = text.find(term)
+    return pos if pos >= 0 else text.lower().find(term.lower())
+
+
 def parse_semeval_xml(path: str):
     """Parse one review XML file.
 
@@ -163,9 +170,7 @@ def parse_semeval_xml(path: str):
             snippet = text[start:end]
             if snippet != term and _collapse_ws(snippet) != _collapse_ws(term):
                 # best-effort realignment: find the term text elsewhere
-                pos = text.find(term)
-                if pos < 0:
-                    pos = text.lower().find(term.lower())
+                pos = find_term(text, term)
                 realigned += 1
                 if pos >= 0:
                     warnings.warn(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Instance
 from .embeddings import PAD_INDEX, Vocabulary
-from .model import ModelParams
+from .model import LABELS, ModelParams
 from .numerics import Rng
 from .training import batch_loss, loss_and_grads
 
@@ -49,13 +49,13 @@ def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-5,
-                   corrupt_group: str | None = None, corrupt_scale: float = 2.0,
-                   details: dict | None = None, chunk_tokens: int | None = None):
+                   corrupt_group: str | None = None, details: dict | None = None,
+                   chunk_tokens: int | None = None):
     """Max relative error of analytic vs numeric gradients of the batch
     loss over cases, per group.
 
     chunk_tokens is passed to the batch loss, so a small budget checks the
-    loss summed over several chunks. corrupt_group scales that group's
+    loss summed over several chunks. corrupt_group doubles that group's
     analytic gradients so the check must flag it; leave it None for a real
     verification. When a details dict is passed, it is filled with the
     worst coordinate per group as (parameter name, index, analytic,
@@ -67,7 +67,7 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
             raise ValueError(f"unknown gradient group {corrupt_group!r}")
         for name, arr in grads.arrays():
             if group_of(name) == corrupt_group:
-                arr *= corrupt_scale
+                arr *= 2.0
 
     def objective():
         return batch_loss(params, cases, l2=l2, chunk_tokens=chunk_tokens)
@@ -94,7 +94,7 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
 
 
 def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
-                     n_ctx: int = 4, n_tgt: int = 2, vocab_size: int = 8,
+                     n_ctx: int = 4, n_tgt: int = 2,
                      variant: str = "ian", tie_attention: bool = False,
                      l2: float = 0.01, eps: float = 1e-5,
                      corrupt_group: str | None = None, details: dict | None = None):
@@ -108,19 +108,19 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
     span included, is exercised. Returns (errors, elapsed_seconds).
     """
     rng = Rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)])
+    vocab = Vocabulary([f"w{i}" for i in range(8)])
     params = ModelParams(rng, vocab, variant=variant, embed_dim=embed_dim,
                          hidden_dim=hidden_dim, tie_attention=tie_attention)
     cases = []
     for extra in range(3):
         # the middle case is n_ctx tokens plus a trailing pad
-        ctx_idx = rng.integers(1, vocab_size + 1, n_ctx + 2 * (extra == 2))
+        ctx_idx = rng.integers(1, len(vocab), n_ctx + 2 * (extra == 2))
         start = int(rng.integers(0, n_ctx - n_tgt + 1))
         tgt_idx = ctx_idx[start:start + n_tgt]
         if extra == 1:
             ctx_idx = np.append(ctx_idx, PAD_INDEX)
             tgt_idx = np.append(tgt_idx, PAD_INDEX)
-        label = int(rng.integers(0, params.n_classes))
+        label = int(rng.integers(0, len(LABELS)))
         cases.append(Instance(context_tokens=(), target_tokens=(),
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + n_tgt), label=label, target_text=""))

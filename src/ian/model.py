@@ -1,13 +1,15 @@
-"""Model variants for aspect-level sentiment classification.
+"""Model variants for aspect-level sentiment classification, and their
+forward and backward passes.
 
 The full model ("ian") encodes the sentence and the aspect term with two
 LSTMs, averages each side, attends each sequence with the other side's
 average as the query, concatenates the two pooled vectors and classifies
 with a tanh layer plus softmax.
 
-The ablations reuse those parts. ROUTES below is the single declaration of
-how each of them is wired: the target side's encoder, and which side's
-average queries each attention (None pools that side by its plain mean).
+The ablations and the TD-LSTM baseline reuse those parts. ROUTES below is
+the single declaration of how each of them is wired: the target side's
+encoder, and how each side is pooled into the classifier input. One
+forward pass and one backward pass serve them all.
 
   no_target       one LSTM over the sentence, attended with the average of
                   the raw target word embeddings; classifier sees only the
@@ -17,12 +19,12 @@ average queries each attention (None pools that side by its plain mean).
   target2content  sentence attended by the target average; the target side
                   contributes its plain LSTM average, unattended.
   lstm_avg        one LSTM over the sentence, mean-pooled, no attention.
-
-Two baselines are built differently and keep their own code paths:
-
   td_lstm         two LSTMs meeting at the target: left-to-right up to the
                   end of the target span, right-to-left down to its start;
                   final hidden states are concatenated.
+
+One baseline is built differently and keeps its own code path:
+
   majority        predicts the training label distribution, ignoring text.
 
 Class order everywhere: positive=0, neutral=1, negative=2.
@@ -37,9 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, attend
+from .attention import AttentionParams, attend, attention_backward
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
-from .lstm import LstmParams, lstm_forward
+from .lstm import LstmParams, lstm_backward, lstm_forward
 from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
 
 LABELS = ("positive", "neutral", "negative")
@@ -50,26 +52,30 @@ class Route(NamedTuple):
     """How one variant wires the shared parts.
 
     target is the target side's encoder: "lstm", "embed" (the raw word
-    vectors) or None (no target side). ctx_query and tgt_query name the
-    side, "ctx" or "tgt", whose average queries that side's attention;
-    None pools the side by its plain mean instead. The target side joins
-    the classifier input only when it has its own LSTM.
+    vectors), "span" (the context cut at the target span: the context
+    side reads up to the span's end, the target side reads reversed down
+    to its start, each with its own LSTM) or None (no target side).
+    ctx_pool and tgt_pool say how that side becomes a vector of the
+    classifier input: "ctx" or "tgt" attends it with that side's average
+    as the query, "mean" takes its plain mean and "last" its final state.
+    A side without a pool stays out of the classifier input.
     """
 
     target: str | None
-    ctx_query: str | None
-    tgt_query: str | None
+    ctx_pool: str | None
+    tgt_pool: str | None
 
 
 ROUTES = {
-    "ian": Route("lstm", ctx_query="tgt", tgt_query="ctx"),
-    "no_target": Route("embed", ctx_query="tgt", tgt_query=None),
-    "no_interaction": Route("lstm", ctx_query="ctx", tgt_query="tgt"),
-    "target2content": Route("lstm", ctx_query="tgt", tgt_query=None),
-    "lstm_avg": Route(None, ctx_query=None, tgt_query=None),
+    "ian": Route("lstm", ctx_pool="tgt", tgt_pool="ctx"),
+    "no_target": Route("embed", ctx_pool="tgt", tgt_pool=None),
+    "no_interaction": Route("lstm", ctx_pool="ctx", tgt_pool="tgt"),
+    "target2content": Route("lstm", ctx_pool="tgt", tgt_pool="mean"),
+    "lstm_avg": Route(None, ctx_pool="mean", tgt_pool=None),
+    "td_lstm": Route("span", ctx_pool="last", tgt_pool="last"),
 }
 
-VARIANTS = (*ROUTES, "td_lstm", "majority")
+VARIANTS = (*ROUTES, "majority")
 
 CHECKPOINT_FORMAT = 1
 
@@ -80,15 +86,15 @@ CHUNK_TOKENS = 256
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
-LAYOUT = ("variant", "tie_attention", "embed_dim", "hidden_dim", "n_classes")
+LAYOUT = ("variant", "tie_attention", "embed_dim", "hidden_dim")
 
 
 def feature_sides(route: Route):
-    """(side, query side) per pooled vector of the classifier input, in
+    """(side, pool) per pooled vector of the classifier input, in
     concatenation order."""
-    if route.target == "lstm":
-        return (("ctx", route.ctx_query), ("tgt", route.tgt_query))
-    return (("ctx", route.ctx_query),)
+    return tuple((side, pool) for side, pool in (("ctx", route.ctx_pool),
+                                                  ("tgt", route.tgt_pool))
+                 if pool is not None)
 
 
 class ModelParams:
@@ -108,20 +114,18 @@ class ModelParams:
         variant: str = "ian",
         embed_dim: int = 300,
         hidden_dim: int = 300,
-        n_classes: int = len(LABELS),
         tie_attention: bool = False,
         embeddings=None,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         route = ROUTES.get(variant)
-        if tie_attention and (route is None or route.tgt_query is None):
+        if tie_attention and (route is None or route.tgt_pool not in ("ctx", "tgt")):
             raise ValueError(f"variant {variant!r} has no second attention to tie")
         self.variant = variant
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
-        self.n_classes = n_classes
         self.tie_attention = tie_attention
 
         self.embeddings = None
@@ -133,8 +137,8 @@ class ModelParams:
         self.b_l = None
         self.class_priors = None
 
-        if variant == "majority":
-            self.class_priors = np.full(n_classes, 1.0 / n_classes)
+        if route is None:  # majority
+            self.class_priors = np.full(len(LABELS), 1.0 / len(LABELS))
             return
 
         if embeddings is not None:
@@ -150,31 +154,28 @@ class ModelParams:
             self.embeddings = random_embeddings(rng, vocab, embed_dim)
 
         self.ctx_lstm = LstmParams(rng, embed_dim, hidden_dim)
-        if route is None or route.target == "lstm":  # td_lstm has no route, two LSTMs
+        if route.target in ("lstm", "span"):
             self.tgt_lstm = LstmParams(rng, embed_dim, hidden_dim)
-        if route is not None:
-            # an average of raw target embeddings is embed_dim wide, so the
-            # score matrix it queries is hidden_dim x embed_dim
-            query_dim = {"ctx": hidden_dim,
-                         "tgt": embed_dim if route.target == "embed" else hidden_dim}
-            if route.ctx_query is not None:
-                self.ctx_attn = AttentionParams(rng, hidden_dim, query_dim[route.ctx_query])
-            if tie_attention:
-                self.tgt_attn = self.ctx_attn
-            elif route.tgt_query is not None:
-                self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_query])
+        # an average of raw target embeddings is embed_dim wide, so the
+        # score matrix it queries is hidden_dim x embed_dim
+        query_dim = {"ctx": hidden_dim,
+                     "tgt": embed_dim if route.target == "embed" else hidden_dim}
+        if route.ctx_pool in query_dim:
+            self.ctx_attn = AttentionParams(rng, hidden_dim, query_dim[route.ctx_pool])
+        if tie_attention:
+            self.tgt_attn = self.ctx_attn
+        elif route.tgt_pool in query_dim:
+            self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_pool])
 
         feat = self.feature_dim()
-        self.W_l = uniform_init(rng, n_classes, feat)
-        self.b_l = np.zeros(n_classes)
+        self.W_l = uniform_init(rng, len(LABELS), feat)
+        self.b_l = np.zeros(len(LABELS))
 
     def layout(self) -> dict:
         return {key: getattr(self, key) for key in LAYOUT}
 
     def feature_dim(self) -> int:
-        route = ROUTES.get(self.variant)
-        parts = 2 if route is None else len(feature_sides(route))  # td_lstm: 2
-        return parts * self.hidden_dim
+        return len(feature_sides(ROUTES[self.variant])) * self.hidden_dim
 
     def named_arrays(self, trainable_only: bool = True):
         """Yield (name, array) for every distinct parameter array.
@@ -252,8 +253,7 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
     single = np.ndim(ctx_idx) == 1
     if params.variant == "majority":
         priors = params.class_priors.copy()
-        return (priors if single else np.tile(priors, (np.shape(tgt_idx)[1], 1)),
-                {"variant": params.variant})
+        return (priors if single else np.tile(priors, (np.shape(tgt_idx)[1], 1))), {}
     ctx_idx = np.asarray(ctx_idx, dtype=np.int64)
     tgt_idx = np.asarray(tgt_idx, dtype=np.int64)
     if single:
@@ -263,14 +263,9 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
     n, groups = ctx_idx.shape
     lengths = np.full(groups, n) if lengths is None else np.asarray(lengths)
     contexts = np.arange(groups) if contexts is None else np.asarray(contexts)
-    trace = {"variant": params.variant, "ctx_idx": ctx_idx, "tgt_idx": tgt_idx,
-             "contexts": contexts}
-    if params.variant == "td_lstm":
-        features = _td_lstm_features(params, ctx_idx[:, contexts], span, lengths[contexts],
-                                     trace)
-    else:
-        features = _routed_features(params, ctx_idx, tgt_idx, lengths, tgt_lengths, trace)
-    probs = _classify(params, features, dropout_mask, trace)
+    route = ROUTES[params.variant]
+    trace = {"sides": _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts)}
+    probs = _classify(params, _features(params, route, trace), dropout_mask, trace)
     if single:
         for key in ("ctx_weights", "tgt_weights"):
             if key in trace:
@@ -280,58 +275,123 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
     return probs, trace
 
 
-def _td_lstm_features(params, ctx_idx, span, lengths, trace):
-    """Final states of the two LSTMs meeting at the target: left-to-right
-    up to each row's target end, right-to-left from each row's own end
-    down to its target start. Each side runs on its own id array and row
-    lengths, one row per instance, as the span sets where they start."""
+def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
+    """(side, ids, row lengths, gather) per side the route encodes,
+    context first. ids is time-major; gather, when not None, is the ids
+    column of each instance: the distinct contexts run once each and
+    serve all their instances."""
+    if route.target != "span":
+        sides = [("ctx", ctx_idx, lengths, contexts)]
+        if route.target is not None:
+            sides.append(("tgt", tgt_idx, tgt_lengths, None))
+        return sides
     if span is None:
         raise ValueError("td_lstm needs the target span inside the context")
-    n, batch = ctx_idx.shape
-    span = np.asarray(span, dtype=np.int64).reshape(batch, 2)
+    # where each side starts depends on the span: one row per instance
+    ctx_idx, lengths = ctx_idx[:, contexts], lengths[contexts]
+    span = np.asarray(span, dtype=np.int64).reshape(len(contexts), 2)
     # a span reaching past the row's end is cut there, as a slice would be
     start, end = span[:, 0], np.minimum(span[:, 1], lengths)
-    steps = np.arange(n)[:, None]
-    left_idx = np.where(steps[:end.max()] < end, ctx_idx[:end.max()], PAD_INDEX)
-    rev = lengths - 1 - steps[:(lengths - start).max()]
-    right_idx = np.where(rev >= start,
-                         np.take_along_axis(ctx_idx, np.maximum(rev, 0), axis=0), PAD_INDEX)
-    finals = []
-    for side, lstm, idx, last in (("left", params.ctx_lstm, left_idx, end),
-                                  ("right", params.tgt_lstm, right_idx, lengths - start)):
-        hiddens, trace[f"{side}_trace"] = lstm_forward(lstm, lookup(params.embeddings, idx),
-                                                       last)
-        finals.append(hiddens[last - 1, np.arange(batch)])
-        trace[f"{side}_idx"], trace[f"{side}_last"] = idx, last
-    return np.concatenate(finals, axis=1)
+    rev = lengths - 1 - np.arange(len(ctx_idx))[:(lengths - start).max(), None]
+    return [("ctx", ctx_idx[:end.max()], end, None),
+            ("tgt", np.take_along_axis(ctx_idx, np.maximum(rev, 0), axis=0),
+             lengths - start, None)]
 
 
-def _routed_features(params, ctx_idx, tgt_idx, lengths, tgt_lengths, trace):
-    route = ROUTES[params.variant]
-    contexts = trace["contexts"]
-    ctx_h, trace["ctx_lstm_trace"] = lstm_forward(params.ctx_lstm,
-                                                  lookup(params.embeddings, ctx_idx), lengths)
-    # each distinct context ran once; its states serve all its instances
-    states = {"ctx": ctx_h[:, contexts]}
-    masks = {"ctx": (ctx_idx != PAD_INDEX)[:, contexts]}
-    if route.target is not None:
-        masks["tgt"] = tgt_idx != PAD_INDEX
-        states["tgt"] = lookup(params.embeddings, tgt_idx)
-        if route.target == "lstm":
-            states["tgt"], trace["tgt_lstm_trace"] = lstm_forward(
-                params.tgt_lstm, states["tgt"], tgt_lengths)
-    avgs = {side: masked_mean(states[side], masks[side]) for side in states}
-    trace.update(states=states, masks=masks)
+def _features(params, route, trace):
+    """Encode each side of trace["sides"], through its LSTM if it has one,
+    then pool the sides the classifier reads into its input (B,
+    feature_dim)."""
+    states, masks, lengths = {}, {}, {}
+    for side, ids, lens, gather in trace["sides"]:
+        rows = lookup(params.embeddings, ids)
+        lstm = getattr(params, f"{side}_lstm")
+        if lstm is not None:
+            rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, rows, lens)
+        if gather is not None:
+            rows, ids, lens = rows[:, gather], ids[:, gather], lens[gather]
+        states[side], masks[side], lengths[side] = rows, ids != PAD_INDEX, lens
+    trace.update(states=states, masks=masks, lengths=lengths)
 
     pooled = []
-    for side, query in feature_sides(route):
-        if query is None:
-            vec = avgs[side]
+    for side, pool in feature_sides(route):
+        if pool == "last":
+            vec = states[side][lengths[side] - 1, np.arange(len(lengths[side]))]
+        elif pool == "mean":
+            vec = masked_mean(states[side], masks[side])
         else:
             vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
-                getattr(params, f"{side}_attn"), states[side], avgs[query], masks[side])
+                getattr(params, f"{side}_attn"), states[side],
+                masked_mean(states[pool], masks[pool]), masks[side])
         pooled.append(vec)
     return np.concatenate(pooled, axis=1)
+
+
+def _accumulate(total: dict, key: str, grad: np.ndarray):
+    total[key] = total[key] + grad if key in total else grad
+
+
+def backward(params: ModelParams, trace: dict, labels, grads):
+    """Accumulate d(summed cross-entropy)/d(parameters) for one traced
+    chunk, labels (B,), into grads (a zero twin of params).
+
+    It replays forward's sides and pools in reverse: each pooled vector
+    back to its side's states and to the averages it was built from, each
+    side back through its LSTM if it has one, onto the embedding rows it
+    read. Consumes the trace: the LSTM backward passes overwrite its gate
+    arrays, and the per-instance states and attention traces leave it
+    once read."""
+    if params.variant == "majority":
+        raise ValueError("the majority baseline has no gradients")
+
+    probs = trace["probs"]
+    rows = np.arange(probs.shape[0])
+    dz = probs.copy()
+    dz[rows, labels] -= 1.0
+    dz *= 1.0 - trace["x"] ** 2
+    grads.W_l += dz.T @ trace["dropped"]
+    grads.b_l += dz.sum(axis=0)
+    dd = dz @ params.W_l
+    if trace["dropout_mask"] is not None:
+        dd *= trace["dropout_mask"]
+
+    dh = params.hidden_dim
+    masks, lengths = trace["masks"], trace["lengths"]
+    # each activation is dropped from the trace once read, so the LSTM
+    # passes run without the chunk's per-instance states alongside
+    del trace["states"]
+    d_states, d_avgs = {}, {}
+    for k, (side, pool) in enumerate(feature_sides(ROUTES[params.variant])):
+        d_pooled = dd[:, k * dh:(k + 1) * dh]
+        if pool == "last":
+            d_last = np.zeros((*masks[side].shape, dh))
+            d_last[lengths[side] - 1, rows] = d_pooled
+            _accumulate(d_states, side, d_last)
+        elif pool == "mean":
+            _accumulate(d_avgs, side, d_pooled)
+        else:
+            d_states[side], d_query = attention_backward(
+                getattr(params, f"{side}_attn"), trace.pop(f"{side}_attn_trace"),
+                d_pooled, getattr(grads, f"{side}_attn"),
+            )
+            _accumulate(d_avgs, pool, d_query)
+    for side, d_avg in d_avgs.items():
+        # a masked mean spreads its gradient evenly over the selected rows
+        mask = masks[side]
+        _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
+    for side, ids, _, gather in trace["sides"]:
+        d_emb = d_states.pop(side)
+        if gather is not None:
+            # the instances of one context sit side by side; their
+            # gradients meet on the context's one run
+            d_emb = np.add.reduceat(d_emb, np.flatnonzero(np.diff(gather, prepend=-1)),
+                                    axis=1)
+        lstm = getattr(params, f"{side}_lstm")
+        if lstm is not None:
+            d_emb = lstm_backward(lstm, trace[f"{side}_lstm_trace"], d_emb,
+                                  getattr(grads, f"{side}_lstm"))
+        real = ids != PAD_INDEX
+        np.add.at(grads.embeddings, ids[real], d_emb[real])
 
 
 def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:

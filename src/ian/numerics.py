@@ -66,8 +66,6 @@ def sigmoid(x, out=None):
 tanh = np.tanh
 
 
-def uniform_init(rng: Rng, rows: int, cols: int, lo: float = -0.1, hi: float = 0.1) -> Matrix:
-    """Matrix with i.i.d. entries from U(lo, hi), deterministic given the rng."""
-    if not lo < hi:
-        raise ValueError(f"uniform_init needs lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, (rows, cols))
+def uniform_init(rng: Rng, rows: int, cols: int) -> Matrix:
+    """Matrix with i.i.d. entries from U(-0.1, 0.1), deterministic given the rng."""
+    return rng.uniform(-0.1, 0.1, (rows, cols))

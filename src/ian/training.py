@@ -1,4 +1,4 @@
-"""Loss, hand-derived backward pass, and momentum SGD training.
+"""Loss, gradients (through model.backward) and momentum SGD training.
 
 The per-case loss is cross-entropy plus an L2 penalty on every 2-D weight
 matrix and on the embedding rows the case actually reads; biases and the
@@ -16,11 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attention_backward
-from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
-from .lstm import lstm_backward
-from .model import ROUTES, ModelParams, chunks, feature_sides, forward, touched_rows
+from .model import LABELS, ModelParams, backward, chunks, forward, touched_rows
 from .numerics import Rng, ZeroInit
 
 
@@ -110,82 +107,6 @@ def _l2_term(params: ModelParams, rows: np.ndarray, n_cases: int, l2: float,
     return l2 * total
 
 
-def _accumulate(total: dict, key: str, grad: np.ndarray):
-    total[key] = total[key] + grad if key in total else grad
-
-
-def _scatter_embedding_grads(table_grads, idx, d_emb):
-    real = idx != PAD_INDEX
-    np.add.at(table_grads, idx[real], d_emb[real])
-
-
-def backward(params: ModelParams, trace: dict, labels, grads: GradSet):
-    """Accumulate d(summed cross-entropy)/d(parameters) for one traced
-    chunk, labels (B,). Consumes the trace: the LSTM backward passes
-    overwrite its gate arrays, and the per-instance states and attention
-    traces leave it once read."""
-    variant = trace["variant"]
-    if variant == "majority":
-        raise ValueError("the majority baseline has no gradients")
-
-    probs = trace["probs"]
-    rows = np.arange(probs.shape[0])
-    dz = probs.copy()
-    dz[rows, labels] -= 1.0
-    dz *= 1.0 - trace["x"] ** 2
-    grads.W_l += dz.T @ trace["dropped"]
-    grads.b_l += dz.sum(axis=0)
-    dd = dz @ params.W_l
-    if trace["dropout_mask"] is not None:
-        dd *= trace["dropout_mask"]
-
-    dh = params.hidden_dim
-    if variant == "td_lstm":
-        for k, (side, lstm) in enumerate((("left", "ctx_lstm"), ("right", "tgt_lstm"))):
-            idx = trace[f"{side}_idx"]
-            d_hiddens = np.zeros((*idx.shape, dh))
-            d_hiddens[trace[f"{side}_last"] - 1, rows] = dd[:, k * dh:(k + 1) * dh]
-            d_emb = lstm_backward(getattr(params, lstm), trace[f"{side}_trace"], d_hiddens,
-                                  getattr(grads, lstm))
-            _scatter_embedding_grads(grads.embeddings, idx, d_emb)
-        return
-
-    # mirror of the routed part of model.forward: pooled vectors back to
-    # the side states and to the averages they were built from
-    route = ROUTES[variant]
-    masks = trace["masks"]
-    # each activation is dropped from the trace once read, so the LSTM
-    # passes run without the chunk's per-instance states alongside
-    del trace["states"]
-    d_states, d_avgs = {}, {}
-    for k, (side, query) in enumerate(feature_sides(route)):
-        d_pooled = dd[:, k * dh:(k + 1) * dh]
-        if query is None:
-            _accumulate(d_avgs, side, d_pooled)
-        else:
-            d_states[side], d_query = attention_backward(
-                getattr(params, f"{side}_attn"), trace.pop(f"{side}_attn_trace"),
-                d_pooled, getattr(grads, f"{side}_attn"),
-            )
-            _accumulate(d_avgs, query, d_query)
-    for side, d_avg in d_avgs.items():
-        # a masked mean spreads its gradient evenly over the selected rows
-        mask = masks[side]
-        _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
-    for side in masks:  # context first, as in forward
-        d_emb = d_states.pop(side)
-        if side == "ctx":
-            # the instances of one context sit side by side; their
-            # gradients meet on the context's one LSTM run
-            contexts = trace["contexts"]
-            d_emb = np.add.reduceat(d_emb, np.flatnonzero(np.diff(contexts, prepend=-1)),
-                                    axis=1)
-        if side == "ctx" or route.target == "lstm":
-            d_emb = lstm_backward(getattr(params, f"{side}_lstm"), trace[f"{side}_lstm_trace"],
-                                  d_emb, getattr(grads, f"{side}_lstm"))
-        _scatter_embedding_grads(grads.embeddings, trace[f"{side}_idx"], d_emb)
-
-
 def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
                grads: GradSet | None = None, chunk_tokens: int | None = None) -> float:
     """Training loss of a batch of cases; accumulates its gradient into
@@ -266,7 +187,7 @@ def _first_non_finite(params: ModelParams, grads: GradSet) -> str:
 
 def fit_majority(params: ModelParams, instances):
     labels = np.array([inst.label for inst in instances])
-    counts = np.bincount(labels, minlength=params.n_classes).astype(float)
+    counts = np.bincount(labels, minlength=len(LABELS)).astype(float)
     params.class_priors[...] = counts / counts.sum()
 
 

@@ -92,10 +92,10 @@ def render_svg(context_tokens, ctx_weights, target_tokens, tgt_weights,
     )
 
 
-def render_html(svg: str, dump: str, title: str = "attention weights") -> str:
+def render_html(svg: str, dump: str) -> str:
     return (
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{html.escape(title)}</title></head>\n"
+        "<title>attention weights</title></head>\n"
         "<body style=\"font-family: sans-serif; background: white;\">\n"
         f"{svg}\n<pre>{html.escape(dump)}</pre>\n</body></html>\n"
     )

@@ -156,7 +156,7 @@ def forward(params, ctx_idx, tgt_idx, span=None, dropout_mask=None):
         trace["masks"] = masks
         pooled = []
         for side, query in feature_sides(route):
-            if query is None:
+            if query == "mean":
                 pooled.append(avgs[side])
             else:
                 vec, trace[f"{side}_attn_trace"] = attend(
@@ -208,7 +208,7 @@ def backward(params, trace, label, grads):
 
     for k, (side, query) in enumerate(feature_sides(route)):
         d_pooled = dd[k * dh:(k + 1) * dh]
-        if query is None:
+        if query == "mean":
             add(d_avgs, side, d_pooled)
         else:
             d_states[side], d_query = attention_backward(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import re
 from dataclasses import fields
@@ -347,6 +348,29 @@ def test_unsupported_zip_entry_fails_with_one_error_line(tmp_path, capsys, field
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("variant", ["ian", "majority"])
+def test_checkpoint_with_a_fourth_class_is_one_error_line(tmp_path, capsys, variant):
+    # a checkpoint whose metadata and classifier arrays say four classes,
+    # where the label set has three; the fourth class wins every line
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), ModelParams(Rng(0), Vocabulary(["the", "food"]),
+                                           variant=variant, embed_dim=3, hidden_dim=3))
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    arrays["__meta__"] = np.array(json.dumps({**meta, "n_classes": 4}))
+    if variant == "majority":
+        arrays["class_priors"] = np.array([0.1, 0.1, 0.1, 0.7])
+    else:
+        arrays["W_l"] = np.concatenate([arrays["W_l"], np.zeros_like(arrays["W_l"][:1])])
+        arrays["b_l"] = np.array([0.0, 0.0, 0.0, 10.0])
+    np.savez(path, **arrays)
+    src = tmp_path / "in.txt"
+    src.write_text("the food\tfood\n", encoding="utf-8")
+    assert run(["predict", "--checkpoint", str(path), "--input", str(src)]) == 1
+    assert_one_error_line_naming(capsys, path)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
     train_ds, _, _ = load_category("laptop")
@@ -482,6 +506,16 @@ def test_gradcheck_cli_detects_corruption(capsys):
 
 def test_gradcheck_requires_both_dims(capsys):
     assert run(["gradcheck", "--embed-dim", "3"]) == 2
+
+
+def test_gradcheck_rejects_a_target_longer_than_the_context(capsys):
+    assert run(["gradcheck", "--ctx-len", "2", "--tgt-len", "3",
+                "--embed-dim", "3", "--hidden-dim", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--tgt-len" in err[0] and "--ctx-len" in err[0]
+    assert run(["gradcheck", "--ctx-len", "3", "--tgt-len", "3",
+                "--embed-dim", "3", "--hidden-dim", "3"]) == 0
 
 
 def test_gradcheck_all_variants_passes(capsys):

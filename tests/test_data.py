@@ -14,6 +14,7 @@ from ian.data import (
     build_vocab,
     dataset_stats,
     dump_instances,
+    find_term,
     fixture_path,
     load_category,
     load_reviews,
@@ -163,6 +164,15 @@ def test_drop_unknown_span_holds_the_kept_target_tokens(text, data):
     assert list(inst.context_tokens) == [t for t in tokens if t in known]
     assert list(inst.context_tokens[start:end]) == kept_target
     assert list(inst.target_tokens) == kept_target
+
+
+@pytest.mark.parametrize("text,term,expected", [
+    ("The Food and the food", "food", 17),  # exact match beats an earlier Food
+    ("The FOOD was good", "food", 4),  # no exact match: case-insensitive
+    ("the service was slow", "food", -1),
+])
+def test_find_term_prefers_an_exact_match(text, term, expected):
+    assert find_term(text, term) == expected
 
 
 def test_parse_fixture_structure():

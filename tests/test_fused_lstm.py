@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import ian.model
-import ian.training
 from _loop_lstm import chunk_backward, chunk_forward, reference_init
 from _per_case import case
 
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import GATES, LstmParams
-from ian.model import VARIANTS, ModelParams, forward, load_checkpoint, save_checkpoint
+from ian.model import LABELS, VARIANTS, ModelParams, forward, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import GradSet, dropout_mask, loss_and_grads, momentum_step
 
@@ -59,7 +58,7 @@ def run_both(monkeypatch, params, ctx, tgt, span, label, l2, mask):
     probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
     with monkeypatch.context() as m:
         m.setattr(ian.model, "lstm_forward", chunk_forward)
-        m.setattr(ian.training, "lstm_backward", chunk_backward)
+        m.setattr(ian.model, "lstm_backward", chunk_backward)
         loop = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
         loop_probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
     return (probs, *fused), (loop_probs, *loop)
@@ -72,7 +71,7 @@ def test_fused_matches_loop_reference(monkeypatch, variant, tie, embed_dim, hidd
     rng = Rng(7)
     for n_tgt, ctx_pads, tgt_pads, dropout, l2 in CASES:
         ctx, tgt, span = make_case(rng, n_tgt, ctx_pads, tgt_pads)
-        label = int(rng.integers(0, params.n_classes))
+        label = int(rng.integers(0, len(LABELS)))
         mask = dropout_mask(rng, params.feature_dim(), 0.5) if dropout else None
         (probs, loss, grads), (ref_probs, ref_loss, ref_grads) = run_both(
             monkeypatch, params, ctx, tgt, span, label, l2, mask)

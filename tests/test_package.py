@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import ian
+from ian.model import ROUTES, VARIANTS
 
 SRC = Path(ian.__file__).parent
 
@@ -70,3 +71,21 @@ def test_every_module_level_import_in_src_is_used():
         unused += [f"{path.stem}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_every_trainable_variant_is_a_route():
+    assert set(ROUTES) == set(VARIANTS) - {"majority"}
+
+
+def test_no_comparison_in_src_names_a_trainable_variant():
+    # a variant is wired by its ROUTES entry, not by a test of its name
+    trainable = set(VARIANTS) - {"majority"}
+    found = [
+        f"{path.stem}:{node.lineno} {sub.value}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and sub.value in trainable
+    ]
+    assert found == []
