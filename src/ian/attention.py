@@ -7,8 +7,9 @@ exactly zero, so padding never contributes.
 
 Both passes run on a time-major chunk of B sequences: hiddens (n, B, H),
 one query per row (B, Q) and a mask (n, B); the softmax runs down each
-row's own column. Sums over positions add step by step, so trailing
-padding (exact zeros) leaves every result bit-identical.
+row's own column. Sums over positions add step by step, position k after
+position k - 1, so trailing padding (exact zeros) leaves every result
+bit-identical, and the forward pass builds no (n, B, H) temporary.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ def attend(params: AttentionParams, hiddens: np.ndarray, query: np.ndarray, mask
     proj = query @ params.W_a.T
     raw = tanh(np.einsum("nbh,bh->nb", hiddens, proj) + float(params.b_a))
     weights = softmax_stable(np.where(mask, raw, -np.inf), axis=0)
-    pooled = (weights[..., None] * hiddens).sum(axis=0)
+    pooled = weights[0, :, None] * hiddens[0]
+    for k in range(1, len(hiddens)):
+        pooled += weights[k, :, None] * hiddens[k]
     trace = {
         "hiddens": hiddens,
         "query": query,

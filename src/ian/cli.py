@@ -13,7 +13,7 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from .data import (
     AspectTerm,
@@ -195,8 +195,10 @@ def cmd_train(args) -> int:
                     config={"category": args.category, **asdict(config)})
     print(f"wrote {checkpoint_path} and {history_path}")
 
-    report = evaluate_model(params, test_ds.instances, dataset=f"{args.category} test")
-    print(render_report(report))
+    # train() scored the test split with these parameters after the last
+    # epoch; an empty split has no report and fails here as before
+    report = history[-1].get("eval_report") or evaluate_model(params, test_ds.instances)
+    print(render_report(replace(report, dataset=f"{args.category} test")))
     return 0
 
 

@@ -126,7 +126,12 @@ def find_term(text: str, term: str) -> int:
     """Character offset of the first occurrence of term in text: an exact
     match first, else a case-insensitive one; -1 when neither exists."""
     pos = text.find(term)
-    return pos if pos >= 0 else text.lower().find(term.lower())
+    if pos >= 0:
+        return pos
+    # searching text itself, not text.lower(), whose offsets shift after a
+    # character that lowercases to two code points
+    match = re.search(re.escape(term), text, re.IGNORECASE)
+    return match.start() if match else -1
 
 
 def parse_semeval_xml(path: str):

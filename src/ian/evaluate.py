@@ -29,10 +29,11 @@ class EvalReport:
 
 def predict_all(params: ModelParams, instances) -> np.ndarray:
     """Predicted label index per instance (dropout off), run in the
-    length-sorted chunks of model.chunks."""
+    length-sorted chunks of model.chunks by a forward pass that keeps no
+    trace."""
     out = np.zeros(len(instances), dtype=np.int64)
-    for pos, ctx_idx, tgt_idx, layout in chunks(instances):
-        probs = forward(params, ctx_idx, tgt_idx, **layout)[0]
+    for pos, ctx_idx, tgt_idx, layout in chunks(instances, keep_trace=False):
+        probs = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)[0]
         out[pos] = np.argmax(probs, axis=1)
     return out
 

@@ -16,21 +16,25 @@ are row-slice views into those three arrays, not copies, so writing
 through either name writes the same memory; checkpoints, gradient sets
 and the optimizer address the parameters by the per-gate names.
 
-Both passes run on time-major chunks: inputs (n, B, E) hold B sequences
-side by side, step k of all of them in inputs[k], and each row has its
-own length. Steps are packed (the idea of PyTorch's pack_padded_sequence;
-Khomenko et al. 2016, arXiv:1708.05604, bucket by length for the same
-reason): with the rows taken longest first, step k runs only the prefix
-of rows still inside their length, so no step of a finished row is
-computed. The forward pass projects every real word through W_x in one
-matrix product before the recurrence, leaving one (b_k, H) x (H, 4H)
-product per step (Appleyard et al. 2016, arXiv:1604.01946). The backward
-pass is derived by hand: the recurrence writes the gate pre-activation
-gradients dZ over the packed gate activations of the trace, step by step,
-and the input gradients and every weight gradient are matrix products of
-dZ after the loop; tanh(c) is recomputed rather than stored. It is checked
-against finite differences and against the per-gate loop it replaced in
-the tests.
+Both passes run on time-major chunks: ids (n, B) hold B sequences of
+word ids side by side, step k of all of them in ids[k], and each row has
+its own length; the forward pass reads the vectors of the real words from
+the embedding table, so no padded (n, B, E) copy of them exists. Steps are
+packed (the idea of PyTorch's pack_padded_sequence; Khomenko et al. 2016,
+arXiv:1708.05604, bucket by length for the same reason): with the rows
+taken longest first, step k runs only the prefix of rows still inside
+their length, so no step of a finished row is computed. The traced
+forward pass projects every real word through W_x in one matrix product
+before the recurrence, leaving one (b_k, H) x (H, 4H) product per step
+(Appleyard et al. 2016, arXiv:1604.01946); a pass that keeps no trace
+projects a block of whole steps at a time and keeps only the hidden
+states, so its memory grows with the padded (n, B) states alone. The
+backward pass is derived by hand: the recurrence writes the gate
+pre-activation gradients dZ over the packed gate activations of the
+trace, step by step, and the input gradients and every weight gradient
+are matrix products of dZ after the loop; tanh(c) is recomputed rather
+than stored. It is checked against finite differences and against the
+per-gate loop it replaced in the tests.
 """
 
 from __future__ import annotations
@@ -88,41 +92,63 @@ def _packing(n: int, lengths: np.ndarray) -> dict:
             "steps": steps, "cols": order[ranks]}
 
 
-def lstm_forward(params: LstmParams, inputs: np.ndarray, lengths=None):
-    """Run the cell over a time-major chunk inputs (n, B, input_dim).
+# rows of gate pre-activations a pass that keeps no trace projects at a time
+BLOCK_ROWS = 128
 
-    Row b runs its first lengths[b] steps (default: all n); its inputs
-    after that are never read, and its states there are exactly zero.
-    Returns (hiddens, trace): hiddens is (n, B, hidden_dim); the trace
-    holds what the backward pass needs, every per-step array packed.
+
+def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths=None,
+                 keep_trace: bool = True):
+    """Run the cell over a time-major chunk of word ids (n, B), whose
+    vectors are the rows of table (vocabulary, input_dim).
+
+    Row b runs its first lengths[b] steps (default: all n); its ids after
+    that are never read, and its states there are exactly zero. Returns
+    (hiddens, trace): hiddens is (n, B, hidden_dim); the trace holds what
+    the backward pass needs, every per-step array packed. With keep_trace
+    False the pass keeps only the hidden states: it projects the gates a
+    block of whole steps (about BLOCK_ROWS packed rows) at a time, keeps
+    no cell, and returns None for the trace.
     """
-    n, batch, _ = inputs.shape
+    n, batch = ids.shape
     dh = params.hidden_dim
     lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
     trace = _packing(n, lengths)
-    order, widths, starts = trace["order"], trace["widths"], trace["starts"]
-    # pre-activations from the real words only, then the gate activations,
-    # in place; the trace keeps the packed words, not the padded chunk
-    words = inputs[trace["steps"], trace["cols"]]
-    gates = words @ params.W_x.T
-    gates += params.b
-    cells = np.empty((len(gates), dh))
+    order, widths, starts, steps, cols = (
+        trace[key] for key in ("order", "widths", "starts", "steps", "cols"))
+    # a traced pass projects every real word at once, into the gate array
+    # its trace keeps; otherwise step k is projected with the block of
+    # steps whose packed rows start in the same BLOCK_ROWS stretch
+    blocks = starts // BLOCK_ROWS if not keep_trace else np.zeros(n, dtype=np.int64)
     hiddens = np.zeros((n, batch, dh))
+    cells = np.empty((starts[-1] + widths[-1], dh)) if keep_trace else None
 
     h = c = np.zeros((batch, dh))
     for k in range(n):
         b, lo = widths[k], starts[k]
-        z = gates[lo:lo + b]
+        if k == 0 or blocks[k] != blocks[k - 1]:
+            # free the last block (z is a view of it) before the next exists
+            words = gates = z = None
+            last = np.searchsorted(blocks, blocks[k], side="right") - 1
+            rows = slice(lo, starts[last] + widths[last])
+            words = table[ids[steps[rows], cols[rows]]]
+            gates = words @ params.W_x.T
+            gates += params.b
+            base = lo
+        z = gates[lo - base:lo - base + b]
         if k:  # h is zero before the first step
             z += h[:b] @ params.W_h.T
         sigmoid(z[:, :3 * dh], out=z[:, :3 * dh])
         tanh(z[:, 3 * dh:], out=z[:, 3 * dh:])
         c = z[:, dh:2 * dh] * c[:b] + z[:, :dh] * z[:, 3 * dh:]
-        cells[lo:lo + b] = c
+        if keep_trace:
+            cells[lo:lo + b] = c
         h = z[:, 2 * dh:3 * dh] * tanh(c)
         hiddens[k, order[:b]] = h
 
-    trace.update(shape=inputs.shape, words=words, gates=gates, cells=cells, hiddens=hiddens)
+    if not keep_trace:
+        return hiddens, None
+    trace.update(shape=(n, batch, params.input_dim), words=words, gates=gates, cells=cells,
+                 hiddens=hiddens)
     for g, gate in enumerate(("i", "f", "o", "c_hat")):
         trace[gate] = gates[:, g * dh:(g + 1) * dh]
     return hiddens, trace

@@ -38,6 +38,7 @@ import zipfile
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .attention import AttentionParams, attend, attention_backward
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
@@ -79,10 +80,13 @@ VARIANTS = (*ROUTES, "majority")
 
 CHECKPOINT_FORMAT = 1
 
-# the real tokens of one chunk's distinct contexts, the unit every forward
-# and backward pass runs on; see README.md for the measurement behind the
-# figure
+# a chunk's budget counts what its pass holds: a traced pass keeps packed
+# activations, which grow with the real tokens of the chunk's distinct
+# contexts; a pass that keeps no trace holds padded state arrays, which grow
+# with its instance slots (longest context x instance columns). README.md
+# has the measurements behind both figures
 CHUNK_TOKENS = 256
+CHUNK_SLOTS = 1024
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
@@ -210,11 +214,15 @@ class ModelParams:
 
 def masked_mean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Mean over the positions (axis 0) where mask is True, per column of a
-    time-major chunk: rows (n, B, D) and mask (n, B) give (B, D)."""
+    time-major chunk: rows (n, B, D) and mask (n, B) give (B, D). Positions
+    add one after another, with no (n, B, D) temporary."""
     count = mask.sum(axis=0)
     if np.any(count == 0):
         raise ValueError("masked_mean over an empty selection")
-    return (rows * mask[..., None]).sum(axis=0) / count[..., None]
+    total = rows[0] * mask[0, ..., None]
+    for k in range(1, len(rows)):
+        total += rows[k] * mask[k, ..., None]
+    return total / count[..., None]
 
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
@@ -231,7 +239,7 @@ def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: di
 
 
 def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
-            lengths=None, tgt_lengths=None, contexts=None):
+            lengths=None, tgt_lengths=None, contexts=None, keep_trace=True):
     """Run one instance, or a time-major chunk of B instances, through the model.
 
     One instance: ctx_idx / tgt_idx are 1-D int index arrays, span the
@@ -249,6 +257,9 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
     lengths (default m); span is (B, 2) and dropout_mask (B,
     feature_dim). Returns (probs (B, n_classes), trace). The padding index
     is masked out of every attention and average.
+
+    keep_trace False runs a pass that asks for no gradient: its LSTMs keep
+    only their hidden states, and it returns an empty trace.
     """
     single = np.ndim(ctx_idx) == 1
     if params.variant == "majority":
@@ -262,17 +273,20 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
         dropout_mask = None if dropout_mask is None else dropout_mask[None]
     n, groups = ctx_idx.shape
     lengths = np.full(groups, n) if lengths is None else np.asarray(lengths)
+    tgt_lengths = (np.full(tgt_idx.shape[1], len(tgt_idx)) if tgt_lengths is None
+                   else np.asarray(tgt_lengths))
     contexts = np.arange(groups) if contexts is None else np.asarray(contexts)
     route = ROUTES[params.variant]
     trace = {"sides": _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts)}
-    probs = _classify(params, _features(params, route, trace), dropout_mask, trace)
+    probs = _classify(params, _features(params, route, trace, keep_trace), dropout_mask,
+                      trace)
     if single:
         for key in ("ctx_weights", "tgt_weights"):
             if key in trace:
                 trace[key] = trace[key][:, 0]
         trace["features"] = trace["features"][0]
         probs = probs[0]
-    return probs, trace
+    return probs, (trace if keep_trace else {})
 
 
 def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
@@ -298,16 +312,18 @@ def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
              lengths - start, None)]
 
 
-def _features(params, route, trace):
-    """Encode each side of trace["sides"], through its LSTM if it has one,
-    then pool the sides the classifier reads into its input (B,
-    feature_dim)."""
+def _features(params, route, trace, keep_trace):
+    """Encode each side of trace["sides"], through its LSTM if it has one
+    (which reads the word vectors from the table by id), then pool the
+    sides the classifier reads into its input (B, feature_dim)."""
     states, masks, lengths = {}, {}, {}
     for side, ids, lens, gather in trace["sides"]:
-        rows = lookup(params.embeddings, ids)
         lstm = getattr(params, f"{side}_lstm")
-        if lstm is not None:
-            rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, rows, lens)
+        if lstm is None:
+            rows = lookup(params.embeddings, ids)
+        else:
+            rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, ids, params.embeddings, lens,
+                                                            keep_trace)
         if gather is not None:
             rows, ids, lens = rows[:, gather], ids[:, gather], lens[gather]
         states[side], masks[side], lengths[side] = rows, ids != PAD_INDEX, lens
@@ -379,18 +395,18 @@ def backward(params: ModelParams, trace: dict, labels, grads):
         # a masked mean spreads its gradient evenly over the selected rows
         mask = masks[side]
         _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
-    for side, ids, _, gather in trace["sides"]:
+    for side, ids, lens, gather in trace["sides"]:
         d_emb = d_states.pop(side)
         if gather is not None:
-            # the instances of one context sit side by side; their
-            # gradients meet on the context's one run
-            d_emb = np.add.reduceat(d_emb, np.flatnonzero(np.diff(gather, prepend=-1)),
-                                    axis=1)
+            # the gradients of a context's instances meet on its one run:
+            # a 0/1 context-by-instance matrix sums them
+            d_emb = (gather == np.arange(ids.shape[1])[:, None]) @ d_emb
         lstm = getattr(params, f"{side}_lstm")
         if lstm is not None:
             d_emb = lstm_backward(lstm, trace[f"{side}_lstm_trace"], d_emb,
                                   getattr(grads, f"{side}_lstm"))
-        real = ids != PAD_INDEX
+        # only the words inside each row's length were read
+        real = (ids != PAD_INDEX) & (np.arange(len(ids))[:, None] < lens)
         np.add.at(grads.embeddings, ids[real], d_emb[real])
 
 
@@ -416,33 +432,42 @@ def _pad_time_major(rows):
     return out, lengths
 
 
-def chunks(instances, tokens: int | None = None):
+def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     """Cut instances into the time-major chunks every pass runs on.
 
     Instances are ordered by context length, longest first, then by
     context ids, so the instances sharing a context (one sentence's aspect
     terms) sit side by side, and each chunk's contexts run through the
-    context LSTM once each. A chunk's budget is the real tokens of its
-    distinct contexts: at most `tokens` (default CHUNK_TOKENS), a longer
-    context being a chunk of its own; a run of instances sharing a
-    context is never cut. Yields (positions, ctx_idx, tgt_idx, layout) per
-    chunk: positions index instances in column order, ctx_idx holds the
-    distinct contexts, and layout holds the rest of forward's chunk
-    arguments (span, lengths, tgt_lengths, contexts).
+    context LSTM once each. A chunk's budget counts what its pass holds:
+    for a traced pass (keep_trace), the real tokens of its distinct
+    contexts, at most CHUNK_TOKENS; for a pass that keeps no trace, its
+    padded instance slots, longest context x instance columns, at most
+    CHUNK_SLOTS. budget overrides either figure. A context over the budget
+    is a chunk of its own; a run of instances sharing a context is never
+    cut. Yields (positions, ctx_idx, tgt_idx, layout) per chunk: positions
+    index instances in column order, ctx_idx holds the distinct contexts,
+    and layout holds the rest of forward's chunk arguments (span, lengths,
+    tgt_lengths, contexts).
     """
-    budget = CHUNK_TOKENS if tokens is None else tokens
+    if budget is None:
+        budget = CHUNK_TOKENS if keep_trace else CHUNK_SLOTS
     ids = [tuple(inst.context_ids) for inst in instances]
     order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
                      dtype=np.int64)
     # where in order each distinct context's run of instances starts
     firsts = [k for k in range(len(order)) if k == 0 or ids[order[k]] != ids[order[k - 1]]]
     bounds = np.array(firsts + [len(order)])
-    cuts, used = [], 0
-    for g, k in enumerate(firsts):
-        if g == 0 or used + len(ids[order[k]]) > budget:
+    sizes = np.array([len(ids[order[k]]) for k in firsts])
+    # reach[g1] - reach[g0]: the tokens, or the instance columns, of the
+    # runs g0 to g1 - 1
+    reach = np.concatenate([[0], np.cumsum(sizes)]) if keep_trace else bounds
+    cuts = [0] if firsts else []
+    for g in range(1, len(firsts)):
+        held = reach[g + 1] - reach[cuts[-1]]
+        if not keep_trace:  # the chunk's first context is its longest
+            held *= sizes[cuts[-1]]
+        if held > budget:
             cuts.append(g)
-            used = 0
-        used += len(ids[order[k]])
     for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
         rows = order[bounds[g0]:bounds[g1]]
         ctx_idx, lengths = _pad_time_major([ids[order[k]] for k in firsts[g0:g1]])
@@ -471,30 +496,38 @@ def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):
 def load_checkpoint(path: str):
     """Rebuild (params, meta) from a checkpoint written by save_checkpoint.
 
-    A file that cannot be read as one (not a zip archive, truncated, no
-    or bad metadata, missing or misshapen arrays, a zip entry flagged as
-    encrypted or stored by an unsupported method or version) raises one
-    ValueError naming the path and the cause. The shell the arrays are
-    read into is built from a zero init source: loading draws no random
-    numbers.
+    Each array is read in place into a shell built from a zero init source
+    (loading draws no random numbers), after its .npy header is checked
+    against the shell's array; zipfile checks each member's CRC. A file
+    that cannot be read as one (not a zip archive, truncated, no or bad
+    metadata, missing arrays or arrays of another shape, dtype or order,
+    a zip entry flagged as encrypted or stored by an unsupported method
+    or version) raises one ValueError naming the path and the cause.
     """
     try:
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):
                 raise ValueError("not a zip archive (truncated, or not an npz file)")
             fh.seek(0)
-            with np.load(fh, allow_pickle=False) as data:
-                return _params_from_npz(data)
+            with zipfile.ZipFile(fh) as archive:
+                return _params_from_npz(archive)
     except (ValueError, KeyError, TypeError, EOFError, OSError, zipfile.BadZipFile,
             NotImplementedError, RuntimeError) as err:
         raise ValueError(f"cannot load checkpoint {path}: {err}") from None
 
 
-def _params_from_npz(data):
-    if "__meta__" not in data.files:
+# the largest piece of one array read from the archive at a time, in bytes
+READ_PIECE = 1 << 20
+
+
+def _params_from_npz(archive: zipfile.ZipFile):
+    members = set(archive.namelist())
+    if "__meta__.npy" not in members:
         raise ValueError("no __meta__ record")
+    with archive.open("__meta__.npy") as member:
+        record = npy_format.read_array(member, allow_pickle=False)
     try:
-        meta = json.loads(str(data["__meta__"]))
+        meta = json.loads(str(record))
     except json.JSONDecodeError as err:
         raise ValueError(f"__meta__ is not valid JSON ({err})") from None
     fmt = meta.get("format") if isinstance(meta, dict) else None
@@ -509,12 +542,32 @@ def _params_from_npz(data):
         vocab = Vocabulary()
     params = ModelParams(ZeroInit(), vocab, **{key: meta[key] for key in LAYOUT})
     for name, arr in params.named_arrays(trainable_only=False):
-        if name not in data:
+        if f"{name}.npy" not in members:
             raise ValueError(f"checkpoint is missing array {name!r}")
-        stored = data[name]
-        if stored.shape != arr.shape:
-            raise ValueError(
-                f"checkpoint array {name!r} has shape {stored.shape}, expected {arr.shape}"
-            )
-        arr[...] = stored
+        with archive.open(f"{name}.npy") as member:
+            _read_npy_into(member, name, arr)
     return params, meta
+
+
+def _read_npy_into(member, name: str, arr: np.ndarray):
+    """Fill arr from one .npy member whose header must describe arr's own
+    shape as C-ordered float64, in pieces of at most READ_PIECE bytes."""
+    # np.savez writes version 1.0 records for every array a model has
+    version = npy_format.read_magic(member)
+    if version != (1, 0):
+        raise ValueError(f"checkpoint array {name!r} has .npy version {version}")
+    shape, fortran, dtype = npy_format.read_array_header_1_0(member)
+    if (shape, fortran, dtype) != (arr.shape, False, arr.dtype):
+        raise ValueError(
+            f"checkpoint array {name!r} has shape {shape}, dtype {dtype}"
+            f"{', Fortran order' if fortran else ''}; expected shape {arr.shape}, "
+            f"dtype {arr.dtype}, C order"
+        )
+    raw = arr.reshape(-1).view(np.uint8)
+    for lo in range(0, raw.size, READ_PIECE):
+        piece = raw[lo:lo + READ_PIECE]
+        if member.readinto(piece) != piece.size:
+            raise ValueError(f"checkpoint array {name!r} is truncated")
+    # reading past the end also lets zipfile check the member's CRC
+    if member.read(1):
+        raise ValueError(f"checkpoint array {name!r} has trailing bytes")

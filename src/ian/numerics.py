@@ -13,10 +13,16 @@ import numpy as np
 Matrix = np.ndarray  # 2-D, row-major
 
 
-# Deterministic random source: same seed, same PCG64 stream, any platform.
-# One generator drives all randomness of a run (init, shuffling, dropout)
-# and is never shared between concurrent consumers.
-Rng = np.random.default_rng
+def Rng(seed=None):
+    """Deterministic random source: same seed, same PCG64 stream, any
+    platform. One generator drives all randomness of a run (init,
+    shuffling, dropout) and is never shared between concurrent consumers.
+
+    numpy.random is imported on the first call, not with this module, so
+    a command that draws no random number (eval, predict) never pays for
+    loading it.
+    """
+    return np.random.default_rng(seed)
 
 
 class ZeroInit:

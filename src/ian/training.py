@@ -191,19 +191,27 @@ def fit_majority(params: ModelParams, instances):
     params.class_priors[...] = counts / counts.sum()
 
 
+def _scores(params: ModelParams, instances, eval_instances) -> dict:
+    """Train accuracy and, given eval instances, eval accuracy with its
+    full report, for one history entry."""
+    entry = {"train_acc": evaluate_model(params, instances).accuracy}
+    if eval_instances:
+        report = evaluate_model(params, eval_instances)
+        entry.update(eval_acc=report.accuracy, eval_report=report)
+    return entry
+
+
 def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
           eval_instances=None, log=None):
     """Train in place; returns a per-epoch history of loss and accuracy.
 
-    All randomness (shuffling, dropout) comes from rng, so a fixed seed
-    and configuration reproduce the run bit for bit.
+    Given eval instances, each entry also holds the eval set's EvalReport
+    (eval_report). All randomness (shuffling, dropout) comes from rng, so
+    a fixed seed and configuration reproduce the run bit for bit.
     """
     if params.variant == "majority":
         fit_majority(params, instances)
-        entry = {"epoch": 0, "loss": float("nan"),
-                 "train_acc": evaluate_model(params, instances).accuracy}
-        if eval_instances:
-            entry["eval_acc"] = evaluate_model(params, eval_instances).accuracy
+        entry = {"epoch": 0, "loss": float("nan"), **_scores(params, instances, eval_instances)}
         if log:
             log(f"majority priors {params.class_priors.round(4).tolist()} "
                 f"train_acc {entry['train_acc']:.4f}")
@@ -242,9 +250,7 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
             momentum_step(params, grads, velocity, config.learning_rate,
                           config.momentum)
         entry = {"epoch": epoch, "loss": total_loss / n,
-                 "train_acc": evaluate_model(params, instances).accuracy}
-        if eval_instances:
-            entry["eval_acc"] = evaluate_model(params, eval_instances).accuracy
+                 **_scores(params, instances, eval_instances)}
         history.append(entry)
         if log:
             msg = (f"epoch {epoch:3d}  loss {entry['loss']:.4f}  "

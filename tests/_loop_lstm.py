@@ -125,10 +125,12 @@ def loop_lstm_backward(params, trace, d_hiddens, grads):
     return d_inputs
 
 
-def chunk_forward(params, inputs, lengths=None):
-    """loop_lstm_forward on each sequence of a time-major chunk (n, B, E),
-    row b over its first lengths[b] steps (default all n); states past a
-    row's end are zero."""
+def chunk_forward(params, ids, table, lengths=None, keep_trace=True):
+    """loop_lstm_forward on each sequence of a time-major chunk of ids
+    (n, B) into table, row b over its first lengths[b] steps (default all
+    n); states past a row's end are zero. It keeps its trace whatever
+    keep_trace says."""
+    inputs = table[ids]
     n, batch, _ = inputs.shape
     lengths = [n] * batch if lengths is None else lengths
     hiddens = np.zeros((n, batch, params.hidden_dim))

@@ -1,7 +1,8 @@
 """The chunked batch passes against the per-case reference they replaced.
 
 _per_case.py holds the per-case model, loss and training loop. Every test
-here lowers the chunk budget (model.CHUNK_TOKENS) so that one batch runs as
+here lowers the chunk budgets (model.CHUNK_TOKENS for traced passes,
+model.CHUNK_SLOTS for passes that keep no trace) so that one batch runs as
 several chunks, each running its distinct contexts through the context LSTM
 once, on packed steps. Chunking changes the order of floating-point sums
 (GEMMs over all rows of a chunk, the gradients of a shared context summed
@@ -19,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ian.lstm
 import ian.model
 from _per_case import case, case_loss_and_grads, case_predict, case_train
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.evaluate import predict_all
-from ian.model import VARIANTS, ModelParams, chunks
+from ian.model import VARIANTS, ModelParams, chunks, forward
 from ian.numerics import Rng
 from ian.training import GradSet, TrainConfig, dropout_mask, loss_and_grads, train
 
@@ -32,6 +34,7 @@ VOCAB = Vocabulary([f"w{i}" for i in range(30)])
 TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 LOW_BUDGET = 12  # padded context ids per chunk: a batch of ragged cases spans several
+LOW_SLOTS = 24  # padded instance slots per chunk that keeps no trace
 
 
 def make_model(variant, tie=False, embed_dim=5, hidden_dim=4, seed=0, scale=1.0):
@@ -122,15 +125,37 @@ def test_shared_contexts_equal_per_case(variant, tie, batch, dropout, l2):
     spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        m.setattr(ian.model, "CHUNK_SLOTS", LOW_SLOTS)
         assert_batch_equals_per_case(params, batch, l2, masks)
         assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
 
 
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 @PROPERTY
-@given(batch=shared_contexts(), budget=st.integers(1, 30))
-def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget):
-    seen, chunk_contexts = [], []
-    for pos, ctx_idx, tgt_idx, layout in chunks(batch, budget):
+@given(batch=shared_contexts())
+def test_no_trace_forward_equals_the_traced_one(variant, tie, batch):
+    params = make_model(variant, tie, scale=10.0)  # classes apart, for labels
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.lstm, "BLOCK_ROWS", 3)  # several gate blocks per LSTM pass
+        for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_SLOTS, keep_trace=False):
+            traced, _ = forward(params, ctx_idx, tgt_idx, **layout)
+            bare, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
+            assert trace == {}
+            assert np.max(np.abs(bare - traced)) <= 1e-12
+            assert np.array_equal(bare.argmax(axis=1), traced.argmax(axis=1))
+        one = batch[0]  # a single instance runs as a chunk of one either way
+        traced, _ = forward(params, one.context_ids, one.target_ids, span=one.span)
+        bare, _ = forward(params, one.context_ids, one.target_ids, span=one.span,
+                          keep_trace=False)
+        assert bare.shape == traced.shape and np.max(np.abs(bare - traced)) <= 1e-12
+
+
+def chunk_layouts(batch, cut):
+    """Check that the chunks of cut hold every instance of batch once,
+    each distinct context in one column of one chunk with its instances
+    side by side; returns each chunk's (context lengths, instance count)."""
+    seen, chunk_contexts, layouts = [], [], []
+    for pos, ctx_idx, tgt_idx, layout in cut:
         lengths, contexts = layout["lengths"], layout["contexts"]
         distinct = [tuple(ctx_idx[:length, g]) for g, length in enumerate(lengths)]
         # one column per distinct context, its instances side by side
@@ -141,13 +166,30 @@ def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget):
             length = layout["tgt_lengths"][b]
             assert tuple(tgt_idx[:length, b]) == tuple(batch[i].target_ids)
             assert layout["span"][b] == batch[i].span
-        # the budget counts each distinct context's tokens once
-        assert sum(lengths) <= budget or len(lengths) == 1
         seen += list(pos)
         chunk_contexts.append(set(distinct))
+        layouts.append((lengths, len(pos)))
     assert sorted(seen) == list(range(len(batch)))
     for a, b in itertools.combinations(chunk_contexts, 2):
         assert not a & b  # no run of one context is cut across chunks
+    return layouts
+
+
+@PROPERTY
+@given(batch=shared_contexts(), budget=st.integers(1, 30))
+def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget):
+    for lengths, _ in chunk_layouts(batch, chunks(batch, budget)):
+        # the budget counts each distinct context's tokens once
+        assert sum(lengths) <= budget or len(lengths) == 1
+
+
+@PROPERTY
+@given(batch=shared_contexts(), budget=st.integers(1, 60))
+def test_no_trace_chunks_hold_each_context_once_within_the_slot_budget(batch, budget):
+    for lengths, columns in chunk_layouts(batch, chunks(batch, budget, keep_trace=False)):
+        # padded instance slots: the longest context by the instance columns
+        assert lengths[0] == max(lengths)
+        assert lengths[0] * columns <= budget or len(lengths) == 1
 
 
 def test_chunk_budget_counts_a_shared_context_once():
@@ -182,7 +224,7 @@ def test_predict_all_equals_per_case_argmax(variant, batch):
     if variant == "majority":
         params.class_priors[:] = [0.2, 0.5, 0.3]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        m.setattr(ian.model, "CHUNK_SLOTS", LOW_SLOTS)
         assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
 
 
@@ -220,7 +262,9 @@ def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
 # 200 such cases: 4.9 MB), bounded at about 1.5 times that; the train
 # process holds about 77 MB before any activation exists, so a chunk layout
 # that grows these peaks past the bounds would break the benchmark's
-# peak_rss_mb bound (10%) too.
+# peak_rss_mb bound (10%) too. predict_all is held to the same bound on
+# contexts of skewed lengths, where a budget of real tokens lets one chunk
+# pad many short contexts to the longest (about 20 MB).
 LOSS_AND_GRADS_PEAK_MB = 9.0
 PREDICT_ALL_PEAK_MB = 7.0
 
@@ -245,6 +289,19 @@ def sixty_token_cases(rng, n):
     return out
 
 
+def skewed_cases(rng, mix):
+    """For each (contexts, tokens, terms) of mix: that many contexts of that
+    many tokens, each with that many two-token targets."""
+    out = []
+    for n_contexts, n_tokens, terms in mix:
+        for _ in range(n_contexts):
+            ctx = rng.integers(1, 500, n_tokens)
+            for start in rng.integers(0, n_tokens - 1, terms):
+                out.append(case(ctx, ctx[start:start + 2], (int(start), int(start) + 2),
+                                int(rng.integers(0, 3))))
+    return out
+
+
 def test_activation_memory_stays_bounded_at_paper_dims():
     vocab = Vocabulary([f"w{i}" for i in range(499)])
     params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
@@ -255,4 +312,13 @@ def test_activation_memory_stays_bounded_at_paper_dims():
     assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
     many = sixty_token_cases(rng, 200)
     peak = traced_peak_mb(lambda: predict_all(params, many))
+    assert peak <= PREDICT_ALL_PEAK_MB, peak
+
+
+@pytest.mark.parametrize("mix", [[(1, 120, 1), (199, 8, 1)], [(2, 80, 3), (100, 12, 3)]])
+def test_predict_all_memory_stays_bounded_on_skewed_lengths(mix):
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    batch = skewed_cases(Rng(2), mix)
+    peak = traced_peak_mb(lambda: predict_all(params, batch))
     assert peak <= PREDICT_ALL_PEAK_MB, peak

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import ian.evaluate
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from ian.cli import main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
@@ -256,6 +257,21 @@ def test_train_writes_deterministic_history_and_checkpoint(tmp_path, capsys):
         assert np.array_equal(arr_a, arr_b), name
     assert meta_a["config"]["epochs"] == 2
     assert meta_a["config"]["category"] == "laptop"
+
+
+def test_train_scores_the_test_split_once(tmp_path, monkeypatch, capsys):
+    # one epoch: train accuracy, then test accuracy, whose report cmd_train prints
+    calls = []
+
+    def counted(params, instances):
+        calls.append(len(instances))
+        return predict_all(params, instances)
+
+    monkeypatch.setattr(ian.evaluate, "predict_all", counted)
+    assert run(["train", *TINY, "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
+    train_ds, test_ds, _ = load_category("laptop")
+    assert calls == [len(train_ds.instances), len(test_ds.instances)]
+    assert "on laptop test: accuracy" in capsys.readouterr().out
 
 
 def test_train_lr_zero_leaves_params_at_init(tmp_path):

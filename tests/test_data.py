@@ -169,6 +169,7 @@ def test_drop_unknown_span_holds_the_kept_target_tokens(text, data):
 @pytest.mark.parametrize("text,term,expected", [
     ("The Food and the food", "food", 17),  # exact match beats an earlier Food
     ("The FOOD was good", "food", 4),  # no exact match: case-insensitive
+    ("İstanbul FOOD was good", "food", 9),  # "İ" lowercases to two code points
     ("the service was slow", "food", -1),
 ])
 def test_find_term_prefers_an_exact_match(text, term, expected):

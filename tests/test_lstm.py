@@ -3,9 +3,18 @@ import types
 
 import numpy as np
 
+import ian.lstm
 from fdcheck import fd_grad, max_rel_err
 from ian.lstm import LstmParams, lstm_backward, lstm_forward
 from ian.numerics import Rng
+
+
+def on_vectors(params, x, lengths=None):
+    """lstm_forward over word vectors x (n, B, E): each position reads its
+    own row of a table that holds x, so x stays the input to perturb."""
+    n, batch, dim = x.shape
+    return lstm_forward(params, np.arange(n * batch).reshape(n, batch), x.reshape(-1, dim),
+                        lengths)
 
 
 def zero_grads(params):
@@ -36,7 +45,7 @@ def test_zero_weights_give_zero_hiddens():
     p = LstmParams(Rng(0), 2, 3)
     for name in LstmParams.MATRIX_NAMES:
         getattr(p, name)[:] = 0.0
-    hiddens, trace = lstm_forward(p, np.ones((4, 1, 2)))
+    hiddens, trace = on_vectors(p, np.ones((4, 1, 2)))
     # gates sit at 0.5 but the candidate cell is tanh(0) = 0
     assert np.array_equal(hiddens, np.zeros((4, 1, 3)))
     assert np.allclose(trace["i"], 0.5)
@@ -61,7 +70,7 @@ def test_single_step_against_scalar_reference():
     c = i * chat  # c_prev = 0
     h = o * math.tanh(c)
 
-    hiddens, _ = lstm_forward(p, np.array([[[w]]]))
+    hiddens, _ = on_vectors(p, np.array([[[w]]]))
     assert abs(hiddens[0, 0, 0] - h) < 1e-12
 
 
@@ -69,9 +78,9 @@ def test_second_step_uses_first_hidden():
     rng = Rng(8)
     p = LstmParams(rng, 2, 3)
     x = rng.uniform(-1, 1, (2, 2))[:, None]
-    full, _ = lstm_forward(p, x)
+    full, _ = on_vectors(p, x)
     # second step must differ from running it with zeroed history
-    fresh, _ = lstm_forward(p, x[1:])
+    fresh, _ = on_vectors(p, x[1:])
     assert not np.allclose(full[1], fresh[0])
 
 
@@ -79,7 +88,7 @@ def test_hiddens_bounded_by_one():
     rng = Rng(12)
     p = LstmParams(rng, 3, 4)
     x = rng.uniform(-50, 50, (10, 3))[:, None]
-    hiddens, _ = lstm_forward(p, x)
+    hiddens, _ = on_vectors(p, x)
     assert np.all(np.abs(hiddens) <= 1.0)
 
 
@@ -90,10 +99,10 @@ def test_backward_matches_finite_differences():
     r = rng.uniform(-1, 1, (5, 4))[:, None]  # fixed projection making J scalar
 
     def objective():
-        hiddens, _ = lstm_forward(p, x)
+        hiddens, _ = on_vectors(p, x)
         return float(np.sum(hiddens * r))
 
-    hiddens, trace = lstm_forward(p, x)
+    hiddens, trace = on_vectors(p, x)
     grads = zero_grads(p)
     d_inputs = lstm_backward(p, trace, r.copy(), grads)
 
@@ -107,7 +116,7 @@ def test_backward_reaches_first_input_from_last_step_only():
     rng = Rng(30)
     p = LstmParams(rng, 2, 3)
     x = rng.uniform(-1, 1, (4, 2))[:, None]
-    _, trace = lstm_forward(p, x)
+    _, trace = on_vectors(p, x)
     d_hiddens = np.zeros((4, 1, 3))
     d_hiddens[-1] = 1.0
     d_inputs = lstm_backward(p, trace, d_hiddens, zero_grads(p))
@@ -120,11 +129,11 @@ def test_backward_accumulates_into_existing_grads():
     x = rng.uniform(-1, 1, (3, 2))[:, None]
     d = rng.uniform(-1, 1, (3, 2))[:, None]
     once = zero_grads(p)
-    lstm_backward(p, lstm_forward(p, x)[1], d, once)
+    lstm_backward(p, on_vectors(p, x)[1], d, once)
     twice = zero_grads(p)
     # the backward pass consumes its trace, so each call gets a fresh one
-    lstm_backward(p, lstm_forward(p, x)[1], d, twice)
-    lstm_backward(p, lstm_forward(p, x)[1], d, twice)
+    lstm_backward(p, on_vectors(p, x)[1], d, twice)
+    lstm_backward(p, on_vectors(p, x)[1], d, twice)
     assert np.allclose(twice.Wi_w, 2.0 * once.Wi_w)
     assert np.allclose(twice.bc, 2.0 * once.bc)
 
@@ -137,11 +146,11 @@ def test_packed_rows_equal_each_row_run_alone():
     x = rng.uniform(-1, 1, (60, 3, 5))
     d = rng.uniform(-1, 1, (60, 3, 4))
     packed = zero_grads(p)
-    hiddens, trace = lstm_forward(p, x, lengths)
+    hiddens, trace = on_vectors(p, x, lengths)
     d_inputs = lstm_backward(p, trace, d, packed)
     alone = zero_grads(p)
     for b, n in enumerate(lengths):
-        h, t = lstm_forward(p, x[:n, b:b + 1])
+        h, t = on_vectors(p, x[:n, b:b + 1])
         assert np.max(np.abs(hiddens[:n, b] - h[:, 0])) <= 1e-12
         assert not hiddens[n:, b].any()
         d_x = lstm_backward(p, t, d[:n, b:b + 1], alone)
@@ -149,3 +158,23 @@ def test_packed_rows_equal_each_row_run_alone():
         assert not d_inputs[n:, b].any()
     for name, _ in p.named_arrays():
         assert np.max(np.abs(getattr(packed, name) - getattr(alone, name))) <= 1e-12, name
+
+
+def test_no_trace_pass_reads_ids_and_equals_the_traced_one(monkeypatch):
+    rng = Rng(41)
+    p = LstmParams(rng, 5, 4)
+    p.b[...] = rng.uniform(-0.1, 0.1, p.b.shape)
+    lengths = [7, 1, 60, 33]
+    table = rng.uniform(-1, 1, (20, 5))
+    ids = rng.integers(0, 20, (60, 4))
+    vectors, _ = on_vectors(p, table[ids], lengths)
+    by_id, trace = lstm_forward(p, ids, table, lengths)
+    # the traced pass reads the same packed words from either table
+    assert np.array_equal(by_id, vectors)
+    assert trace["shape"] == (60, 4, 5)
+    monkeypatch.setattr(ian.lstm, "BLOCK_ROWS", 10)  # blocks of whole steps, 1 to 4 rows each
+    bare, none = lstm_forward(p, ids, table, lengths, keep_trace=False)
+    assert none is None
+    assert np.max(np.abs(bare - by_id)) <= 1e-12
+    for b, n in enumerate(lengths):
+        assert not bare[n:, b].any()

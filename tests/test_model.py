@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ian.model
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from _oracles import oracle_probs
 from ian.embeddings import PAD_INDEX, Vocabulary
@@ -120,9 +121,8 @@ def test_td_lstm_branches_meet_at_the_span():
     ctx = rng.integers(1, 11, 7)
     span = (2, 4)
     _, trace = forward(params, ctx, ctx[2:4], span=span)
-    emb = params.embeddings[ctx]
-    left_h, _ = lstm_forward(params.ctx_lstm, emb[:4, None])
-    right_h, _ = lstm_forward(params.tgt_lstm, emb[2:][::-1, None])
+    left_h, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings)
+    right_h, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings)
     expected = np.concatenate([left_h[-1, 0], right_h[-1, 0]])
     assert np.allclose(trace["features"], expected, atol=1e-15)
 
@@ -236,6 +236,33 @@ def test_checkpoint_rejects_missing_arrays(tmp_path):
     np.savez(broken, **data)
     with pytest.raises(ValueError):
         load_checkpoint(broken)
+
+
+@pytest.mark.parametrize("stored", [
+    lambda arr: arr.astype(np.float32),
+    lambda arr: arr.astype(">f8"),
+    np.asfortranarray,
+], ids=["float32", "big_endian", "fortran_order"])
+def test_checkpoint_array_of_another_dtype_or_order_is_refused(tmp_path, stored):
+    # loading reads the bytes straight into the model's float64 arrays, so
+    # an array stored any other way fails, naming the array
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, make("ian", seed=2))
+    data = dict(np.load(path, allow_pickle=False))
+    data["ctx_attn.W_a"] = stored(data["ctx_attn.W_a"])
+    np.savez(path, **data)
+    with pytest.raises(ValueError, match="checkpoint array 'ctx_attn.W_a' has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_arrays_read_in_pieces(tmp_path, monkeypatch):
+    monkeypatch.setattr(ian.model, "READ_PIECE", 24)  # 3 float64 entries at a time
+    params = make("td_lstm", seed=5, de=5, dh=3)
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    for (name, arr), (_, back) in zip(params.named_arrays(), loaded.named_arrays()):
+        assert np.array_equal(arr, back), name
 
 
 def _damaged(tmp_path, how):

@@ -1,6 +1,9 @@
 """Whole-package checks on the source tree itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +92,13 @@ def test_no_comparison_in_src_names_a_trainable_variant():
         if isinstance(sub, ast.Constant) and sub.value in trainable
     ]
     assert found == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # eval and predict draw no random number, so they should not pay for
+    # importing numpy.random; Rng reaches it on its first call
+    code = "import sys, ian.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
