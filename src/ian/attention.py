@@ -37,19 +37,35 @@ class AttentionParams:
         yield prefix + "b_a", self.b_a
 
 
-def attend(params: AttentionParams, hiddens: np.ndarray, query: np.ndarray, mask: np.ndarray):
+def attend(params: AttentionParams, hiddens: np.ndarray, query: np.ndarray, mask: np.ndarray,
+           gather=None):
     """Pool hiddens (n, B, hidden_dim), row b under query[b] (B, query_dim).
 
     mask is a boolean (n, B) array; False positions are excluded from
-    their row's softmax and get weight 0. Returns (pooled (B, hidden_dim),
+    their row's softmax and get weight 0. gather (B,), when given, is the
+    column of hiddens (n, G, hidden_dim) and of mask (n, G) that row b
+    reads; each position's rows are then read from it one at a time, so
+    no (n, B, hidden_dim) copy exists. Returns (pooled (B, hidden_dim),
     weights (n, B), trace).
     """
+    def rows(k):
+        return hiddens[k] if gather is None else hiddens[k, gather]
+
     proj = query @ params.W_a.T
-    raw = tanh(np.einsum("nbh,bh->nb", hiddens, proj) + float(params.b_a))
+    if gather is None:
+        raw = np.einsum("nbh,bh->nb", hiddens, proj)
+    else:
+        mask = mask[:, gather]
+        # column-major, as einsum lays out the scores of a gathered copy:
+        # the softmax then sums them in the same order, bit for bit
+        raw = np.empty(mask.shape, order="F")
+        for k in range(len(hiddens)):
+            raw[k] = np.einsum("bh,bh->b", rows(k), proj)
+    raw = tanh(raw + float(params.b_a))
     weights = softmax_stable(np.where(mask, raw, -np.inf), axis=0)
-    pooled = weights[0, :, None] * hiddens[0]
+    pooled = weights[0, :, None] * rows(0)
     for k in range(1, len(hiddens)):
-        pooled += weights[k, :, None] * hiddens[k]
+        pooled += weights[k, :, None] * rows(k)
     trace = {
         "hiddens": hiddens,
         "query": query,

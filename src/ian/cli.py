@@ -10,6 +10,7 @@ given its flags, files and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -31,11 +32,10 @@ from .data import (
 )
 from .embeddings import load_pretrained
 from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
-from .gradcheck import GROUPS, check_tiny_model
-from .model import LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
+from .model import (GROUPS, LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint,
+                    save_checkpoint)
 from .numerics import Rng
 from .training import TrainConfig, train
-from .viz import write_attention_files
 
 # every variant with trainable parameters
 GRADCHECK_VARIANTS = tuple(ROUTES)
@@ -308,6 +308,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import check_tiny_model
+
     if (args.embed_dim is None) != (args.hidden_dim is None):
         print("error: give both --embed-dim and --hidden-dim or neither", file=sys.stderr)
         return 2
@@ -368,6 +370,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_attention_viz(args) -> int:
+    from .viz import write_attention_files
+
     params, _ = load_checkpoint(args.checkpoint)
     if params.embeddings is None:
         print("error: this checkpoint variant has no attention to visualize",
@@ -522,6 +526,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
+    # what exists once imports finish lives until exit: keep it out of every
+    # collection during the run and out of the sweep at shutdown
+    gc.freeze()
     parser, configurable = build_parser()
     args = parser.parse_args(argv)
     try:

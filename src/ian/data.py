@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import re
 import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .embeddings import Vocabulary
@@ -143,6 +142,8 @@ def parse_semeval_xml(path: str):
     re-located (each such case also emits a warning).  Malformed XML or a
     structurally broken record raises ValueError naming the location.
     """
+    import xml.etree.ElementTree as ET
+
     try:
         tree = ET.parse(path)
     except ET.ParseError as err:

@@ -14,11 +14,9 @@ import numpy as np
 
 from .data import Instance
 from .embeddings import PAD_INDEX, Vocabulary
-from .model import LABELS, ModelParams
+from .model import GROUPS, LABELS, ModelParams
 from .numerics import Rng
 from .training import batch_loss, loss_and_grads
-
-GROUPS = ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn", "classifier")
 
 
 def group_of(name: str) -> str:

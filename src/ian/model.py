@@ -92,6 +92,9 @@ CHUNK_SLOTS = 1024
 # has, their shapes and which are tied; a checkpoint's meta records them
 LAYOUT = ("variant", "tie_attention", "embed_dim", "hidden_dim")
 
+# the components a model's parameter arrays belong to, in construction order
+GROUPS = ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn", "classifier")
+
 
 def feature_sides(route: Route):
     """(side, pool) per pooled vector of the classifier input, in
@@ -315,8 +318,13 @@ def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
 def _features(params, route, trace, keep_trace):
     """Encode each side of trace["sides"], through its LSTM if it has one
     (which reads the word vectors from the table by id), then pool the
-    sides the classifier reads into its input (B, feature_dim)."""
-    states, masks, lengths = {}, {}, {}
+    sides the classifier reads into its input (B, feature_dim).
+
+    A traced pass copies a shared context's states out to each of its
+    instances, as backward reads them. A pass that keeps no trace keeps one
+    column per distinct context: it averages each column once, and
+    attention reads each instance's column position by position."""
+    states, masks, lengths, gathers = {}, {}, {}, {}
     for side, ids, lens, gather in trace["sides"]:
         lstm = getattr(params, f"{side}_lstm")
         if lstm is None:
@@ -324,21 +332,27 @@ def _features(params, route, trace, keep_trace):
         else:
             rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, ids, params.embeddings, lens,
                                                             keep_trace)
-        if gather is not None:
-            rows, ids, lens = rows[:, gather], ids[:, gather], lens[gather]
+        if gather is not None and keep_trace:
+            rows, ids, lens, gather = rows[:, gather], ids[:, gather], lens[gather], None
         states[side], masks[side], lengths[side] = rows, ids != PAD_INDEX, lens
+        gathers[side] = gather
     trace.update(states=states, masks=masks, lengths=lengths)
+
+    def per_instance(side, vec):
+        return vec if gathers[side] is None else vec[gathers[side]]
 
     pooled = []
     for side, pool in feature_sides(route):
         if pool == "last":
-            vec = states[side][lengths[side] - 1, np.arange(len(lengths[side]))]
+            vec = per_instance(side, states[side][lengths[side] - 1,
+                                                  np.arange(len(lengths[side]))])
         elif pool == "mean":
-            vec = masked_mean(states[side], masks[side])
+            vec = per_instance(side, masked_mean(states[side], masks[side]))
         else:
             vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
                 getattr(params, f"{side}_attn"), states[side],
-                masked_mean(states[pool], masks[pool]), masks[side])
+                per_instance(pool, masked_mean(states[pool], masks[pool])), masks[side],
+                gathers[side])
         pooled.append(vec)
     return np.concatenate(pooled, axis=1)
 

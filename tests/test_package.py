@@ -8,7 +8,9 @@ from collections import Counter
 from pathlib import Path
 
 import ian
-from ian.model import ROUTES, VARIANTS
+from ian.data import DATA_ENV, build_vocab, fixture_path, parse_semeval_xml
+from ian.model import ROUTES, VARIANTS, ModelParams, save_checkpoint
+from ian.numerics import Rng
 
 SRC = Path(ian.__file__).parent
 
@@ -102,3 +104,59 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+# what a call that runs no gradient check and draws no attention map should
+# not import (or, without cached bytecode, compile)
+DEFERRED = ("ian.gradcheck", "ian.viz", "html", "xml.etree.ElementTree")
+
+
+def main_in_a_fresh_interpreter(argv):
+    """Run ian.cli.main(argv) in a new interpreter; returns the gc freeze
+    count after importing ian.cli and after the call, and which of
+    DEFERRED the interpreter has loaded by then."""
+    code = (
+        "import gc, sys, ian.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        f"assert ian.cli.main({list(argv)!r}) == 0\n"
+        f"print(frozen, gc.get_freeze_count(), [m for m in {DEFERRED!r} if m in sys.modules])\n"
+    )
+    # the call reads the bundled corpus
+    env = {key: value for key, value in os.environ.items() if key != DATA_ENV}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    before, after, loaded = done.stdout.splitlines()[-1].split(" ", 2)
+    return int(before), int(after), ast.literal_eval(loaded)
+
+
+def fixture_checkpoint(tmp_path):
+    """A small checkpoint over the bundled restaurant vocabulary, and a
+    predict input file."""
+    reviews, _ = parse_semeval_xml(fixture_path("restaurant", "train"))
+    params = ModelParams(Rng(0), build_vocab([reviews]), embed_dim=3, hidden_dim=3)
+    checkpoint = tmp_path / "model.npz"
+    save_checkpoint(str(checkpoint), params, config={"category": "restaurant"})
+    lines = tmp_path / "lines.txt"
+    lines.write_text("Great pizza, and I mean truly great pizza.\tpizza\n", encoding="utf-8")
+    return str(checkpoint), str(lines)
+
+
+def test_predict_imports_no_gradcheck_viz_or_xml(tmp_path):
+    checkpoint, lines = fixture_checkpoint(tmp_path)
+    _, _, loaded = main_in_a_fresh_interpreter(
+        ["predict", "--checkpoint", checkpoint, "--input", lines])
+    assert loaded == []
+
+
+def test_eval_imports_no_gradcheck_or_viz(tmp_path):
+    checkpoint, _ = fixture_checkpoint(tmp_path)
+    _, _, loaded = main_in_a_fresh_interpreter(["eval", "--checkpoint", checkpoint])
+    assert loaded == ["xml.etree.ElementTree"]  # eval parses the corpus XML
+
+
+def test_main_freezes_what_exists_once_imports_finish(tmp_path):
+    checkpoint, lines = fixture_checkpoint(tmp_path)
+    before, after, _ = main_in_a_fresh_interpreter(
+        ["predict", "--checkpoint", checkpoint, "--input", lines])
+    assert before == 0 and after > 0
