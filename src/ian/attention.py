@@ -5,11 +5,13 @@ through a softmax restricted to unmasked positions, and the pooled output
 is the weight-averaged hidden state. Masked positions receive weight
 exactly zero, so padding never contributes.
 
-Both passes run on a time-major chunk of B sequences: hiddens (n, B, H),
-one query per row (B, Q) and a mask (n, B); the softmax runs down each
-row's own column. Sums over positions add step by step, position k after
-position k - 1, so trailing padding (exact zeros) leaves every result
-bit-identical, and the forward pass builds no (n, B, H) temporary.
+Both passes run on a time-major chunk: one query per row (B, Q) and G
+columns of states, hiddens (n, G, H) with a mask (n, G). A gather (B,)
+names the column each row reads, so rows that share a column (the aspect
+terms of one sentence) read it in place, and backward sums their state
+gradients onto it with a 0/1 column-by-row matrix. Forward sums over
+positions add step by step, position k after position k - 1, so trailing
+padding (exact zeros) leaves every result bit-identical.
 """
 
 from __future__ import annotations
@@ -38,65 +40,67 @@ class AttentionParams:
 
 
 def attend(params: AttentionParams, hiddens: np.ndarray, query: np.ndarray, mask: np.ndarray,
-           gather=None):
-    """Pool hiddens (n, B, hidden_dim), row b under query[b] (B, query_dim).
+           gather: np.ndarray):
+    """Pool row b of a chunk under query[b] (B, query_dim).
 
-    mask is a boolean (n, B) array; False positions are excluded from
-    their row's softmax and get weight 0. gather (B,), when given, is the
-    column of hiddens (n, G, hidden_dim) and of mask (n, G) that row b
-    reads; each position's rows are then read from it one at a time, so
-    no (n, B, hidden_dim) copy exists. Returns (pooled (B, hidden_dim),
-    weights (n, B), trace).
+    hiddens (n, G, hidden_dim) and the boolean mask (n, G) hold G columns;
+    gather (B,) is the column row b reads, so the instances that share a
+    column read it in place, position by position, and no (n, B,
+    hidden_dim) copy exists. False positions are excluded from their row's
+    softmax and get weight 0. Returns (pooled (B, hidden_dim), weights
+    (n, B), trace).
     """
-    def rows(k):
-        return hiddens[k] if gather is None else hiddens[k, gather]
-
     proj = query @ params.W_a.T
-    if gather is None:
-        raw = np.einsum("nbh,bh->nb", hiddens, proj)
-    else:
-        mask = mask[:, gather]
-        # column-major, as einsum lays out the scores of a gathered copy:
-        # the softmax then sums them in the same order, bit for bit
-        raw = np.empty(mask.shape, order="F")
-        for k in range(len(hiddens)):
-            raw[k] = np.einsum("bh,bh->b", rows(k), proj)
+    raw = np.empty((len(hiddens), len(gather)))
+    for k in range(len(hiddens)):
+        raw[k] = np.einsum("bh,bh->b", hiddens[k, gather], proj)
     raw = tanh(raw + float(params.b_a))
-    weights = softmax_stable(np.where(mask, raw, -np.inf), axis=0)
-    pooled = weights[0, :, None] * rows(0)
+    weights = softmax_stable(np.where(mask[:, gather], raw, -np.inf), axis=0)
+    pooled = weights[0, :, None] * hiddens[0, gather]
     for k in range(1, len(hiddens)):
-        pooled += weights[k, :, None] * rows(k)
+        pooled += weights[k, :, None] * hiddens[k, gather]
     trace = {
         "hiddens": hiddens,
+        "gather": gather,
         "query": query,
         "proj": proj,
         "raw": raw,
         "weights": weights,
-        "mask": mask,
     }
     return pooled, weights, trace
+
+
+def onto_columns(gather: np.ndarray, columns: int) -> np.ndarray:
+    """The 0/1 (columns, B) matrix whose product with a (B, ...) array of
+    per-row gradients sums the rows that read each column."""
+    return gather == np.arange(columns)[:, None]
 
 
 def attention_backward(params: AttentionParams, trace: dict, d_pooled: np.ndarray, grads):
     """Backpropagate d_pooled (B, hidden_dim) through the pooling.
 
     Accumulates into grads.W_a / grads.b_a and returns (d_hiddens
-    (n, B, hidden_dim), d_query (B, query_dim)). Masked positions end up
-    with exactly zero d_hiddens rows because their weights are zero on
-    both paths.
+    (n, G, hidden_dim), the rows that read a column summed onto it;
+    d_query (B, query_dim)). Masked positions get exactly zero d_hiddens
+    rows because their weights are zero on both paths.
     """
-    hiddens = trace["hiddens"]
+    hiddens, gather = trace["hiddens"], trace["gather"]
     raw = trace["raw"]
     weights = trace["weights"]
+    n, columns, hidden_dim = hiddens.shape
+    rows = np.arange(len(gather))
 
-    d_weights = np.einsum("nbh,bh->nb", hiddens, d_pooled)
+    d_weights = (hiddens @ d_pooled.T)[:, gather, rows]
     # softmax jacobian: dL/ds_k = w_k * (dL/dw_k - sum_j w_j dL/dw_j)
     d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
     d_raw = d_scores * (1.0 - raw**2)
 
     grads.b_a += d_raw.sum()
-    hden = np.einsum("nb,nbh->bh", d_raw, hiddens)
+    onto = onto_columns(gather, columns)
+    # (k, g, b): row b's gradient at position k if it reads column g, else 0
+    d_raw_onto = onto * d_raw[:, None]
+    hden = d_raw_onto.reshape(n * columns, -1).T @ hiddens.reshape(n * columns, hidden_dim)
     grads.W_a += hden.T @ trace["query"]
-    d_hiddens = weights[..., None] * d_pooled
-    d_hiddens += d_raw[..., None] * trace["proj"]
+    d_hiddens = (onto * weights[:, None]) @ d_pooled
+    d_hiddens += d_raw_onto @ trace["proj"]
     return d_hiddens, hden @ params.W_a

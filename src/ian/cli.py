@@ -527,8 +527,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     # what exists once imports finish lives until exit: keep it out of every
-    # collection during the run and out of the sweep at shutdown
-    gc.freeze()
+    # collection during the run and out of the sweep at shutdown. Once per
+    # process: a later call would freeze, and so never free, what earlier calls
+    # left behind
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser, configurable = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -63,7 +63,7 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
     if corrupt_group is not None:
         if corrupt_group not in GROUPS:
             raise ValueError(f"unknown gradient group {corrupt_group!r}")
-        for name, arr in grads.arrays():
+        for name, arr in grads.named_arrays():
             if group_of(name) == corrupt_group:
                 arr *= 2.0
 

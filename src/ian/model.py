@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .attention import AttentionParams, attend, attention_backward
+from .attention import AttentionParams, attend, attention_backward, onto_columns
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
 from .lstm import LstmParams, lstm_backward, lstm_forward
 from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
@@ -294,13 +294,13 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
 
 def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
     """(side, ids, row lengths, gather) per side the route encodes,
-    context first. ids is time-major; gather, when not None, is the ids
-    column of each instance: the distinct contexts run once each and
-    serve all their instances."""
+    context first. ids is time-major; gather is the ids column of each
+    instance: the distinct contexts run once each and serve all their
+    instances, and every other side has a column per instance."""
     if route.target != "span":
         sides = [("ctx", ctx_idx, lengths, contexts)]
         if route.target is not None:
-            sides.append(("tgt", tgt_idx, tgt_lengths, None))
+            sides.append(("tgt", tgt_idx, tgt_lengths, np.arange(len(contexts))))
         return sides
     if span is None:
         raise ValueError("td_lstm needs the target span inside the context")
@@ -310,9 +310,10 @@ def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
     # a span reaching past the row's end is cut there, as a slice would be
     start, end = span[:, 0], np.minimum(span[:, 1], lengths)
     rev = lengths - 1 - np.arange(len(ctx_idx))[:(lengths - start).max(), None]
-    return [("ctx", ctx_idx[:end.max()], end, None),
+    each = np.arange(len(contexts))
+    return [("ctx", ctx_idx[:end.max()], end, each),
             ("tgt", np.take_along_axis(ctx_idx, np.maximum(rev, 0), axis=0),
-             lengths - start, None)]
+             lengths - start, each)]
 
 
 def _features(params, route, trace, keep_trace):
@@ -320,10 +321,10 @@ def _features(params, route, trace, keep_trace):
     (which reads the word vectors from the table by id), then pool the
     sides the classifier reads into its input (B, feature_dim).
 
-    A traced pass copies a shared context's states out to each of its
-    instances, as backward reads them. A pass that keeps no trace keeps one
-    column per distinct context: it averages each column once, and
-    attention reads each instance's column position by position."""
+    Each side keeps its states per column, a shared context's once: its
+    average and last state are taken once per column and handed to each
+    instance by its gather, and attention reads each instance's column in
+    place, position by position."""
     states, masks, lengths, gathers = {}, {}, {}, {}
     for side, ids, lens, gather in trace["sides"]:
         lstm = getattr(params, f"{side}_lstm")
@@ -332,27 +333,21 @@ def _features(params, route, trace, keep_trace):
         else:
             rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, ids, params.embeddings, lens,
                                                             keep_trace)
-        if gather is not None and keep_trace:
-            rows, ids, lens, gather = rows[:, gather], ids[:, gather], lens[gather], None
         states[side], masks[side], lengths[side] = rows, ids != PAD_INDEX, lens
         gathers[side] = gather
     trace.update(states=states, masks=masks, lengths=lengths)
 
-    def per_instance(side, vec):
-        return vec if gathers[side] is None else vec[gathers[side]]
-
     pooled = []
     for side, pool in feature_sides(route):
+        gather = gathers[side]
         if pool == "last":
-            vec = per_instance(side, states[side][lengths[side] - 1,
-                                                  np.arange(len(lengths[side]))])
+            vec = states[side][lengths[side][gather] - 1, gather]
         elif pool == "mean":
-            vec = per_instance(side, masked_mean(states[side], masks[side]))
+            vec = masked_mean(states[side], masks[side])[gather]
         else:
             vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
                 getattr(params, f"{side}_attn"), states[side],
-                per_instance(pool, masked_mean(states[pool], masks[pool])), masks[side],
-                gathers[side])
+                masked_mean(states[pool], masks[pool])[gathers[pool]], masks[side], gather)
         pooled.append(vec)
     return np.concatenate(pooled, axis=1)
 
@@ -368,9 +363,10 @@ def backward(params: ModelParams, trace: dict, labels, grads):
     It replays forward's sides and pools in reverse: each pooled vector
     back to its side's states and to the averages it was built from, each
     side back through its LSTM if it has one, onto the embedding rows it
-    read. Consumes the trace: the LSTM backward passes overwrite its gate
-    arrays, and the per-instance states and attention traces leave it
-    once read."""
+    read. The instances that read one column of states have their
+    gradients summed onto it by a 0/1 column-by-instance matrix. Consumes
+    the trace: the LSTM backward passes overwrite its gate arrays, and the
+    states and attention traces leave it once read."""
     if params.variant == "majority":
         raise ValueError("the majority baseline has no gradients")
 
@@ -387,15 +383,16 @@ def backward(params: ModelParams, trace: dict, labels, grads):
 
     dh = params.hidden_dim
     masks, lengths = trace["masks"], trace["lengths"]
+    onto = {side: onto_columns(gather, len(lens)) for side, _, lens, gather in trace["sides"]}
     # each activation is dropped from the trace once read, so the LSTM
-    # passes run without the chunk's per-instance states alongside
+    # passes run without the chunk's states alongside
     del trace["states"]
     d_states, d_avgs = {}, {}
     for k, (side, pool) in enumerate(feature_sides(ROUTES[params.variant])):
         d_pooled = dd[:, k * dh:(k + 1) * dh]
         if pool == "last":
             d_last = np.zeros((*masks[side].shape, dh))
-            d_last[lengths[side] - 1, rows] = d_pooled
+            d_last[lengths[side] - 1, np.arange(len(lengths[side]))] = onto[side] @ d_pooled
             _accumulate(d_states, side, d_last)
         elif pool == "mean":
             _accumulate(d_avgs, side, d_pooled)
@@ -408,13 +405,10 @@ def backward(params: ModelParams, trace: dict, labels, grads):
     for side, d_avg in d_avgs.items():
         # a masked mean spreads its gradient evenly over the selected rows
         mask = masks[side]
+        d_avg = onto[side] @ d_avg
         _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
-    for side, ids, lens, gather in trace["sides"]:
+    for side, ids, lens, _ in trace["sides"]:
         d_emb = d_states.pop(side)
-        if gather is not None:
-            # the gradients of a context's instances meet on its one run:
-            # a 0/1 context-by-instance matrix sums them
-            d_emb = (gather == np.arange(ids.shape[1])[:, None]) @ d_emb
         lstm = getattr(params, f"{side}_lstm")
         if lstm is not None:
             d_emb = lstm_backward(lstm, trace[f"{side}_lstm_trace"], d_emb,

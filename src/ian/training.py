@@ -36,9 +36,6 @@ class GradSet(ModelParams):
         super().__init__(ZeroInit(), params.vocab, **params.layout())
         self._by_name = dict(self.named_arrays())
 
-    def arrays(self):
-        return self.named_arrays()
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._by_name[name]
 
@@ -146,7 +143,7 @@ def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
                   lr: float, momentum: float):
     """Classical momentum: v <- momentum*v + lr*g; theta <- theta - v."""
     for (name, p_arr), (_, g_arr), (_, v_arr) in zip(
-        params.named_arrays(), grads.arrays(), velocity.arrays()
+        params.named_arrays(), grads.named_arrays(), velocity.named_arrays()
     ):
         v_arr *= momentum
         v_arr += lr * g_arr
@@ -178,7 +175,8 @@ class TrainConfig:
 def _first_non_finite(params: ModelParams, grads: GradSet) -> str:
     """Names the first array holding a non-finite entry, parameters before
     gradients, each in named_arrays order; empty when all are finite."""
-    for kind, arrays in (("parameter", params.named_arrays()), ("gradient", grads.arrays())):
+    for kind, arrays in (("parameter", params.named_arrays()),
+                         ("gradient", grads.named_arrays())):
         for name, arr in arrays:
             if not np.isfinite(arr).all():
                 return f"; first non-finite {kind}: {name}"

@@ -10,7 +10,8 @@ from ian.numerics import Rng
 
 def attend_one(params, hiddens, query, mask):
     """attend on a chunk of one sequence, outputs without the batch axis."""
-    pooled, weights, trace = attend(params, hiddens[:, None], query[None], mask[:, None])
+    pooled, weights, trace = attend(params, hiddens[:, None], query[None], mask[:, None],
+                                    np.zeros(1, dtype=np.int64))
     return pooled[0], weights[:, 0], trace
 
 
@@ -113,3 +114,30 @@ def test_masked_rows_receive_zero_gradient():
     d_hiddens, _ = backward_one(p, trace, rng.uniform(-1, 1, 3), zero_grads(p))
     assert np.array_equal(d_hiddens[1], np.zeros(3))
     assert np.array_equal(d_hiddens[3], np.zeros(3))
+
+
+def test_shared_columns_equal_their_copies():
+    # rows that share a column read it in place; backward sums their state
+    # gradients onto it. The same rows on a copy, one column each, agree
+    rng = Rng(23)
+    p = AttentionParams(rng, 4, 3)
+    lengths = np.array([5, 2, 4])
+    gather = np.array([0, 0, 1, 2, 2, 2])
+    mask = np.arange(5)[:, None] < lengths
+    h = rng.uniform(-1, 1, (5, 3, 4)) * mask[..., None]
+    q = rng.uniform(-1, 1, (len(gather), 3))
+    d_pooled = rng.uniform(-1, 1, (len(gather), 4))
+    each = np.arange(len(gather))
+
+    shared, copied = zero_grads(p), zero_grads(p)
+    pooled, weights, trace = attend(p, h, q, mask, gather)
+    d_h, d_q = attention_backward(p, trace, d_pooled, shared)
+    ref_pooled, ref_weights, ref_trace = attend(p, h[:, gather], q, mask[:, gather], each)
+    ref_d_h, ref_d_q = attention_backward(p, ref_trace, d_pooled, copied)
+    summed = np.zeros_like(h)
+    np.add.at(summed, (slice(None), gather), ref_d_h)
+
+    assert d_h.shape == h.shape
+    for got, ref in ((pooled, ref_pooled), (weights, ref_weights), (d_q, ref_d_q),
+                     (shared.W_a, copied.W_a), (shared.b_a, copied.b_a), (d_h, summed)):
+        assert np.max(np.abs(got - ref)) <= 1e-12

@@ -99,7 +99,7 @@ def assert_batch_equals_per_case(params, batch, l2, masks, atol=1e-10):
     loss, grads = loss_and_grads(params, batch, l2=l2, drop_masks=masks)
     ref_loss, ref_grads = per_case_sums(params, batch, l2, masks)
     assert abs(loss - ref_loss) <= atol
-    for name, arr in grads.arrays():
+    for name, arr in grads.named_arrays():
         assert np.max(np.abs(arr - ref_grads[name]), initial=0.0) <= atol, name
 
 
@@ -267,9 +267,10 @@ def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
 # pad many short contexts to the longest (about 20 MB).
 LOSS_AND_GRADS_PEAK_MB = 9.0
 PREDICT_ALL_PEAK_MB = 7.0
-# a pass that keeps no trace reads a shared context's states in place, not
-# copied out to each of its instances: on contexts of three terms each,
-# the copy took predict_all from 4.5 to 6.1 MB
+# every pass reads a shared context's states in place, not copied out to
+# each of its instances: on contexts of three terms each, the copy took
+# predict_all from 4.5 to 6.1 MB, and loss_and_grads on 11 twenty-token
+# contexts from 7.7 to 10.4 MB (the three_terms case of the guard above)
 SHARED_CONTEXT_PEAK_MB = 5.0
 
 
@@ -306,12 +307,15 @@ def skewed_cases(rng, mix):
     return out
 
 
-def test_activation_memory_stays_bounded_at_paper_dims():
+@pytest.mark.parametrize("mix", [None, [(11, 20, 3)]], ids=["sixty_tokens", "three_terms"])
+def test_activation_memory_stays_bounded_at_paper_dims(mix):
     vocab = Vocabulary([f"w{i}" for i in range(499)])
     params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
     grads = GradSet(params)
     rng = Rng(1)
-    batch = sixty_token_cases(rng, 32)
+    batch = sixty_token_cases(rng, 32)  # drawn either way: predict_all's cases follow
+    if mix is not None:  # contexts that serve three instances each
+        batch = skewed_cases(Rng(2), mix)
     peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
     assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
     many = sixty_token_cases(rng, 200)

@@ -78,7 +78,7 @@ def test_fused_matches_loop_reference(monkeypatch, variant, tie, embed_dim, hidd
         case = (n_tgt, ctx_pads, tgt_pads, dropout, l2)
         assert np.max(np.abs(probs - ref_probs)) <= 1e-12, case
         assert abs(loss - ref_loss) <= 1e-12, case
-        for name, arr in grads.arrays():
+        for name, arr in grads.named_arrays():
             assert np.allclose(arr, ref_grads[name], rtol=1e-9, atol=1e-13), (name, case)
 
 
@@ -128,9 +128,9 @@ def test_gradset_is_a_zero_twin_with_fused_storage(variant, tie):
     params = make_model(variant, tie, 6, 4, seed=8)
     grads = GradSet(params)
     assert isinstance(grads, ModelParams)
-    assert [(name, arr.shape) for name, arr in grads.arrays()] == [
+    assert [(name, arr.shape) for name, arr in grads.named_arrays()] == [
         (name, arr.shape) for name, arr in params.named_arrays()]
-    assert not any(arr.any() for _, arr in grads.arrays())
+    assert not any(arr.any() for _, arr in grads.named_arrays())
     for part in ("ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn"):
         assert (getattr(grads, part) is None) == (getattr(params, part) is None), part
     if tie:  # both attention backward calls accumulate into one object
@@ -149,7 +149,7 @@ def test_momentum_step_reaches_fused_storage():
     before = [(lstm.W_x.copy(), lstm.W_h.copy(), lstm.b.copy()) for lstm in lstms(params)]
     grads, velocity = GradSet(params), GradSet(params)
     rng = Rng(5)
-    for _, arr in grads.arrays():
+    for _, arr in grads.named_arrays():
         arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
     momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
     for (W_x, W_h, b), lstm, side in zip(before, lstms(params), ("ctx", "tgt")):

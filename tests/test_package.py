@@ -111,6 +111,15 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 DEFERRED = ("ian.gradcheck", "ian.viz", "html", "xml.etree.ElementTree")
 
 
+def last_line_in_a_fresh_interpreter(code):
+    # the calls read the bundled corpus
+    env = {key: value for key, value in os.environ.items() if key != DATA_ENV}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 def main_in_a_fresh_interpreter(argv):
     """Run ian.cli.main(argv) in a new interpreter; returns the gc freeze
     count after importing ian.cli and after the call, and which of
@@ -121,12 +130,7 @@ def main_in_a_fresh_interpreter(argv):
         f"assert ian.cli.main({list(argv)!r}) == 0\n"
         f"print(frozen, gc.get_freeze_count(), [m for m in {DEFERRED!r} if m in sys.modules])\n"
     )
-    # the call reads the bundled corpus
-    env = {key: value for key, value in os.environ.items() if key != DATA_ENV}
-    env["PYTHONPATH"] = str(SRC.parent)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    before, after, loaded = done.stdout.splitlines()[-1].split(" ", 2)
+    before, after, loaded = last_line_in_a_fresh_interpreter(code).split(" ", 2)
     return int(before), int(after), ast.literal_eval(loaded)
 
 
@@ -160,3 +164,20 @@ def test_main_freezes_what_exists_once_imports_finish(tmp_path):
     before, after, _ = main_in_a_fresh_interpreter(
         ["predict", "--checkpoint", checkpoint, "--input", lines])
     assert before == 0 and after > 0
+
+
+def test_main_freezes_once_per_process(tmp_path):
+    # a second call in the same process must not freeze what the first
+    # left behind: frozen objects are never collected
+    checkpoint, lines = fixture_checkpoint(tmp_path)
+    argv = ["predict", "--checkpoint", checkpoint, "--input", lines]
+    code = (
+        "import gc, ian.cli\n"
+        "counts = []\n"
+        "for _ in range(2):\n"
+        f"    assert ian.cli.main({argv!r}) == 0\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(*counts)\n"
+    )
+    first, second = map(int, last_line_in_a_fresh_interpreter(code).split())
+    assert first > 0 and second == first

@@ -165,7 +165,8 @@ def test_grad_accumulation_sums_cases():
     both = GradSet(params)
     loss_and_grads(params, [a], grads=both)
     loss_and_grads(params, [b], grads=both)
-    for (name, got), (_, xa), (_, xb) in zip(both.arrays(), lone_a.arrays(), lone_b.arrays()):
+    for (name, got), (_, xa), (_, xb) in zip(both.named_arrays(), lone_a.named_arrays(),
+                                             lone_b.named_arrays()):
         assert np.allclose(got, xa + xb, atol=1e-14), name
 
 
@@ -174,14 +175,14 @@ def test_gradset_zero():
     ctx, tgt, span, label = tiny_instance(Rng(111))
     _, grads = loss_and_grads(params, [case(ctx, tgt, span, label)])
     grads.zero()
-    assert all(np.all(arr == 0.0) for _, arr in grads.arrays())
+    assert all(np.all(arr == 0.0) for _, arr in grads.named_arrays())
 
 
 def test_momentum_hand_case():
     params = tiny_model("lstm_avg", seed=25, de=2, dh=2)
     grads = GradSet(params)
     velocity = GradSet(params)
-    for _, arr in grads.arrays():
+    for _, arr in grads.named_arrays():
         arr[...] = 1.0
     before = {name: arr.copy() for name, arr in params.named_arrays()}
     momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
@@ -249,7 +250,7 @@ def test_zero_momentum_reduces_to_plain_sgd():
     params = tiny_model("lstm_avg", seed=27, de=2, dh=2)
     grads = GradSet(params)
     velocity = GradSet(params)
-    for _, arr in grads.arrays():
+    for _, arr in grads.named_arrays():
         arr[...] = 2.0
     before = {name: arr.copy() for name, arr in params.named_arrays()}
     momentum_step(params, grads, velocity, lr=0.25, momentum=0.0)
