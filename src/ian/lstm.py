@@ -18,23 +18,24 @@ and the optimizer address the parameters by the per-gate names.
 
 Both passes run on time-major chunks: ids (n, B) hold B sequences of
 word ids side by side, step k of all of them in ids[k], and each row has
-its own length; the forward pass reads the vectors of the real words from
-the embedding table, so no padded (n, B, E) copy of them exists. Steps are
-packed (the idea of PyTorch's pack_padded_sequence; Khomenko et al. 2016,
-arXiv:1708.05604, bucket by length for the same reason): with the rows
-taken longest first, step k runs only the prefix of rows still inside
-their length, so no step of a finished row is computed. The traced
-forward pass projects every real word through W_x in one matrix product
-before the recurrence, leaving one (b_k, H) x (H, 4H) product per step
-(Appleyard et al. 2016, arXiv:1604.01946); a pass that keeps no trace
-projects a block of whole steps at a time and keeps only the hidden
-states, so its memory grows with the padded (n, B) states alone. The
-backward pass is derived by hand: the recurrence writes the gate
-pre-activation gradients dZ over the packed gate activations of the
-trace, step by step, and the input gradients and every weight gradient
-are matrix products of dZ after the loop; tanh(c) is recomputed rather
-than stored. It is checked against finite differences and against the
-per-gate loop it replaced in the tests.
+its own length. Steps are packed (the idea of PyTorch's
+pack_padded_sequence; Khomenko et al. 2016, arXiv:1708.05604, bucket by
+length for the same reason): with the rows taken longest first, step k
+runs only the prefix of rows still inside their length, and every array
+of either pass holds one row per real token, step after step. The
+forward pass reads the vectors of those tokens from the embedding table
+by id and returns their states packed, with the table of the packed row
+at each (step, column). The traced pass projects every real word through
+W_x in one matrix product before the recurrence, leaving one (b_k, H) x
+(H, 4H) product per step (Appleyard et al. 2016, arXiv:1604.01946); a
+pass that keeps no trace projects blocks of whole steps and keeps only
+the states. The backward pass is derived by hand: the recurrence writes
+the gate pre-activation gradients dZ over the packed gate activations of
+the trace, step by step, and every weight gradient and the word
+gradients, added into the table's gradient by id, are matrix products of
+dZ after the loop; the word vectors are read again from the table and
+tanh(c) is recomputed rather than stored. It is checked against finite
+differences and against the per-gate loop it replaced in the tests.
 """
 
 from __future__ import annotations
@@ -77,19 +78,24 @@ class LstmParams:
             yield prefix + name, getattr(self, name)
 
 
-def _packing(n: int, lengths: np.ndarray) -> dict:
-    """Where each step's rows sit in the packed arrays of a chunk.
+def packing(ids: np.ndarray, lengths: np.ndarray) -> dict:
+    """How a time-major chunk of ids (n, B) packs, column b over its first
+    lengths[b] steps.
 
-    Rows run longest first: order lists the chunk's columns that way, and
-    step k runs the prefix order[:widths[k]], the rows still inside their
-    own length. Packed row t is step steps[t] of column cols[t]; step k
-    owns the packed rows starts[k] to starts[k] + widths[k].
+    Columns run longest first, and step k runs the first widths[k] of
+    them, those still inside their own length, as the packed rows
+    starts[k] to starts[k] + widths[k]. ids (tokens,) holds the id each
+    packed row reads, and row_of (n, B) the packed row of each (step,
+    column), -1 past the column's length.
     """
+    n, batch = ids.shape
     order = np.argsort(-lengths, kind="stable")
     widths = np.count_nonzero(lengths[:, None] > np.arange(n), axis=0)
-    steps, ranks = np.nonzero(np.arange(len(lengths)) < widths[:, None])
-    return {"order": order, "widths": widths, "starts": np.cumsum(widths) - widths,
-            "steps": steps, "cols": order[ranks]}
+    steps, ranks = np.nonzero(np.arange(batch) < widths[:, None])
+    row_of = np.full((n, batch), -1)
+    row_of[steps, order[ranks]] = np.arange(len(steps))
+    return {"ids": ids[steps, order[ranks]], "widths": widths,
+            "starts": np.cumsum(widths) - widths, "row_of": row_of}
 
 
 # rows of gate pre-activations a pass that keeps no trace projects at a time
@@ -102,70 +108,73 @@ def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths
     vectors are the rows of table (vocabulary, input_dim).
 
     Row b runs its first lengths[b] steps (default: all n); its ids after
-    that are never read, and its states there are exactly zero. Returns
-    (hiddens, trace): hiddens is (n, B, hidden_dim); the trace holds what
-    the backward pass needs, every per-step array packed. With keep_trace
-    False the pass keeps only the hidden states: it projects the gates a
-    block of whole steps (about BLOCK_ROWS packed rows) at a time, keeps
-    no cell, and returns None for the trace.
+    that are never read. Returns (states, row_of, trace): states (tokens,
+    hidden_dim) holds one packed row per real step, row_of (n, B) the
+    packed row of each (step, column), -1 past the column's length, and
+    the trace what the backward pass needs, every per-step array packed.
+    With keep_trace False the pass keeps only the states: it projects the
+    gates in blocks of whole steps (at most BLOCK_ROWS packed rows, or one
+    wider step), keeps one step's cells, and returns None for the trace.
     """
     n, batch = ids.shape
     dh = params.hidden_dim
     lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
-    trace = _packing(n, lengths)
-    order, widths, starts, steps, cols = (
-        trace[key] for key in ("order", "widths", "starts", "steps", "cols"))
-    # a traced pass projects every real word at once, into the gate array
-    # its trace keeps; otherwise step k is projected with the block of
-    # steps whose packed rows start in the same BLOCK_ROWS stretch
-    blocks = starts // BLOCK_ROWS if not keep_trace else np.zeros(n, dtype=np.int64)
-    hiddens = np.zeros((n, batch, dh))
-    cells = np.empty((starts[-1] + widths[-1], dh)) if keep_trace else None
+    pack = packing(ids, lengths)
+    word_ids, widths, starts = pack["ids"], pack["widths"], pack["starts"]
+    ends = starts + widths
+    states = np.empty((len(word_ids), dh))
+    # a traced pass keeps every step's cells, packed; otherwise step k's
+    # overwrite step k - 1's, row for row. Step 0, the widest, sizes the
+    # buffer of each step's recurrent product, then of its cell temporaries
+    cells = np.empty((len(word_ids) if keep_trace else batch, dh))
+    recurrent = np.empty((batch, 4 * dh))
+    scratch = recurrent[:, :dh]
 
-    h = c = np.zeros((batch, dh))
+    c = np.zeros((batch, dh))  # h and c are zero before the first step
+    block_end = 0
     for k in range(n):
         b, lo = widths[k], starts[k]
-        if k == 0 or blocks[k] != blocks[k - 1]:
-            # free the last block (z is a view of it) before the next exists
-            words = gates = z = None
-            last = np.searchsorted(blocks, blocks[k], side="right") - 1
-            rows = slice(lo, starts[last] + widths[last])
-            words = table[ids[steps[rows], cols[rows]]]
-            gates = words @ params.W_x.T
+        if k == block_end:
+            # a traced pass projects every real word at once, into the gate
+            # array its trace keeps; otherwise a block holds as many whole
+            # steps as fit in BLOCK_ROWS packed rows, at least one
+            gates = z = None  # free the last block (z is a view of it) before the next exists
+            block_end = n if keep_trace else max(
+                np.searchsorted(ends, lo + BLOCK_ROWS, side="right"), k + 1)
+            gates = table[word_ids[lo:ends[block_end - 1]]] @ params.W_x.T
             gates += params.b
             base = lo
         z = gates[lo - base:lo - base + b]
-        if k:  # h is zero before the first step
-            z += h[:b] @ params.W_h.T
+        if k:
+            prev = starts[k - 1]
+            np.matmul(states[prev:prev + b], params.W_h.T, out=recurrent[:b])
+            z += recurrent[:b]
         sigmoid(z[:, :3 * dh], out=z[:, :3 * dh])
         tanh(z[:, 3 * dh:], out=z[:, 3 * dh:])
-        c = z[:, dh:2 * dh] * c[:b] + z[:, :dh] * z[:, 3 * dh:]
-        if keep_trace:
-            cells[lo:lo + b] = c
-        h = z[:, 2 * dh:3 * dh] * tanh(c)
-        hiddens[k, order[:b]] = h
+        c = np.multiply(z[:, dh:2 * dh], c[:b], out=cells[lo:lo + b] if keep_trace else cells[:b])
+        c += np.multiply(z[:, :dh], z[:, 3 * dh:], out=scratch[:b])
+        np.multiply(z[:, 2 * dh:3 * dh], tanh(c, out=scratch[:b]), out=states[lo:lo + b])
 
     if not keep_trace:
-        return hiddens, None
-    trace.update(shape=(n, batch, params.input_dim), words=words, gates=gates, cells=cells,
-                 hiddens=hiddens)
-    for g, gate in enumerate(("i", "f", "o", "c_hat")):
-        trace[gate] = gates[:, g * dh:(g + 1) * dh]
-    return hiddens, trace
+        return states, pack["row_of"], None
+    trace = dict(widths=widths, starts=starts, ids=word_ids, table=table, gates=gates,
+                 cells=cells, states=states)
+    return states, pack["row_of"], trace
 
 
-def lstm_backward(params: LstmParams, trace: dict, d_hiddens: np.ndarray, grads) -> np.ndarray:
-    """Backpropagate d_hiddens (n, B, hidden_dim) through the whole chunk.
+def lstm_backward(params: LstmParams, trace: dict, d_states: np.ndarray, grads,
+                  d_table: np.ndarray):
+    """Backpropagate d_states (tokens, hidden_dim), one gradient per packed
+    row of the trace's states, through the whole chunk.
 
     Accumulates parameter gradients into `grads` (per-gate attribute
-    access, += on matching shapes) and returns d_inputs (n, B, input_dim),
-    zero past each row's length. The trace is consumed: the gate
-    pre-activation gradients are written over its gate activations, step
-    by step from the last.
+    access, += on matching shapes) and the gradient of the word each
+    packed row read into that word's row of d_table, a gradient of the
+    embedding table. The trace is consumed: the gate pre-activation
+    gradients are written over its gate activations, step by step from
+    the last.
     """
-    order, widths, starts, steps, cols = (
-        trace[key] for key in ("order", "widths", "starts", "steps", "cols"))
-    cells = trace["cells"]
+    widths, starts, cells = trace["widths"], trace["starts"], trace.pop("cells")
     dZ = trace["gates"]
     dh = params.hidden_dim
 
@@ -179,7 +188,7 @@ def lstm_backward(params: LstmParams, trace: dict, d_hiddens: np.ndarray, grads)
         z = dZ[lo:lo + b]
         i_g, f_g, o_g, c_hat = (z[:, g * dh:(g + 1) * dh] for g in range(4))
         tanh_c = tanh(cells[lo:lo + b])
-        dh_k = d_hiddens[k, order[:b]]
+        dh_k = d_states[lo:lo + b].copy()
         dh_k[:len(dh_next)] += dh_next
         dc = dh_k * o_g * (1.0 - tanh_c**2)
         dc[:len(dc_next)] += dc_next
@@ -194,20 +203,18 @@ def lstm_backward(params: LstmParams, trace: dict, d_hiddens: np.ndarray, grads)
             dh_next = z @ params.W_h
         else:  # c and h are zero before the first step
             f_g[...] = 0.0
+    del cells, tanh_c
 
-    # step k's rows pair with their own states at step k - 1, so only the
-    # packed rows after step 0 reach the W_h gradient
+    # the word vectors are read again from the table, by id; packed row t
+    # after step 0 pairs with row t - widths[k - 1], its column's state at
+    # step k - 1, so only those rows reach the W_h gradient
+    words = trace["table"][trace["ids"]]
     first = widths[0]
-    words = trace["words"]
-    h_prevs = trace["hiddens"][steps[first:] - 1, cols[first:]]
+    h_prevs = trace["states"][np.arange(first, len(dZ)) - np.repeat(widths[:-1], widths[1:])]
     for g, gate in enumerate(GATES):
         dz_gate = dZ[:, g * dh:(g + 1) * dh]
-        w_grad = getattr(grads, f"W{gate}_w")
-        w_grad += dz_gate.T @ words
-        h_grad = getattr(grads, f"W{gate}_h")
-        h_grad += dz_gate[first:].T @ h_prevs
-        b_grad = getattr(grads, f"b{gate}")
-        b_grad += dz_gate.sum(axis=0)
-    d_inputs = np.zeros(trace["shape"])
-    d_inputs[steps, cols] = dZ @ params.W_x
-    return d_inputs
+        getattr(grads, f"W{gate}_w")[...] += dz_gate.T @ words
+        getattr(grads, f"W{gate}_h")[...] += dz_gate[first:].T @ h_prevs
+        getattr(grads, f"b{gate}")[...] += dz_gate.sum(axis=0)
+    del words, h_prevs
+    np.add.at(d_table, trace["ids"], dZ @ params.W_x)

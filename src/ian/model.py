@@ -40,9 +40,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .attention import AttentionParams, attend, attention_backward, onto_columns
+from .attention import AttentionParams, attend, attention_backward
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
-from .lstm import LstmParams, lstm_backward, lstm_forward
+from .lstm import LstmParams, lstm_backward, lstm_forward, packing
 from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
 
 LABELS = ("positive", "neutral", "negative")
@@ -80,13 +80,12 @@ VARIANTS = (*ROUTES, "majority")
 
 CHECKPOINT_FORMAT = 1
 
-# a chunk's budget counts what its pass holds: a traced pass keeps packed
-# activations, which grow with the real tokens of the chunk's distinct
-# contexts; a pass that keeps no trace holds padded state arrays, which grow
-# with its instance slots (longest context x instance columns). README.md
+# the real tokens of distinct contexts a chunk holds, which every packed
+# array of its pass grows with: a traced pass keeps its activations for
+# backward, a pass that keeps no trace its hidden states only. README.md
 # has the measurements behind both figures
 CHUNK_TOKENS = 256
-CHUNK_SLOTS = 1024
+NO_TRACE_TOKENS = 512
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
@@ -215,17 +214,18 @@ class ModelParams:
         ]
 
 
-def masked_mean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean over the positions (axis 0) where mask is True, per column of a
-    time-major chunk: rows (n, B, D) and mask (n, B) give (B, D). Positions
-    add one after another, with no (n, B, D) temporary."""
+def masked_mean(states: np.ndarray, row_of: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean per column of packed states (tokens, D) over the positions
+    where mask (n, G) is True, reading row row_of[k, g] at position k of
+    column g: (G, D). Positions add one after another, each reading only
+    the rows it selects."""
     count = mask.sum(axis=0)
     if np.any(count == 0):
         raise ValueError("masked_mean over an empty selection")
-    total = rows[0] * mask[0, ..., None]
-    for k in range(1, len(rows)):
-        total += rows[k] * mask[k, ..., None]
-    return total / count[..., None]
+    total = np.zeros((mask.shape[1], states.shape[1]))
+    for rows, keep in zip(row_of, mask):
+        total[keep] += states[rows[keep]]
+    return total / count[:, None]
 
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
@@ -293,14 +293,16 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
 
 
 def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
-    """(side, ids, row lengths, gather) per side the route encodes,
-    context first. ids is time-major; gather is the ids column of each
+    """(side, ids, row lengths, gather) per side the route encodes, in the
+    order they run. ids is time-major; gather is the ids column of each
     instance: the distinct contexts run once each and serve all their
-    instances, and every other side has a column per instance."""
+    instances, and every other side has a column per instance, so a
+    target side runs first, its wide steps before the context's states
+    exist."""
     if route.target != "span":
         sides = [("ctx", ctx_idx, lengths, contexts)]
         if route.target is not None:
-            sides.append(("tgt", tgt_idx, tgt_lengths, np.arange(len(contexts))))
+            sides.insert(0, ("tgt", tgt_idx, tgt_lengths, np.arange(len(contexts))))
         return sides
     if span is None:
         raise ValueError("td_lstm needs the target span inside the context")
@@ -321,39 +323,40 @@ def _features(params, route, trace, keep_trace):
     (which reads the word vectors from the table by id), then pool the
     sides the classifier reads into its input (B, feature_dim).
 
-    Each side keeps its states per column, a shared context's once: its
-    average and last state are taken once per column and handed to each
-    instance by its gather, and attention reads each instance's column in
-    place, position by position."""
-    states, masks, lengths, gathers = {}, {}, {}, {}
+    Each side keeps its states packed, one row per real token of each
+    column, a shared context's once, with the (n, G) table of the row at
+    each (position, column): its average and last state are taken once
+    per column and handed to each instance by its gather, and attention
+    reads each instance's rows in place, position by position."""
+    states, row_of, masks, lasts, gathers = {}, {}, {}, {}, {}
     for side, ids, lens, gather in trace["sides"]:
         lstm = getattr(params, f"{side}_lstm")
-        if lstm is None:
-            rows = lookup(params.embeddings, ids)
+        if lstm is None:  # the side's states are its word vectors
+            pack = packing(ids, lens)
+            trace[f"{side}_ids"], row_of[side] = pack["ids"], pack["row_of"]
+            states[side] = lookup(params.embeddings, pack["ids"])
         else:
-            rows, trace[f"{side}_lstm_trace"] = lstm_forward(lstm, ids, params.embeddings, lens,
-                                                            keep_trace)
-        states[side], masks[side], lengths[side] = rows, ids != PAD_INDEX, lens
+            states[side], row_of[side], trace[f"{side}_lstm_trace"] = lstm_forward(
+                lstm, ids, params.embeddings, lens, keep_trace)
+        masks[side] = (ids != PAD_INDEX) & (row_of[side] >= 0)
+        lasts[side] = row_of[side][lens - 1, np.arange(len(lens))]
         gathers[side] = gather
-    trace.update(states=states, masks=masks, lengths=lengths)
+    trace.update(states=states, row_of=row_of, masks=masks, lasts=lasts)
 
     pooled = []
     for side, pool in feature_sides(route):
         gather = gathers[side]
         if pool == "last":
-            vec = states[side][lengths[side][gather] - 1, gather]
+            vec = states[side][lasts[side][gather]]
         elif pool == "mean":
-            vec = masked_mean(states[side], masks[side])[gather]
+            vec = masked_mean(states[side], row_of[side], masks[side])[gather]
         else:
+            query = masked_mean(states[pool], row_of[pool], masks[pool])[gathers[pool]]
             vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
-                getattr(params, f"{side}_attn"), states[side],
-                masked_mean(states[pool], masks[pool])[gathers[pool]], masks[side], gather)
+                getattr(params, f"{side}_attn"), states[side], row_of[side], query, masks[side],
+                gather)
         pooled.append(vec)
     return np.concatenate(pooled, axis=1)
-
-
-def _accumulate(total: dict, key: str, grad: np.ndarray):
-    total[key] = total[key] + grad if key in total else grad
 
 
 def backward(params: ModelParams, trace: dict, labels, grads):
@@ -361,12 +364,12 @@ def backward(params: ModelParams, trace: dict, labels, grads):
     chunk, labels (B,), into grads (a zero twin of params).
 
     It replays forward's sides and pools in reverse: each pooled vector
-    back to its side's states and to the averages it was built from, each
-    side back through its LSTM if it has one, onto the embedding rows it
-    read. The instances that read one column of states have their
-    gradients summed onto it by a 0/1 column-by-instance matrix. Consumes
-    the trace: the LSTM backward passes overwrite its gate arrays, and the
-    states and attention traces leave it once read."""
+    back to its side's packed states and to the averages it was built
+    from, each side back through its LSTM if it has one, onto the
+    embedding rows it read. The instances that read one column have their
+    gradients summed onto its rows. Consumes the trace: the LSTM backward
+    passes overwrite its gate arrays, and the states and attention traces
+    leave it once read."""
     if params.variant == "majority":
         raise ValueError("the majority baseline has no gradients")
 
@@ -382,40 +385,42 @@ def backward(params: ModelParams, trace: dict, labels, grads):
         dd *= trace["dropout_mask"]
 
     dh = params.hidden_dim
-    masks, lengths = trace["masks"], trace["lengths"]
-    onto = {side: onto_columns(gather, len(lens)) for side, _, lens, gather in trace["sides"]}
-    # each activation is dropped from the trace once read, so the LSTM
-    # passes run without the chunk's states alongside
-    del trace["states"]
-    d_states, d_avgs = {}, {}
+    masks, row_of, lasts = trace["masks"], trace["row_of"], trace["lasts"]
+    # per side, the 0/1 (columns, B) matrix that sums each column's instances
+    onto = {side: gather == np.arange(len(lens))[:, None]
+            for side, _, lens, gather in trace["sides"]}
+    # one gradient per packed row; each activation leaves the trace once
+    # read, so the LSTM passes run without the chunk's states alongside
+    d_states = {side: np.zeros_like(arr) for side, arr in trace.pop("states").items()}
+    d_avgs = {}
     for k, (side, pool) in enumerate(feature_sides(ROUTES[params.variant])):
         d_pooled = dd[:, k * dh:(k + 1) * dh]
         if pool == "last":
-            d_last = np.zeros((*masks[side].shape, dh))
-            d_last[lengths[side] - 1, np.arange(len(lengths[side]))] = onto[side] @ d_pooled
-            _accumulate(d_states, side, d_last)
+            d_states[side][lasts[side]] += onto[side] @ d_pooled
         elif pool == "mean":
-            _accumulate(d_avgs, side, d_pooled)
+            d_avgs[side] = d_avgs.get(side, 0.0) + d_pooled
         else:
-            d_states[side], d_query = attention_backward(
+            d_attended, d_query = attention_backward(
                 getattr(params, f"{side}_attn"), trace.pop(f"{side}_attn_trace"),
                 d_pooled, getattr(grads, f"{side}_attn"),
             )
-            _accumulate(d_avgs, pool, d_query)
+            d_states[side] += d_attended
+            d_avgs[pool] = d_avgs.get(pool, 0.0) + d_query
     for side, d_avg in d_avgs.items():
         # a masked mean spreads its gradient evenly over the selected rows
         mask = masks[side]
-        d_avg = onto[side] @ d_avg
-        _accumulate(d_states, side, mask[..., None] * (d_avg / mask.sum(axis=0)[:, None]))
-    for side, ids, lens, _ in trace["sides"]:
-        d_emb = d_states.pop(side)
+        d_avg = (onto[side] @ d_avg) / mask.sum(axis=0)[:, None]
+        k, g = np.nonzero(mask)
+        d_states[side][row_of[side][k, g]] += d_avg[g]
+    for side, *_ in reversed(trace["sides"]):
         lstm = getattr(params, f"{side}_lstm")
-        if lstm is not None:
-            d_emb = lstm_backward(lstm, trace[f"{side}_lstm_trace"], d_emb,
-                                  getattr(grads, f"{side}_lstm"))
-        # only the words inside each row's length were read
-        real = (ids != PAD_INDEX) & (np.arange(len(ids))[:, None] < lens)
-        np.add.at(grads.embeddings, ids[real], d_emb[real])
+        if lstm is None:
+            np.add.at(grads.embeddings, trace[f"{side}_ids"], d_states.pop(side))
+        else:
+            lstm_backward(lstm, trace.pop(f"{side}_lstm_trace"), d_states.pop(side),
+                          getattr(grads, f"{side}_lstm"), grads.embeddings)
+    # a pad inside a row's length is read as the pad row, which stays zero
+    grads.embeddings[PAD_INDEX] = 0.0
 
 
 def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:
@@ -446,35 +451,28 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     Instances are ordered by context length, longest first, then by
     context ids, so the instances sharing a context (one sentence's aspect
     terms) sit side by side, and each chunk's contexts run through the
-    context LSTM once each. A chunk's budget counts what its pass holds:
-    for a traced pass (keep_trace), the real tokens of its distinct
-    contexts, at most CHUNK_TOKENS; for a pass that keeps no trace, its
-    padded instance slots, longest context x instance columns, at most
-    CHUNK_SLOTS. budget overrides either figure. A context over the budget
-    is a chunk of its own; a run of instances sharing a context is never
-    cut. Yields (positions, ctx_idx, tgt_idx, layout) per chunk: positions
-    index instances in column order, ctx_idx holds the distinct contexts,
-    and layout holds the rest of forward's chunk arguments (span, lengths,
-    tgt_lengths, contexts).
+    context LSTM once each. A chunk holds at most budget real tokens of
+    distinct contexts: CHUNK_TOKENS for a traced pass (keep_trace),
+    NO_TRACE_TOKENS for a pass that keeps no trace, unless budget is
+    given. A context over the budget is a chunk of its own; a run of
+    instances sharing a context is never cut. Yields (positions, ctx_idx,
+    tgt_idx, layout) per chunk: positions index instances in column order,
+    ctx_idx holds the distinct contexts, and layout holds the rest of
+    forward's chunk arguments (span, lengths, tgt_lengths, contexts).
     """
     if budget is None:
-        budget = CHUNK_TOKENS if keep_trace else CHUNK_SLOTS
+        budget = CHUNK_TOKENS if keep_trace else NO_TRACE_TOKENS
     ids = [tuple(inst.context_ids) for inst in instances]
     order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
                      dtype=np.int64)
     # where in order each distinct context's run of instances starts
     firsts = [k for k in range(len(order)) if k == 0 or ids[order[k]] != ids[order[k - 1]]]
     bounds = np.array(firsts + [len(order)])
-    sizes = np.array([len(ids[order[k]]) for k in firsts])
-    # reach[g1] - reach[g0]: the tokens, or the instance columns, of the
-    # runs g0 to g1 - 1
-    reach = np.concatenate([[0], np.cumsum(sizes)]) if keep_trace else bounds
+    # reach[g1] - reach[g0]: the tokens of the runs' contexts g0 to g1 - 1
+    reach = np.cumsum([0] + [len(ids[order[k]]) for k in firsts])
     cuts = [0] if firsts else []
     for g in range(1, len(firsts)):
-        held = reach[g + 1] - reach[cuts[-1]]
-        if not keep_trace:  # the chunk's first context is its longest
-            held *= sizes[cuts[-1]]
-        if held > budget:
+        if reach[g + 1] - reach[cuts[-1]] > budget:
             cuts.append(g)
     for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
         rows = order[bounds[g0]:bounds[g1]]

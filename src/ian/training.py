@@ -207,6 +207,8 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
     (eval_report). All randomness (shuffling, dropout) comes from rng, so
     a fixed seed and configuration reproduce the run bit for bit.
     """
+    if not instances:
+        raise ValueError("no usable training instance")
     if params.variant == "majority":
         fit_majority(params, instances)
         entry = {"epoch": 0, "loss": float("nan"), **_scores(params, instances, eval_instances)}

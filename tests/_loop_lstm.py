@@ -128,24 +128,29 @@ def loop_lstm_backward(params, trace, d_hiddens, grads):
 def chunk_forward(params, ids, table, lengths=None, keep_trace=True):
     """loop_lstm_forward on each sequence of a time-major chunk of ids
     (n, B) into table, row b over its first lengths[b] steps (default all
-    n); states past a row's end are zero. It keeps its trace whatever
-    keep_trace says."""
-    inputs = table[ids]
-    n, batch, _ = inputs.shape
-    lengths = [n] * batch if lengths is None else lengths
-    hiddens = np.zeros((n, batch, params.hidden_dim))
+    n). Returns (states, row_of, trace) as the package's pass does, but
+    packs the states column after column, not step after step: a caller
+    that reads them through row_of cannot tell. It keeps its trace
+    whatever keep_trace says."""
+    n, batch = ids.shape
+    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
+    inside = np.arange(n)[:, None] < lengths
+    row_of = np.full((n, batch), -1)
+    row_of.T[inside.T] = np.arange(inside.sum())
+    states = np.empty((inside.sum(), params.hidden_dim))
     rows = []
     for b, length in enumerate(lengths):
-        hiddens[:length, b], trace = loop_lstm_forward(params, inputs[:length, b])
+        states[row_of[:length, b]], trace = loop_lstm_forward(params, table[ids[:length, b]])
+        trace["ids"] = ids[:length, b]
         rows.append(trace)
-    return hiddens, {"rows": rows, "shape": inputs.shape}
+    return states, row_of, {"rows": rows, "row_of": row_of}
 
 
-def chunk_backward(params, trace, d_hiddens, grads):
+def chunk_backward(params, trace, d_states, grads, d_table):
     """loop_lstm_backward on each sequence of a chunk traced by
-    chunk_forward; input gradients past a row's end are zero."""
-    d_inputs = np.zeros(trace["shape"])
+    chunk_forward, from its packed d_states; each input gradient is added
+    to the table row its word was read from."""
     for b, row in enumerate(trace["rows"]):
-        length = len(row["inputs"])
-        d_inputs[:length, b] = loop_lstm_backward(params, row, d_hiddens[:length, b], grads)
-    return d_inputs
+        d_x = loop_lstm_backward(params, row, d_states[trace["row_of"][:len(row["ids"]), b]],
+                                 grads)
+        np.add.at(d_table, row["ids"], d_x)

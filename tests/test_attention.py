@@ -9,15 +9,26 @@ from ian.numerics import Rng
 
 
 def attend_one(params, hiddens, query, mask):
-    """attend on a chunk of one sequence, outputs without the batch axis."""
-    pooled, weights, trace = attend(params, hiddens[:, None], query[None], mask[:, None],
+    """attend on a chunk of one sequence, its states packed in order,
+    outputs without the batch axis."""
+    row_of = np.arange(len(hiddens))[:, None]
+    pooled, weights, trace = attend(params, hiddens, row_of, query[None], mask[:, None],
                                     np.zeros(1, dtype=np.int64))
     return pooled[0], weights[:, 0], trace
 
 
 def backward_one(params, trace, d_pooled, grads):
     d_hiddens, d_query = attention_backward(params, trace, d_pooled[None], grads)
-    return d_hiddens[:, 0], d_query[0]
+    return d_hiddens, d_query[0]
+
+
+def pack_columns(h, lengths):
+    """The rows of padded states h (n, G, H) inside each column's length,
+    packed column after column: (states, row_of)."""
+    row_of = np.full(h.shape[:2], -1)
+    inside = np.arange(len(h))[:, None] < lengths
+    row_of.T[inside.T] = np.arange(inside.sum())
+    return h.transpose(1, 0, 2)[inside.T], row_of
 
 
 def zero_grads(params):
@@ -124,20 +135,25 @@ def test_shared_columns_equal_their_copies():
     lengths = np.array([5, 2, 4])
     gather = np.array([0, 0, 1, 2, 2, 2])
     mask = np.arange(5)[:, None] < lengths
-    h = rng.uniform(-1, 1, (5, 3, 4)) * mask[..., None]
+    mask[1, 2] = False  # a pad inside the third column's length
+    h = rng.uniform(-1, 1, (5, 3, 4))
     q = rng.uniform(-1, 1, (len(gather), 3))
     d_pooled = rng.uniform(-1, 1, (len(gather), 4))
     each = np.arange(len(gather))
+    states, row_of = pack_columns(h, lengths)
+    copies, copy_rows = pack_columns(h[:, gather], lengths[gather])
 
     shared, copied = zero_grads(p), zero_grads(p)
-    pooled, weights, trace = attend(p, h, q, mask, gather)
+    pooled, weights, trace = attend(p, states, row_of, q, mask, gather)
     d_h, d_q = attention_backward(p, trace, d_pooled, shared)
-    ref_pooled, ref_weights, ref_trace = attend(p, h[:, gather], q, mask[:, gather], each)
+    ref_pooled, ref_weights, ref_trace = attend(p, copies, copy_rows, q, mask[:, gather], each)
     ref_d_h, ref_d_q = attention_backward(p, ref_trace, d_pooled, copied)
-    summed = np.zeros_like(h)
-    np.add.at(summed, (slice(None), gather), ref_d_h)
+    # each copied row's gradient summed onto the packed row it copies
+    summed = np.zeros_like(states)
+    inside = copy_rows >= 0
+    np.add.at(summed, row_of[:, gather][inside], ref_d_h[copy_rows[inside]])
 
-    assert d_h.shape == h.shape
+    assert d_h.shape == states.shape
     for got, ref in ((pooled, ref_pooled), (weights, ref_weights), (d_q, ref_d_q),
                      (shared.W_a, copied.W_a), (shared.b_a, copied.b_a), (d_h, summed)):
         assert np.max(np.abs(got - ref)) <= 1e-12

@@ -2,8 +2,8 @@
 
 _per_case.py holds the per-case model, loss and training loop. Every test
 here lowers the chunk budgets (model.CHUNK_TOKENS for traced passes,
-model.CHUNK_SLOTS for passes that keep no trace) so that one batch runs as
-several chunks, each running its distinct contexts through the context LSTM
+model.NO_TRACE_TOKENS for passes that keep no trace) so that one batch runs
+as several chunks, each running its distinct contexts through the context LSTM
 once, on packed steps. Chunking changes the order of floating-point sums
 (GEMMs over all rows of a chunk, the gradients of a shared context summed
 before its LSTM backward pass, gradients added chunk by chunk, the L2 term
@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import ian.lstm
 import ian.model
+from _oracles import oracle_probs
 from _per_case import case, case_loss_and_grads, case_predict, case_train
+from _per_case import forward as case_forward
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.evaluate import predict_all
 from ian.model import VARIANTS, ModelParams, chunks, forward
@@ -33,8 +35,7 @@ VOCAB = Vocabulary([f"w{i}" for i in range(30)])
 # every trainable variant, plus ian with its two attentions tied
 TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-LOW_BUDGET = 12  # padded context ids per chunk: a batch of ragged cases spans several
-LOW_SLOTS = 24  # padded instance slots per chunk that keeps no trace
+LOW_BUDGET = 12  # context tokens per chunk: a batch of ragged cases spans several
 
 
 def make_model(variant, tie=False, embed_dim=5, hidden_dim=4, seed=0, scale=1.0):
@@ -125,7 +126,7 @@ def test_shared_contexts_equal_per_case(variant, tie, batch, dropout, l2):
     spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
-        m.setattr(ian.model, "CHUNK_SLOTS", LOW_SLOTS)
+        m.setattr(ian.model, "NO_TRACE_TOKENS", LOW_BUDGET)
         assert_batch_equals_per_case(params, batch, l2, masks)
         assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
 
@@ -137,7 +138,7 @@ def test_no_trace_forward_equals_the_traced_one(variant, tie, batch):
     params = make_model(variant, tie, scale=10.0)  # classes apart, for labels
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.lstm, "BLOCK_ROWS", 3)  # several gate blocks per LSTM pass
-        for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_SLOTS, keep_trace=False):
+        for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_BUDGET, keep_trace=False):
             traced, _ = forward(params, ctx_idx, tgt_idx, **layout)
             bare, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
             assert trace == {}
@@ -148,6 +149,47 @@ def test_no_trace_forward_equals_the_traced_one(variant, tie, batch):
         bare, _ = forward(params, one.context_ids, one.target_ids, span=one.span,
                           keep_trace=False)
         assert bare.shape == traced.shape and np.max(np.abs(bare - traced)) <= 1e-12
+
+
+def packed_layout_cases(rng):
+    """Contexts of skewed lengths that several terms share: one of 30
+    tokens with four terms, eight of 2-6 tokens with one to three each.
+    Every context holds a pad inside its length, never its first word,
+    and a two-token target may end on it."""
+    out = []
+    for n, terms in [(30, 4)] + [(int(rng.integers(2, 7)), int(rng.integers(1, 4)))
+                                 for _ in range(8)]:
+        ctx = list(rng.integers(1, len(VOCAB), n))
+        ctx[int(rng.integers(1, n))] = PAD_INDEX
+        for start in rng.choice([k for k in range(n) if ctx[k] != PAD_INDEX], terms):
+            tgt = ctx[start:start + int(rng.integers(1, 3))]
+            out.append(case(ctx, tgt, (int(start), int(start) + len(tgt)),
+                            int(rng.integers(0, 3))))
+    return out
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_packed_passes_equal_the_references_on_skewed_shared_contexts(variant, tie):
+    # traced and untraced chunk passes on packed states against the
+    # per-case reference and, for the variants it wires, the oracle
+    batch = packed_layout_cases(Rng(31))
+    params = make_model(variant, tie)
+    masks = dropout_mask(Rng(32), (len(batch), params.feature_dim()), 0.5)
+    spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.model, "CHUNK_TOKENS", 16)
+        m.setattr(ian.model, "NO_TRACE_TOKENS", 16)
+        assert_batch_equals_per_case(params, batch, 1e-3, masks)
+        for keep_trace in (True, False):
+            for pos, ctx_idx, tgt_idx, layout in chunks(batch, keep_trace=keep_trace):
+                probs, _ = forward(params, ctx_idx, tgt_idx, keep_trace=keep_trace, **layout)
+                for got, i in zip(probs, pos):
+                    ids = batch[i].context_ids, batch[i].target_ids
+                    ref = case_forward(params, *ids, span=batch[i].span)[0]
+                    assert np.max(np.abs(got - ref)) <= 1e-10
+                    if variant != "td_lstm":
+                        assert np.max(np.abs(got - oracle_probs(params, *ids))) <= 1e-10
+        assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
 
 
 def chunk_layouts(batch, cut):
@@ -176,20 +218,13 @@ def chunk_layouts(batch, cut):
 
 
 @PROPERTY
-@given(batch=shared_contexts(), budget=st.integers(1, 30))
-def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget):
-    for lengths, _ in chunk_layouts(batch, chunks(batch, budget)):
-        # the budget counts each distinct context's tokens once
-        assert sum(lengths) <= budget or len(lengths) == 1
-
-
-@PROPERTY
-@given(batch=shared_contexts(), budget=st.integers(1, 60))
-def test_no_trace_chunks_hold_each_context_once_within_the_slot_budget(batch, budget):
-    for lengths, columns in chunk_layouts(batch, chunks(batch, budget, keep_trace=False)):
-        # padded instance slots: the longest context by the instance columns
+@given(batch=shared_contexts(), budget=st.integers(1, 30), keep_trace=st.booleans())
+def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget, keep_trace):
+    for lengths, _ in chunk_layouts(batch, chunks(batch, budget, keep_trace)):
+        # the budget counts each distinct context's tokens once, for
+        # either kind of pass
         assert lengths[0] == max(lengths)
-        assert lengths[0] * columns <= budget or len(lengths) == 1
+        assert sum(lengths) <= budget or len(lengths) == 1
 
 
 def test_chunk_budget_counts_a_shared_context_once():
@@ -224,7 +259,7 @@ def test_predict_all_equals_per_case_argmax(variant, batch):
     if variant == "majority":
         params.class_priors[:] = [0.2, 0.5, 0.3]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_SLOTS", LOW_SLOTS)
+        m.setattr(ian.model, "NO_TRACE_TOKENS", LOW_BUDGET)
         assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
 
 
@@ -257,14 +292,22 @@ def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
         assert np.max(np.abs(arr - ref_arr)) <= 1e-9, name
 
 
-# tracemalloc sees numpy's buffers. Peaks measured at 300/300 with numpy 2.4
-# (loss_and_grads on 32 cases of 60 context tokens: 6.1 MB; predict_all on
-# 200 such cases: 4.9 MB), bounded at about 1.5 times that; the train
-# process holds about 77 MB before any activation exists, so a chunk layout
-# that grows these peaks past the bounds would break the benchmark's
-# peak_rss_mb bound (10%) too. predict_all is held to the same bound on
-# contexts of skewed lengths, where a budget of real tokens lets one chunk
-# pad many short contexts to the longest (about 20 MB).
+# tracemalloc sees numpy's buffers. The bounds were set at about 1.5 times
+# the peaks first measured at 300/300 with numpy 2.4 (loss_and_grads on 32
+# cases of 60 context tokens: 6.1 MB; predict_all on 200 such cases: 4.9
+# MB); the train process holds about 77 MB before any activation exists, so
+# a chunk layout that grows these peaks past the bounds would break the
+# benchmark's peak_rss_mb bound (10%) too. Every array a pass grows with its
+# chunk holds one row per real token, so skewed lengths are held to the
+# same bounds. Peaks with packed states at 300/300, numpy 2.4:
+# - loss_and_grads: 5.7 MB on the sixty-token cases, 6.9 MB on 11
+#   twenty-token contexts with three terms each, 6.9 MB on 1x120 + 31x8
+#   tokens and 7.5 MB on 2x80 + 10x12 tokens with three terms each (25.5
+#   and 13.0 MB while backward held padded (n, G, .) arrays);
+# - predict_all: 2.9 MB on 200 sixty-token cases, 3.9 MB on 1x120 + 199x8
+#   tokens and 4.4 MB on 2x80 + 100x12 tokens with three terms each; each
+#   untraced LSTM step writes its recurrent product and cell temporaries
+#   into buffers sized once by the pass's widest step.
 LOSS_AND_GRADS_PEAK_MB = 9.0
 PREDICT_ALL_PEAK_MB = 7.0
 # every pass reads a shared context's states in place, not copied out to
@@ -321,6 +364,16 @@ def test_activation_memory_stays_bounded_at_paper_dims(mix):
     many = sixty_token_cases(rng, 200)
     peak = traced_peak_mb(lambda: predict_all(params, many))
     assert peak <= PREDICT_ALL_PEAK_MB, peak
+
+
+@pytest.mark.parametrize("mix", [[(1, 120, 1), (31, 8, 1)], [(2, 80, 3), (10, 12, 3)]])
+def test_loss_and_grads_memory_stays_bounded_on_skewed_lengths(mix):
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    grads = GradSet(params)
+    batch = skewed_cases(Rng(2), mix)
+    peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
+    assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
 
 
 @pytest.mark.parametrize("mix", [[(1, 120, 1), (199, 8, 1)], [(2, 80, 3), (100, 12, 3)]])

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from ian.model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_check
 from ian.numerics import Rng
 from ian.training import TrainConfig
 from ian.viz import render_svg, weight_dump
+
+
+FIXTURES = Path(ian.evaluate.__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -302,6 +306,21 @@ def test_train_majority_skips_optimization(tmp_path, capsys):
     params, _ = load_checkpoint(str(out / "model.npz"))
     # restaurant fixture train counts 11/5/4 out of 20
     assert np.allclose(params.class_priors, [0.55, 0.25, 0.20])
+
+
+@pytest.mark.parametrize("variant", ["ian", "majority"])
+def test_train_refuses_an_empty_training_split(tmp_path, capsys, variant):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "Restaurants_Train_v2.xml").write_text("<sentences/>\n", encoding="utf-8")
+    (data / "Restaurants_Test_Gold.xml").write_bytes(
+        (FIXTURES / "restaurant_test.xml").read_bytes())
+    out = tmp_path / "out"
+    assert run(["train", "--variant", variant, "--category", "restaurant", "--data-dir",
+                str(data), "--embed-dim", "4", "--hidden-dim", "4", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # --- eval / predict -------------------------------------------------------

@@ -11,10 +11,31 @@ from ian.numerics import Rng
 
 def on_vectors(params, x, lengths=None):
     """lstm_forward over word vectors x (n, B, E): each position reads its
-    own row of a table that holds x, so x stays the input to perturb."""
+    own row of a table that holds x, so x stays the input to perturb.
+    Returns (hiddens (n, B, H), zero past each row's end; row_of; trace)."""
     n, batch, dim = x.shape
-    return lstm_forward(params, np.arange(n * batch).reshape(n, batch), x.reshape(-1, dim),
-                        lengths)
+    states, row_of, trace = lstm_forward(params, np.arange(n * batch).reshape(n, batch),
+                                         x.reshape(-1, dim), lengths)
+    return unpack(states, row_of), row_of, trace
+
+
+def unpack(states, row_of):
+    """Packed rows (tokens, D) laid out as (n, B, D), zero where row_of is -1."""
+    out = np.zeros((*row_of.shape, states.shape[1]))
+    out[row_of >= 0] = states[row_of[row_of >= 0]]
+    return out
+
+
+def backward_on_vectors(params, row_of, trace, d_hiddens, grads):
+    """lstm_backward of a pass run by on_vectors, given d_hiddens (n, B, H)
+    laid out as its hiddens; returns the input gradient (n, B, E): row
+    (k, b) of the table's gradient, since position (k, b) reads that row
+    alone."""
+    d_states = np.empty((np.count_nonzero(row_of >= 0), d_hiddens.shape[2]))
+    d_states[row_of[row_of >= 0]] = d_hiddens[row_of >= 0]
+    d_table = np.zeros((row_of.size, params.input_dim))
+    lstm_backward(params, trace, d_states, grads, d_table)
+    return d_table.reshape(*row_of.shape, -1)
 
 
 def zero_grads(params):
@@ -45,10 +66,10 @@ def test_zero_weights_give_zero_hiddens():
     p = LstmParams(Rng(0), 2, 3)
     for name in LstmParams.MATRIX_NAMES:
         getattr(p, name)[:] = 0.0
-    hiddens, trace = on_vectors(p, np.ones((4, 1, 2)))
+    hiddens, _, trace = on_vectors(p, np.ones((4, 1, 2)))
     # gates sit at 0.5 but the candidate cell is tanh(0) = 0
     assert np.array_equal(hiddens, np.zeros((4, 1, 3)))
-    assert np.allclose(trace["i"], 0.5)
+    assert np.allclose(trace["gates"][:, :3], 0.5)  # the i gate
 
 
 def test_single_step_against_scalar_reference():
@@ -70,7 +91,7 @@ def test_single_step_against_scalar_reference():
     c = i * chat  # c_prev = 0
     h = o * math.tanh(c)
 
-    hiddens, _ = on_vectors(p, np.array([[[w]]]))
+    hiddens, _, _ = on_vectors(p, np.array([[[w]]]))
     assert abs(hiddens[0, 0, 0] - h) < 1e-12
 
 
@@ -78,9 +99,9 @@ def test_second_step_uses_first_hidden():
     rng = Rng(8)
     p = LstmParams(rng, 2, 3)
     x = rng.uniform(-1, 1, (2, 2))[:, None]
-    full, _ = on_vectors(p, x)
+    full, _, _ = on_vectors(p, x)
     # second step must differ from running it with zeroed history
-    fresh, _ = on_vectors(p, x[1:])
+    fresh, _, _ = on_vectors(p, x[1:])
     assert not np.allclose(full[1], fresh[0])
 
 
@@ -88,7 +109,7 @@ def test_hiddens_bounded_by_one():
     rng = Rng(12)
     p = LstmParams(rng, 3, 4)
     x = rng.uniform(-50, 50, (10, 3))[:, None]
-    hiddens, _ = on_vectors(p, x)
+    hiddens, _, _ = on_vectors(p, x)
     assert np.all(np.abs(hiddens) <= 1.0)
 
 
@@ -99,12 +120,12 @@ def test_backward_matches_finite_differences():
     r = rng.uniform(-1, 1, (5, 4))[:, None]  # fixed projection making J scalar
 
     def objective():
-        hiddens, _ = on_vectors(p, x)
+        hiddens, _, _ = on_vectors(p, x)
         return float(np.sum(hiddens * r))
 
-    hiddens, trace = on_vectors(p, x)
+    hiddens, row_of, trace = on_vectors(p, x)
     grads = zero_grads(p)
-    d_inputs = lstm_backward(p, trace, r.copy(), grads)
+    d_inputs = backward_on_vectors(p, row_of, trace, r.copy(), grads)
 
     for name, arr in p.named_arrays():
         numeric = fd_grad(objective, arr)
@@ -116,10 +137,10 @@ def test_backward_reaches_first_input_from_last_step_only():
     rng = Rng(30)
     p = LstmParams(rng, 2, 3)
     x = rng.uniform(-1, 1, (4, 2))[:, None]
-    _, trace = on_vectors(p, x)
+    _, row_of, trace = on_vectors(p, x)
     d_hiddens = np.zeros((4, 1, 3))
     d_hiddens[-1] = 1.0
-    d_inputs = lstm_backward(p, trace, d_hiddens, zero_grads(p))
+    d_inputs = backward_on_vectors(p, row_of, trace, d_hiddens, zero_grads(p))
     assert np.any(d_inputs[0] != 0.0)
 
 
@@ -129,11 +150,11 @@ def test_backward_accumulates_into_existing_grads():
     x = rng.uniform(-1, 1, (3, 2))[:, None]
     d = rng.uniform(-1, 1, (3, 2))[:, None]
     once = zero_grads(p)
-    lstm_backward(p, on_vectors(p, x)[1], d, once)
+    backward_on_vectors(p, *on_vectors(p, x)[1:], d, once)
     twice = zero_grads(p)
     # the backward pass consumes its trace, so each call gets a fresh one
-    lstm_backward(p, on_vectors(p, x)[1], d, twice)
-    lstm_backward(p, on_vectors(p, x)[1], d, twice)
+    backward_on_vectors(p, *on_vectors(p, x)[1:], d, twice)
+    backward_on_vectors(p, *on_vectors(p, x)[1:], d, twice)
     assert np.allclose(twice.Wi_w, 2.0 * once.Wi_w)
     assert np.allclose(twice.bc, 2.0 * once.bc)
 
@@ -146,14 +167,19 @@ def test_packed_rows_equal_each_row_run_alone():
     x = rng.uniform(-1, 1, (60, 3, 5))
     d = rng.uniform(-1, 1, (60, 3, 4))
     packed = zero_grads(p)
-    hiddens, trace = on_vectors(p, x, lengths)
-    d_inputs = lstm_backward(p, trace, d, packed)
+    hiddens, row_of, trace = on_vectors(p, x, lengths)
+    d_inputs = backward_on_vectors(p, row_of, trace, d, packed)
     alone = zero_grads(p)
+    # step-major, longest row first: the packed row of (k, b) is the
+    # count of rows that come before it
+    assert np.array_equal(row_of[:3], [[1, 2, 0], [4, -1, 3], [6, -1, 5]])
+    assert np.array_equal(row_of >= 0, np.arange(60)[:, None] < lengths)
+    assert np.array_equal(np.sort(row_of[row_of >= 0]), np.arange(sum(lengths)))
     for b, n in enumerate(lengths):
-        h, t = on_vectors(p, x[:n, b:b + 1])
+        h, r, t = on_vectors(p, x[:n, b:b + 1])
         assert np.max(np.abs(hiddens[:n, b] - h[:, 0])) <= 1e-12
         assert not hiddens[n:, b].any()
-        d_x = lstm_backward(p, t, d[:n, b:b + 1], alone)
+        d_x = backward_on_vectors(p, r, t, d[:n, b:b + 1], alone)
         assert np.max(np.abs(d_inputs[:n, b] - d_x[:, 0])) <= 1e-12
         assert not d_inputs[n:, b].any()
     for name, _ in p.named_arrays():
@@ -167,14 +193,13 @@ def test_no_trace_pass_reads_ids_and_equals_the_traced_one(monkeypatch):
     lengths = [7, 1, 60, 33]
     table = rng.uniform(-1, 1, (20, 5))
     ids = rng.integers(0, 20, (60, 4))
-    vectors, _ = on_vectors(p, table[ids], lengths)
-    by_id, trace = lstm_forward(p, ids, table, lengths)
+    vectors, _, _ = on_vectors(p, table[ids], lengths)
+    states, row_of, trace = lstm_forward(p, ids, table, lengths)
     # the traced pass reads the same packed words from either table
-    assert np.array_equal(by_id, vectors)
-    assert trace["shape"] == (60, 4, 5)
+    assert np.array_equal(unpack(states, row_of), vectors)
+    assert states.shape == (sum(lengths), 4) and trace["ids"].shape == (sum(lengths),)
     monkeypatch.setattr(ian.lstm, "BLOCK_ROWS", 10)  # blocks of whole steps, 1 to 4 rows each
-    bare, none = lstm_forward(p, ids, table, lengths, keep_trace=False)
+    bare, bare_rows, none = lstm_forward(p, ids, table, lengths, keep_trace=False)
     assert none is None
-    assert np.max(np.abs(bare - by_id)) <= 1e-12
-    for b, n in enumerate(lengths):
-        assert not bare[n:, b].any()
+    assert np.array_equal(bare_rows, row_of)
+    assert np.max(np.abs(bare - states)) <= 1e-12

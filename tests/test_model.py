@@ -121,9 +121,9 @@ def test_td_lstm_branches_meet_at_the_span():
     ctx = rng.integers(1, 11, 7)
     span = (2, 4)
     _, trace = forward(params, ctx, ctx[2:4], span=span)
-    left_h, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings)
-    right_h, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings)
-    expected = np.concatenate([left_h[-1, 0], right_h[-1, 0]])
+    left_h, _, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings)
+    right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings)
+    expected = np.concatenate([left_h[-1], right_h[-1]])
     assert np.allclose(trace["features"], expected, atol=1e-15)
 
 
@@ -187,11 +187,17 @@ def test_weight_matrix_names_exclude_biases_and_embeddings():
 def test_masked_mean_matches_plain_mean_when_unmasked():
     rng = Rng(1)
     rows = rng.uniform(-1, 1, (5, 3))
-    assert np.allclose(masked_mean(rows, np.ones(5, dtype=bool)), rows.mean(axis=0))
-    mask = np.array([True, False, True, False, False])
-    assert np.allclose(masked_mean(rows, mask), rows[[0, 2]].mean(axis=0))
+    in_order = np.arange(5)[:, None]
+    everywhere = np.ones((5, 1), dtype=bool)
+    assert np.allclose(masked_mean(rows, in_order, everywhere)[0], rows.mean(axis=0))
+    mask = np.array([True, False, True, False, False])[:, None]
+    assert np.allclose(masked_mean(rows, in_order, mask)[0], rows[[0, 2]].mean(axis=0))
+    # two columns of 3 and 2 positions, packed step by step
+    row_of = np.array([[0, 1], [2, 3], [4, -1]])
+    two = masked_mean(rows, row_of, row_of >= 0)
+    assert np.allclose(two, [rows[[0, 2, 4]].mean(axis=0), rows[[1, 3]].mean(axis=0)])
     with pytest.raises(ValueError):
-        masked_mean(rows, np.zeros(5, dtype=bool))
+        masked_mean(rows, in_order, np.zeros((5, 1), dtype=bool))
 
 
 def test_touched_rows_unique_and_pad_free():
