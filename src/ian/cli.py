@@ -14,6 +14,7 @@ import gc
 import itertools
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 
 from .data import (
@@ -77,6 +78,14 @@ def positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
+    return number
+
+
+def positive_float(value: str) -> float:
+    """A finite float above 0; argparse names the flag in the error."""
+    number = float(value)
+    if not 0.0 < number < float("inf"):
+        raise argparse.ArgumentTypeError(f"expects a positive finite number, got {value}")
     return number
 
 
@@ -241,6 +250,7 @@ def _instance_from_line(params, sentence, target, gold=None, start=None):
     start is the target's character offset; by default, the first
     occurrence of the target text (exact case first). When the text is not
     found, build_instances searches the sentence tokens for it instead.
+    Its warnings are silenced: every caller reports a failure itself.
     """
     if start is None:
         start = find_term(sentence, target)
@@ -249,7 +259,9 @@ def _instance_from_line(params, sentence, target, gold=None, start=None):
         text=sentence,
         terms=[AspectTerm(text=target, start=max(start, 0), end=end, polarity=gold)],
     )
-    instances, _ = _instances_for_checkpoint(params, [review])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        instances, _ = _instances_for_checkpoint(params, [review])
     return instances[0] if instances else None
 
 
@@ -504,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--l2", type=float, default=0.01,
                    help="penalty used during the check; keeps every weight "
                         "gradient well above finite-difference noise")
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=positive_float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--corrupt-group", dest="corrupt_group", choices=GROUPS,
                    help="deliberately scale one group's analytic gradients "

@@ -20,11 +20,7 @@ from .training import batch_loss, loss_and_grads
 
 
 def group_of(name: str) -> str:
-    if name == "embeddings":
-        return "embeddings"
-    if name in ("W_l", "b_l"):
-        return "classifier"
-    return name.split(".", 1)[0]
+    return "classifier" if name in ("W_l", "b_l") else name.split(".", 1)[0]
 
 
 def numeric_gradient(objective, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -81,13 +77,12 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
         err = worst_relative_error(analytic, numeric)
         group = group_of(name)
         if err >= errors.get(group, -1.0):
-            errors[group] = max(errors.get(group, 0.0), err)
+            errors[group] = err
             if details is not None:
                 denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
                 rel = np.abs(analytic - numeric) / denom
-                idx = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.shape else ()
-                details[group] = (name, idx, float(np.asarray(analytic)[idx]),
-                                  float(np.asarray(numeric)[idx]))
+                idx = np.unravel_index(np.argmax(rel), rel.shape)
+                details[group] = (name, idx, float(analytic[idx]), float(numeric[idx]))
     return errors
 
 

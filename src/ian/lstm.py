@@ -11,10 +11,7 @@ with h and c starting at zero.
 
 The four gates are stored fused, in i, f, o, c order: a word matrix
 W_x (4H x E), a hidden matrix W_h (4H x H) and a bias b (4H), where gate g
-owns rows g*H to (g+1)*H. The per-gate names Wi_w ... Wc_h and bi ... bc
-are row-slice views into those three arrays, not copies, so writing
-through either name writes the same memory; checkpoints, gradient sets
-and the optimizer address the parameters by the per-gate names.
+owns rows g*H to (g+1)*H.
 
 Both passes run on time-major chunks: ids (n, B) hold B sequences of
 word ids side by side, step k of all of them in ids[k], and each row has
@@ -44,17 +41,10 @@ import numpy as np
 
 from .numerics import Rng, sigmoid, tanh, uniform_init
 
-GATES = ("i", "f", "o", "c")
-
 
 class LstmParams:
-    """Weights for one encoder: fused W_x, W_h and b, with per-gate views.
-    Biases start at zero, weights at U(-0.1, 0.1)."""
-
-    MATRIX_NAMES = (
-        "Wi_w", "Wi_h", "Wf_w", "Wf_h", "Wo_w", "Wo_h", "Wc_w", "Wc_h",
-    )
-    BIAS_NAMES = ("bi", "bf", "bo", "bc")
+    """Weights for one encoder: fused W_x, W_h and b. Biases start at zero,
+    weights at U(-0.1, 0.1)."""
 
     def __init__(self, rng: Rng, input_dim: int, hidden_dim: int):
         self.input_dim = input_dim
@@ -62,20 +52,15 @@ class LstmParams:
         self.W_x = np.empty((4 * hidden_dim, input_dim))
         self.W_h = np.empty((4 * hidden_dim, hidden_dim))
         self.b = np.zeros(4 * hidden_dim)
-        for g, gate in enumerate(GATES):
-            rows = slice(g * hidden_dim, (g + 1) * hidden_dim)
-            setattr(self, f"W{gate}_w", self.W_x[rows])
-            setattr(self, f"W{gate}_h", self.W_h[rows])
-            setattr(self, f"b{gate}", self.b[rows])
-        # draw gate by gate in the order of the per-gate layout, so a seed
-        # gives the same weights as drawing each gate matrix on its own
-        for name in self.MATRIX_NAMES:
-            cols = input_dim if name.endswith("_w") else hidden_dim
-            getattr(self, name)[...] = uniform_init(rng, hidden_dim, cols)
+        # each gate's word block, then its hidden block: a seed draws what it always has
+        for lo in range(0, 4 * hidden_dim, hidden_dim):
+            self.W_x[lo:lo + hidden_dim] = uniform_init(rng, hidden_dim, input_dim)
+            self.W_h[lo:lo + hidden_dim] = uniform_init(rng, hidden_dim, hidden_dim)
 
     def named_arrays(self, prefix: str = ""):
-        for name in self.MATRIX_NAMES + self.BIAS_NAMES:
-            yield prefix + name, getattr(self, name)
+        yield prefix + "W_x", self.W_x
+        yield prefix + "W_h", self.W_h
+        yield prefix + "b", self.b
 
 
 def packing(ids: np.ndarray, lengths: np.ndarray) -> dict:
@@ -167,12 +152,11 @@ def lstm_backward(params: LstmParams, trace: dict, d_states: np.ndarray, grads,
     """Backpropagate d_states (tokens, hidden_dim), one gradient per packed
     row of the trace's states, through the whole chunk.
 
-    Accumulates parameter gradients into `grads` (per-gate attribute
-    access, += on matching shapes) and the gradient of the word each
-    packed row read into that word's row of d_table, a gradient of the
-    embedding table. The trace is consumed: the gate pre-activation
-    gradients are written over its gate activations, step by step from
-    the last.
+    Accumulates parameter gradients into `grads` (its W_x, W_h and b, in
+    place) and the gradient of the word each packed row read into that
+    word's row of d_table, a gradient of the embedding table. The trace
+    is consumed: the gate pre-activation gradients are written over its
+    gate activations, step by step from the last.
     """
     widths, starts, cells = trace["widths"], trace["starts"], trace.pop("cells")
     dZ = trace["gates"]
@@ -211,10 +195,11 @@ def lstm_backward(params: LstmParams, trace: dict, d_states: np.ndarray, grads,
     words = trace["table"][trace["ids"]]
     first = widths[0]
     h_prevs = trace["states"][np.arange(first, len(dZ)) - np.repeat(widths[:-1], widths[1:])]
-    for g, gate in enumerate(GATES):
-        dz_gate = dZ[:, g * dh:(g + 1) * dh]
-        getattr(grads, f"W{gate}_w")[...] += dz_gate.T @ words
-        getattr(grads, f"W{gate}_h")[...] += dz_gate[first:].T @ h_prevs
-        getattr(grads, f"b{gate}")[...] += dz_gate.sum(axis=0)
+    # one gate's row block at a time: a whole (4H, E) product lifts the traced peak
+    for lo in range(0, 4 * dh, dh):
+        dz_gate = dZ[:, lo:lo + dh]
+        grads.W_x[lo:lo + dh] += dz_gate.T @ words
+        grads.W_h[lo:lo + dh] += dz_gate[first:].T @ h_prevs
+        grads.b[lo:lo + dh] += dz_gate.sum(axis=0)
     del words, h_prevs
     np.add.at(d_table, trace["ids"], dZ @ params.W_x)

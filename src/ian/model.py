@@ -109,8 +109,8 @@ class ModelParams:
     Construction draws from the rng in a fixed order (embeddings, context
     LSTM, target LSTM, context attention, target attention, classifier),
     so a given seed and configuration always yields the same model. Given
-    a numerics.ZeroInit instead, it builds the same arrays, fused views
-    and attention tie, all zero.
+    a numerics.ZeroInit instead, it builds the same arrays and attention
+    tie, all zero.
     """
 
     def __init__(
@@ -486,9 +486,24 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
         }
 
 
+def _checkpoint_members(params: ModelParams):
+    """(member name, array) per checkpoint member: each fused LSTM array as
+    its four gate row blocks (contiguous views a load fills in place), in i,
+    f, o, c order, under the per-gate names checkpoints have always used."""
+    gates = {"W_x": ("Wi_w", "Wf_w", "Wo_w", "Wc_w"), "W_h": ("Wi_h", "Wf_h", "Wo_h", "Wc_h"),
+             "b": ("bi", "bf", "bo", "bc")}
+    for name, arr in params.named_arrays(trainable_only=False):
+        group, _, short = name.rpartition(".")
+        if group.endswith("_lstm"):
+            for gate, block in zip(gates[short], np.split(arr, 4)):
+                yield f"{group}.{gate}", block
+        else:
+            yield name, arr
+
+
 def save_checkpoint(path: str, params: ModelParams, config: dict | None = None):
     """Write every parameter array plus a json metadata record to one npz."""
-    arrays = {name: arr for name, arr in params.named_arrays(trainable_only=False)}
+    arrays = dict(_checkpoint_members(params))
     meta = {
         "format": CHECKPOINT_FORMAT,
         **params.layout(),
@@ -539,15 +554,11 @@ def _params_from_npz(archive: zipfile.ZipFile):
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {fmt!r}")
-    tokens = meta["vocab"]
-    if tokens:
-        if tokens[0] != PAD_TOKEN:
-            raise ValueError("checkpoint vocabulary does not start with the pad token")
-        vocab = Vocabulary(tokens[1:])
-    else:
-        vocab = Vocabulary()
-    params = ModelParams(ZeroInit(), vocab, **{key: meta[key] for key in LAYOUT})
-    for name, arr in params.named_arrays(trainable_only=False):
+    tokens = meta["vocab"]  # empty for the majority baseline
+    if tokens and tokens[0] != PAD_TOKEN:
+        raise ValueError("checkpoint vocabulary does not start with the pad token")
+    params = ModelParams(ZeroInit(), Vocabulary(tokens[1:]), **{key: meta[key] for key in LAYOUT})
+    for name, arr in _checkpoint_members(params):
         if f"{name}.npy" not in members:
             raise ValueError(f"checkpoint is missing array {name!r}")
         with archive.open(f"{name}.npy") as member:

@@ -26,10 +26,9 @@ class GradSet(ModelParams):
 
     Built by ModelParams' own constructor from an all-zero init source, so
     it has the model's component attributes (for the layer backward
-    functions), its fused LSTM storage with the per-gate views, and its
-    attention tie: when the model ties its two attentions, both backward
-    calls accumulate into the same arrays. Flat named iteration serves the
-    optimizer and the checks.
+    functions), its arrays and its attention tie: when the model ties its
+    two attentions, both backward calls accumulate into the same arrays.
+    Flat named iteration serves the optimizer and the checks.
     """
 
     def __init__(self, params: ModelParams):
@@ -164,12 +163,18 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # every comparison is False for NaN
+        for name, ok, rule in (
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("learning_rate", 0.0 <= self.learning_rate < np.inf, "finite and >= 0"),
+            ("momentum", -np.inf < self.momentum < np.inf, "finite"),
+            ("l2", 0.0 <= self.l2 < np.inf, "finite and >= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("clip_norm", self.clip_norm is None or 0.0 < self.clip_norm < np.inf,
+             "None or finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 def _first_non_finite(params: ModelParams, grads: GradSet) -> str:

@@ -24,14 +24,11 @@ def weight_dump(context_tokens, ctx_weights, target_tokens, tgt_weights,
                 predicted_label: str) -> str:
     """Plain-text weights, one token per line."""
     lines = [f"predicted\t{predicted_label}"]
-    if ctx_weights is not None:
-        lines.append("context:")
-        for tok, w in zip(context_tokens, ctx_weights):
-            lines.append(f"  {tok}\t{weight_str(w)}")
-    if tgt_weights is not None:
-        lines.append("target:")
-        for tok, w in zip(target_tokens, tgt_weights):
-            lines.append(f"  {tok}\t{weight_str(w)}")
+    for side, tokens, weights in (("context", context_tokens, ctx_weights),
+                                  ("target", target_tokens, tgt_weights)):
+        if weights is not None:
+            lines.append(f"{side}:")
+            lines.extend(f"  {tok}\t{weight_str(w)}" for tok, w in zip(tokens, weights))
     return "\n".join(lines) + "\n"
 
 
@@ -65,23 +62,17 @@ def _box_row(tokens, weights, label, y, fill):
 def render_svg(context_tokens, ctx_weights, target_tokens, tgt_weights,
                predicted_label: str) -> str:
     """Static heatmap: context row, target row (when present), prediction."""
-    body = []
     width = 320
     y = 28
-    body.append(
-        f'<text x="10" y="20" font-size="14" fill="#111">predicted: '
-        f"{html.escape(predicted_label)}</text>"
-    )
-    if ctx_weights is not None:
-        frag, row_w, y = _box_row(context_tokens, ctx_weights,
-                                  "context weights", y, "#1d5fa8")
-        body.append(frag)
-        width = max(width, row_w)
-    if tgt_weights is not None:
-        frag, row_w, y = _box_row(target_tokens, tgt_weights,
-                                  "target weights", y, "#c2601d")
-        body.append(frag)
-        width = max(width, row_w)
+    body = [f'<text x="10" y="20" font-size="14" fill="#111">predicted: '
+            f"{html.escape(predicted_label)}</text>"]
+    for tokens, weights, label, fill in (
+            (context_tokens, ctx_weights, "context weights", "#1d5fa8"),
+            (target_tokens, tgt_weights, "target weights", "#c2601d")):
+        if weights is not None:
+            frag, row_w, y = _box_row(tokens, weights, label, y, fill)
+            body.append(frag)
+            width = max(width, row_w)
     height = y + 6
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -2,35 +2,49 @@
 
 This is the LSTM the package ran before its gates were fused: one
 matrix-vector product per gate and input per step, and per-step outer
-products for the weight gradients. It reads only the per-gate names
-(Wi_w ... Wc_h, bi ... bc) of an LstmParams, so the fused package code and
-this loop run on the very same parameters. `reference_init` draws a fresh
-parameter set the way the loop-era constructor did; `chunk_forward` and
-`chunk_backward` run the loop on each sequence of a time-major chunk, over
-its own length, so it can stand in for the package's chunk passes.
+products for the weight gradients. It reads an LstmParams through
+`gate_blocks`, the per-gate arrays of the loop era (Wi_w ... Wc_h, bi ...
+bc) as row-block views into the fused W_x, W_h and b, so the fused package
+code and this loop run on the very same parameters. `reference_init` draws
+a fresh parameter set the way the loop-era constructor did;
+`chunk_forward` and `chunk_backward` run the loop on each sequence of a
+time-major chunk, over its own length, so it can stand in for the
+package's chunk passes.
 """
 
 import numpy as np
 
 from _per_case import sigmoid
-from ian.lstm import LstmParams
 from ian.numerics import tanh, uniform_init
+
+GATES = ("i", "f", "o", "c")
+
+
+def gate_blocks(lstm):
+    """The per-gate arrays of an LstmParams, or of anything with its W_x,
+    W_h and b, by their loop-era names: gate g's rows g*H to (g+1)*H of each
+    fused array, as views, so writing a block writes the fused array."""
+    blocks = {}
+    for gate, x, h, b in zip(GATES, *(np.split(a, 4) for a in (lstm.W_x, lstm.W_h, lstm.b))):
+        blocks.update({f"W{gate}_w": x, f"W{gate}_h": h, f"b{gate}": b})
+    return blocks
 
 
 def reference_init(rng, input_dim, hidden_dim):
     """Per-gate arrays in the loop-era draw order: matrices, then zero biases."""
     arrays = {}
-    for name in LstmParams.MATRIX_NAMES:
-        cols = input_dim if name.endswith("_w") else hidden_dim
-        arrays[name] = uniform_init(rng, hidden_dim, cols)
-    for name in LstmParams.BIAS_NAMES:
-        arrays[name] = np.zeros(hidden_dim)
+    for gate in GATES:
+        arrays[f"W{gate}_w"] = uniform_init(rng, hidden_dim, input_dim)
+        arrays[f"W{gate}_h"] = uniform_init(rng, hidden_dim, hidden_dim)
+    for gate in GATES:
+        arrays[f"b{gate}"] = np.zeros(hidden_dim)
     return arrays
 
 
 def loop_lstm_forward(params, inputs):
     n = inputs.shape[0]
     dh = params.hidden_dim
+    p = gate_blocks(params)
     i_g = np.zeros((n, dh))
     f_g = np.zeros((n, dh))
     o_g = np.zeros((n, dh))
@@ -47,10 +61,10 @@ def loop_lstm_forward(params, inputs):
         w = inputs[k]
         h_prevs[k] = h
         c_prevs[k] = c
-        i_g[k] = sigmoid(params.Wi_w @ w + params.Wi_h @ h + params.bi)
-        f_g[k] = sigmoid(params.Wf_w @ w + params.Wf_h @ h + params.bf)
-        o_g[k] = sigmoid(params.Wo_w @ w + params.Wo_h @ h + params.bo)
-        c_hat[k] = tanh(params.Wc_w @ w + params.Wc_h @ h + params.bc)
+        i_g[k] = sigmoid(p["Wi_w"] @ w + p["Wi_h"] @ h + p["bi"])
+        f_g[k] = sigmoid(p["Wf_w"] @ w + p["Wf_h"] @ h + p["bf"])
+        o_g[k] = sigmoid(p["Wo_w"] @ w + p["Wo_h"] @ h + p["bo"])
+        c_hat[k] = tanh(p["Wc_w"] @ w + p["Wc_h"] @ h + p["bc"])
         c = f_g[k] * c + i_g[k] * c_hat[k]
         cells[k] = c
         tanh_c[k] = tanh(c)
@@ -67,6 +81,7 @@ def loop_lstm_forward(params, inputs):
 
 
 def loop_lstm_backward(params, trace, d_hiddens, grads):
+    p, g = gate_blocks(params), gate_blocks(grads)
     inputs = trace["inputs"]
     n = inputs.shape[0]
     d_inputs = np.zeros_like(inputs)
@@ -95,30 +110,30 @@ def loop_lstm_backward(params, trace, d_hiddens, grads):
         d_pre_o = do * o_g * (1.0 - o_g)
         d_pre_c = dc_hat * (1.0 - c_hat**2)
 
-        grads.Wi_w += np.outer(d_pre_i, w)
-        grads.Wf_w += np.outer(d_pre_f, w)
-        grads.Wo_w += np.outer(d_pre_o, w)
-        grads.Wc_w += np.outer(d_pre_c, w)
-        grads.Wi_h += np.outer(d_pre_i, h_prev)
-        grads.Wf_h += np.outer(d_pre_f, h_prev)
-        grads.Wo_h += np.outer(d_pre_o, h_prev)
-        grads.Wc_h += np.outer(d_pre_c, h_prev)
-        grads.bi += d_pre_i
-        grads.bf += d_pre_f
-        grads.bo += d_pre_o
-        grads.bc += d_pre_c
+        g["Wi_w"] += np.outer(d_pre_i, w)
+        g["Wf_w"] += np.outer(d_pre_f, w)
+        g["Wo_w"] += np.outer(d_pre_o, w)
+        g["Wc_w"] += np.outer(d_pre_c, w)
+        g["Wi_h"] += np.outer(d_pre_i, h_prev)
+        g["Wf_h"] += np.outer(d_pre_f, h_prev)
+        g["Wo_h"] += np.outer(d_pre_o, h_prev)
+        g["Wc_h"] += np.outer(d_pre_c, h_prev)
+        g["bi"] += d_pre_i
+        g["bf"] += d_pre_f
+        g["bo"] += d_pre_o
+        g["bc"] += d_pre_c
 
         d_inputs[k] = (
-            params.Wi_w.T @ d_pre_i
-            + params.Wf_w.T @ d_pre_f
-            + params.Wo_w.T @ d_pre_o
-            + params.Wc_w.T @ d_pre_c
+            p["Wi_w"].T @ d_pre_i
+            + p["Wf_w"].T @ d_pre_f
+            + p["Wo_w"].T @ d_pre_o
+            + p["Wc_w"].T @ d_pre_c
         )
         dh_next = (
-            params.Wi_h.T @ d_pre_i
-            + params.Wf_h.T @ d_pre_f
-            + params.Wo_h.T @ d_pre_o
-            + params.Wc_h.T @ d_pre_c
+            p["Wi_h"].T @ d_pre_i
+            + p["Wf_h"].T @ d_pre_f
+            + p["Wo_h"].T @ d_pre_o
+            + p["Wc_h"].T @ d_pre_c
         )
         dc_next = dc * f_g
 

@@ -7,6 +7,8 @@ between the two is evidence of correctness rather than of shared bugs.
 
 import math
 
+from _loop_lstm import gate_blocks
+
 
 def _mv(m, v):
     return [sum(m[r][c] * v[c] for c in range(len(v))) for r in range(len(m))]
@@ -58,10 +60,7 @@ def _attend(w_a, b_a, hiddens, query, mask):
 
 
 def _lstm_lists(lstm):
-    out = {}
-    for name, arr in lstm.named_arrays():
-        out[name] = arr.tolist()
-    return out
+    return {name: arr.tolist() for name, arr in gate_blocks(lstm).items()}
 
 
 def oracle_probs(params, ctx_idx, tgt_idx):

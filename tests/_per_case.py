@@ -19,8 +19,6 @@ from ian.model import ROUTES, feature_sides
 from ian.numerics import tanh
 from ian.training import GradSet, momentum_step
 
-GATES = ("i", "f", "o", "c")
-
 
 def case(ctx_idx, tgt_idx, span, label):
     """An Instance holding only what the passes read."""
@@ -90,11 +88,11 @@ def lstm_backward(params, trace, d_hiddens, grads):
         dh_next = params.W_h.T @ dz
         dc_next = dc * f_g[k]
     h_prevs = trace["hiddens"][:-1]
-    for g, gate in enumerate(GATES):
-        dz_gate = dZ[:, g * dh:(g + 1) * dh]
-        getattr(grads, f"W{gate}_w")[...] += dz_gate.T @ inputs
-        getattr(grads, f"W{gate}_h")[...] += dz_gate[1:].T @ h_prevs
-        getattr(grads, f"b{gate}")[...] += dz_gate.sum(axis=0)
+    for lo in range(0, 4 * dh, dh):
+        dz_gate = dZ[:, lo:lo + dh]
+        grads.W_x[lo:lo + dh] += dz_gate.T @ inputs
+        grads.W_h[lo:lo + dh] += dz_gate[1:].T @ h_prevs
+        grads.b[lo:lo + dh] += dz_gate.sum(axis=0)
     return dZ @ params.W_x
 
 

@@ -2,6 +2,9 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -163,6 +166,19 @@ def test_clip_norm_rejects_a_word_other_than_none(capsys):
         run(["train", "--clip-norm", "off"])
     assert exc.value.code == 2
     assert "--clip-norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "inf"), ("--momentum", "nan"), ("--l2", "nan"),
+    ("--clip-norm", "-1"), ("--clip-norm", "nan"),
+])
+def test_train_value_flags_reject_what_cannot_train(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    assert run(["train", *TINY, "--out-dir", str(out_dir), flag, value]) == 1
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert err.count("\n") == 1 and err.startswith(f"error: {field} must"), err
+    assert not out_dir.exists()
 
 
 TRAIN_ARGS = ["train", "--category", "laptop", "--embed-dim", "3", "--hidden-dim", "3",
@@ -455,6 +471,28 @@ def test_predict_labels_warnings_and_gold_summary(tmp_path, capsys):
     assert "gold given for 1 lines" in captured.out
 
 
+def test_predict_reports_each_unusable_line_once(tmp_path):
+    ckpt = tiny_checkpoint(tmp_path)
+    src = tmp_path / "in.txt"
+    src.write_text(
+        "the food\tfood\n"
+        "the food\tpizza\n"  # not in the sentence
+        "the soup\tsoup\n"  # no known token
+        "no tab here\n"
+        "the food\tfood\tgreat\n",
+        encoding="utf-8",
+    )
+    # a fresh interpreter, so stderr holds whatever warnings would print
+    done = subprocess.run(
+        [sys.executable, "-m", "ian.cli", "predict", "--checkpoint", ckpt, "--input", str(src)],
+        env={**os.environ, "PYTHONPATH": str(Path(ian.evaluate.__file__).parents[1])},
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert [line.split(":")[:2] for line in lines] == [
+        ["warning", f" line {n}"] for n in (2, 3, 4, 5)], done.stderr
+
+
 def test_predict_empty_input_empty_output(tmp_path, capsys):
     ckpt, _ = trained_checkpoint(tmp_path, capsys)
     src = tmp_path / "empty.txt"
@@ -537,6 +575,15 @@ def test_gradcheck_cli_detects_corruption(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "worst ctx_lstm" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+def test_gradcheck_eps_takes_positive_numbers_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--eps", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --eps: expects a positive finite number, got {value}" in err, err
 
 
 def test_gradcheck_requires_both_dims(capsys):
@@ -629,12 +676,14 @@ def test_attention_viz_span_over_unknown_word_drops_it(tmp_path, capsys):
 
 def test_attention_viz_target_not_found_suggests_span(tmp_path, capsys):
     ckpt, _ = trained_checkpoint(tmp_path, capsys)
-    with pytest.warns(UserWarning, match="not locatable"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is the whole report
         rc = run(["attention-viz", "--checkpoint", ckpt,
                   "--sentence", "The screen is fine.", "--target", "trackpad",
                   "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "--span" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--span" in err, err
 
 
 def test_attention_viz_rejects_variant_without_attention(tmp_path, capsys):

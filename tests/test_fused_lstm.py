@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import ian.model
-from _loop_lstm import chunk_backward, chunk_forward, reference_init
+from _loop_lstm import chunk_backward, chunk_forward, gate_blocks, reference_init
 from _per_case import case
 
 from ian.embeddings import PAD_INDEX, Vocabulary
-from ian.lstm import GATES, LstmParams
+from ian.lstm import LstmParams
 from ian.model import LABELS, VARIANTS, ModelParams, forward, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import GradSet, dropout_mask, loss_and_grads, momentum_step
@@ -88,24 +88,10 @@ def test_seed_gives_the_loop_era_parameters(input_dim, hidden_dim):
         rng, ref_rng = Rng(seed), Rng(seed)
         params = LstmParams(rng, input_dim, hidden_dim)
         ref = reference_init(ref_rng, input_dim, hidden_dim)
-        for name, arr in params.named_arrays():
+        for name, arr in gate_blocks(params).items():
             assert np.array_equal(arr, ref[name]), name
         # the stream continues identically for whatever is drawn next
         assert np.array_equal(rng.random(4), ref_rng.random(4))
-
-
-def assert_views(lstm):
-    for gate in GATES:
-        for name, fused in ((f"W{gate}_w", lstm.W_x), (f"W{gate}_h", lstm.W_h),
-                            (f"b{gate}", lstm.b)):
-            assert np.shares_memory(getattr(lstm, name), fused), name
-    stacked = {
-        "W_x": np.vstack([getattr(lstm, f"W{g}_w") for g in GATES]),
-        "W_h": np.vstack([getattr(lstm, f"W{g}_h") for g in GATES]),
-        "b": np.concatenate([getattr(lstm, f"b{g}") for g in GATES]),
-    }
-    for name, arr in stacked.items():
-        assert np.array_equal(getattr(lstm, name), arr), name
 
 
 def lstms(params):
@@ -118,7 +104,6 @@ def test_checkpoint_round_trip_reaches_fused_storage(tmp_path):
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
     for before, after in zip(lstms(params), lstms(loaded)):
-        assert_views(after)
         for name in ("W_x", "W_h", "b"):
             assert np.array_equal(getattr(before, name), getattr(after, name)), name
 
@@ -138,9 +123,7 @@ def test_gradset_is_a_zero_twin_with_fused_storage(variant, tie):
     rng = Rng(9)
     ctx, tgt, span = make_case(rng, 2, 1, 1)
     loss_and_grads(params, [case(ctx, tgt, span, 1)], l2=1e-3, grads=grads)
-    # backward writes through the per-gate names into the fused storage
     for lstm in lstms(grads):
-        assert_views(lstm)
         assert lstm.W_x.any() and lstm.W_h.any() and lstm.b.any()
 
 
@@ -153,14 +136,9 @@ def test_momentum_step_reaches_fused_storage():
         arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
     momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
     for (W_x, W_h, b), lstm, side in zip(before, lstms(params), ("ctx", "tgt")):
-        assert_views(lstm)
-        step = {
-            "W_x": np.vstack([grads[f"{side}_lstm.W{g}_w"] for g in GATES]),
-            "W_h": np.vstack([grads[f"{side}_lstm.W{g}_h"] for g in GATES]),
-            "b": np.concatenate([grads[f"{side}_lstm.b{g}"] for g in GATES]),
-        }
         for name, old in (("W_x", W_x), ("W_h", W_h), ("b", b)):
-            assert np.array_equal(getattr(lstm, name), old - 0.1 * step[name]), name
+            step = grads[f"{side}_lstm.{name}"]
+            assert np.array_equal(getattr(lstm, name), old - 0.1 * step), name
 
 
 # td_lstm is left out: a trailing context pad is the first word its

@@ -14,7 +14,7 @@ DEFAULT_SEED = 27  # the cli default; wide noise margin at both dims
 
 def test_group_mapping():
     assert group_of("embeddings") == "embeddings"
-    assert group_of("ctx_lstm.Wi_w") == "ctx_lstm"
+    assert group_of("ctx_lstm.W_x") == "ctx_lstm"
     assert group_of("tgt_attn.b_a") == "tgt_attn"
     assert group_of("W_l") == "classifier"
     assert group_of("b_l") == "classifier"

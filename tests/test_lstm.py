@@ -4,6 +4,7 @@ import types
 import numpy as np
 
 import ian.lstm
+from _loop_lstm import gate_blocks
 from fdcheck import fd_grad, max_rel_err
 from ian.lstm import LstmParams, lstm_backward, lstm_forward
 from ian.numerics import Rng
@@ -46,12 +47,9 @@ def zero_grads(params):
 
 def test_param_shapes_and_bias_init():
     p = LstmParams(Rng(0), input_dim=5, hidden_dim=3)
-    assert p.Wi_w.shape == (3, 5) and p.Wi_h.shape == (3, 3)
-    assert p.Wf_w.shape == (3, 5) and p.Wc_h.shape == (3, 3)
-    for name in LstmParams.BIAS_NAMES:
-        assert np.array_equal(getattr(p, name), np.zeros(3))
-    for name in LstmParams.MATRIX_NAMES:
-        m = getattr(p, name)
+    assert p.W_x.shape == (12, 5) and p.W_h.shape == (12, 3)
+    assert np.array_equal(p.b, np.zeros(12))
+    for m in (p.W_x, p.W_h):
         assert np.all(m >= -0.1) and np.all(m < 0.1)
 
 
@@ -64,8 +62,8 @@ def test_init_deterministic():
 
 def test_zero_weights_give_zero_hiddens():
     p = LstmParams(Rng(0), 2, 3)
-    for name in LstmParams.MATRIX_NAMES:
-        getattr(p, name)[:] = 0.0
+    p.W_x[:] = 0.0
+    p.W_h[:] = 0.0
     hiddens, _, trace = on_vectors(p, np.ones((4, 1, 2)))
     # gates sit at 0.5 but the candidate cell is tanh(0) = 0
     assert np.array_equal(hiddens, np.zeros((4, 1, 3)))
@@ -75,10 +73,11 @@ def test_zero_weights_give_zero_hiddens():
 def test_single_step_against_scalar_reference():
     # 1-dim everything, computed with plain math calls
     p = LstmParams(Rng(0), 1, 1)
-    p.Wi_w[:] = 0.4; p.Wi_h[:] = -0.2; p.bi[:] = 0.1
-    p.Wf_w[:] = -0.3; p.Wf_h[:] = 0.5; p.bf[:] = -0.1
-    p.Wo_w[:] = 0.2; p.Wo_h[:] = 0.3; p.bo[:] = 0.0
-    p.Wc_w[:] = 0.7; p.Wc_h[:] = -0.6; p.bc[:] = 0.2
+    g = gate_blocks(p)
+    g["Wi_w"][:] = 0.4; g["Wi_h"][:] = -0.2; g["bi"][:] = 0.1
+    g["Wf_w"][:] = -0.3; g["Wf_h"][:] = 0.5; g["bf"][:] = -0.1
+    g["Wo_w"][:] = 0.2; g["Wo_h"][:] = 0.3; g["bo"][:] = 0.0
+    g["Wc_w"][:] = 0.7; g["Wc_h"][:] = -0.6; g["bc"][:] = 0.2
     w = 0.9
 
     def sig(x):
@@ -155,8 +154,8 @@ def test_backward_accumulates_into_existing_grads():
     # the backward pass consumes its trace, so each call gets a fresh one
     backward_on_vectors(p, *on_vectors(p, x)[1:], d, twice)
     backward_on_vectors(p, *on_vectors(p, x)[1:], d, twice)
-    assert np.allclose(twice.Wi_w, 2.0 * once.Wi_w)
-    assert np.allclose(twice.bc, 2.0 * once.bc)
+    assert np.allclose(twice.W_x, 2.0 * once.W_x)
+    assert np.allclose(twice.b, 2.0 * once.b)
 
 
 def test_packed_rows_equal_each_row_run_alone():

@@ -1,8 +1,12 @@
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ian.model
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
+from _loop_lstm import gate_blocks
 from _oracles import oracle_probs
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import lstm_forward
@@ -180,8 +184,9 @@ def test_feature_dims_per_variant():
 def test_weight_matrix_names_exclude_biases_and_embeddings():
     names = make("ian").weight_matrix_names()
     assert "embeddings" not in names
-    assert all(not n.endswith(("bi", "bf", "bo", "bc", "b_a", "b_l")) for n in names)
-    assert "ctx_lstm.Wi_w" in names and "W_l" in names and "ctx_attn.W_a" in names
+    assert all(not n.endswith((".b", "b_a", "b_l")) for n in names)
+    assert "ctx_lstm.W_x" in names and "ctx_lstm.W_h" in names
+    assert "W_l" in names and "ctx_attn.W_a" in names
 
 
 def test_masked_mean_matches_plain_mean_when_unmasked():
@@ -230,6 +235,49 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, variant):
         assert np.array_equal(a, b)
     if tie:
         assert loaded.tgt_attn is loaded.ctx_attn
+
+
+# written by save_checkpoint at commit b43930f, the last whose LSTMs kept
+# per-gate views beside their fused arrays, from per_gate_era_model()
+PER_GATE_CHECKPOINT = Path(__file__).parent / "fixtures" / "ian_tied_per_gate.npz"
+
+
+def per_gate_era_model():
+    """The model that checkpoint holds: tied ian at 4/3 dims over 30 words,
+    seed 11, every bias drawn after construction so none is zero."""
+    rng = Rng(11)
+    params = ModelParams(rng, tiny_vocab(30), variant="ian", embed_dim=4, hidden_dim=3,
+                         tie_attention=True)
+    for arr in (params.ctx_lstm.b, params.tgt_lstm.b, params.b_l):
+        arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
+    params.ctx_attn.b_a[...] = rng.uniform(-0.1, 0.1)
+    return params
+
+
+def npz_members(path):
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def test_checkpoint_of_the_per_gate_era_loads_to_its_seeded_model():
+    loaded, _ = load_checkpoint(str(PER_GATE_CHECKPOINT))
+    want = per_gate_era_model()
+    assert [(name, arr.shape) for name, arr in loaded.named_arrays(trainable_only=False)] == [
+        (name, arr.shape) for name, arr in want.named_arrays(trainable_only=False)]
+    for (name, got), (_, arr) in zip(loaded.named_arrays(), want.named_arrays()):
+        assert np.array_equal(got, arr), name
+    # each stored gate array is its gate's row block of the fused arrays
+    stored = np.load(PER_GATE_CHECKPOINT, allow_pickle=False)
+    for side in ("ctx", "tgt"):
+        for gate_name, block in gate_blocks(getattr(want, f"{side}_lstm")).items():
+            assert np.array_equal(stored[f"{side}_lstm.{gate_name}"], block), gate_name
+
+
+def test_saved_checkpoint_has_the_per_gate_era_members(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), per_gate_era_model())
+    # each member holds its .npy header (shape, dtype) and the array's bytes
+    assert npz_members(path) == npz_members(PER_GATE_CHECKPOINT)
 
 
 def test_checkpoint_rejects_missing_arrays(tmp_path):

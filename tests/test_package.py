@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -94,6 +95,37 @@ def test_no_comparison_in_src_names_a_trainable_variant():
         if isinstance(sub, ast.Constant) and sub.value in trainable
     ]
     assert found == []
+
+
+# a per-gate LSTM name of the layout before the gates were fused
+PER_GATE_NAME = re.compile(r"(?<![A-Za-z0-9])(W[ifoc]_[wh]|b[ifoc])(?![A-Za-z0-9_])")
+
+
+def test_per_gate_names_live_only_in_the_checkpoint_helper():
+    # an LSTM's parameters are its fused W_x, W_h and b; only checkpoints
+    # keep the per-gate member names, and one helper maps them
+    found = {"inside": [], "outside": []}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(sub) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_checkpoint_members"
+                  for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            elif isinstance(node, ast.Name):
+                text = node.id
+            elif isinstance(node, ast.Attribute):
+                text = node.attr
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                text = node.arg or ""
+            else:
+                continue
+            for match in PER_GATE_NAME.finditer(text):
+                where = "inside" if id(node) in helper else "outside"
+                found[where].append(f"{path.stem}:{node.lineno} {match.group()}")
+    assert found["outside"] == []
+    assert len(found["inside"]) == 12  # the check sees the names where they are
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -332,9 +332,9 @@ def test_nan_abort_names_the_first_non_finite_parameter():
     vocab, instances = synthetic_separable()
     rng = Rng(37)
     params = ModelParams(rng, vocab, variant="ian", embed_dim=4, hidden_dim=4)
-    params.ctx_lstm.Wi_w[1, 2] = np.nan
+    params.ctx_lstm.W_x[1, 2] = np.nan
     with pytest.raises(FloatingPointError,
-                       match=r"epoch 1, batch 1; first non-finite parameter: ctx_lstm\.Wi_w$"):
+                       match=r"epoch 1, batch 1; first non-finite parameter: ctx_lstm\.W_x$"):
         train(params, instances, TrainConfig(epochs=1), rng)
 
 
@@ -367,6 +367,19 @@ def test_config_validation():
         TrainConfig(l2=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", -0.01), ("learning_rate", np.inf), ("learning_rate", np.nan),
+    ("momentum", np.nan), ("momentum", -np.inf),
+    ("l2", np.nan), ("l2", np.inf),
+    ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf),
+])
+def test_config_rejects_a_step_that_cannot_descend(field, value):
+    # a negative clip norm turns every step into gradient ascent, a NaN one
+    # switches clipping off, and a non-finite rate or momentum ends in NaN
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        TrainConfig(**{field: value})
 
 
 def test_pad_embedding_row_never_moves_during_training():
