@@ -5,15 +5,12 @@ through a softmax restricted to unmasked positions, and the pooled output
 is the weight-averaged hidden state. Masked positions receive weight
 exactly zero, so padding never contributes.
 
-Both passes run on a chunk's packed states: one row per real token of G
-columns, states (tokens, H), with the (n, G) table of the packed row at
-each (position, column) and a mask (n, G). Each of B instances has a
-query (B, Q) and a gather (B,) naming the column it reads, so instances
-that share a column (the aspect terms of one sentence) read its rows in
-place, position by position, and no per-instance copy of them exists.
-Backward writes one gradient per packed row, the instances that read a
-row summed onto it. Forward sums over positions add position k after
-position k - 1.
+Both passes run on a chunk's packed states (tokens, H). Each of B
+instances has a query (B, Q) and a table rows (n, B) of the packed row it
+reads at each position, so instances that share a context read its rows
+in place. The weights fill a (tokens, B) pooling matrix (pool_matrix),
+which pools by one product forward and one backward, as the model's
+means and last states do; backward here covers the score path only.
 """
 
 from __future__ import annotations
@@ -41,54 +38,43 @@ class AttentionParams:
         yield prefix + "b_a", self.b_a
 
 
-def attend(params: AttentionParams, states: np.ndarray, row_of: np.ndarray, query: np.ndarray,
-           mask: np.ndarray, gather: np.ndarray):
-    """Pool instance b of a chunk under query[b] (B, query_dim).
+def pool_matrix(rows: np.ndarray, values: np.ndarray, tokens: int) -> np.ndarray:
+    """The (tokens, B) matrix holding values[k, b] (n, B) at row rows[k, b]
+    of column b wherever that row is >= 0, and zero everywhere else."""
+    inside = rows >= 0
+    matrix = np.zeros((tokens, rows.shape[1]))
+    matrix[rows[inside], np.nonzero(inside)[1]] = values[inside]
+    return matrix
 
-    states (tokens, hidden_dim) are packed rows; row_of (n, G) gives the
-    row at each (position, column), -1 past the column's end, where mask
-    (n, G) must be False, as at every position left out of the softmax
-    (weight 0). gather (B,) is the column instance b reads. Returns
-    (pooled (B, hidden_dim), weights (n, B), trace).
-    """
+
+def attend(params: AttentionParams, states: np.ndarray, rows: np.ndarray, query: np.ndarray):
+    """Weigh instance b's rows of packed states (tokens, hidden_dim) under
+    query[b] (B, query_dim). rows[k, b] is the packed row it reads at
+    position k, -1 where it reads none (a pad, or past its end), which the
+    softmax leaves out at weight 0. Returns (weights (n, B), trace)."""
     proj = query @ params.W_a.T
-    rows = row_of[:, gather]
-    raw = tanh(np.array([np.einsum("bh,bh->b", states[at], proj) for at in rows])
-               + float(params.b_a))
-    weights = softmax_stable(np.where(mask[:, gather], raw, -np.inf), axis=0)
-    pooled = sum(w[:, None] * states[at] for w, at in zip(weights, rows))
+    # every row scored against every query; each instance keeps its own
+    raw = tanh((states @ proj.T)[rows, np.arange(rows.shape[1])] + float(params.b_a))
+    weights = softmax_stable(np.where(rows >= 0, raw, -np.inf), axis=0)
     trace = dict(states=states, rows=rows, query=query, proj=proj, raw=raw, weights=weights)
-    return pooled, weights, trace
+    return weights, trace
 
 
 def attention_backward(params: AttentionParams, trace: dict, d_pooled: np.ndarray, grads):
-    """Backpropagate d_pooled (B, hidden_dim) through the pooling.
-
-    Accumulates into grads.W_a / grads.b_a and returns (d_states (tokens,
-    hidden_dim), one gradient per packed row, summed over the instances
-    that read it; d_query (B, query_dim)). Masked positions get exactly
-    zero gradient because their weights are zero on both paths.
-    """
+    """Backpropagate d_pooled (B, hidden_dim) through the scores that set
+    the weights: accumulates into grads.W_a / grads.b_a and returns
+    (d_states (tokens, hidden_dim), summed over the instances that read a
+    row; d_query (B, query_dim)). The weighted sum's own share of d_states
+    is the caller's. Positions left out of the softmax get zero gradient."""
     states, rows, raw, weights = (trace[key] for key in ("states", "rows", "raw", "weights"))
-    each = np.arange(rows.shape[1])
-
-    # a row past an instance's end reads some packed row, at weight 0
-    d_weights = (states @ d_pooled.T)[rows, each]
+    # a position that reads no row reads some packed row, at weight 0
+    d_weights = (states @ d_pooled.T)[rows, np.arange(rows.shape[1])]
     # softmax jacobian: dL/ds_k = w_k * (dL/dw_k - sum_j w_j dL/dw_j)
     d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
     d_raw = d_scores * (1.0 - raw**2)
 
     grads.b_a += d_raw.sum()
-    # (t, b): instance b's weight, or its d_raw, at packed row t if it
-    # reads that row, else 0
-    inside = rows >= 0
-    at = rows[inside], np.broadcast_to(each, rows.shape)[inside]
-    by_weight = np.zeros((len(states), len(each)))
-    by_weight[at] = weights[inside]
-    by_raw = np.zeros_like(by_weight)
-    by_raw[at] = d_raw[inside]
+    by_raw = pool_matrix(rows, d_raw, len(states))
     hden = by_raw.T @ states
     grads.W_a += hden.T @ trace["query"]
-    d_states = by_weight @ d_pooled
-    d_states += by_raw @ trace["proj"]
-    return d_states, hden @ params.W_a
+    return by_raw @ trace["proj"], hden @ params.W_a

@@ -89,6 +89,14 @@ def positive_float(value: str) -> float:
     return number
 
 
+def nonnegative_float(value: str) -> float:
+    """A finite float of at least 0; argparse names the flag in the error."""
+    number = float(value)
+    if not 0.0 <= number < float("inf"):
+        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {value}")
+    return number
+
+
 def optional_float(value: str) -> float | None:
     """A float, or None for the word "none" (any case)."""
     if value.lower() == "none":
@@ -513,11 +521,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--variant", choices=(*GRADCHECK_VARIANTS, "all"), default="ian",
                    help="a trainable variant, or all of them")
     p.add_argument("--tie-attention", action="store_true", dest="tie_attention")
-    p.add_argument("--l2", type=float, default=0.01,
+    p.add_argument("--l2", type=nonnegative_float, default=0.01,
                    help="penalty used during the check; keeps every weight "
                         "gradient well above finite-difference noise")
     p.add_argument("--eps", type=positive_float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=positive_float, default=1e-4)
     p.add_argument("--corrupt-group", dest="corrupt_group", choices=GROUPS,
                    help="deliberately scale one group's analytic gradients "
                         "(self-test of the checker)")

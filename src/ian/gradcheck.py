@@ -76,7 +76,9 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
         analytic = grads[name]
         err = worst_relative_error(analytic, numeric)
         group = group_of(name)
-        if err >= errors.get(group, -1.0):
+        worst = errors.get(group, -1.0)
+        # a NaN error replaces any error of its group and is never replaced
+        if not np.isnan(worst) and not err < worst:
             errors[group] = err
             if details is not None:
                 denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))

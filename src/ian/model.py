@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .attention import AttentionParams, attend, attention_backward
+from .attention import AttentionParams, attend, attention_backward, pool_matrix
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
 from .lstm import LstmParams, lstm_backward, lstm_forward, packing
 from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
@@ -214,18 +214,14 @@ class ModelParams:
         ]
 
 
-def masked_mean(states: np.ndarray, row_of: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean per column of packed states (tokens, D) over the positions
-    where mask (n, G) is True, reading row row_of[k, g] at position k of
-    column g: (G, D). Positions add one after another, each reading only
-    the rows it selects."""
-    count = mask.sum(axis=0)
+def mean_matrix(rows: np.ndarray, tokens: int) -> np.ndarray:
+    """The (tokens, B) pooling matrix whose column b averages the packed
+    rows rows[:, b] names (those >= 0): 1/count on each of them."""
+    inside = rows >= 0
+    count = inside.sum(axis=0)
     if np.any(count == 0):
-        raise ValueError("masked_mean over an empty selection")
-    total = np.zeros((mask.shape[1], states.shape[1]))
-    for rows, keep in zip(row_of, mask):
-        total[keep] += states[rows[keep]]
-    return total / count[:, None]
+        raise ValueError("mean over an empty selection")
+    return pool_matrix(rows, inside / count, tokens)
 
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
@@ -324,38 +320,53 @@ def _features(params, route, trace, keep_trace):
     sides the classifier reads into its input (B, feature_dim).
 
     Each side keeps its states packed, one row per real token of each
-    column, a shared context's once, with the (n, G) table of the row at
-    each (position, column): its average and last state are taken once
-    per column and handed to each instance by its gather, and attention
-    reads each instance's rows in place, position by position."""
-    states, row_of, masks, lasts, gathers = {}, {}, {}, {}, {}
+    column, a shared context's once. Every pooled vector, and every
+    attention query, is P.T @ states for one (tokens, B) pooling matrix P
+    of its side: a mean's, a last state's or an attention's weights. A
+    traced pass keeps the matrices for backward; a pass that keeps no
+    trace drops an attention's matrix and trace once its vector is taken
+    (holding them took a shared-context predict_all from 4.0 to 4.9 MB)."""
+    states, rows, lasts = {}, {}, {}
     for side, ids, lens, gather in trace["sides"]:
         lstm = getattr(params, f"{side}_lstm")
         if lstm is None:  # the side's states are its word vectors
             pack = packing(ids, lens)
-            trace[f"{side}_ids"], row_of[side] = pack["ids"], pack["row_of"]
+            trace[f"{side}_ids"], row_of = pack["ids"], pack["row_of"]
             states[side] = lookup(params.embeddings, pack["ids"])
         else:
-            states[side], row_of[side], trace[f"{side}_lstm_trace"] = lstm_forward(
+            states[side], row_of, trace[f"{side}_lstm_trace"] = lstm_forward(
                 lstm, ids, params.embeddings, lens, keep_trace)
-        masks[side] = (ids != PAD_INDEX) & (row_of[side] >= 0)
-        lasts[side] = row_of[side][lens - 1, np.arange(len(lens))]
-        gathers[side] = gather
-    trace.update(states=states, row_of=row_of, masks=masks, lasts=lasts)
+        # the packed row each instance reads at each position, -1 at a pad
+        rows[side] = np.where(ids != PAD_INDEX, row_of, -1)[:, gather]
+        lasts[side] = row_of[lens[gather] - 1, gather][None]
 
-    pooled = []
-    for side, pool in feature_sides(route):
-        gather = gathers[side]
+    means = {}
+
+    def mean(side):
+        if side not in means:
+            means[side] = mean_matrix(rows[side], len(states[side]))
+        return means[side]
+
+    pools = []
+
+    def pooling(side, pool):
+        """One side's pooling matrix, kept in pools by a traced pass."""
         if pool == "last":
-            vec = states[side][lasts[side][gather]]
+            matrix = pool_matrix(lasts[side], np.ones(lasts[side].shape), len(states[side]))
         elif pool == "mean":
-            vec = masked_mean(states[side], row_of[side], masks[side])[gather]
+            matrix = mean(side)
         else:
-            query = masked_mean(states[pool], row_of[pool], masks[pool])[gathers[pool]]
-            vec, trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = attend(
-                getattr(params, f"{side}_attn"), states[side], row_of[side], query, masks[side],
-                gather)
-        pooled.append(vec)
+            weights, attn_trace = attend(getattr(params, f"{side}_attn"), states[side],
+                                         rows[side], mean(pool).T @ states[pool])
+            matrix = pool_matrix(rows[side], weights, len(states[side]))
+            if keep_trace:
+                trace[f"{side}_weights"], trace[f"{side}_attn_trace"] = weights, attn_trace
+        if keep_trace:
+            pools.append(matrix)
+        return matrix
+
+    pooled = [pooling(side, pool).T @ states[side] for side, pool in feature_sides(route)]
+    trace.update(states=states, pools=pools, means=means)
     return np.concatenate(pooled, axis=1)
 
 
@@ -364,12 +375,13 @@ def backward(params: ModelParams, trace: dict, labels, grads):
     chunk, labels (B,), into grads (a zero twin of params).
 
     It replays forward's sides and pools in reverse: each pooled vector
-    back to its side's packed states and to the averages it was built
-    from, each side back through its LSTM if it has one, onto the
-    embedding rows it read. The instances that read one column have their
-    gradients summed onto its rows. Consumes the trace: the LSTM backward
-    passes overwrite its gate arrays, and the states and attention traces
-    leave it once read."""
+    back to its side's packed states through its pooling matrix (an
+    attention's also through its scores, and its query through the
+    query side's mean matrix), each side back through its LSTM if it has
+    one, onto the embedding rows it read. The product with a pooling
+    matrix sums the instances that read one row onto it. Consumes the
+    trace: the LSTM backward passes overwrite its gate arrays, and the
+    states, matrices and attention traces leave it once read."""
     if params.variant == "majority":
         raise ValueError("the majority baseline has no gradients")
 
@@ -385,33 +397,21 @@ def backward(params: ModelParams, trace: dict, labels, grads):
         dd *= trace["dropout_mask"]
 
     dh = params.hidden_dim
-    masks, row_of, lasts = trace["masks"], trace["row_of"], trace["lasts"]
-    # per side, the 0/1 (columns, B) matrix that sums each column's instances
-    onto = {side: gather == np.arange(len(lens))[:, None]
-            for side, _, lens, gather in trace["sides"]}
+    means = trace.pop("means")
     # one gradient per packed row; each activation leaves the trace once
     # read, so the LSTM passes run without the chunk's states alongside
     d_states = {side: np.zeros_like(arr) for side, arr in trace.pop("states").items()}
-    d_avgs = {}
-    for k, (side, pool) in enumerate(feature_sides(ROUTES[params.variant])):
+    for k, ((side, pool), matrix) in enumerate(zip(feature_sides(ROUTES[params.variant]),
+                                                   trace.pop("pools"))):
         d_pooled = dd[:, k * dh:(k + 1) * dh]
-        if pool == "last":
-            d_states[side][lasts[side]] += onto[side] @ d_pooled
-        elif pool == "mean":
-            d_avgs[side] = d_avgs.get(side, 0.0) + d_pooled
-        else:
-            d_attended, d_query = attention_backward(
+        d_states[side] += matrix @ d_pooled
+        if pool in ("ctx", "tgt"):  # attention: its scores, then its query's mean
+            d_scored, d_query = attention_backward(
                 getattr(params, f"{side}_attn"), trace.pop(f"{side}_attn_trace"),
                 d_pooled, getattr(grads, f"{side}_attn"),
             )
-            d_states[side] += d_attended
-            d_avgs[pool] = d_avgs.get(pool, 0.0) + d_query
-    for side, d_avg in d_avgs.items():
-        # a masked mean spreads its gradient evenly over the selected rows
-        mask = masks[side]
-        d_avg = (onto[side] @ d_avg) / mask.sum(axis=0)[:, None]
-        k, g = np.nonzero(mask)
-        d_states[side][row_of[side][k, g]] += d_avg[g]
+            d_states[side] += d_scored
+            d_states[pool] += means[pool] @ d_query
     for side, *_ in reversed(trace["sides"]):
         lstm = getattr(params, f"{side}_lstm")
         if lstm is None:

@@ -4,21 +4,33 @@ import types
 import numpy as np
 
 from fdcheck import fd_grad, max_rel_err
-from ian.attention import AttentionParams, attend, attention_backward
+from ian.attention import AttentionParams, attend, attention_backward, pool_matrix
 from ian.numerics import Rng
 
 
+def pool(params, states, rows, query):
+    """attend, then pool through its matrix: (pooled, weights, trace)."""
+    weights, trace = attend(params, states, rows, query)
+    return pool_matrix(rows, weights, len(states)).T @ states, weights, trace
+
+
+def pool_backward(params, trace, d_pooled, grads):
+    """attention_backward plus the weighted sum's share of d_states."""
+    d_states, d_query = attention_backward(params, trace, d_pooled, grads)
+    d_states += pool_matrix(trace["rows"], trace["weights"], len(d_states)) @ d_pooled
+    return d_states, d_query
+
+
 def attend_one(params, hiddens, query, mask):
-    """attend on a chunk of one sequence, its states packed in order,
+    """pool on a chunk of one sequence, its states packed in order,
     outputs without the batch axis."""
-    row_of = np.arange(len(hiddens))[:, None]
-    pooled, weights, trace = attend(params, hiddens, row_of, query[None], mask[:, None],
-                                    np.zeros(1, dtype=np.int64))
+    rows = np.where(mask, np.arange(len(hiddens)), -1)[:, None]
+    pooled, weights, trace = pool(params, hiddens, rows, query[None])
     return pooled[0], weights[:, 0], trace
 
 
 def backward_one(params, trace, d_pooled, grads):
-    d_hiddens, d_query = attention_backward(params, trace, d_pooled[None], grads)
+    d_hiddens, d_query = pool_backward(params, trace, d_pooled[None], grads)
     return d_hiddens, d_query[0]
 
 
@@ -139,15 +151,15 @@ def test_shared_columns_equal_their_copies():
     h = rng.uniform(-1, 1, (5, 3, 4))
     q = rng.uniform(-1, 1, (len(gather), 3))
     d_pooled = rng.uniform(-1, 1, (len(gather), 4))
-    each = np.arange(len(gather))
     states, row_of = pack_columns(h, lengths)
     copies, copy_rows = pack_columns(h[:, gather], lengths[gather])
 
     shared, copied = zero_grads(p), zero_grads(p)
-    pooled, weights, trace = attend(p, states, row_of, q, mask, gather)
-    d_h, d_q = attention_backward(p, trace, d_pooled, shared)
-    ref_pooled, ref_weights, ref_trace = attend(p, copies, copy_rows, q, mask[:, gather], each)
-    ref_d_h, ref_d_q = attention_backward(p, ref_trace, d_pooled, copied)
+    pooled, weights, trace = pool(p, states, np.where(mask, row_of, -1)[:, gather], q)
+    d_h, d_q = pool_backward(p, trace, d_pooled, shared)
+    copied_rows = np.where(mask[:, gather], copy_rows, -1)
+    ref_pooled, ref_weights, ref_trace = pool(p, copies, copied_rows, q)
+    ref_d_h, ref_d_q = pool_backward(p, ref_trace, d_pooled, copied)
     # each copied row's gradient summed onto the packed row it copies
     summed = np.zeros_like(states)
     inside = copy_rows >= 0

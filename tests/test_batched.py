@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import ian.lstm
 import ian.model
+from _loop_pool import loop_features
 from _oracles import oracle_probs
 from _per_case import case, case_loss_and_grads, case_predict, case_train
 from _per_case import forward as case_forward
@@ -190,6 +191,23 @@ def test_packed_passes_equal_the_references_on_skewed_shared_contexts(variant, t
                     if variant != "td_lstm":
                         assert np.max(np.abs(got - oracle_probs(params, *ids))) <= 1e-10
         assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_pooling_matrices_equal_the_position_loops(variant, tie):
+    # every pooled vector and attention weight of a traced chunk pass
+    # against the position loops it replaced, on the states it kept:
+    # shared contexts with a pad inside each context's length
+    batch = packed_layout_cases(Rng(33))
+    params = make_model(variant, tie)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ian.model, "CHUNK_TOKENS", 16)
+        for _, ctx_idx, tgt_idx, layout in chunks(batch):
+            _, trace = forward(params, ctx_idx, tgt_idx, **layout)
+            features, weights = loop_features(params, trace)
+            assert np.max(np.abs(trace["features"] - features)) <= 1e-12
+            for side, ref in weights.items():
+                assert np.max(np.abs(trace[f"{side}_weights"] - ref)) <= 1e-12
 
 
 def chunk_layouts(batch, cut):

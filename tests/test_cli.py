@@ -586,6 +586,38 @@ def test_gradcheck_eps_takes_positive_numbers_only(capsys, value):
     assert f"argument --eps: expects a positive finite number, got {value}" in err, err
 
 
+@pytest.mark.parametrize("flag,value,expects", [
+    *[("--tolerance", v, "a positive finite number") for v in ("nan", "inf", "-0.5", "0")],
+    *[("--l2", v, "a finite number >= 0") for v in ("nan", "inf", "-0.01")],
+])
+def test_gradcheck_tolerance_and_l2_take_finite_numbers_only(capsys, flag, value, expects):
+    with pytest.raises(SystemExit) as exc:
+        run([*GRADCHECK_ARGS, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expects {expects}, got {value}" in err, err
+
+
+def test_gradcheck_fails_and_names_a_nan_gradient(capsys, monkeypatch):
+    # a NaN in the first array of a group must not be replaced by the
+    # finite errors of the arrays after it
+    import ian.gradcheck
+
+    real = ian.gradcheck.loss_and_grads
+
+    def nan_grads(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads["ctx_lstm.W_x"][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(ian.gradcheck, "loss_and_grads", nan_grads)
+    assert run(GRADCHECK_ARGS) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"ctx_lstm\s+max rel err nan  FAIL  worst ctx_lstm\.W_x\[0,0\] "
+                     r"analytic nan", out), out
+    assert out.count("FAIL") == 1
+
+
 def test_gradcheck_requires_both_dims(capsys):
     assert run(["gradcheck", "--embed-dim", "3"]) == 2
 

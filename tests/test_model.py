@@ -16,7 +16,7 @@ from ian.model import (
     ModelParams,
     forward,
     load_checkpoint,
-    masked_mean,
+    mean_matrix,
     save_checkpoint,
     touched_rows,
 )
@@ -189,20 +189,20 @@ def test_weight_matrix_names_exclude_biases_and_embeddings():
     assert "W_l" in names and "ctx_attn.W_a" in names
 
 
-def test_masked_mean_matches_plain_mean_when_unmasked():
+def test_mean_matrix_matches_plain_mean_when_unmasked():
     rng = Rng(1)
     rows = rng.uniform(-1, 1, (5, 3))
     in_order = np.arange(5)[:, None]
-    everywhere = np.ones((5, 1), dtype=bool)
-    assert np.allclose(masked_mean(rows, in_order, everywhere)[0], rows.mean(axis=0))
+    assert np.allclose((mean_matrix(in_order, 5).T @ rows)[0], rows.mean(axis=0))
     mask = np.array([True, False, True, False, False])[:, None]
-    assert np.allclose(masked_mean(rows, in_order, mask)[0], rows[[0, 2]].mean(axis=0))
+    selected = np.where(mask, in_order, -1)
+    assert np.allclose((mean_matrix(selected, 5).T @ rows)[0], rows[[0, 2]].mean(axis=0))
     # two columns of 3 and 2 positions, packed step by step
     row_of = np.array([[0, 1], [2, 3], [4, -1]])
-    two = masked_mean(rows, row_of, row_of >= 0)
+    two = mean_matrix(row_of, 5).T @ rows
     assert np.allclose(two, [rows[[0, 2, 4]].mean(axis=0), rows[[1, 3]].mean(axis=0)])
     with pytest.raises(ValueError):
-        masked_mean(rows, in_order, np.zeros((5, 1), dtype=bool))
+        mean_matrix(np.full((5, 1), -1), 5)
 
 
 def test_touched_rows_unique_and_pad_free():
