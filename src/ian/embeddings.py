@@ -14,6 +14,9 @@ from .numerics import Matrix, Rng
 PAD_TOKEN = "<pad>"
 PAD_INDEX = 0
 
+# the L2 term squares every weight, so a larger value overflows it
+MAX_WEIGHT = float(np.sqrt(np.finfo(np.float64).max))
+
 
 class Vocabulary:
     """Token <-> index mapping with the pad token pinned at index 0."""
@@ -62,20 +65,30 @@ def load_pretrained(path: str, vocab: Vocabulary, dim: int, rng: Rng):
     Vocabulary tokens absent from the file get U(-0.1, 0.1) rows, drawn in
     vocabulary order so the result is deterministic. Returns
     (table, n_hits, n_misses); the pad row is zero and counts as neither.
+    A vocabulary token's row with the wrong number of values, or a value
+    that is not a number up to MAX_WEIGHT in magnitude, raises ValueError
+    naming file, line and token; other tokens' rows are never parsed.
     """
     found = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip().split(" ")
             token = parts[0]
             if token not in vocab or token == PAD_TOKEN:
                 continue
             vals = parts[1:]
+            where = f"{path}:{lineno}: embedding row for {token!r}"
             if len(vals) != dim:
-                raise ValueError(
-                    f"embedding file row for {token!r} has {len(vals)} values, expected {dim}"
-                )
-            found[token] = np.array(vals, dtype=np.float64)
+                raise ValueError(f"{where} has {len(vals)} values, expected {dim}")
+            try:
+                vec = np.array(vals, dtype=np.float64)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            bad = ~(np.abs(vec) <= MAX_WEIGHT)  # NaN too
+            if bad.any():
+                raise ValueError(f"{where} has value {vals[bad.argmax()]!r}, expected "
+                                 f"a finite number of magnitude at most {MAX_WEIGHT:.3g}")
+            found[token] = vec
 
     table = np.zeros((len(vocab), dim))
     hits = 0

@@ -2,19 +2,16 @@
 
 Compares every analytic parameter gradient of the batched training loss
 against central differences, grouped by component, and reports the worst
-relative error per group. A deliberate-corruption hook exists so tests can
-prove the check actually catches wrong gradients.
+relative error per group with the coordinate where it occurs.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from .data import Instance
 from .embeddings import PAD_INDEX, Vocabulary
-from .model import GROUPS, LABELS, ModelParams
+from .model import LABELS, ModelParams
 from .numerics import Rng
 from .training import batch_loss, loss_and_grads
 
@@ -43,30 +40,20 @@ def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-5,
-                   corrupt_group: str | None = None, details: dict | None = None,
                    chunk_tokens: int | None = None):
-    """Max relative error of analytic vs numeric gradients of the batch
-    loss over cases, per group.
+    """Analytic vs numeric gradients of the batch loss over cases, per group.
 
-    chunk_tokens is passed to the batch loss, so a small budget checks the
-    loss summed over several chunks. corrupt_group doubles that group's
-    analytic gradients so the check must flag it; leave it None for a real
-    verification. When a details dict is passed, it is filled with the
-    worst coordinate per group as (parameter name, index, analytic,
-    numeric).
+    Returns {group: (max rel err, parameter name, index, analytic,
+    numeric)}, the last four naming the worst coordinate. chunk_tokens is
+    passed to the batch loss, so a small budget checks the loss summed
+    over several chunks.
     """
     _, grads = loss_and_grads(params, cases, l2=l2, chunk_tokens=chunk_tokens)
-    if corrupt_group is not None:
-        if corrupt_group not in GROUPS:
-            raise ValueError(f"unknown gradient group {corrupt_group!r}")
-        for name, arr in grads.named_arrays():
-            if group_of(name) == corrupt_group:
-                arr *= 2.0
 
     def objective():
         return batch_loss(params, cases, l2=l2, chunk_tokens=chunk_tokens)
 
-    errors: dict[str, float] = {}
+    found: dict[str, tuple] = {}
     for name, arr in params.named_arrays():
         numeric = numeric_gradient(objective, arr, eps=eps)
         if name == "embeddings":
@@ -76,23 +63,20 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
         analytic = grads[name]
         err = worst_relative_error(analytic, numeric)
         group = group_of(name)
-        worst = errors.get(group, -1.0)
+        worst = found.get(group, (-1.0,))[0]
         # a NaN error replaces any error of its group and is never replaced
         if not np.isnan(worst) and not err < worst:
-            errors[group] = err
-            if details is not None:
-                denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-                rel = np.abs(analytic - numeric) / denom
-                idx = np.unravel_index(np.argmax(rel), rel.shape)
-                details[group] = (name, idx, float(analytic[idx]), float(numeric[idx]))
-    return errors
+            denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+            rel = np.abs(analytic - numeric) / denom
+            idx = np.unravel_index(np.argmax(rel), rel.shape)
+            found[group] = (err, name, idx, float(analytic[idx]), float(numeric[idx]))
+    return found
 
 
 def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
                      n_ctx: int = 4, n_tgt: int = 2,
                      variant: str = "ian", tie_attention: bool = False,
-                     l2: float = 0.01, eps: float = 1e-5,
-                     corrupt_group: str | None = None, details: dict | None = None):
+                     l2: float = 0.01, eps: float = 1e-5):
     """Build a small random model and a batch, then run gradient_check.
 
     The batch holds three cases of n_ctx, n_ctx + 1 and n_ctx + 2 context
@@ -100,7 +84,7 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
     the target. It runs as two chunks, so the check covers padding masks,
     the loss summed over chunks and the once-per-batch L2 term. Each
     case's target words are a slice of its context, so every variant,
-    span included, is exercised. Returns (errors, elapsed_seconds).
+    span included, is exercised. Returns gradient_check's mapping.
     """
     rng = Rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
@@ -119,8 +103,5 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
         cases.append(Instance(context_tokens=(), target_tokens=(),
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + n_tgt), label=label, target_text=""))
-    began = time.perf_counter()
     # the two shorter cases fill one chunk; the longest needs a second
-    errors = gradient_check(params, cases, l2=l2, eps=eps, corrupt_group=corrupt_group,
-                            details=details, chunk_tokens=2 * (n_ctx + 1))
-    return errors, time.perf_counter() - began
+    return gradient_check(params, cases, l2=l2, eps=eps, chunk_tokens=2 * (n_ctx + 1))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ian.evaluate
+from _corrupt import double_group
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from ian.cli import main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
@@ -213,6 +214,22 @@ def test_count_flag_in_a_config_file_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_takes_a_negative_momentum_in_exponent_form(tmp_path, capsys):
+    assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path), "--momentum", "-1e-1"]) == 0
+    assert (tmp_path / "model.npz").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--l2", "-1e-3", "l2 must be finite and >= 0, got -0.001"),
+    ("--learning-rate", "-1e-2", "learning_rate must be finite and >= 0, got -0.01"),
+])
+def test_train_negative_exponent_values_reach_the_config_check(tmp_path, capsys, flag,
+                                                               value, message):
+    assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path / "out"), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- stats ----------------------------------------------------------------
 
 
@@ -336,6 +353,32 @@ def test_train_refuses_an_empty_training_split(tmp_path, capsys, variant):
                 str(data), "--embed-dim", "4", "--hidden-dim", "4", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_train_loads_vectors_with_trailing_spaces(tmp_path, capsys):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text("the 0.1 0.2 0.3 \nbattery 0.4 0.5 0.6\t\r\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*TRAIN_ARGS, "--embeddings", str(vecs), "--out-dir", str(out)]) == 0
+    assert "pretrained vectors: 2 hits" in capsys.readouterr().out
+    params, _ = load_checkpoint(str(out / "model.npz"))
+    assert params.embeddings.shape[1] == 3
+
+
+@pytest.mark.parametrize("row,bad", [
+    ("the 0.1 x 0.3", "'x'"),
+    ("the 0.1 nan 0.3", "'nan'"),
+    ("the 0.1 1e308 0.3", "'1e308'"),
+    ("the 0.1 0.2", "has 2 values, expected 3"),
+])
+def test_train_refuses_a_bad_vector_row_in_one_line(tmp_path, capsys, row, bad):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text(f"unknownword 1 2\nzz x y z\n{row}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*TRAIN_ARGS, "--embeddings", str(vecs), "--out-dir", str(out)]) == 1
+    line = assert_one_error_line_naming(capsys, f"{vecs}:3: ")
+    assert "'the'" in line and bad in line, line
     assert not out.exists()
 
 
@@ -493,6 +536,30 @@ def test_predict_reports_each_unusable_line_once(tmp_path):
         ["warning", f" line {n}"] for n in (2, 3, 4, 5)], done.stderr
 
 
+def test_eval_prints_each_warning_as_one_line(tmp_path, capsys):
+    ckpt, _ = trained_checkpoint(tmp_path, capsys)  # laptop vocabulary
+    # a fresh interpreter, so stderr holds whatever warnings would print
+    done = subprocess.run(
+        [sys.executable, "-m", "ian.cli", "eval", "--checkpoint", ckpt,
+         "--split", "train", "--category", "restaurant"],
+        env={**os.environ, "PYTHONPATH": str(Path(ian.evaluate.__file__).parents[1])},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert any(line.startswith("warning: target ") for line in lines), done.stderr
+    assert all(line.startswith(("warning: ", "note: ")) for line in lines), done.stderr
+
+
+def test_in_process_callers_keep_their_warning_capture(tmp_path, capsys):
+    before = warnings.formatwarning
+    ckpt, _ = trained_checkpoint(tmp_path, capsys)
+    with pytest.warns(UserWarning, match="instance dropped"):
+        assert run(["eval", "--checkpoint", ckpt, "--split", "train",
+                    "--category", "restaurant"]) == 0
+    assert warnings.formatwarning is before
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_predict_empty_input_empty_output(tmp_path, capsys):
     ckpt, _ = trained_checkpoint(tmp_path, capsys)
     src = tmp_path / "empty.txt"
@@ -569,15 +636,15 @@ def test_gradcheck_cli_single_dim_passes(capsys):
         assert re.search(rf"{group}\s+max rel err \S+  ok", out)
 
 
-def test_gradcheck_cli_detects_corruption(capsys):
-    rc = run(["gradcheck", "--embed-dim", "3", "--hidden-dim", "3",
-              "--corrupt-group", "ctx_lstm"])
+def test_gradcheck_cli_detects_corruption(capsys, monkeypatch):
+    double_group(monkeypatch, "ctx_lstm")
+    rc = run(["gradcheck", "--embed-dim", "3", "--hidden-dim", "3"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "worst ctx_lstm" in out
 
 
-@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "-1E-5"])
 def test_gradcheck_eps_takes_positive_numbers_only(capsys, value):
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--eps", value])
@@ -587,8 +654,9 @@ def test_gradcheck_eps_takes_positive_numbers_only(capsys, value):
 
 
 @pytest.mark.parametrize("flag,value,expects", [
-    *[("--tolerance", v, "a positive finite number") for v in ("nan", "inf", "-0.5", "0")],
-    *[("--l2", v, "a finite number >= 0") for v in ("nan", "inf", "-0.01")],
+    *[("--tolerance", v, "a positive finite number")
+      for v in ("nan", "inf", "-0.5", "0", "-1e-4")],
+    *[("--l2", v, "a finite number >= 0") for v in ("nan", "inf", "-0.01", "-1e-3")],
 ])
 def test_gradcheck_tolerance_and_l2_take_finite_numbers_only(capsys, flag, value, expects):
     with pytest.raises(SystemExit) as exc:
@@ -644,11 +712,20 @@ def test_gradcheck_all_variants_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_all_variants_fails_on_one_corrupt_group(capsys):
-    rc = run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3",
-              "--corrupt-group", "ctx_lstm"])
+def test_gradcheck_all_variants_fails_on_one_corrupt_group(capsys, monkeypatch):
+    double_group(monkeypatch, "ctx_lstm")
+    rc = run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3"])
     assert rc == 1
-    assert capsys.readouterr().out.count("worst ctx_lstm") == 6
+    out = capsys.readouterr().out
+    assert out.count("worst ctx_lstm") == 6
+    assert out.count("FAIL") == 6
+
+
+def test_gradcheck_has_no_corruption_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*GRADCHECK_ARGS, "--corrupt-group", "ctx_lstm"])
+    assert exc.value.code == 2
+    assert "--corrupt-group" in capsys.readouterr().err
 
 
 def test_gradcheck_all_variants_refuses_tied_attention(capsys):

@@ -93,5 +93,39 @@ def test_load_pretrained_dim_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 2.0\n")
     vocab = Vocabulary(["a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{path}:1: embedding row for 'a' has 2 values, "
+                                         "expected 3$"):
         load_pretrained(str(path), vocab, 3, Rng(1))
+
+
+def test_load_pretrained_ignores_trailing_whitespace(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("a 1.0 2.0 \nb 3.0 4.0\t\r\n")
+    vocab = Vocabulary(["a", "b"])
+    table, hits, _ = load_pretrained(str(path), vocab, 2, Rng(1))
+    assert hits == 2
+    assert np.array_equal(table[1:], [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("value", ["x", "nan", "inf", "-1e308", "1e155"])
+def test_load_pretrained_names_a_bad_value(tmp_path, value):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"a 1.0 2.0\nb 1.0 {value}\n")
+    with pytest.raises(ValueError) as err:
+        load_pretrained(str(path), Vocabulary(["a", "b"]), 2, Rng(1))
+    assert str(err.value).startswith(f"{path}:2: embedding row for 'b'")
+    assert repr(value) in str(err.value)
+
+
+def test_load_pretrained_keeps_large_finite_squares(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("a 1e150 -2.5\n")
+    table, _, _ = load_pretrained(str(path), Vocabulary(["a"]), 2, Rng(1))
+    assert np.array_equal(table[1], [1e150, -2.5])
+
+
+def test_load_pretrained_skips_rows_outside_the_vocabulary(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("other x nan\na 1.0 2.0\nthird 1\n")
+    table, hits, misses = load_pretrained(str(path), Vocabulary(["a"]), 2, Rng(1))
+    assert (hits, misses) == (1, 0)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from _corrupt import double_group
 from ian.gradcheck import (
-    GROUPS,
     check_tiny_model,
     group_of,
     numeric_gradient,
     worst_relative_error,
 )
+from ian.model import GROUPS
 
 DEFAULT_SEED = 27  # the cli default; wide noise margin at both dims
 
@@ -35,41 +36,41 @@ def test_worst_relative_error_formula():
 
 @pytest.mark.parametrize("dim", [3, 8])
 def test_all_groups_pass_at_both_dims(dim):
-    errors, elapsed = check_tiny_model(
+    found = check_tiny_model(
         seed=DEFAULT_SEED, embed_dim=dim, hidden_dim=dim, n_ctx=4, n_tgt=2, l2=0.01
     )
-    assert set(errors) == set(GROUPS)
-    for group, err in errors.items():
+    assert set(found) == set(GROUPS)
+    for group, (err, name, idx, analytic, numeric) in found.items():
         assert err <= 1e-4, f"{group}: {err}"
-    assert elapsed < 10.0
+        assert group_of(name) == group
+        assert abs(analytic - numeric) <= err * max(1e-8, abs(analytic) + abs(numeric))
 
 
 def test_ten_random_instances_pass():
     # coarser step: on near-zero gradients the 1e-5 step's rounding noise
     # alone can exceed the bound, regardless of gradient correctness
     for seed in range(10):
-        errors, _ = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3,
-                                     l2=0.01, eps=1e-4)
-        assert max(errors.values()) <= 1e-4, (seed, errors)
+        found = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3,
+                                 l2=0.01, eps=1e-4)
+        assert max(err for err, *_ in found.values()) <= 1e-4, (seed, found)
 
 
 def test_tied_attention_variant_checks_out():
-    errors, _ = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
-                                 tie_attention=True, l2=0.01)
-    assert "tgt_attn" not in errors
-    assert max(errors.values()) <= 1e-4
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
+                             tie_attention=True, l2=0.01)
+    assert "tgt_attn" not in found
+    assert max(err for err, *_ in found.values()) <= 1e-4
 
 
 @pytest.mark.parametrize("group", GROUPS)
-def test_corrupting_a_group_is_detected(group):
-    errors, _ = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
-                                 l2=0.01, corrupt_group=group)
-    assert errors[group] > 1e-4, errors
-    for other, err in errors.items():
+def test_corrupting_a_group_is_detected(monkeypatch, group):
+    double_group(monkeypatch, group)
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, l2=0.01)
+    err, name, idx, analytic, numeric = found[group]
+    assert err > 1e-4, found
+    assert group_of(name) == group
+    # the doubled coordinate reads about twice its numeric value
+    assert analytic == pytest.approx(2 * numeric, rel=1e-3)
+    for other, (other_err, *_) in found.items():
         if other != group:
-            assert err <= 1e-4, (other, err)
-
-
-def test_unknown_corrupt_group_rejected():
-    with pytest.raises(ValueError):
-        check_tiny_model(seed=0, embed_dim=3, hidden_dim=3, corrupt_group="optimizer")
+            assert other_err <= 1e-4, (other, other_err)
