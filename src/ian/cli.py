@@ -40,9 +40,6 @@ from .model import (GROUPS, LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoi
 from .numerics import Rng
 from .training import TrainConfig, train
 
-# every variant with trainable parameters
-GRADCHECK_VARIANTS = tuple(ROUTES)
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -80,6 +77,14 @@ def positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
+    return number
+
+
+def nonnegative_int(value: str) -> int:
+    """An integer of at least 0; argparse names the flag in the error."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {value}")
     return number
 
 
@@ -201,15 +206,21 @@ def cmd_train(args) -> int:
         tie_attention=args.tie_attention,
         embeddings=table,
     )
+    if not train_ds.instances:
+        raise ValueError("no usable training instance")
+    # a path that cannot be written fails here, before the first epoch
+    os.makedirs(args.out_dir, exist_ok=True)
+    history_path = args.history or os.path.join(args.out_dir, "history.txt")
+    checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
+    for path in (history_path, checkpoint_path):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: its directory does not exist")
     history = train(
         params, train_ds.instances, config, rng,
         eval_instances=test_ds.instances, log=print,
     )
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    history_path = args.history or os.path.join(args.out_dir, "history.txt")
     _write_history(history, history_path)
-    checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
     save_checkpoint(checkpoint_path, params,
                     config={"category": args.category, **asdict(config)})
     print(f"wrote {checkpoint_path} and {history_path}")
@@ -343,7 +354,7 @@ def cmd_gradcheck(args) -> int:
         if args.tie_attention:
             print("error: --tie-attention needs a single variant", file=sys.stderr)
             return 2
-        variants = GRADCHECK_VARIANTS
+        variants = tuple(ROUTES)
     else:
         variants = (args.variant,)
     if args.embed_dim is None:
@@ -408,7 +419,12 @@ def cmd_attention_viz(args) -> int:
                   file=sys.stderr)
             return 1
     else:
-        inst = _instance_from_line(params, sentence, target)
+        start = find_term(sentence, target)
+        inst = _instance_from_line(params, sentence, target, start=start)
+        if inst is None and start >= 0:
+            print(f"error: no token of target {target!r} is in the checkpoint vocabulary",
+                  file=sys.stderr)
+            return 1
         if inst is None:
             print(
                 f"error: target {target!r} not found in the sentence; "
@@ -482,7 +498,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--l2", type=float)
     p.add_argument("--dropout", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=nonnegative_int)
     p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
                    dest="freeze_embeddings")
@@ -516,10 +532,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--embed-dim", dest="embed_dim", type=positive_int,
                    help="default: run both 3 and 8")
     p.add_argument("--hidden-dim", dest="hidden_dim", type=positive_int)
-    p.add_argument("--seed", type=int, default=27)
+    p.add_argument("--seed", type=nonnegative_int, default=27)
     p.add_argument("--ctx-len", dest="ctx_len", type=positive_int, default=4)
     p.add_argument("--tgt-len", dest="tgt_len", type=positive_int, default=2)
-    p.add_argument("--variant", choices=(*GRADCHECK_VARIANTS, "all"), default="ian",
+    p.add_argument("--variant", choices=(*ROUTES, "all"), default="ian",
                    help="a trainable variant, or all of them")
     p.add_argument("--tie-attention", action="store_true", dest="tie_attention")
     p.add_argument("--l2", type=nonnegative_float, default=0.01,

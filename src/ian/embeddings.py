@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Matrix, Rng
+from .numerics import Rng
 
 PAD_TOKEN = "<pad>"
 PAD_INDEX = 0
@@ -52,7 +52,7 @@ class Vocabulary:
         return len(self.tokens)
 
 
-def random_embeddings(rng: Rng, vocab: Vocabulary, dim: int) -> Matrix:
+def random_embeddings(rng: Rng, vocab: Vocabulary, dim: int) -> np.ndarray:
     """U(-0.1, 0.1) row per token; the pad row stays zero."""
     table = rng.uniform(-0.1, 0.1, (len(vocab), dim))
     table[PAD_INDEX] = 0.0
@@ -106,6 +106,6 @@ def load_pretrained(path: str, vocab: Vocabulary, dim: int, rng: Rng):
     return table, hits, misses
 
 
-def lookup(table: Matrix, indices: np.ndarray) -> Matrix:
+def lookup(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Stack the rows for an index array into an (n, dim) matrix."""
     return table[np.asarray(indices, dtype=np.int64)]

@@ -20,7 +20,7 @@ def group_of(name: str) -> str:
     return "classifier" if name in ("W_l", "b_l") else name.split(".", 1)[0]
 
 
-def numeric_gradient(objective, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def numeric_gradient(objective, arr: np.ndarray, eps: float) -> np.ndarray:
     """Central differences of a scalar objective() w.r.t. arr, in place."""
     grad = np.zeros_like(arr)
     for idx in np.ndindex(arr.shape):
@@ -39,8 +39,7 @@ def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-5,
-                   chunk_tokens: int | None = None):
+def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_tokens: int):
     """Analytic vs numeric gradients of the batch loss over cases, per group.
 
     Returns {group: (max rel err, parameter name, index, analytic,
@@ -55,7 +54,7 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
 
     found: dict[str, tuple] = {}
     for name, arr in params.named_arrays():
-        numeric = numeric_gradient(objective, arr, eps=eps)
+        numeric = numeric_gradient(objective, arr, eps)
         if name == "embeddings":
             # the pad row is fixed at zero and never trained, though
             # td_lstm reads a case's trailing pads and so moves with it
@@ -73,10 +72,8 @@ def gradient_check(params: ModelParams, cases, l2: float = 0.0, eps: float = 1e-
     return found
 
 
-def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
-                     n_ctx: int = 4, n_tgt: int = 2,
-                     variant: str = "ian", tie_attention: bool = False,
-                     l2: float = 0.01, eps: float = 1e-5):
+def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, n_tgt: int,
+                     variant: str, tie_attention: bool, l2: float, eps: float):
     """Build a small random model and a batch, then run gradient_check.
 
     The batch holds three cases of n_ctx, n_ctx + 1 and n_ctx + 2 context
@@ -104,4 +101,4 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int,
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + n_tgt), label=label, target_text=""))
     # the two shorter cases fill one chunk; the longest needs a second
-    return gradient_check(params, cases, l2=l2, eps=eps, chunk_tokens=2 * (n_ctx + 1))
+    return gradient_check(params, cases, l2, eps, chunk_tokens=2 * (n_ctx + 1))

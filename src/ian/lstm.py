@@ -87,24 +87,23 @@ def packing(ids: np.ndarray, lengths: np.ndarray) -> dict:
 BLOCK_ROWS = 128
 
 
-def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths=None,
+def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths,
                  keep_trace: bool = True):
     """Run the cell over a time-major chunk of word ids (n, B), whose
     vectors are the rows of table (vocabulary, input_dim).
 
-    Row b runs its first lengths[b] steps (default: all n); its ids after
-    that are never read. Returns (states, row_of, trace): states (tokens,
-    hidden_dim) holds one packed row per real step, row_of (n, B) the
-    packed row of each (step, column), -1 past the column's length, and
-    the trace what the backward pass needs, every per-step array packed.
+    Row b runs its first lengths[b] steps; its ids after that are never
+    read. Returns (states, row_of, trace): states (tokens, hidden_dim)
+    holds one packed row per real step, row_of (n, B) the packed row of
+    each (step, column), -1 past the column's length, and the trace what
+    the backward pass needs, every per-step array packed.
     With keep_trace False the pass keeps only the states: it projects the
     gates in blocks of whole steps (at most BLOCK_ROWS packed rows, or one
     wider step), keeps one step's cells, and returns None for the trace.
     """
     n, batch = ids.shape
     dh = params.hidden_dim
-    lengths = np.full(batch, n) if lengths is None else np.asarray(lengths)
-    pack = packing(ids, lengths)
+    pack = packing(ids, np.asarray(lengths))
     word_ids, widths, starts = pack["ids"], pack["widths"], pack["starts"]
     ends = starts + widths
     states = np.empty((len(word_ids), dh))

@@ -423,16 +423,6 @@ def backward(params: ModelParams, trace: dict, labels, grads):
     grads.embeddings[PAD_INDEX] = 0.0
 
 
-def touched_rows(ctx_idx, tgt_idx) -> np.ndarray:
-    """Non-pad embedding rows read, once per instance that reads them:
-    sorted and distinct for one instance's 1-D ids; for a time-major
-    chunk, each column's distinct rows."""
-    both = np.sort(np.concatenate([np.asarray(ctx_idx), np.asarray(tgt_idx)]), axis=0)
-    first = np.ones(both.shape, dtype=bool)
-    first[1:] = both[1:] != both[:-1]
-    return both[first & (both != PAD_INDEX)]
-
-
 def _pad_time_major(rows):
     """((longest, B) int array holding row b in column b, padded after its
     end with the padding index; the rows' lengths (B,))."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Matrix = np.ndarray  # 2-D, row-major
-
 
 def Rng(seed=None):
     """Deterministic random source: same seed, same PCG64 stream, any
@@ -57,11 +55,9 @@ def softmax_stable(v, axis: int = -1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def sigmoid(x, out=None):
+def sigmoid(x, out):
     """Logistic function as 0.5 * tanh(x / 2) + 0.5: one tanh, no exp to
     overflow on either tail. out (x itself allowed) takes the result."""
-    if out is None:
-        out = np.empty(np.shape(x))
     np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out *= 0.5
@@ -72,6 +68,6 @@ def sigmoid(x, out=None):
 tanh = np.tanh
 
 
-def uniform_init(rng: Rng, rows: int, cols: int) -> Matrix:
-    """Matrix with i.i.d. entries from U(-0.1, 0.1), deterministic given the rng."""
+def uniform_init(rng: Rng, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) matrix with i.i.d. entries from U(-0.1, 0.1), deterministic given the rng."""
     return rng.uniform(-0.1, 0.1, (rows, cols))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
-from .model import LABELS, ModelParams, backward, chunks, forward, touched_rows
+from .model import LABELS, ModelParams, backward, chunks, forward
 from .numerics import Rng, ZeroInit
 
 
@@ -65,39 +66,38 @@ def dropout_mask(rng: Rng, shape, rate: float):
     return keep / (1.0 - rate)
 
 
-def cross_entropy(probs: np.ndarray, labels) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """-log of the gold-class probability, summed over the rows of a
-    chunk's probs (B, n_classes) with labels (B,), or of one probs vector
-    and its label."""
-    probs = np.atleast_2d(probs)
-    gold = probs[np.arange(probs.shape[0]), np.reshape(labels, -1)]
+    chunk's probs (B, n_classes) with labels (B,)."""
+    gold = probs[np.arange(len(probs)), labels]
     if gold.min() < 1e-12:
         warnings.warn(f"gold-class probability {gold.min()} clamped to 1e-12 before log")
         gold = np.maximum(gold, 1e-12)
     return float(-np.log(gold).sum())
 
 
-def _l2_term(params: ModelParams, rows: np.ndarray, n_cases: int, l2: float,
-             grads: GradSet | None) -> float:
-    """L2 penalty of n_cases cases; its gradient is added into grads if given.
+def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> float:
+    """L2 penalty of a batch of cases; its gradient is added into grads if given.
 
     Each case pays l2 times the squared weight-matrix entries, and the
-    squared embedding rows it reads; rows lists those rows once per case
-    that reads them, so a row read by k cases is penalized k times.
+    squared embedding rows it reads: the distinct non-pad ids of its
+    context and target. A row read by k cases is penalized k times.
     """
     if l2 == 0.0:
         return 0.0
     named = dict(params.named_arrays())
-    counts = np.bincount(rows, minlength=len(params.embeddings))
+    rows = [row for case in cases for row in set(case.context_ids) | set(case.target_ids)]
+    counts = np.bincount(np.array(rows, dtype=np.int64), minlength=len(params.embeddings))
+    counts[PAD_INDEX] = 0
     hit = np.flatnonzero(counts)
     table = params.embeddings[hit]
     weights = counts[hit][:, None]
     total = float(np.sum(weights * table**2))
     for name in params.weight_matrix_names():
-        total += n_cases * float(np.sum(named[name] ** 2))
+        total += len(cases) * float(np.sum(named[name] ** 2))
         if grads is not None:
             grad = grads[name]
-            grad += (2.0 * l2 * n_cases) * named[name]
+            grad += (2.0 * l2 * len(cases)) * named[name]
     if grads is not None:
         grads.embeddings[hit] += (2.0 * l2) * weights * table
     return l2 * total
@@ -117,7 +117,6 @@ def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
     """
     labels = np.array([case.label for case in cases])
     loss = 0.0
-    rows = []
     for pos, ctx_idx, tgt_idx, layout in chunks(cases, chunk_tokens):
         masks = None if drop_masks is None else drop_masks[pos]
         probs, trace = forward(params, ctx_idx, tgt_idx, dropout_mask=masks, **layout)
@@ -125,8 +124,7 @@ def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
             backward(params, trace, labels[pos], grads)
         del trace  # free this chunk's activations before the next forward
         loss += cross_entropy(probs, labels[pos])
-        rows.append(touched_rows(ctx_idx[:, layout["contexts"]], tgt_idx))
-    return loss + _l2_term(params, np.concatenate(rows), len(cases), l2, grads)
+    return loss + _l2_term(params, cases, l2, grads)
 
 
 def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
@@ -206,14 +204,13 @@ def _scores(params: ModelParams, instances, eval_instances) -> dict:
 
 def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
           eval_instances=None, log=None):
-    """Train in place; returns a per-epoch history of loss and accuracy.
+    """Train in place on a non-empty list of instances; returns a per-epoch
+    history of loss and accuracy.
 
     Given eval instances, each entry also holds the eval set's EvalReport
     (eval_report). All randomness (shuffling, dropout) comes from rng, so
     a fixed seed and configuration reproduce the run bit for bit.
     """
-    if not instances:
-        raise ValueError("no usable training instance")
     if params.variant == "majority":
         fit_majority(params, instances)
         entry = {"epoch": 0, "loss": float("nan"), **_scores(params, instances, eval_instances)}

@@ -214,6 +214,40 @@ def test_count_flag_in_a_config_file_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [TRAIN_ARGS, GRADCHECK_ARGS])
+def test_seed_flags_take_non_negative_integers_only(tmp_path, capsys, argv):
+    out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "train" else []
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *out_dir, "--seed", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expects an integer >= 0, got -3" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_in_a_config_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n", encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    line = assert_one_error_line_naming(capsys, cfg)
+    assert "config key seed: expects an integer >= 0, got -3" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--history", "--out-dir"])
+def test_train_refuses_an_unwritable_output_path_before_training(tmp_path, capsys, flag):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    path = a_file if flag == "--out-dir" else tmp_path / "missing" / "dir" / "out.txt"
+    out_dir = [] if flag == "--out-dir" else ["--out-dir", str(tmp_path / "out")]
+    assert run([*TRAIN_ARGS, *out_dir, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out, captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], lines
+    assert not (tmp_path / "out" / "history.txt").exists()
+
+
 def test_train_takes_a_negative_momentum_in_exponent_form(tmp_path, capsys):
     assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path), "--momentum", "-1e-1"]) == 0
     assert (tmp_path / "model.npz").exists()
@@ -793,6 +827,21 @@ def test_attention_viz_target_not_found_suggests_span(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--span" in err, err
+
+
+def test_attention_viz_names_a_found_target_outside_the_vocabulary(tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    params = ModelParams(Rng(0), Vocabulary(["the", "was"]), embed_dim=3, hidden_dim=3)
+    save_checkpoint(str(ckpt), params)
+    viz = ["attention-viz", "--checkpoint", str(ckpt), "--sentence", "The food was great",
+           "--target", "food", "--out-dir", str(tmp_path / "viz")]
+    assert run(viz) == 1
+    assert capsys.readouterr().err == (
+        "error: no token of target 'food' is in the checkpoint vocabulary\n")
+    assert run([*viz, "--span", "1:2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no token of span 1:2 is in the checkpoint vocabulary\n")
+    assert not (tmp_path / "viz").exists()
 
 
 def test_attention_viz_rejects_variant_without_attention(tmp_path, capsys):

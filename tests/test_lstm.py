@@ -15,6 +15,7 @@ def on_vectors(params, x, lengths=None):
     own row of a table that holds x, so x stays the input to perturb.
     Returns (hiddens (n, B, H), zero past each row's end; row_of; trace)."""
     n, batch, dim = x.shape
+    lengths = np.full(batch, n) if lengths is None else lengths
     states, row_of, trace = lstm_forward(params, np.arange(n * batch).reshape(n, batch),
                                          x.reshape(-1, dim), lengths)
     return unpack(states, row_of), row_of, trace

@@ -18,7 +18,6 @@ from ian.model import (
     load_checkpoint,
     mean_matrix,
     save_checkpoint,
-    touched_rows,
 )
 from ian.numerics import Rng, ZeroInit
 
@@ -125,8 +124,8 @@ def test_td_lstm_branches_meet_at_the_span():
     ctx = rng.integers(1, 11, 7)
     span = (2, 4)
     _, trace = forward(params, ctx, ctx[2:4], span=span)
-    left_h, _, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings)
-    right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings)
+    left_h, _, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings, [4])
+    right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings, [5])
     expected = np.concatenate([left_h[-1], right_h[-1]])
     assert np.allclose(trace["features"], expected, atol=1e-15)
 
@@ -203,11 +202,6 @@ def test_mean_matrix_matches_plain_mean_when_unmasked():
     assert np.allclose(two, [rows[[0, 2, 4]].mean(axis=0), rows[[1, 3]].mean(axis=0)])
     with pytest.raises(ValueError):
         mean_matrix(np.full((5, 1), -1), 5)
-
-
-def test_touched_rows_unique_and_pad_free():
-    rows = touched_rows([3, 0, 5, 3], [5, 7])
-    assert rows.tolist() == [3, 5, 7]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

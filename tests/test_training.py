@@ -125,7 +125,7 @@ def test_cross_entropy_matches_reference():
     params = tiny_model("ian", seed=17)
     ctx, tgt, span, label = tiny_instance(Rng(77))
     probs, _ = forward(params, ctx, tgt)
-    ours = cross_entropy(probs, label)
+    ours = cross_entropy(probs[None], np.array([label]))
     ref = oracle_cross_entropy(oracle_probs(params, ctx, tgt), label)
     assert abs(ours - ref) < 1e-10
 
@@ -135,8 +135,37 @@ def test_l2_zero_leaves_loss_as_plain_cross_entropy():
     ctx, tgt, span, label = tiny_instance(Rng(88))
     probs, _ = forward(params, ctx, tgt)
     cases = [case(ctx, tgt, span, label)]
-    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs, label)
-    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs, label)
+    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs[None], np.array([label]))
+    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs[None], np.array([label]))
+
+
+@pytest.mark.parametrize("variant", ["ian", "no_target", "td_lstm"])
+def test_l2_term_pays_each_cases_distinct_non_pad_rows(variant):
+    params = tiny_model(variant, seed=23)
+    params.embeddings[PAD_INDEX] = 0.5  # so a penalized pad row would show
+    cases = [
+        case([1, 2, 3, 2], [2, 3], (1, 3), 0),  # target words also in the context
+        case([1, 2, 3, 2], [1], (0, 1), 1),  # shares the first case's context
+        case([4, 5, 6, PAD_INDEX], [5, PAD_INDEX], (1, 2), 2),  # holds a pad
+    ]
+    # rows each case reads, once per case: 1, 2 and 3 twice, 4, 5 and 6 once
+    counts = {1: 2, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1}
+    l2 = 0.03
+    named = dict(params.named_arrays())
+    weights = sum(float(np.sum(named[name] ** 2)) for name in params.weight_matrix_names())
+    rows = sum(k * float(np.sum(params.embeddings[r] ** 2)) for r, k in counts.items())
+    penalty = batch_loss(params, cases, l2=l2) - batch_loss(params, cases, l2=0.0)
+    assert penalty == pytest.approx(l2 * (len(cases) * weights + rows), rel=1e-12)
+
+    _, with_l2 = loss_and_grads(params, cases, l2=l2)
+    _, without = loss_and_grads(params, cases, l2=0.0)
+    expected = np.zeros_like(params.embeddings)
+    for r, k in counts.items():
+        expected[r] = 2.0 * l2 * k * params.embeddings[r]
+    assert np.allclose(with_l2.embeddings - without.embeddings, expected, rtol=0, atol=1e-14)
+    for name in params.weight_matrix_names():
+        assert np.allclose(with_l2[name] - without[name], 2.0 * l2 * len(cases) * named[name],
+                           rtol=0, atol=1e-14), name
 
 
 def test_dropout_mask_values_and_determinism():
@@ -356,7 +385,7 @@ def test_nan_abort_names_the_first_non_finite_gradient(monkeypatch):
 
 def test_cross_entropy_clamps_vanished_gold_probability():
     with pytest.warns(UserWarning):
-        value = cross_entropy(np.array([1.0, 0.0, 0.0]), 1)
+        value = cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([1]))
     assert value == pytest.approx(-np.log(1e-12))
 
 
