@@ -213,6 +213,8 @@ def cmd_train(args) -> int:
     history_path = args.history or os.path.join(args.out_dir, "history.txt")
     checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
     for path in (history_path, checkpoint_path):
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {path}: its directory does not exist")
     history = train(
@@ -396,8 +398,8 @@ def cmd_attention_viz(args) -> int:
     from .viz import write_attention_files
 
     params, _ = load_checkpoint(args.checkpoint)
-    if params.embeddings is None:
-        print("error: this checkpoint variant has no attention to visualize",
+    if params.ctx_attn is None and params.tgt_attn is None:
+        print(f"error: variant {params.variant!r} has no attention to visualize",
               file=sys.stderr)
         return 1
     sentence, target = args.sentence, args.target

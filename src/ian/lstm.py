@@ -87,8 +87,8 @@ def packing(ids: np.ndarray, lengths: np.ndarray) -> dict:
 BLOCK_ROWS = 128
 
 
-def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths,
-                 keep_trace: bool = True):
+def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray,
+                 lengths: np.ndarray, keep_trace: bool = True):
     """Run the cell over a time-major chunk of word ids (n, B), whose
     vectors are the rows of table (vocabulary, input_dim).
 
@@ -103,7 +103,7 @@ def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray, lengths
     """
     n, batch = ids.shape
     dh = params.hidden_dim
-    pack = packing(ids, np.asarray(lengths))
+    pack = packing(ids, lengths)
     word_ids, widths, starts = pack["ids"], pack["widths"], pack["starts"]
     ends = starts + widths
     states = np.empty((len(word_ids), dh))

@@ -54,8 +54,7 @@ class GradSet(ModelParams):
 def dropout_mask(rng: Rng, shape, rate: float):
     """Inverted-dropout mask: zero with probability rate, else 1/(1-rate).
 
-    shape is one vector's length, or (B, dim) for a batch, whose rows are
-    drawn in the order B single draws would take them. Returns None for
+    shape is (B, dim), one row per instance of a batch. Returns None for
     rate 0 so evaluation paths stay untouched.
     """
     if not 0.0 <= rate < 1.0:

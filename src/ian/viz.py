@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import os
 
-from .model import LABELS, forward
+from .model import LABELS, chunks, forward
 
 
 def weight_str(w: float) -> str:
@@ -95,17 +95,13 @@ def render_html(svg: str, dump: str) -> str:
 def write_attention_files(out_dir, params, instance, basename="attention"):
     """Render one instance's attention and write svg/html/txt files.
 
-    Returns (paths dict, predicted label name).  Raises ValueError when the
-    model variant exposes no attention weights.
+    Returns (paths dict, predicted label name). The weights come from the
+    pass predict_all runs, which keeps no trace, on a chunk of one.
     """
-    probs, trace = forward(params, instance.context_ids, instance.target_ids,
-                           span=instance.span)
-    ctx_w, tgt_w = trace.get("ctx_weights"), trace.get("tgt_weights")
-    if ctx_w is None and tgt_w is None:
-        raise ValueError(
-            f"variant {params.variant!r} has no attention weights to visualize"
-        )
-    predicted = LABELS[int(probs.argmax())]
+    (_, ctx_idx, tgt_idx, layout), = chunks([instance], keep_trace=False)
+    probs, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
+    ctx_w, tgt_w = (trace[k][:, 0] if k in trace else None for k in ("ctx_weights", "tgt_weights"))
+    predicted = LABELS[int(probs[0].argmax())]
     dump = weight_dump(instance.context_tokens, ctx_w,
                        instance.target_tokens, tgt_w, predicted)
     svg = render_svg(instance.context_tokens, ctx_w,

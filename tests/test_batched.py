@@ -140,9 +140,13 @@ def test_no_trace_forward_equals_the_traced_one(variant, tie, batch):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.lstm, "BLOCK_ROWS", 3)  # several gate blocks per LSTM pass
         for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_BUDGET, keep_trace=False):
-            traced, _ = forward(params, ctx_idx, tgt_idx, **layout)
+            traced, full = forward(params, ctx_idx, tgt_idx, **layout)
             bare, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
-            assert trace == {}
+            # it keeps the weights of the variant's attentions, and nothing else
+            assert set(trace) == {f"{side}_weights" for side in ("ctx", "tgt")
+                                  if getattr(params, f"{side}_attn") is not None}
+            for key, weights in trace.items():
+                assert np.max(np.abs(weights - full[key])) <= 1e-12
             assert np.max(np.abs(bare - traced)) <= 1e-12
             assert np.array_equal(bare.argmax(axis=1), traced.argmax(axis=1))
         one = batch[0]  # a single instance runs as a chunk of one either way
@@ -285,7 +289,7 @@ def test_batch_dropout_masks_take_the_per_case_draws():
     rng, ref_rng = Rng(8), Rng(8)
     masks = dropout_mask(rng, (5, 12), 0.5)
     for row in masks:
-        assert np.array_equal(row, dropout_mask(ref_rng, 12, 0.5))
+        assert np.array_equal(row, dropout_mask(ref_rng, (1, 12), 0.5)[0])
     assert np.array_equal(rng.random(3), ref_rng.random(3))
 
 
@@ -371,7 +375,7 @@ def skewed_cases(rng, mix):
 @pytest.mark.parametrize("mix", [None, [(11, 20, 3)]], ids=["sixty_tokens", "three_terms"])
 def test_activation_memory_stays_bounded_at_paper_dims(mix):
     vocab = Vocabulary([f"w{i}" for i in range(499)])
-    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    params = ModelParams(Rng(0), vocab, variant="ian", embed_dim=300, hidden_dim=300)
     grads = GradSet(params)
     rng = Rng(1)
     batch = sixty_token_cases(rng, 32)  # drawn either way: predict_all's cases follow
@@ -387,7 +391,7 @@ def test_activation_memory_stays_bounded_at_paper_dims(mix):
 @pytest.mark.parametrize("mix", [[(1, 120, 1), (31, 8, 1)], [(2, 80, 3), (10, 12, 3)]])
 def test_loss_and_grads_memory_stays_bounded_on_skewed_lengths(mix):
     vocab = Vocabulary([f"w{i}" for i in range(499)])
-    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    params = ModelParams(Rng(0), vocab, variant="ian", embed_dim=300, hidden_dim=300)
     grads = GradSet(params)
     batch = skewed_cases(Rng(2), mix)
     peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
@@ -397,7 +401,7 @@ def test_loss_and_grads_memory_stays_bounded_on_skewed_lengths(mix):
 @pytest.mark.parametrize("mix", [[(1, 120, 1), (199, 8, 1)], [(2, 80, 3), (100, 12, 3)]])
 def test_predict_all_memory_stays_bounded_on_skewed_lengths(mix):
     vocab = Vocabulary([f"w{i}" for i in range(499)])
-    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    params = ModelParams(Rng(0), vocab, variant="ian", embed_dim=300, hidden_dim=300)
     batch = skewed_cases(Rng(2), mix)
     peak = traced_peak_mb(lambda: predict_all(params, batch))
     assert peak <= PREDICT_ALL_PEAK_MB, peak
@@ -405,7 +409,7 @@ def test_predict_all_memory_stays_bounded_on_skewed_lengths(mix):
 
 def test_predict_all_reads_shared_context_states_in_place():
     vocab = Vocabulary([f"w{i}" for i in range(499)])
-    params = ModelParams(Rng(0), vocab, embed_dim=300, hidden_dim=300)
+    params = ModelParams(Rng(0), vocab, variant="ian", embed_dim=300, hidden_dim=300)
     batch = skewed_cases(Rng(2), [(2, 80, 3), (100, 12, 3)])
     peak = traced_peak_mb(lambda: predict_all(params, batch))
     assert peak <= SHARED_CONTEXT_PEAK_MB, peak

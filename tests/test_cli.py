@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import ian.evaluate
+import ian.model
 from _corrupt import double_group
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
 from ian.cli import main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
 from ian.embeddings import Vocabulary
 from ian.evaluate import predict_all
+from ian.lstm import lstm_forward
 from ian.model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import TrainConfig
@@ -248,6 +250,26 @@ def test_train_refuses_an_unwritable_output_path_before_training(tmp_path, capsy
     assert not (tmp_path / "out" / "history.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint", "--history"])
+def test_train_refuses_an_output_path_that_is_a_directory(tmp_path, capsys, flag):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path / "out"), flag, str(a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out, captured.out
+    lines = captured.err.splitlines()
+    assert lines == [f"error: cannot write {a_dir}: it is a directory"], lines
+    assert not list(tmp_path.glob("a_dir*.npz")) and not any(a_dir.iterdir())
+
+
+def test_train_writes_the_checkpoint_path_as_named(tmp_path, capsys):
+    named = tmp_path / "mymodel"
+    assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path), "--checkpoint", str(named)]) == 0
+    assert f"wrote {named} and " in capsys.readouterr().out
+    assert named.is_file() and not (tmp_path / "mymodel.npz").exists()
+    assert run(["eval", "--checkpoint", str(named)]) == 0
+
+
 def test_train_takes_a_negative_momentum_in_exponent_form(tmp_path, capsys):
     assert run([*TRAIN_ARGS, "--out-dir", str(tmp_path), "--momentum", "-1e-1"]) == 0
     assert (tmp_path / "model.npz").exists()
@@ -448,7 +470,8 @@ def test_eval_missing_checkpoint_fails(capsys):
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command, damage):
     path = tmp_path / "model.npz"
-    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), variant="ian", embed_dim=3,
+                         hidden_dim=3)
     save_checkpoint(str(path), params)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"not a model\n")
@@ -464,7 +487,8 @@ def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command,
 @pytest.mark.parametrize("field", CENTRAL_ENTRY_EDITS)
 def test_unsupported_zip_entry_fails_with_one_error_line(tmp_path, capsys, field):
     path = tmp_path / "model.npz"
-    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), variant="ian", embed_dim=3,
+                         hidden_dim=3)
     save_checkpoint(str(path), params)
     path.write_bytes(edit_central_entry(path.read_bytes(), field))
     src = tmp_path / "in.txt"
@@ -617,7 +641,8 @@ def test_predict_gold_free_prints_labels_only(tmp_path, capsys):
 
 def tiny_checkpoint(tmp_path):
     path = tmp_path / "model.npz"
-    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), embed_dim=3, hidden_dim=3)
+    params = ModelParams(Rng(0), Vocabulary(["the", "food"]), variant="ian", embed_dim=3,
+                         hidden_dim=3)
     save_checkpoint(str(path), params)
     return str(path)
 
@@ -770,14 +795,22 @@ def test_gradcheck_all_variants_refuses_tied_attention(capsys):
 # --- attention-viz ----------------------------------------------------
 
 
-def test_attention_viz_files_consistent(tmp_path, capsys):
+def test_attention_viz_files_consistent(tmp_path, capsys, monkeypatch):
     ckpt, _ = trained_checkpoint(tmp_path, capsys)
     out_dir = tmp_path / "viz"
+    keep_traces = []
+
+    def recording(params, ids, table, lengths, keep_trace=True):
+        keep_traces.append(keep_trace)
+        return lstm_forward(params, ids, table, lengths, keep_trace)
+
+    monkeypatch.setattr(ian.model, "lstm_forward", recording)
     rc = run(["attention-viz", "--checkpoint", ckpt,
               "--sentence", "The screen resolution is grainy.",
               "--target", "screen resolution", "--out-dir", str(out_dir)])
     assert rc == 0
     assert "predicted:" in capsys.readouterr().out
+    assert keep_traces and not any(keep_traces)  # only the pass that keeps no trace
     svg = (out_dir / "attention.svg").read_text()
     txt = (out_dir / "attention.txt").read_text()
     assert (out_dir / "attention.html").read_text().count("<svg") == 1
@@ -831,7 +864,8 @@ def test_attention_viz_target_not_found_suggests_span(tmp_path, capsys):
 
 def test_attention_viz_names_a_found_target_outside_the_vocabulary(tmp_path, capsys):
     ckpt = tmp_path / "model.npz"
-    params = ModelParams(Rng(0), Vocabulary(["the", "was"]), embed_dim=3, hidden_dim=3)
+    params = ModelParams(Rng(0), Vocabulary(["the", "was"]), variant="ian", embed_dim=3,
+                         hidden_dim=3)
     save_checkpoint(str(ckpt), params)
     viz = ["attention-viz", "--checkpoint", str(ckpt), "--sentence", "The food was great",
            "--target", "food", "--out-dir", str(tmp_path / "viz")]
@@ -853,6 +887,22 @@ def test_attention_viz_rejects_variant_without_attention(tmp_path, capsys):
               "--target", "battery life", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "no attention" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["majority", "lstm_avg", "td_lstm"])
+@pytest.mark.parametrize("target", ["food", "trackpad"])
+def test_attention_viz_names_the_variant_without_attention(tmp_path, capsys, variant,
+                                                            target):
+    # one check before the sentence is read: a target missing from it
+    # gets the same line, not a hint to pass --span
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(str(ckpt), ModelParams(Rng(0), Vocabulary(["the", "food"]),
+                                           variant=variant, embed_dim=3, hidden_dim=3))
+    assert run(["attention-viz", "--checkpoint", str(ckpt), "--sentence", "the food",
+                "--target", target, "--out-dir", str(tmp_path / "viz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: variant {variant!r} has no attention to visualize\n")
+    assert not (tmp_path / "viz").exists()
 
 
 # --- viz unit checks --------------------------------------------------

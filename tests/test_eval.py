@@ -15,7 +15,7 @@ from synth import synthetic_separable
 
 def majority_fixed(priors):
     vocab, instances = synthetic_separable()
-    params = ModelParams(Rng(0), vocab, variant="majority")
+    params = ModelParams(Rng(0), vocab, variant="majority", embed_dim=300, hidden_dim=300)
     params.class_priors[:] = priors
     return params, instances
 

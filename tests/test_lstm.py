@@ -163,7 +163,7 @@ def test_packed_rows_equal_each_row_run_alone():
     rng = Rng(40)
     p = LstmParams(rng, 5, 4)
     p.b[...] = rng.uniform(-0.1, 0.1, p.b.shape)
-    lengths = [7, 1, 60]  # not longest first: the pass orders the rows itself
+    lengths = np.array([7, 1, 60])  # not longest first: the pass orders the rows itself
     x = rng.uniform(-1, 1, (60, 3, 5))
     d = rng.uniform(-1, 1, (60, 3, 4))
     packed = zero_grads(p)
@@ -190,7 +190,7 @@ def test_no_trace_pass_reads_ids_and_equals_the_traced_one(monkeypatch):
     rng = Rng(41)
     p = LstmParams(rng, 5, 4)
     p.b[...] = rng.uniform(-0.1, 0.1, p.b.shape)
-    lengths = [7, 1, 60, 33]
+    lengths = np.array([7, 1, 60, 33])
     table = rng.uniform(-1, 1, (20, 5))
     ids = rng.integers(0, 20, (60, 4))
     vectors, _, _ = on_vectors(p, table[ids], lengths)

@@ -78,7 +78,7 @@ def test_probs_form_a_distribution(variant):
         ctx, tgt = random_instance(rng, 10, n_lo=2)
         span = (0, len(tgt)) if variant == "td_lstm" else None
         probs, _ = forward(params, ctx, tgt, span=span)
-        assert probs.shape == (len(LABELS),)
+        assert probs.shape == (1, len(LABELS))
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -114,7 +114,7 @@ def test_majority_returns_priors_and_ignores_text():
     params.class_priors[:] = [0.5, 0.2, 0.3]
     p1, _ = forward(params, [1, 2, 3], [1])
     p2, _ = forward(params, [4], [4, 4])
-    assert np.array_equal(p1, [0.5, 0.2, 0.3])
+    assert np.array_equal(p1, [[0.5, 0.2, 0.3]])
     assert np.array_equal(p1, p2)
 
 
@@ -124,8 +124,10 @@ def test_td_lstm_branches_meet_at_the_span():
     ctx = rng.integers(1, 11, 7)
     span = (2, 4)
     _, trace = forward(params, ctx, ctx[2:4], span=span)
-    left_h, _, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings, [4])
-    right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings, [5])
+    left_h, _, _ = lstm_forward(params.ctx_lstm, ctx[:4, None], params.embeddings,
+                                np.array([4]))
+    right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings,
+                                 np.array([5]))
     expected = np.concatenate([left_h[-1], right_h[-1]])
     assert np.allclose(trace["features"], expected, atol=1e-15)
 

@@ -170,7 +170,8 @@ def fixture_checkpoint(tmp_path):
     """A small checkpoint over the bundled restaurant vocabulary, and a
     predict input file."""
     reviews, _ = parse_semeval_xml(fixture_path("restaurant", "train"))
-    params = ModelParams(Rng(0), build_vocab([reviews]), embed_dim=3, hidden_dim=3)
+    params = ModelParams(Rng(0), build_vocab([reviews]), variant="ian", embed_dim=3,
+                         hidden_dim=3)
     checkpoint = tmp_path / "model.npz"
     save_checkpoint(str(checkpoint), params, config={"category": "restaurant"})
     lines = tmp_path / "lines.txt"

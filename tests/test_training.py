@@ -125,7 +125,7 @@ def test_cross_entropy_matches_reference():
     params = tiny_model("ian", seed=17)
     ctx, tgt, span, label = tiny_instance(Rng(77))
     probs, _ = forward(params, ctx, tgt)
-    ours = cross_entropy(probs[None], np.array([label]))
+    ours = cross_entropy(probs, np.array([label]))
     ref = oracle_cross_entropy(oracle_probs(params, ctx, tgt), label)
     assert abs(ours - ref) < 1e-10
 
@@ -135,8 +135,8 @@ def test_l2_zero_leaves_loss_as_plain_cross_entropy():
     ctx, tgt, span, label = tiny_instance(Rng(88))
     probs, _ = forward(params, ctx, tgt)
     cases = [case(ctx, tgt, span, label)]
-    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs[None], np.array([label]))
-    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs[None], np.array([label]))
+    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs, np.array([label]))
+    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs, np.array([label]))
 
 
 @pytest.mark.parametrize("variant", ["ian", "no_target", "td_lstm"])
@@ -425,14 +425,14 @@ def test_pad_embedding_row_never_moves_during_training():
 
 def test_fit_majority_sets_training_frequencies():
     vocab, instances = synthetic_separable(n=20)  # labels 0..2 cycling: 7/7/6
-    params = ModelParams(Rng(0), vocab, variant="majority")
+    params = ModelParams(Rng(0), vocab, variant="majority", embed_dim=300, hidden_dim=300)
     fit_majority(params, instances)
     assert np.allclose(params.class_priors, [7 / 20, 7 / 20, 6 / 20])
 
 
 def test_train_majority_reports_top_class_accuracy():
     vocab, instances = synthetic_separable(n=20)
-    params = ModelParams(Rng(0), vocab, variant="majority")
+    params = ModelParams(Rng(0), vocab, variant="majority", embed_dim=300, hidden_dim=300)
     history = train(params, instances, TrainConfig(epochs=5), Rng(0))
     assert len(history) == 1
     assert history[0]["train_acc"] == pytest.approx(7 / 20)
