@@ -28,8 +28,6 @@ class AttentionParams:
     """
 
     def __init__(self, rng: Rng, hidden_dim: int, query_dim: int):
-        self.hidden_dim = hidden_dim
-        self.query_dim = query_dim
         self.W_a = uniform_init(rng, hidden_dim, query_dim)
         self.b_a = np.zeros(())
 

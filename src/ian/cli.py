@@ -44,6 +44,10 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
+class UsageError(ValueError):
+    """Flags that no single flag's check can refuse; exits 2, as argparse does."""
+
+
 def read_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
     cfg = {}
@@ -190,6 +194,10 @@ def cmd_train(args) -> int:
         f"{args.category}: {len(train_ds.instances)} train / {len(test_ds.instances)} test "
         f"instances, vocabulary {len(train_ds.vocab)}"
     )
+    if not train_ds.instances:
+        raise ValueError("no usable training instance")
+    if not test_ds.instances:
+        raise ValueError("no usable test instance")
 
     rng = Rng(config.seed)
     table = None
@@ -206,8 +214,6 @@ def cmd_train(args) -> int:
         tie_attention=args.tie_attention,
         embeddings=table,
     )
-    if not train_ds.instances:
-        raise ValueError("no usable training instance")
     # a path that cannot be written fails here, before the first epoch
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = args.history or os.path.join(args.out_dir, "history.txt")
@@ -226,10 +232,7 @@ def cmd_train(args) -> int:
     save_checkpoint(checkpoint_path, params,
                     config={"category": args.category, **asdict(config)})
     print(f"wrote {checkpoint_path} and {history_path}")
-
-    # train() scored the test split with these parameters after the last
-    # epoch; an empty split has no report and fails here as before
-    report = history[-1].get("eval_report") or evaluate_model(params, test_ds.instances)
+    report = history[-1]["eval_report"]
     print(render_report(replace(report, dataset=f"{args.category} test")))
     return 0
 
@@ -346,16 +349,12 @@ def cmd_gradcheck(args) -> int:
     from .gradcheck import check_tiny_model
 
     if (args.embed_dim is None) != (args.hidden_dim is None):
-        print("error: give both --embed-dim and --hidden-dim or neither", file=sys.stderr)
-        return 2
+        raise UsageError("give both --embed-dim and --hidden-dim or neither")
     if args.tgt_len > args.ctx_len:
-        print(f"error: --tgt-len {args.tgt_len} is longer than --ctx-len {args.ctx_len}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--tgt-len {args.tgt_len} is longer than --ctx-len {args.ctx_len}")
     if args.variant == "all":
         if args.tie_attention:
-            print("error: --tie-attention needs a single variant", file=sys.stderr)
-            return 2
+            raise UsageError("--tie-attention needs a single variant")
         variants = tuple(ROUTES)
     else:
         variants = (args.variant,)
@@ -399,42 +398,27 @@ def cmd_attention_viz(args) -> int:
 
     params, _ = load_checkpoint(args.checkpoint)
     if params.ctx_attn is None and params.tgt_attn is None:
-        print(f"error: variant {params.variant!r} has no attention to visualize",
-              file=sys.stderr)
-        return 1
-    sentence, target = args.sentence, args.target
+        raise ValueError(f"variant {params.variant!r} has no attention to visualize")
     if args.span:
         try:
             start, end = (int(p) for p in args.span.split(":"))
         except ValueError:
-            print("error: --span expects START:END token positions", file=sys.stderr)
-            return 2
-        _, offsets = tokenize_with_spans(sentence)
+            raise UsageError("--span expects START:END token positions") from None
+        _, offsets = tokenize_with_spans(args.sentence)
         if not (0 <= start < end <= len(offsets)):
-            print(f"error: span {start}:{end} outside the {len(offsets)}-token sentence",
-                  file=sys.stderr)
-            return 2
-        first, last = offsets[start][0], offsets[end - 1][1]
-        inst = _instance_from_line(params, sentence, sentence[first:last], start=first)
-        if inst is None:
-            print(f"error: no token of span {start}:{end} is in the checkpoint vocabulary",
-                  file=sys.stderr)
-            return 1
+            raise UsageError(f"span {start}:{end} outside the {len(offsets)}-token sentence")
+        at = offsets[start][0]
+        text, what = args.sentence[at:offsets[end - 1][1]], f"span {start}:{end}"
     else:
-        start = find_term(sentence, target)
-        inst = _instance_from_line(params, sentence, target, start=start)
-        if inst is None and start >= 0:
-            print(f"error: no token of target {target!r} is in the checkpoint vocabulary",
-                  file=sys.stderr)
-            return 1
-        if inst is None:
-            print(
-                f"error: target {target!r} not found in the sentence; "
-                "pass --span START:END (token positions)",
-                file=sys.stderr,
-            )
-            return 1
-    n_dropped = len(tokenize(sentence)) - len(inst.context_tokens)
+        text, what = args.target, f"target {args.target!r}"
+        at = find_term(args.sentence, text)
+    inst = _instance_from_line(params, args.sentence, text, start=at)
+    if inst is None and at < 0:
+        raise ValueError(f"{what} not found in the sentence; "
+                         "pass --span START:END (token positions)")
+    if inst is None:
+        raise ValueError(f"no token of {what} is in the checkpoint vocabulary")
+    n_dropped = len(tokenize(args.sentence)) - len(inst.context_tokens)
     if n_dropped:
         print(
             f"note: {n_dropped} tokens unknown to the checkpoint "
@@ -454,7 +438,7 @@ def cmd_attention_viz(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads "-1e-3" as a value, as it reads "-0.001"; argparse of Python
-    3.10 and 3.11 takes it for an unknown flag."""
+    3.10 to 3.13 takes it for an unknown flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -582,7 +566,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
     finally:
         warnings.formatwarning = formatwarning
 

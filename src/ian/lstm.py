@@ -47,7 +47,6 @@ class LstmParams:
     weights at U(-0.1, 0.1)."""
 
     def __init__(self, rng: Rng, input_dim: int, hidden_dim: int):
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.W_x = np.empty((4 * hidden_dim, input_dim))
         self.W_h = np.empty((4 * hidden_dim, hidden_dim))

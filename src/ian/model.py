@@ -183,7 +183,7 @@ class ModelParams:
     def feature_dim(self) -> int:
         return len(feature_sides(ROUTES[self.variant])) * self.hidden_dim
 
-    def named_arrays(self, trainable_only: bool = True):
+    def named_arrays(self):
         """Yield (name, array) for every distinct parameter array.
 
         Tied attention arrays appear once, under the context name.
@@ -201,7 +201,7 @@ class ModelParams:
         if self.W_l is not None:
             yield "W_l", self.W_l
             yield "b_l", self.b_l
-        if not trainable_only and self.class_priors is not None:
+        if self.class_priors is not None:
             yield "class_priors", self.class_priors
 
     def weight_matrix_names(self):
@@ -468,7 +468,7 @@ def _checkpoint_members(params: ModelParams):
     f, o, c order, under the per-gate names checkpoints have always used."""
     gates = {"W_x": ("Wi_w", "Wf_w", "Wo_w", "Wc_w"), "W_h": ("Wi_h", "Wf_h", "Wo_h", "Wc_h"),
              "b": ("bi", "bf", "bo", "bc")}
-    for name, arr in params.named_arrays(trainable_only=False):
+    for name, arr in params.named_arrays():
         group, _, short = name.rpartition(".")
         if group.endswith("_lstm"):
             for gate, block in zip(gates[short], np.split(arr, 4)):

@@ -344,8 +344,8 @@ def test_train_writes_deterministic_history_and_checkpoint(tmp_path, capsys):
     params_a, meta_a = load_checkpoint(str(out_a / "model.npz"))
     params_b, _ = load_checkpoint(str(out_b / "model.npz"))
     for (name, arr_a), (_, arr_b) in zip(
-        params_a.named_arrays(trainable_only=False),
-        params_b.named_arrays(trainable_only=False),
+        params_a.named_arrays(),
+        params_b.named_arrays(),
     ):
         assert np.array_equal(arr_a, arr_b), name
     assert meta_a["config"]["epochs"] == 2
@@ -377,8 +377,8 @@ def test_train_lr_zero_leaves_params_at_init(tmp_path):
     fresh = ModelParams(Rng(3), train_ds.vocab, variant="ian",
                         embed_dim=8, hidden_dim=8)
     for (name, arr), (_, ref) in zip(
-        saved.named_arrays(trainable_only=False),
-        fresh.named_arrays(trainable_only=False),
+        saved.named_arrays(),
+        fresh.named_arrays(),
     ):
         assert np.array_equal(arr, ref), name
 
@@ -409,6 +409,22 @@ def test_train_refuses_an_empty_training_split(tmp_path, capsys, variant):
                 str(data), "--embed-dim", "4", "--hidden-dim", "4", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_train_refuses_an_empty_test_split_before_training(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "Restaurants_Train_v2.xml").write_bytes(
+        (FIXTURES / "restaurant_train.xml").read_bytes())
+    (data / "Restaurants_Test_Gold.xml").write_text(
+        "<sentences><sentence id=\"1\"><text>The food was fine.</text><aspectTerms>"
+        "<aspectTerm term=\"food\" polarity=\"conflict\" from=\"4\" to=\"8\" />"
+        "</aspectTerms></sentence></sentences>\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--data-dir", str(data), "--embed-dim", "4", "--hidden-dim", "4",
+                "--epochs", "3", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no usable test instance\n"
     assert not out.exists()
 
 
@@ -862,6 +878,15 @@ def test_attention_viz_target_not_found_suggests_span(tmp_path, capsys):
     assert err.count("\n") == 1 and "--span" in err, err
 
 
+def test_attention_viz_finds_by_token_a_target_find_term_misses(tmp_path, capsys):
+    # the instance is looked up before a missing offset is judged: the
+    # token search of build_instances finds what the text search did not
+    ckpt = tiny_checkpoint(tmp_path)
+    assert run(["attention-viz", "--checkpoint", ckpt, "--sentence", "the  food",
+                "--target", "the food", "--out-dir", str(tmp_path / "viz")]) == 0
+    assert (tmp_path / "viz" / "attention.txt").exists()
+
+
 def test_attention_viz_names_a_found_target_outside_the_vocabulary(tmp_path, capsys):
     ckpt = tmp_path / "model.npz"
     params = ModelParams(Rng(0), Vocabulary(["the", "was"]), variant="ian", embed_dim=3,
@@ -902,6 +927,45 @@ def test_attention_viz_names_the_variant_without_attention(tmp_path, capsys, var
                 "--target", target, "--out-dir", str(tmp_path / "viz")]) == 1
     assert capsys.readouterr().err == (
         f"error: variant {variant!r} has no attention to visualize\n")
+    assert not (tmp_path / "viz").exists()
+
+
+# every failure a subcommand raises, as main() reports it: (argv, variant
+# of the checkpoint at {ckpt} over the words "the" and "food", exit code,
+# the one stderr line)
+SENTENCE = ["--sentence", "the food was great"]
+FAILURES = [
+    (["gradcheck", "--embed-dim", "3"], None, 2,
+     "give both --embed-dim and --hidden-dim or neither"),
+    (["gradcheck", "--ctx-len", "2", "--tgt-len", "3"], None, 2,
+     "--tgt-len 3 is longer than --ctx-len 2"),
+    (["gradcheck", "--variant", "all", "--tie-attention"], None, 2,
+     "--tie-attention needs a single variant"),
+    ([*SENTENCE, "--target", "food", "--span", "1-2"], "ian", 2,
+     "--span expects START:END token positions"),
+    ([*SENTENCE, "--target", "food", "--span", "1:5"], "ian", 2,
+     "span 1:5 outside the 4-token sentence"),
+    ([*SENTENCE, "--target", "food"], "lstm_avg", 1,
+     "variant 'lstm_avg' has no attention to visualize"),
+    ([*SENTENCE, "--target", "food", "--span", "2:4"], "ian", 1,
+     "no token of span 2:4 is in the checkpoint vocabulary"),
+    ([*SENTENCE, "--target", "great"], "ian", 1,
+     "no token of target 'great' is in the checkpoint vocabulary"),
+    ([*SENTENCE, "--target", "trackpad"], "ian", 1,
+     "target 'trackpad' not found in the sentence; pass --span START:END (token positions)"),
+]
+
+
+@pytest.mark.parametrize("argv,variant,code,line", FAILURES)
+def test_each_failure_is_one_exact_error_line(tmp_path, capsys, argv, variant, code, line):
+    if variant is not None:
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(str(ckpt), ModelParams(Rng(0), Vocabulary(["the", "food"]),
+                                               variant=variant, embed_dim=3, hidden_dim=3))
+        argv = ["attention-viz", "--checkpoint", str(ckpt), *argv,
+                "--out-dir", str(tmp_path / "viz")]
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", f"error: {line}\n")
     assert not (tmp_path / "viz").exists()
 
 

@@ -35,7 +35,7 @@ def backward_on_vectors(params, row_of, trace, d_hiddens, grads):
     alone."""
     d_states = np.empty((np.count_nonzero(row_of >= 0), d_hiddens.shape[2]))
     d_states[row_of[row_of >= 0]] = d_hiddens[row_of >= 0]
-    d_table = np.zeros((row_of.size, params.input_dim))
+    d_table = np.zeros((row_of.size, params.W_x.shape[1]))
     lstm_backward(params, trace, d_states, grads, d_table)
     return d_table.reshape(*row_of.shape, -1)
 

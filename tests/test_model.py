@@ -217,8 +217,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, variant):
     loaded, meta = load_checkpoint(path)
     assert meta["variant"] == variant
     assert meta["config"] == {"lr": 0.01}
-    orig = dict(params.named_arrays(trainable_only=False))
-    back = dict(loaded.named_arrays(trainable_only=False))
+    orig = dict(params.named_arrays())
+    back = dict(loaded.named_arrays())
     assert orig.keys() == back.keys()
     for name in orig:
         assert np.array_equal(orig[name], back[name]), name
@@ -258,8 +258,8 @@ def npz_members(path):
 def test_checkpoint_of_the_per_gate_era_loads_to_its_seeded_model():
     loaded, _ = load_checkpoint(str(PER_GATE_CHECKPOINT))
     want = per_gate_era_model()
-    assert [(name, arr.shape) for name, arr in loaded.named_arrays(trainable_only=False)] == [
-        (name, arr.shape) for name, arr in want.named_arrays(trainable_only=False)]
+    assert [(name, arr.shape) for name, arr in loaded.named_arrays()] == [
+        (name, arr.shape) for name, arr in want.named_arrays()]
     for (name, got), (_, arr) in zip(loaded.named_arrays(), want.named_arrays()):
         assert np.array_equal(got, arr), name
     # each stored gate array is its gate's row block of the fused arrays
@@ -366,7 +366,7 @@ def test_damaged_checkpoint_loads_intact_or_fails_as_one_value_error(tmp_path):
     good = tmp_path / "model.npz"
     save_checkpoint(str(good), params)
     raw = good.read_bytes()
-    orig = dict(params.named_arrays(trainable_only=False))
+    orig = dict(params.named_arrays())
     rng = Rng(17)
     damaged = [raw[:cut] for cut in range(0, len(raw), 61)]
     for lo in [0] * 300 + [raw.index(b"PK\x01\x02")] * 300:
@@ -383,7 +383,7 @@ def test_damaged_checkpoint_loads_intact_or_fails_as_one_value_error(tmp_path):
             assert str(err).startswith(f"cannot load checkpoint {path}: ")
             outcomes["refused"] += 1
             continue
-        back = dict(loaded.named_arrays(trainable_only=False))
+        back = dict(loaded.named_arrays())
         assert back.keys() == orig.keys()
         assert all(np.array_equal(back[name], orig[name]) for name in orig)
         outcomes["loaded"] += 1

@@ -56,6 +56,38 @@ def test_every_function_in_src_is_used_in_src():
     assert unused == []
 
 
+def test_every_attribute_set_in_src_is_read_in_src():
+    # name-based, as above: `self.X = ...` counts as read when any `.X` is
+    # read anywhere in src/. argparse itself reads the parser's matcher
+    stored, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.setdefault(node.attr, f"{path.stem}:{node.lineno}")
+    unread = [f"{where} {name}" for name, where in stored.items()
+              if name not in read and name != "_negative_number_matcher"]
+    assert unread == []
+
+
+def test_only_main_writes_an_error_line_in_the_cli():
+    # a subcommand fails by raising; main() writes the one line and picks
+    # the exit code
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = {
+        f"{node.name}:{sub.lineno}"
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        and sub.value.startswith("error:")
+    }
+    assert [where for where in found if not where.startswith("main:")] == []
+    assert len(found) == 1  # the check sees the line where it is
+
+
 def _imported_names(tree):
     """(bound name, line) of each module-level import, __future__ aside."""
     for node in tree.body:
