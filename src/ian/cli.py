@@ -33,7 +33,7 @@ from .data import (
     tokenize,
     tokenize_with_spans,
 )
-from .embeddings import load_pretrained
+from .embeddings import load_pretrained, text_lines
 from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
 from .model import (GROUPS, LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint,
                     save_checkpoint)
@@ -51,12 +51,7 @@ class UsageError(ValueError):
 def read_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
     cfg = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"cannot read {path}: {err}") from None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(list(text_lines(path)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,36 +71,25 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expects a boolean, got {value!r}")
 
 
-def positive_int(value: str) -> int:
-    """An integer of at least 1; argparse names the flag in the error."""
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
-    return number
+def _bounded(name: str, cast, ok, expects: str):
+    """argparse type `name`: cast(value), refused unless ok(number). argparse names
+    the flag in the error, and `name` when cast fails ("invalid positive_int value")."""
+    def check(value: str):
+        number = cast(value)
+        if not ok(number):
+            raise argparse.ArgumentTypeError(f"expects {expects}, got {value}")
+        return number
+    check.__name__ = name
+    return check
 
 
-def nonnegative_int(value: str) -> int:
-    """An integer of at least 0; argparse names the flag in the error."""
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {value}")
-    return number
-
-
-def positive_float(value: str) -> float:
-    """A finite float above 0; argparse names the flag in the error."""
-    number = float(value)
-    if not 0.0 < number < float("inf"):
-        raise argparse.ArgumentTypeError(f"expects a positive finite number, got {value}")
-    return number
-
-
-def nonnegative_float(value: str) -> float:
-    """A finite float of at least 0; argparse names the flag in the error."""
-    number = float(value)
-    if not 0.0 <= number < float("inf"):
-        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {value}")
-    return number
+positive_int = _bounded("positive_int", int, lambda n: n >= 1, "a positive integer")
+nonnegative_int = _bounded("nonnegative_int", int, lambda n: n >= 0, "an integer >= 0")
+# every comparison is False for NaN
+positive_float = _bounded("positive_float", float, lambda x: 0.0 < x < float("inf"),
+                          "a positive finite number")
+nonnegative_float = _bounded("nonnegative_float", float, lambda x: 0.0 <= x < float("inf"),
+                             "a finite number >= 0")
 
 
 def optional_float(value: str) -> float | None:
@@ -154,6 +138,8 @@ def cmd_stats(args) -> int:
             notes = []
             if report.dropped_conflict:
                 notes.append(f"dropped {report.dropped_conflict} conflict")
+            if report.dropped_other_polarity:
+                notes.append(f"dropped {report.dropped_other_polarity} unknown polarity")
             if report.dropped_unlocatable or report.dropped_empty:
                 notes.append(
                     f"dropped {report.dropped_unlocatable + report.dropped_empty} unlocatable/empty"
@@ -296,14 +282,9 @@ def cmd_predict(args) -> int:
     once every line has been read and labelled, so a failing call leaves
     an existing output file as it was."""
     params, _ = load_checkpoint(args.checkpoint)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"cannot read {args.input}: {err}") from None
     slots = []  # per non-blank line: its index into instances, or None for "?"
     instances = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(list(text_lines(args.input)), 1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue

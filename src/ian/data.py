@@ -281,8 +281,8 @@ def build_instances(reviews, vocab: Vocabulary, drop_unknown: bool = False):
                 Instance(
                     context_tokens=tuple(ctx_tokens),
                     target_tokens=tuple(tgt_tokens),
-                    context_ids=tuple(int(i) for i in vocab.encode(ctx_tokens)),
-                    target_ids=tuple(int(i) for i in vocab.encode(tgt_tokens)),
+                    context_ids=vocab.encode(ctx_tokens),
+                    target_ids=vocab.encode(tgt_tokens),
                     span=span,
                     label=label,
                     target_text=term.text,

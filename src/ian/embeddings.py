@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, uniform_init
 
 PAD_TOKEN = "<pad>"
 PAD_INDEX = 0
@@ -35,15 +35,12 @@ class Vocabulary:
         self._index[token] = idx
         return idx
 
-    def encode(self, tokens) -> np.ndarray:
-        """Token list -> int index array. Unknown tokens raise KeyError."""
-        out = []
-        for t in tokens:
-            idx = self._index.get(t)
-            if idx is None:
-                raise KeyError(f"token not in vocabulary: {t!r}")
-            out.append(idx)
-        return np.array(out, dtype=np.int64)
+    def encode(self, tokens) -> tuple:
+        """Token list -> tuple of int indices. Unknown tokens raise KeyError."""
+        try:
+            return tuple(self._index[t] for t in tokens)
+        except KeyError as err:
+            raise KeyError(f"token not in vocabulary: {err.args[0]!r}") from None
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
@@ -52,9 +49,19 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def text_lines(path: str):
+    """Yield a UTF-8 text file's lines one at a time; a byte sequence that
+    is not UTF-8 raises ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"cannot read {path}: {err}") from None
+
+
 def random_embeddings(rng: Rng, vocab: Vocabulary, dim: int) -> np.ndarray:
-    """U(-0.1, 0.1) row per token; the pad row stays zero."""
-    table = rng.uniform(-0.1, 0.1, (len(vocab), dim))
+    """uniform_init row per token; the pad row stays zero."""
+    table = uniform_init(rng, len(vocab), dim)
     table[PAD_INDEX] = 0.0
     return table
 
@@ -62,33 +69,33 @@ def random_embeddings(rng: Rng, vocab: Vocabulary, dim: int) -> np.ndarray:
 def load_pretrained(path: str, vocab: Vocabulary, dim: int, rng: Rng):
     """Fill the table from a text file of "token v1 ... v_dim" lines.
 
-    Vocabulary tokens absent from the file get U(-0.1, 0.1) rows, drawn in
+    Vocabulary tokens absent from the file get uniform_init rows, drawn in
     vocabulary order so the result is deterministic. Returns
     (table, n_hits, n_misses); the pad row is zero and counts as neither.
     A vocabulary token's row with the wrong number of values, or a value
     that is not a number up to MAX_WEIGHT in magnitude, raises ValueError
-    naming file, line and token; other tokens' rows are never parsed.
+    naming file, line and token, as text_lines does for a file that is not
+    UTF-8; other tokens' rows are never parsed.
     """
     found = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip().split(" ")
-            token = parts[0]
-            if token not in vocab or token == PAD_TOKEN:
-                continue
-            vals = parts[1:]
-            where = f"{path}:{lineno}: embedding row for {token!r}"
-            if len(vals) != dim:
-                raise ValueError(f"{where} has {len(vals)} values, expected {dim}")
-            try:
-                vec = np.array(vals, dtype=np.float64)
-            except ValueError as err:
-                raise ValueError(f"{where}: {err}") from None
-            bad = ~(np.abs(vec) <= MAX_WEIGHT)  # NaN too
-            if bad.any():
-                raise ValueError(f"{where} has value {vals[bad.argmax()]!r}, expected "
-                                 f"a finite number of magnitude at most {MAX_WEIGHT:.3g}")
-            found[token] = vec
+    for lineno, line in enumerate(text_lines(path), 1):
+        parts = line.rstrip().split(" ")
+        token = parts[0]
+        if token not in vocab or token == PAD_TOKEN:
+            continue
+        vals = parts[1:]
+        where = f"{path}:{lineno}: embedding row for {token!r}"
+        if len(vals) != dim:
+            raise ValueError(f"{where} has {len(vals)} values, expected {dim}")
+        try:
+            vec = np.array(vals, dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        bad = ~(np.abs(vec) <= MAX_WEIGHT)  # NaN too
+        if bad.any():
+            raise ValueError(f"{where} has value {vals[bad.argmax()]!r}, expected "
+                             f"a finite number of magnitude at most {MAX_WEIGHT:.3g}")
+        found[token] = vec
 
     table = np.zeros((len(vocab), dim))
     hits = 0
@@ -101,7 +108,7 @@ def load_pretrained(path: str, vocab: Vocabulary, dim: int, rng: Rng):
             table[idx] = vec
             hits += 1
         else:
-            table[idx] = rng.uniform(-0.1, 0.1, dim)
+            table[idx] = uniform_init(rng, dim)
             misses += 1
     return table, hits, misses
 

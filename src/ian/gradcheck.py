@@ -34,9 +34,9 @@ def numeric_gradient(objective, arr: np.ndarray, eps: float) -> np.ndarray:
     return grad
 
 
-def worst_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """|a - n| / max(1e-8, |a| + |n|) per coordinate."""
+    return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
 def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_tokens: int):
@@ -60,14 +60,14 @@ def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_toke
             # td_lstm reads a case's trailing pads and so moves with it
             numeric[PAD_INDEX] = 0.0
         analytic = grads[name]
-        err = worst_relative_error(analytic, numeric)
+        rel = relative_error(analytic, numeric)
+        # argmax takes the first NaN, so a NaN error is the array's worst
+        idx = np.unravel_index(np.argmax(rel), rel.shape)
+        err = float(rel[idx])
         group = group_of(name)
         worst = found.get(group, (-1.0,))[0]
         # a NaN error replaces any error of its group and is never replaced
         if not np.isnan(worst) and not err < worst:
-            denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-            rel = np.abs(analytic - numeric) / denom
-            idx = np.unravel_index(np.argmax(rel), rel.shape)
             found[group] = (err, name, idx, float(analytic[idx]), float(numeric[idx]))
     return found
 

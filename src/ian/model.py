@@ -110,7 +110,8 @@ class ModelParams:
     LSTM, target LSTM, context attention, target attention, classifier),
     so a given seed and configuration always yields the same model. Given
     a numerics.ZeroInit instead, it builds the same arrays and attention
-    tie, all zero.
+    tie, all zero. A given embeddings table, as load_pretrained builds it
+    (float64, one row per token, pad row zero), is kept and trained in place.
     """
 
     def __init__(
@@ -147,17 +148,9 @@ class ModelParams:
             self.class_priors = np.full(len(LABELS), 1.0 / len(LABELS))
             return
 
-        if embeddings is not None:
-            embeddings = np.asarray(embeddings, dtype=np.float64)
-            if embeddings.shape != (len(vocab), embed_dim):
-                raise ValueError(
-                    f"embedding table shape {embeddings.shape} does not match "
-                    f"vocab {len(vocab)} x dim {embed_dim}"
-                )
-            self.embeddings = embeddings.copy()
-            self.embeddings[PAD_INDEX] = 0.0
-        else:
-            self.embeddings = random_embeddings(rng, vocab, embed_dim)
+        if embeddings is None:
+            embeddings = random_embeddings(rng, vocab, embed_dim)
+        self.embeddings = embeddings
 
         self.ctx_lstm = LstmParams(rng, embed_dim, hidden_dim)
         if route.target in ("lstm", "span"):

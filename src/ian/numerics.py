@@ -68,6 +68,7 @@ def sigmoid(x, out):
 tanh = np.tanh
 
 
-def uniform_init(rng: Rng, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) matrix with i.i.d. entries from U(-0.1, 0.1), deterministic given the rng."""
-    return rng.uniform(-0.1, 0.1, (rows, cols))
+def uniform_init(rng: Rng, *shape: int) -> np.ndarray:
+    """i.i.d. U(-0.1, 0.1) entries, the init range of every weight matrix and
+    embedding row; deterministic given the rng."""
+    return rng.uniform(-0.1, 0.1, shape)

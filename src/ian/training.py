@@ -54,11 +54,9 @@ class GradSet(ModelParams):
 def dropout_mask(rng: Rng, shape, rate: float):
     """Inverted-dropout mask: zero with probability rate, else 1/(1-rate).
 
-    shape is (B, dim), one row per instance of a batch. Returns None for
-    rate 0 so evaluation paths stay untouched.
+    shape is (B, dim), one row per instance of a batch; TrainConfig holds
+    rate in [0, 1). Returns None for rate 0 so evaluation paths stay untouched.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return None
     keep = rng.random(shape) >= rate

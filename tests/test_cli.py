@@ -15,7 +15,7 @@ import ian.evaluate
 import ian.model
 from _corrupt import double_group
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
-from ian.cli import main, read_config_file
+from ian.cli import build_parser, main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
 from ian.embeddings import Vocabulary
 from ian.evaluate import predict_all
@@ -164,6 +164,21 @@ def test_one_config_file_serves_train_eval_and_stats(tmp_path, capsys):
     assert "epochs" in assert_one_error_line_naming(capsys, cfg)
 
 
+@pytest.mark.parametrize("entry,cause", [
+    ("freeze_embeddings = maybe", "config key freeze_embeddings: expects a boolean, "
+                                  "got 'maybe'"),
+    ("variant = bert", f"config key variant: expects one of {', '.join(VARIANTS)}, "
+                       "got 'bert'"),
+])
+def test_config_value_a_flag_would_refuse_is_one_error_line(tmp_path, capsys, entry, cause):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{entry}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {cause}\n"
+    assert not out.exists()
+
+
 def test_clip_norm_rejects_a_word_other_than_none(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["train", "--clip-norm", "off"])
@@ -299,6 +314,29 @@ def test_stats_fixture_counts(capsys):
     assert "laptop train: 14 instances" in out
     assert "2: 9/0.6429" in out
     assert "laptop test: 5 instances" in out
+
+
+def test_stats_notes_every_dropped_and_repaired_term(tmp_path, capsys):
+    # food: kept; food/conflict and service/mixed: dropped by polarity;
+    # great: wrong offsets, found elsewhere; pizza: wrong offsets, nowhere;
+    # "slow .": wrong offsets, not found verbatim, found as tokens
+    text = "The food was great but the service was slow."
+    terms = [("food", "positive", 4, 8), ("food", "conflict", 4, 8),
+             ("service", "mixed", 27, 34), ("great", "positive", 0, 5),
+             ("pizza", "negative", 100, 105), ("slow .", "negative", 200, 206)]
+    xml = (f"<sentences><sentence id=\"1\"><text>{text}</text><aspectTerms>"
+           + "".join(f"<aspectTerm term=\"{t}\" polarity=\"{p}\" from=\"{a}\" to=\"{b}\" />"
+                     for t, p, a, b in terms)
+           + "</aspectTerms></sentence></sentences>\n")
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("Restaurants_Train_v2.xml", "Restaurants_Test_Gold.xml"):
+        (data / name).write_text(xml, encoding="utf-8")
+    with pytest.warns(UserWarning):
+        assert run(["stats", "--category", "restaurant", "--data-dir", str(data)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if "note" in line]
+    assert notes == ["  note  dropped 1 conflict, dropped 1 unknown polarity, "
+                     "dropped 1 unlocatable/empty, 1 span fallbacks, 3 offsets realigned"] * 2
 
 
 def test_stats_single_category(capsys):
@@ -451,6 +489,16 @@ def test_train_refuses_a_bad_vector_row_in_one_line(tmp_path, capsys, row, bad):
     assert run([*TRAIN_ARGS, "--embeddings", str(vecs), "--out-dir", str(out)]) == 1
     line = assert_one_error_line_naming(capsys, f"{vecs}:3: ")
     assert "'the'" in line and bad in line, line
+    assert not out.exists()
+
+
+def test_train_names_a_vectors_file_that_is_not_utf8(tmp_path, capsys):
+    vecs = tmp_path / "latin1.txt"
+    vecs.write_bytes("the 0.1 0.2 0.3\ncaf\xe9 0.4 0.5 0.6\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert run([*TRAIN_ARGS, "--embeddings", str(vecs), "--out-dir", str(out)]) == 1
+    line = assert_one_error_line_naming(capsys, vecs)
+    assert line.startswith(f"error: cannot read {vecs}: 'utf-8' codec can't decode"), line
     assert not out.exists()
 
 
@@ -739,6 +787,16 @@ def test_gradcheck_tolerance_and_l2_take_finite_numbers_only(capsys, flag, value
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expects {expects}, got {value}" in err, err
+
+
+@pytest.mark.parametrize("flag,value,parsed", [
+    ("--eps", "2e-5", 2e-5), ("--eps", "1E-4", 1e-4), ("--tolerance", "0.001", 1e-3),
+    ("--l2", "0", 0.0), ("--l2", "1e-3", 1e-3),
+])
+def test_gradcheck_number_flags_take_valid_values(flag, value, parsed):
+    parser, _ = build_parser()
+    args = parser.parse_args([*GRADCHECK_ARGS, flag, value])
+    assert getattr(args, flag[2:]) == parsed
 
 
 def test_gradcheck_fails_and_names_a_nan_gradient(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from ian.numerics import Rng
 def test_pad_is_index_zero():
     vocab = Vocabulary(["food", "great"])
     assert vocab.tokens[0] == PAD_TOKEN
-    assert vocab.encode([PAD_TOKEN, "food", "great"]).tolist() == [PAD_INDEX, 1, 2]
+    assert vocab.encode([PAD_TOKEN, "food", "great"]) == (PAD_INDEX, 1, 2)
 
 
 def test_add_is_idempotent():
@@ -29,7 +29,7 @@ def test_add_is_idempotent():
 def test_encode_round_trip():
     vocab = Vocabulary(["the", "fish", "is", "fresh"])
     idx = vocab.encode(["the", "fish", "is", "fresh", "fish"])
-    assert idx.tolist() == [1, 2, 3, 4, 2]
+    assert idx == (1, 2, 3, 4, 2)
     assert [vocab.tokens[i] for i in idx] == ["the", "fish", "is", "fresh", "fish"]
 
 

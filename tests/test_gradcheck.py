@@ -6,7 +6,7 @@ from ian.gradcheck import (
     check_tiny_model,
     group_of,
     numeric_gradient,
-    worst_relative_error,
+    relative_error,
 )
 from ian.model import GROUPS
 
@@ -27,11 +27,11 @@ def test_numeric_gradient_on_a_quadratic():
     assert np.allclose(got, 2 * arr, atol=1e-8)
 
 
-def test_worst_relative_error_formula():
-    assert worst_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
+def test_relative_error_formula():
+    assert relative_error(np.array([1.0]), np.array([1.0])).tolist() == [0.0]
     # denominator floors at 1e-8 for near-zero pairs
-    got = worst_relative_error(np.array([0.0]), np.array([1e-12]))
-    assert got == pytest.approx(1e-12 / 1e-8)
+    got = relative_error(np.array([0.0, 2.0]), np.array([1e-12, 1.0]))
+    assert got == pytest.approx([1e-12 / 1e-8, 1.0 / 3.0])
 
 
 @pytest.mark.parametrize("dim", [3, 8])

@@ -1,8 +1,11 @@
+import io
+import json
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 import ian.model
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
@@ -315,6 +318,22 @@ def test_checkpoint_arrays_read_in_pieces(tmp_path, monkeypatch):
         assert np.array_equal(arr, back), name
 
 
+def _as_npy_v2(record: bytes) -> bytes:
+    out = io.BytesIO()
+    npy_format.write_array(out, npy_format.read_array(io.BytesIO(record)), version=(2, 0))
+    return out.getvalue()
+
+
+# edits of the W_l member's bytes, each written back under a valid zip CRC
+MEMBER_EDITS = {
+    "npy_v2": _as_npy_v2,
+    "short_member": lambda record: record[:-8],
+    "trailing_bytes": lambda record: record + bytes(8),
+}
+META_EDITS = {"bad_format": lambda meta: {**meta, "format": 2},
+              "bad_vocab": lambda meta: {**meta, "vocab": meta["vocab"][1:]}}
+
+
 def _damaged(tmp_path, how):
     path = tmp_path / "model.npz"
     save_checkpoint(str(path), make("ian", seed=2))
@@ -323,12 +342,22 @@ def _damaged(tmp_path, how):
         path.write_bytes(b"x" * len(raw))
     elif how == "truncated":
         path.write_bytes(raw[: len(raw) - 40])
+    elif how in MEMBER_EDITS:
+        with zipfile.ZipFile(path) as archive:
+            records = {name: archive.read(name) for name in archive.namelist()}
+        records["W_l.npy"] = MEMBER_EDITS[how](records["W_l.npy"])
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, record in records.items():
+                archive.writestr(name, record)
     else:
         data = dict(np.load(str(path), allow_pickle=False))
         if how == "no_meta":
             del data["__meta__"]
-        else:  # bad_json
+        elif how == "bad_json":
             data["__meta__"] = np.array("{not json")
+        else:
+            meta = META_EDITS[how](json.loads(str(data["__meta__"])))
+            data["__meta__"] = np.array(json.dumps(meta))
         np.savez(str(path), **data)
     return str(path)
 
@@ -338,6 +367,11 @@ def _damaged(tmp_path, how):
     ("truncated", "not a zip archive"),
     ("no_meta", "no __meta__ record"),
     ("bad_json", "not valid JSON"),
+    ("bad_format", "unsupported checkpoint format: 2$"),
+    ("bad_vocab", "vocabulary does not start with the pad token"),
+    ("npy_v2", r"'W_l' has \.npy version \(2, 0\)"),
+    ("short_member", "'W_l' is truncated"),
+    ("trailing_bytes", "'W_l' has trailing bytes"),
 ])
 def test_checkpoint_load_failure_is_one_value_error(tmp_path, how, cause):
     path = _damaged(tmp_path, how)

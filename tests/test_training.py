@@ -175,8 +175,6 @@ def test_dropout_mask_values_and_determinism():
     again = dropout_mask(Rng(5), 1000, 0.5)
     assert np.array_equal(mask, again)
     assert dropout_mask(Rng(5), 10, 0.0) is None
-    with pytest.raises(ValueError):
-        dropout_mask(Rng(5), 10, 1.0)
 
 
 def test_dropout_mask_is_unbiased_scaling():
