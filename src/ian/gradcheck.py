@@ -1,8 +1,9 @@
 """Finite-difference verification of the hand-derived backward pass.
 
-Compares every analytic parameter gradient of the batched training loss
-against central differences, grouped by component, and reports the worst
-relative error per group with the coordinate where it occurs.
+Compares every analytic parameter gradient of training.loss_and_grads,
+the one batch-loss function, with central differences of the same function
+run without a GradSet (forward only), grouped by component, and reports the
+worst relative error per group with the coordinate where it occurs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .data import Instance
 from .embeddings import PAD_INDEX, Vocabulary
 from .model import LABELS, ModelParams
 from .numerics import Rng
-from .training import batch_loss, loss_and_grads
+from .training import GradSet, loss_and_grads
 
 
 def group_of(name: str) -> str:
@@ -44,13 +45,14 @@ def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_toke
 
     Returns {group: (max rel err, parameter name, index, analytic,
     numeric)}, the last four naming the worst coordinate. chunk_tokens is
-    passed to the batch loss, so a small budget checks the loss summed
+    passed to loss_and_grads, so a small budget checks the loss summed
     over several chunks.
     """
-    _, grads = loss_and_grads(params, cases, l2=l2, chunk_tokens=chunk_tokens)
+    grads = GradSet(params)
+    loss_and_grads(params, cases, l2=l2, grads=grads, chunk_tokens=chunk_tokens)
 
     def objective():
-        return batch_loss(params, cases, l2=l2, chunk_tokens=chunk_tokens)
+        return loss_and_grads(params, cases, l2=l2, chunk_tokens=chunk_tokens)
 
     found: dict[str, tuple] = {}
     for name, arr in params.named_arrays():

@@ -197,15 +197,6 @@ class ModelParams:
         if self.class_priors is not None:
             yield "class_priors", self.class_priors
 
-    def weight_matrix_names(self):
-        """Names of the arrays subject to weight decay (2-D maps only:
-        no biases, and embeddings are handled row-wise elsewhere)."""
-        return [
-            name
-            for name, arr in self.named_arrays()
-            if arr.ndim == 2 and name != "embeddings"
-        ]
-
 
 def mean_matrix(rows: np.ndarray, tokens: int) -> np.ndarray:
     """The (tokens, B) pooling matrix whose column b averages the packed

@@ -2,11 +2,12 @@
 
 The per-case loss is cross-entropy plus an L2 penalty on every 2-D weight
 matrix and on the embedding rows the case actually reads; biases and the
-pad row are never penalized. A batch's gradient is the average of its
-per-case gradients, so batch size 1 reproduces plain per-case updates.
-The batch runs as the length-sorted chunks of model.chunks, one forward
-and one backward pass per chunk, each distinct context through the context
-LSTM once; its L2 term is applied once.
+pad row are never penalized. loss_and_grads is the one batch-loss
+function: it runs the batch as the length-sorted chunks of model.chunks,
+one forward and (given a GradSet) one backward pass per chunk, each
+distinct context through the context LSTM once, and applies the L2 term
+once. A batch's gradient is the average of its per-case gradients, so
+batch size 1 reproduces plain per-case updates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .numerics import Rng, ZeroInit
 
 
 class GradSet(ModelParams):
-    """Zero twin of a model, for gradients and momentum velocity.
+    """Zero twin of a model, for gradients and momentum velocity;
+    loss_and_grads adds a batch's gradient into one it is given.
 
     Built by ModelParams' own constructor from an all-zero init source, so
     it has the model's component attributes (for the layer backward
@@ -76,13 +78,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> float:
     """L2 penalty of a batch of cases; its gradient is added into grads if given.
 
-    Each case pays l2 times the squared weight-matrix entries, and the
-    squared embedding rows it reads: the distinct non-pad ids of its
-    context and target. A row read by k cases is penalized k times.
+    Each case pays l2 times the squared entries of every 2-D weight map
+    except the embedding table (so no bias), and the squared embedding rows
+    it reads: the distinct non-pad ids of its context and target. A row
+    read by k cases is penalized k times.
     """
     if l2 == 0.0:
         return 0.0
-    named = dict(params.named_arrays())
     rows = [row for case in cases for row in set(case.context_ids) | set(case.target_ids)]
     counts = np.bincount(np.array(rows, dtype=np.int64), minlength=len(params.embeddings))
     counts[PAD_INDEX] = 0
@@ -90,20 +92,22 @@ def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> fl
     table = params.embeddings[hit]
     weights = counts[hit][:, None]
     total = float(np.sum(weights * table**2))
-    for name in params.weight_matrix_names():
-        total += len(cases) * float(np.sum(named[name] ** 2))
+    for name, arr in params.named_arrays():
+        if arr.ndim != 2 or name == "embeddings":
+            continue
+        total += len(cases) * float(np.sum(arr**2))
         if grads is not None:
             grad = grads[name]
-            grad += (2.0 * l2 * len(cases)) * named[name]
+            grad += (2.0 * l2 * len(cases)) * arr
     if grads is not None:
         grads.embeddings[hit] += (2.0 * l2) * weights * table
     return l2 * total
 
 
-def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
-               grads: GradSet | None = None, chunk_tokens: int | None = None) -> float:
-    """Training loss of a batch of cases; accumulates its gradient into
-    grads if given.
+def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
+                   grads: GradSet | None = None, chunk_tokens: int | None = None) -> float:
+    """Training loss of a batch of cases; its gradient is added into grads
+    if given, and without grads no backward pass runs.
 
     cases are instances (context_ids, target_ids, span, label); they run in
     the length-sorted chunks of model.chunks (chunk_tokens overrides its
@@ -122,15 +126,6 @@ def batch_loss(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
         del trace  # free this chunk's activations before the next forward
         loss += cross_entropy(probs, labels[pos])
     return loss + _l2_term(params, cases, l2, grads)
-
-
-def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
-                   grads: GradSet | None = None, chunk_tokens: int | None = None):
-    """batch_loss with its gradient: returns (loss, grads), accumulating
-    into grads if given, else into a fresh GradSet."""
-    if grads is None:
-        grads = GradSet(params)
-    return batch_loss(params, cases, l2, drop_masks, grads, chunk_tokens), grads
 
 
 def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
@@ -229,8 +224,8 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
             masks = dropout_mask(rng, (len(batch), feat), config.dropout)
             grads.zero()
             try:
-                loss, _ = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,
-                                         grads=grads)
+                loss = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,
+                                      grads=grads)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"loss became {loss}")
             except FloatingPointError as err:

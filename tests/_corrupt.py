@@ -1,8 +1,9 @@
 """Wrong analytic gradients, so tests can prove gradcheck flags them.
 
 Gradcheck has no corruption hook of its own: a test swaps
-`ian.gradcheck.loss_and_grads` for a wrapper that damages what the real
-backward pass returns.
+`ian.gradcheck.loss_and_grads` for a wrapper that damages the gradient the
+real backward pass adds into a GradSet. Only the analytic call is given
+one; the numeric objective's forward-only calls pass through untouched.
 """
 
 import ian.gradcheck
@@ -13,11 +14,12 @@ def double_group(monkeypatch, group: str) -> None:
     """Make every analytic gradient of one group twice its true value."""
     real = ian.gradcheck.loss_and_grads
 
-    def doubled(*args, **kwargs):
-        loss, grads = real(*args, **kwargs)
-        for name, arr in grads.named_arrays():
-            if group_of(name) == group:
-                arr *= 2.0
-        return loss, grads
+    def doubled(*args, grads=None, **kwargs):
+        loss = real(*args, grads=grads, **kwargs)
+        if grads is not None:
+            for name, arr in grads.named_arrays():
+                if group_of(name) == group:
+                    arr *= 2.0
+        return loss
 
     monkeypatch.setattr(ian.gradcheck, "loss_and_grads", doubled)

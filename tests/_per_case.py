@@ -234,11 +234,17 @@ def _rows(ctx_idx, tgt_idx):
     return rows[rows != PAD_INDEX]
 
 
+def _decayed(params):
+    """(name, array) of each weight map the L2 penalty charges in full:
+    every 2-D array but the embedding table, whose rows are charged per read."""
+    return [(name, arr) for name, arr in params.named_arrays()
+            if arr.ndim == 2 and name != "embeddings"]
+
+
 def _l2_penalty(params, rows, l2):
     if l2 == 0.0:
         return 0.0
-    named = dict(params.named_arrays())
-    total = sum(float(np.sum(named[n] ** 2)) for n in params.weight_matrix_names())
+    total = sum(float(np.sum(arr ** 2)) for _, arr in _decayed(params))
     if rows.size:
         total += float(np.sum(params.embeddings[rows] ** 2))
     return l2 * total
@@ -263,9 +269,8 @@ def case_loss_and_grads(params, ctx_idx, tgt_idx, span, label, l2=0.0, drop_mask
     backward(params, trace, label, grads)
     rows = _rows(ctx_idx, tgt_idx)
     if l2:
-        named = dict(params.named_arrays())
-        for name in params.weight_matrix_names():
-            grads[name][...] += 2.0 * l2 * named[name]
+        for name, arr in _decayed(params):
+            grads[name][...] += 2.0 * l2 * arr
         grads.embeddings[rows] += 2.0 * l2 * params.embeddings[rows]
     return _cross_entropy(probs, label) + _l2_penalty(params, rows, l2), grads
 

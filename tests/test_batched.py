@@ -98,7 +98,8 @@ def per_case_sums(params, batch, l2, masks):
 
 
 def assert_batch_equals_per_case(params, batch, l2, masks, atol=1e-10):
-    loss, grads = loss_and_grads(params, batch, l2=l2, drop_masks=masks)
+    grads = GradSet(params)
+    loss = loss_and_grads(params, batch, l2=l2, drop_masks=masks, grads=grads)
     ref_loss, ref_grads = per_case_sums(params, batch, l2, masks)
     assert abs(loss - ref_loss) <= atol
     for name, arr in grads.named_arrays():

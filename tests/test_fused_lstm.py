@@ -54,14 +54,15 @@ def make_case(rng, n_tgt, ctx_pads, tgt_pads):
 def run_both(monkeypatch, params, ctx, tgt, span, label, l2, mask):
     cases = [case(ctx, tgt, span, label)]
     masks = None if mask is None else mask[None]
-    fused = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
+    fused_grads, loop_grads = GradSet(params), GradSet(params)
+    fused = loss_and_grads(params, cases, l2=l2, drop_masks=masks, grads=fused_grads)
     probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
     with monkeypatch.context() as m:
         m.setattr(ian.model, "lstm_forward", chunk_forward)
         m.setattr(ian.model, "lstm_backward", chunk_backward)
-        loop = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
+        loop = loss_and_grads(params, cases, l2=l2, drop_masks=masks, grads=loop_grads)
         loop_probs, _ = forward(params, ctx, tgt, span=span, dropout_mask=mask)
-    return (probs, *fused), (loop_probs, *loop)
+    return (probs, fused, fused_grads), (loop_probs, loop, loop_grads)
 
 
 @pytest.mark.parametrize("embed_dim,hidden_dim", DIMS)

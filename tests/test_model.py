@@ -185,14 +185,6 @@ def test_feature_dims_per_variant():
     assert make("lstm_avg").feature_dim() == 4
 
 
-def test_weight_matrix_names_exclude_biases_and_embeddings():
-    names = make("ian").weight_matrix_names()
-    assert "embeddings" not in names
-    assert all(not n.endswith((".b", "b_a", "b_l")) for n in names)
-    assert "ctx_lstm.W_x" in names and "ctx_lstm.W_h" in names
-    assert "W_l" in names and "ctx_attn.W_a" in names
-
-
 def test_mean_matrix_matches_plain_mean_when_unmasked():
     rng = Rng(1)
     rows = rng.uniform(-1, 1, (5, 3))

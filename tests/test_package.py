@@ -1,6 +1,7 @@
 """Whole-package checks on the source tree itself."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -109,6 +110,29 @@ def test_every_module_level_import_in_src_is_used():
         unused += [f"{path.stem}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+# the benchmark's per-layer trace names these; model.predict_index is already gone
+BENCH_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+KNOWN_ABSENT = {("model", "predict_index")}
+
+
+def test_every_benchmark_trace_target_resolves_in_the_package():
+    # read, not imported: a refactor that drops a traced name would
+    # otherwise only blank its per-layer rows
+    tree = ast.parse(BENCH_LAYERS.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert len(pairs) > 20
+    missing = []
+    for module_name, attr in pairs:
+        owner = importlib.import_module(f"ian.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append((module_name, attr))
+    assert set(missing) <= KNOWN_ABSENT, missing
 
 
 def test_every_trainable_variant_is_a_route():

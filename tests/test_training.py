@@ -5,12 +5,11 @@ from _oracles import oracle_cross_entropy, oracle_probs
 from _per_case import case
 from fdcheck import fd_grad, grads_close, max_rel_err
 from ian.embeddings import PAD_INDEX, Vocabulary
-from ian.model import ModelParams, forward
+from ian.model import ROUTES, ModelParams, forward
 from ian.numerics import Rng
 from ian.training import (
     GradSet,
     TrainConfig,
-    batch_loss,
     cross_entropy,
     dropout_mask,
     fit_majority,
@@ -38,10 +37,11 @@ def tiny_instance(rng, vocab_size=8, n=5, m=2):
 def check_all_grads(params, ctx, tgt, span, label, l2=0.0, mask=None, tol=1e-4):
     cases = [case(ctx, tgt, span, label)]
     masks = None if mask is None else mask[None]
-    loss, grads = loss_and_grads(params, cases, l2=l2, drop_masks=masks)
+    grads = GradSet(params)
+    loss = loss_and_grads(params, cases, l2=l2, drop_masks=masks, grads=grads)
 
     def objective():
-        return batch_loss(params, cases, l2=l2, drop_masks=masks)
+        return loss_and_grads(params, cases, l2=l2, drop_masks=masks)
 
     assert abs(loss - objective()) < 1e-12
     for name, arr in params.named_arrays():
@@ -77,7 +77,8 @@ def test_classifier_preactivation_gradient_shortcut():
     params.W_l[...] = 0.0
     params.b_l[...] = 0.0
     ctx, tgt, span, _ = tiny_instance(Rng(42))
-    _, grads = loss_and_grads(params, [case(ctx, tgt, span, 1)])
+    grads = GradSet(params)
+    loss_and_grads(params, [case(ctx, tgt, span, 1)], grads=grads)
     assert np.allclose(grads["b_l"], [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -106,7 +107,8 @@ def test_pad_row_gradient_is_exactly_zero():
     params = tiny_model("ian", seed=13)
     ctx = np.array([3, 5, 2, PAD_INDEX])
     tgt = np.array([5, PAD_INDEX])
-    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=0.05)
+    grads = GradSet(params)
+    loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=0.05, grads=grads)
     assert np.array_equal(grads.embeddings[PAD_INDEX], np.zeros(params.embed_dim))
 
 
@@ -114,7 +116,8 @@ def test_untouched_embedding_rows_get_zero_gradient():
     params = tiny_model("ian", seed=15, vocab_size=8)
     ctx = np.array([1, 2, 3])
     tgt = np.array([2])
-    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 1)], l2=0.05)
+    grads = GradSet(params)
+    loss_and_grads(params, [case(ctx, tgt, (1, 2), 1)], l2=0.05, grads=grads)
     for row in (4, 5, 6, 7, 8):
         assert np.array_equal(grads.embeddings[row], np.zeros(params.embed_dim)), row
     for row in (1, 2, 3):
@@ -135,8 +138,8 @@ def test_l2_zero_leaves_loss_as_plain_cross_entropy():
     ctx, tgt, span, label = tiny_instance(Rng(88))
     probs, _ = forward(params, ctx, tgt)
     cases = [case(ctx, tgt, span, label)]
-    assert batch_loss(params, cases, l2=0.0) == cross_entropy(probs, np.array([label]))
-    assert batch_loss(params, cases, l2=0.1) > cross_entropy(probs, np.array([label]))
+    assert loss_and_grads(params, cases, l2=0.0) == cross_entropy(probs, np.array([label]))
+    assert loss_and_grads(params, cases, l2=0.1) > cross_entropy(probs, np.array([label]))
 
 
 @pytest.mark.parametrize("variant", ["ian", "no_target", "td_lstm"])
@@ -152,20 +155,69 @@ def test_l2_term_pays_each_cases_distinct_non_pad_rows(variant):
     counts = {1: 2, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1}
     l2 = 0.03
     named = dict(params.named_arrays())
-    weights = sum(float(np.sum(named[name] ** 2)) for name in params.weight_matrix_names())
+    decayed = [name for name, arr in named.items() if arr.ndim == 2 and name != "embeddings"]
+    weights = sum(float(np.sum(named[name] ** 2)) for name in decayed)
     rows = sum(k * float(np.sum(params.embeddings[r] ** 2)) for r, k in counts.items())
-    penalty = batch_loss(params, cases, l2=l2) - batch_loss(params, cases, l2=0.0)
+    penalty = loss_and_grads(params, cases, l2=l2) - loss_and_grads(params, cases, l2=0.0)
     assert penalty == pytest.approx(l2 * (len(cases) * weights + rows), rel=1e-12)
 
-    _, with_l2 = loss_and_grads(params, cases, l2=l2)
-    _, without = loss_and_grads(params, cases, l2=0.0)
+    with_l2, without = GradSet(params), GradSet(params)
+    loss_and_grads(params, cases, l2=l2, grads=with_l2)
+    loss_and_grads(params, cases, l2=0.0, grads=without)
     expected = np.zeros_like(params.embeddings)
     for r, k in counts.items():
         expected[r] = 2.0 * l2 * k * params.embeddings[r]
     assert np.allclose(with_l2.embeddings - without.embeddings, expected, rtol=0, atol=1e-14)
-    for name in params.weight_matrix_names():
+    for name in decayed:
         assert np.allclose(with_l2[name] - without[name], 2.0 * l2 * len(cases) * named[name],
                            rtol=0, atol=1e-14), name
+
+
+@pytest.mark.parametrize("variant,tie", [("ian", False), ("ian", True), ("no_target", False),
+                                         ("td_lstm", False)])
+def test_l2_gradient_decays_every_weight_map_and_no_bias(monkeypatch, variant, tie):
+    # with the data gradient switched off, grads hold the L2 term alone
+    import ian.training as training_module
+
+    monkeypatch.setattr(training_module, "backward", lambda *args: None)
+    params = tiny_model(variant, seed=43, tie=tie)
+    named = dict(params.named_arrays())
+    maps = [name for name, arr in named.items() if arr.ndim == 2 and name != "embeddings"]
+    biases = [name for name, arr in named.items() if arr.ndim < 2]
+    assert {"W_l", "ctx_lstm.W_x", "ctx_lstm.W_h"} <= set(maps)
+    assert {"b_l", "ctx_lstm.b"} <= set(biases)
+    for name in biases:
+        named[name][...] = 0.5  # so a decayed bias would show
+    rng = Rng(44)
+    cases = [case(*tiny_instance(rng)) for _ in range(3)]
+    l2 = 0.02
+    grads = GradSet(params)
+    loss_and_grads(params, cases, l2=l2, grads=grads)
+    for name in maps:
+        assert np.array_equal(grads[name], (2.0 * l2 * len(cases)) * named[name]), name
+    for name in biases:
+        assert not grads[name].any(), name
+
+
+@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+def test_loss_without_a_gradset_runs_no_backward_and_equals_the_loss_with_one(
+        monkeypatch, variant, tie):
+    import ian.training as training_module
+
+    params = tiny_model(variant, seed=45, tie=tie)
+    rng = Rng(46)
+    cases = [case(*tiny_instance(rng, n=n)) for n in (3, 5, 4)]
+    masks = dropout_mask(Rng(47), (len(cases), params.feature_dim()), 0.5)
+    with_grads = loss_and_grads(params, cases, l2=0.01, drop_masks=masks,
+                                grads=GradSet(params), chunk_tokens=8)
+
+    def no_backward(*args):
+        raise AssertionError("backward ran without a GradSet")
+
+    monkeypatch.setattr(training_module, "backward", no_backward)
+    alone = loss_and_grads(params, cases, l2=0.01, drop_masks=masks, chunk_tokens=8)
+    assert type(alone) is float
+    assert alone == with_grads
 
 
 def test_dropout_mask_values_and_determinism():
@@ -187,8 +239,9 @@ def test_grad_accumulation_sums_cases():
     rng = Rng(99)
     a = case(*tiny_instance(rng))
     b = case(*tiny_instance(rng))
-    lone_a = loss_and_grads(params, [a])[1]
-    lone_b = loss_and_grads(params, [b])[1]
+    lone_a, lone_b = GradSet(params), GradSet(params)
+    loss_and_grads(params, [a], grads=lone_a)
+    loss_and_grads(params, [b], grads=lone_b)
     both = GradSet(params)
     loss_and_grads(params, [a], grads=both)
     loss_and_grads(params, [b], grads=both)
@@ -200,7 +253,8 @@ def test_grad_accumulation_sums_cases():
 def test_gradset_zero():
     params = tiny_model("ian", seed=23)
     ctx, tgt, span, label = tiny_instance(Rng(111))
-    _, grads = loss_and_grads(params, [case(ctx, tgt, span, label)])
+    grads = GradSet(params)
+    loss_and_grads(params, [case(ctx, tgt, span, label)], grads=grads)
     grads.zero()
     assert all(np.all(arr == 0.0) for _, arr in grads.named_arrays())
 
@@ -292,7 +346,8 @@ def test_untouched_weight_matrix_gets_exactly_the_penalty_gradient():
     ctx = np.array([1, 2, 3, 4])
     tgt = np.array([2])
     l2 = 0.01
-    _, grads = loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=l2)
+    grads = GradSet(params)
+    loss_and_grads(params, [case(ctx, tgt, (1, 2), 0)], l2=l2, grads=grads)
     assert np.array_equal(grads["tgt_attn.W_a"], 2.0 * l2 * params.tgt_attn.W_a)
 
 
@@ -344,8 +399,7 @@ def test_nan_loss_aborts_with_diagnostics(monkeypatch):
     import ian.training as training_module
 
     def poisoned(*args, **kwargs):
-        grads = kwargs.get("grads") or GradSet(args[0])
-        return float("nan"), grads
+        return float("nan")
 
     monkeypatch.setattr(training_module, "loss_and_grads", poisoned)
     vocab, instances = synthetic_separable()
@@ -371,7 +425,7 @@ def test_nan_abort_names_the_first_non_finite_gradient(monkeypatch):
     def poisoned(params, cases, grads=None, **kwargs):
         grads["tgt_attn.W_a"][0, 0] = np.inf
         grads["W_l"][0, 0] = np.nan
-        return float("nan"), grads
+        return float("nan")
 
     monkeypatch.setattr(training_module, "loss_and_grads", poisoned)
     vocab, instances = synthetic_separable()
