@@ -34,7 +34,7 @@ from .data import (
     tokenize_with_spans,
 )
 from .embeddings import load_pretrained, text_lines
-from .evaluate import evaluate_model, predict_all, render_report, reports_tsv
+from .evaluate import accuracy, evaluate_model, predict_all, render_report, report_tsv
 from .model import (GROUPS, LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint,
                     save_checkpoint)
 from .numerics import Rng
@@ -135,19 +135,14 @@ def cmd_stats(args) -> int:
         for ds in (train_ds, test_ds):
             print(render_stats(dataset_stats(ds)))
             report, realigned = reports[ds.split]
-            notes = []
-            if report.dropped_conflict:
-                notes.append(f"dropped {report.dropped_conflict} conflict")
-            if report.dropped_other_polarity:
-                notes.append(f"dropped {report.dropped_other_polarity} unknown polarity")
-            if report.dropped_unlocatable or report.dropped_empty:
-                notes.append(
-                    f"dropped {report.dropped_unlocatable + report.dropped_empty} unlocatable/empty"
-                )
-            if report.span_fallbacks:
-                notes.append(f"{report.span_fallbacks} span fallbacks")
-            if realigned:
-                notes.append(f"{realigned} offsets realigned")
+            notes = [text.format(count) for count, text in (
+                (report.dropped_conflict, "dropped {} conflict"),
+                (report.dropped_other_polarity, "dropped {} unknown polarity"),
+                (report.dropped_unlocatable + report.dropped_empty,
+                 "dropped {} unlocatable/empty"),
+                (report.span_fallbacks, "{} span fallbacks"),
+                (realigned, "{} offsets realigned"),
+            ) if count]
             if notes:
                 print("  note  " + ", ".join(notes))
             if args.dump_dir:
@@ -251,7 +246,7 @@ def cmd_eval(args) -> int:
     print(render_report(result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(reports_tsv([result]))
+            fh.write(report_tsv(result))
         print(f"wrote {args.out}")
     return 0
 
@@ -316,10 +311,10 @@ def cmd_predict(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    golds = [k for k, inst in enumerate(instances) if inst.label is not None]
-    if golds:
-        correct = sum(preds[k] == instances[k].label for k in golds)
-        print(f"gold given for {len(golds)} lines: accuracy {correct / len(golds):.4f}")
+    scored = [k for k, inst in enumerate(instances) if inst.label is not None]
+    if scored:
+        report = accuracy(preds[scored], [instances[k].label for k in scored])
+        print(f"gold given for {report.total} lines: accuracy {report.accuracy:.4f}")
     return 1 if None in slots else 0
 
 
@@ -428,8 +423,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="flat key=value file of defaults for these flags")
-    sub.add_argument("--data-dir", dest="data_dir",
-                     help="directory with the corpus XML files "
+    sub.add_argument("--data-dir", help="directory with the corpus XML files "
                           "(default: $SEMEVAL_DATA_DIR, else bundled fixtures)")
 
 
@@ -455,26 +449,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_config_flags(p)
     p.add_argument("--category", choices=("restaurant", "laptop"), default="restaurant")
     p.add_argument("--variant", choices=VARIANTS, default="ian")
-    p.add_argument("--tie-attention", action=argparse.BooleanOptionalAction,
-                   dest="tie_attention", default=False)
-    p.add_argument("--embed-dim", dest="embed_dim", type=positive_int, default=300)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=positive_int, default=300)
+    p.add_argument("--tie-attention", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--embed-dim", type=positive_int, default=300)
+    p.add_argument("--hidden-dim", type=positive_int, default=300)
     p.add_argument("--epochs", type=positive_int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--l2", type=float)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=positive_int)
+    p.add_argument("--batch-size", type=positive_int)
     p.add_argument("--seed", type=nonnegative_int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=optional_float)
-    p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction,
-                   dest="freeze_embeddings")
+    p.add_argument("--clip-norm", type=optional_float)
+    p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction)
     p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
     p.add_argument("--embeddings", dest="embeddings_path",
                    help="pretrained word-vector text file")
     p.add_argument("--checkpoint", help="output checkpoint path (default out_dir/model.npz)")
     p.add_argument("--history", help="output history path (default out_dir/history.txt)")
-    p.add_argument("--out-dir", dest="out_dir", default=".")
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
     p = configurable["eval"] = subs.add_parser(
@@ -496,15 +488,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("gradcheck",
                         help="finite-difference check of the backward pass")
-    p.add_argument("--embed-dim", dest="embed_dim", type=positive_int,
-                   help="default: run both 3 and 8")
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=positive_int)
+    p.add_argument("--embed-dim", type=positive_int, help="default: run both 3 and 8")
+    p.add_argument("--hidden-dim", type=positive_int)
     p.add_argument("--seed", type=nonnegative_int, default=27)
-    p.add_argument("--ctx-len", dest="ctx_len", type=positive_int, default=4)
-    p.add_argument("--tgt-len", dest="tgt_len", type=positive_int, default=2)
+    p.add_argument("--ctx-len", type=positive_int, default=4)
+    p.add_argument("--tgt-len", type=positive_int, default=2)
     p.add_argument("--variant", choices=(*ROUTES, "all"), default="ian",
                    help="a trainable variant, or all of them")
-    p.add_argument("--tie-attention", action="store_true", dest="tie_attention")
+    p.add_argument("--tie-attention", action="store_true")
     p.add_argument("--l2", type=nonnegative_float, default=0.01,
                    help="penalty used during the check; keeps every weight "
                         "gradient well above finite-difference noise")
@@ -519,7 +510,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--target", required=True)
     p.add_argument("--span", help="START:END token positions when the target "
                                   "text is not found verbatim")
-    p.add_argument("--out-dir", dest="out_dir", default=".")
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--basename", default="attention")
     p.set_defaults(func=cmd_attention_viz)
 

@@ -90,7 +90,6 @@ class Dataset:
 class BuildReport:
     """Bookkeeping from build_instances; every dropped case is counted."""
 
-    built: int = 0
     dropped_conflict: int = 0
     dropped_other_polarity: int = 0
     span_fallbacks: int = 0
@@ -288,7 +287,6 @@ def build_instances(reviews, vocab: Vocabulary, drop_unknown: bool = False):
                     target_text=term.text,
                 )
             )
-            report.built += 1
     return instances, report
 
 

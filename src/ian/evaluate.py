@@ -41,14 +41,9 @@ def predict_all(params: ModelParams, instances) -> np.ndarray:
 def _macro_f1(confusion: np.ndarray) -> float:
     """Unweighted mean of per-class F1; a class with no gold and no predicted
     occurrences contributes 0."""
-    scores = []
-    for i in range(confusion.shape[0]):
-        tp = confusion[i, i]
-        gold_total = confusion[i].sum()
-        pred_total = confusion[:, i].sum()
-        denom = gold_total + pred_total
-        scores.append(2.0 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    # such a class has tp 0, so any nonzero denominator gives it 0
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)
+    return float(np.mean(2.0 * np.diag(confusion) / np.maximum(denom, 1)))
 
 
 def accuracy(preds, golds, variant: str = "", dataset: str = "") -> EvalReport:
@@ -58,20 +53,19 @@ def accuracy(preds, golds, variant: str = "", dataset: str = "") -> EvalReport:
     non-empty.  The confusion matrix has gold labels on rows and
     predictions on columns.
     """
-    preds = list(preds)
-    golds = list(golds)
-    if not golds:
+    preds, golds = np.asarray(preds), np.asarray(golds)
+    if not len(golds):
         raise ValueError("accuracy over an empty label sequence")
     if len(preds) != len(golds):
         raise ValueError(
             f"prediction/gold length mismatch: {len(preds)} vs {len(golds)}"
         )
     n = len(LABELS)
-    confusion = np.zeros((n, n), dtype=np.int64)
-    for pred, gold in zip(preds, golds):
-        if not (0 <= gold < n) or not (0 <= pred < n):
-            raise ValueError(f"label index out of range: pred={pred} gold={gold}")
-        confusion[gold, pred] += 1
+    bad = np.flatnonzero((preds < 0) | (preds >= n) | (golds < 0) | (golds >= n))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"label index out of range: pred={preds[k]} gold={golds[k]}")
+    confusion = np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
     correct = int(np.trace(confusion))
     total = len(golds)
     return EvalReport(
@@ -116,12 +110,10 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def reports_tsv(reports) -> str:
-    """Machine-readable tab-separated dump of the same reports."""
-    lines = ["variant\tdataset\tcorrect\ttotal\taccuracy\tmacro_f1_aux"]
-    for rep in reports:
-        lines.append(
-            f"{rep.variant}\t{rep.dataset}\t{rep.correct}\t{rep.total}"
-            f"\t{rep.accuracy:.6f}\t{rep.macro_f1:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+def report_tsv(report: EvalReport) -> str:
+    """Machine-readable tab-separated dump of the same report."""
+    return (
+        "variant\tdataset\tcorrect\ttotal\taccuracy\tmacro_f1_aux\n"
+        f"{report.variant}\t{report.dataset}\t{report.correct}\t{report.total}"
+        f"\t{report.accuracy:.6f}\t{report.macro_f1:.6f}\n"
+    )

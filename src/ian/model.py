@@ -516,6 +516,8 @@ def _params_from_npz(archive: zipfile.ZipFile):
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {fmt!r}")
+    if not isinstance(meta.get("config", {}), dict):
+        raise ValueError("__meta__ config is not an object")
     tokens = meta["vocab"]  # empty for the majority baseline
     if tokens and tokens[0] != PAD_TOKEN:
         raise ValueError("checkpoint vocabulary does not start with the pad token")

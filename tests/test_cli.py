@@ -587,6 +587,22 @@ def test_checkpoint_with_a_fourth_class_is_one_error_line(tmp_path, capsys, vari
     assert_one_error_line_naming(capsys, path)
 
 
+@pytest.mark.parametrize("config", [[], "x"], ids=["list", "text"])
+def test_eval_checkpoint_whose_config_is_not_an_object_is_one_error_line(tmp_path, capsys,
+                                                                         config):
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), ModelParams(Rng(0), Vocabulary(["the", "food"]),
+                                           variant="ian", embed_dim=3, hidden_dim=3))
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    arrays["__meta__"] = np.array(json.dumps({**meta, "config": config}))
+    np.savez(path, **arrays)
+    assert run(["eval", "--checkpoint", str(path)]) == 1
+    line = assert_one_error_line_naming(capsys, path)
+    assert line.endswith("__meta__ config is not an object"), line
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
     train_ds, _, _ = load_category("laptop")

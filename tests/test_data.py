@@ -280,7 +280,6 @@ def fixture_dataset(category, split):
 def test_build_counts_and_conflict_drop():
     instances, report, _ = fixture_dataset("restaurant", "train")
     assert len(instances) == 20
-    assert report.built == 20
     assert report.dropped_conflict == 1
     assert report.span_fallbacks == 0
     assert report.dropped_unlocatable == 0
@@ -373,7 +372,7 @@ def test_drop_unknown_remaps_span():
     assert inst.context_tokens == ("the", "soup", "was", "great", ".")
     assert inst.span == (1, 2)
     assert inst.target_tokens == ("soup",)
-    assert report.built == 1
+    assert len(instances) == 1
 
 
 def test_drop_unknown_drops_fully_unknown_target():

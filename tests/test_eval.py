@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _loop_score import loop_accuracy, loop_macro_f1
 from ian.evaluate import (
     accuracy,
     evaluate_model,
     predict_all,
     render_report,
-    reports_tsv,
+    report_tsv,
 )
 from ian.model import ModelParams
 from ian.numerics import Rng
@@ -89,6 +92,54 @@ def test_macro_f1_hand_case():
     assert report.macro_f1 == pytest.approx((2 / 3 + 0.5 + 0.0) / 3)
 
 
+# a nonempty subset of the three classes, which the labels of one side draw from
+CLASSES = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def label_pairs(draw):
+    """(preds, golds) of one length in 1..50, each side drawing from its own
+    class subset, so a class can be absent from gold, from the predictions
+    or from both."""
+    n = draw(st.integers(1, 50))
+    preds = draw(st.lists(st.sampled_from(draw(CLASSES)), min_size=n, max_size=n))
+    golds = draw(st.lists(st.sampled_from(draw(CLASSES)), min_size=n, max_size=n))
+    return preds, golds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label_pairs())
+@example(([0], [0]))  # two classes absent from both
+@example(([1, 1], [0, 0]))  # one absent from each side, one from both
+@example(([0, 1, 2], [2, 1, 0]))
+def test_accuracy_and_macro_f1_equal_the_loops_they_replace(pair):
+    preds, golds = pair
+    report = accuracy(np.array(preds), golds)
+    confusion, correct, total = loop_accuracy(preds, golds)
+    assert np.array_equal(report.confusion, confusion)
+    assert report.confusion.dtype == confusion.dtype
+    assert (report.correct, report.total) == (correct, total)
+    assert report.accuracy == correct / total
+    assert report.macro_f1 == loop_macro_f1(confusion)
+
+
+@pytest.mark.parametrize("preds, golds, message", [
+    ([], [], "accuracy over an empty label sequence"),
+    ([0], [], "accuracy over an empty label sequence"),
+    ([0, 1], [0], "prediction/gold length mismatch: 2 vs 1"),
+    ([0, 3, -1], [0, 1, 2], "label index out of range: pred=3 gold=1"),
+    ([1, 0, 0], [1, -1, 7], "label index out of range: pred=0 gold=-1"),
+    ([2, 2, 5], [1, 2, 0], "label index out of range: pred=5 gold=0"),
+    ([0, -1], [2, 1], "label index out of range: pred=-1 gold=1"),
+    ([0, 0], [2, 3], "label index out of range: pred=0 gold=3"),
+])
+def test_accuracy_errors_equal_the_loops_they_replace(preds, golds, message):
+    for score in (accuracy, loop_accuracy):
+        with pytest.raises(ValueError) as exc:
+            score(preds, golds)
+        assert str(exc.value) == message
+
+
 def test_evaluate_model_matches_hand_count():
     # labels cycle 0,1,2 over 20 instances: 7 zeros, 7 ones, 6 twos
     params, instances = majority_fixed([1.0, 0.0, 0.0])
@@ -116,7 +167,7 @@ def test_render_report_mentions_counts_and_labels():
 
 def test_reports_tsv_round_trips_fields():
     report = accuracy([0, 1, 2], [0, 1, 1], variant="ian", dataset="toy")
-    text = reports_tsv([report])
+    text = report_tsv(report)
     lines = text.strip().splitlines()
     assert lines[0].split("\t")[:2] == ["variant", "dataset"]
     fields = lines[1].split("\t")

@@ -323,7 +323,9 @@ MEMBER_EDITS = {
     "trailing_bytes": lambda record: record + bytes(8),
 }
 META_EDITS = {"bad_format": lambda meta: {**meta, "format": 2},
-              "bad_vocab": lambda meta: {**meta, "vocab": meta["vocab"][1:]}}
+              "bad_vocab": lambda meta: {**meta, "vocab": meta["vocab"][1:]},
+              "config_list": lambda meta: {**meta, "config": []},
+              "config_text": lambda meta: {**meta, "config": "x"}}
 
 
 def _damaged(tmp_path, how):
@@ -361,6 +363,8 @@ def _damaged(tmp_path, how):
     ("bad_json", "not valid JSON"),
     ("bad_format", "unsupported checkpoint format: 2$"),
     ("bad_vocab", "vocabulary does not start with the pad token"),
+    ("config_list", "__meta__ config is not an object$"),
+    ("config_text", "__meta__ config is not an object$"),
     ("npy_v2", r"'W_l' has \.npy version \(2, 0\)"),
     ("short_member", "'W_l' is truncated"),
     ("trailing_bytes", "'W_l' has trailing bytes"),

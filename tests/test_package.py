@@ -74,6 +74,32 @@ def test_every_attribute_set_in_src_is_read_in_src():
     assert unread == []
 
 
+def _is_record(node) -> bool:
+    """A class declared with @dataclass (bare or called) or as a NamedTuple."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
+
+
+def test_every_record_field_in_src_is_read_in_src():
+    # name-based, as above: a field of a @dataclass or NamedTuple counts as
+    # read when any `.field` is loaded anywhere in src/; a field that is only
+    # stored or incremented there is bookkeeping that only tests can see
+    declared, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
+                declared.update(
+                    (f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+    assert len(declared) > 20  # the check sees the records where they are
+    assert [where for where, name in declared.items() if name not in read] == []
+
+
 def test_only_main_writes_an_error_line_in_the_cli():
     # a subcommand fails by raising; main() writes the one line and picks
     # the exit code
