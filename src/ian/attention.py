@@ -28,7 +28,7 @@ class AttentionParams:
     """
 
     def __init__(self, rng: Rng, hidden_dim: int, query_dim: int):
-        self.W_a = uniform_init(rng, hidden_dim, query_dim)
+        self.W_a = uniform_init(rng, np.empty((hidden_dim, query_dim)))
         self.b_a = np.zeros(())
 
     def named_arrays(self, prefix: str = ""):

@@ -279,6 +279,7 @@ def cmd_predict(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     slots = []  # per non-blank line: its index into instances, or None for "?"
     instances = []
+    n_gold = 0  # well-formed lines with a valid gold label, labelled or not
     for lineno, raw in enumerate(list(text_lines(args.input)), 1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -294,6 +295,7 @@ def cmd_predict(args) -> int:
                 warning = f"unknown gold label {gold!r}"
                 inst = None
             else:
+                n_gold += gold is not None
                 warning = f"target {target!r} not usable in this sentence"
                 inst = _instance_from_line(params, sentence, target, gold)
         if inst is None:
@@ -312,9 +314,13 @@ def cmd_predict(args) -> int:
         if out is not sys.stdout:
             out.close()
     scored = [k for k, inst in enumerate(instances) if inst.label is not None]
+    unlabelled = f", {n_gold - len(scored)} of them unlabelled (?)" if len(scored) < n_gold else ""
     if scored:
         report = accuracy(preds[scored], [instances[k].label for k in scored])
-        print(f"gold given for {report.total} lines: accuracy {report.accuracy:.4f}")
+        over = f" over the other {report.total}" if unlabelled else ""
+        print(f"gold given for {n_gold} lines{unlabelled}: accuracy {report.accuracy:.4f}{over}")
+    elif n_gold:  # no accuracy over zero lines
+        print(f"gold given for {n_gold} lines{unlabelled}")
     return 1 if None in slots else 0
 
 

@@ -60,8 +60,9 @@ def text_lines(path: str):
 
 
 def random_embeddings(rng: Rng, vocab: Vocabulary, dim: int) -> np.ndarray:
-    """uniform_init row per token; the pad row stays zero."""
-    table = uniform_init(rng, len(vocab), dim)
+    """uniform_init row per token, the pad row zeroed after the draw; all
+    zero with rng None."""
+    table = uniform_init(rng, np.empty((len(vocab), dim)))
     table[PAD_INDEX] = 0.0
     return table
 
@@ -98,19 +99,12 @@ def load_pretrained(path: str, vocab: Vocabulary, dim: int, rng: Rng):
         found[token] = vec
 
     table = np.zeros((len(vocab), dim))
-    hits = 0
-    misses = 0
-    for idx, token in enumerate(vocab.tokens):
-        if idx == PAD_INDEX:
-            continue
-        vec = found.get(token)
-        if vec is not None:
-            table[idx] = vec
-            hits += 1
+    for idx, token in enumerate(vocab.tokens[1:], 1):  # past the pad row
+        if token in found:
+            table[idx] = found[token]
         else:
-            table[idx] = uniform_init(rng, dim)
-            misses += 1
-    return table, hits, misses
+            uniform_init(rng, table[idx])
+    return table, len(found), len(vocab) - 1 - len(found)
 
 
 def lookup(table: np.ndarray, indices: np.ndarray) -> np.ndarray:

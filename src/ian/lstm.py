@@ -53,8 +53,8 @@ class LstmParams:
         self.b = np.zeros(4 * hidden_dim)
         # each gate's word block, then its hidden block: a seed draws what it always has
         for lo in range(0, 4 * hidden_dim, hidden_dim):
-            self.W_x[lo:lo + hidden_dim] = uniform_init(rng, hidden_dim, input_dim)
-            self.W_h[lo:lo + hidden_dim] = uniform_init(rng, hidden_dim, hidden_dim)
+            uniform_init(rng, self.W_x[lo:lo + hidden_dim])
+            uniform_init(rng, self.W_h[lo:lo + hidden_dim])
 
     def named_arrays(self, prefix: str = ""):
         yield prefix + "W_x", self.W_x

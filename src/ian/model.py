@@ -43,7 +43,7 @@ from numpy.lib import format as npy_format
 from .attention import AttentionParams, attend, attention_backward, pool_matrix
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
 from .lstm import LstmParams, lstm_backward, lstm_forward, packing
-from .numerics import Rng, ZeroInit, softmax_stable, tanh, uniform_init
+from .numerics import Rng, softmax_stable, tanh, uniform_init
 
 LABELS = ("positive", "neutral", "negative")
 LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -106,11 +106,11 @@ def feature_sides(route: Route):
 class ModelParams:
     """All trainable arrays for one variant, plus the vocabulary.
 
-    Construction draws from the rng in a fixed order (embeddings, context
-    LSTM, target LSTM, context attention, target attention, classifier),
-    so a given seed and configuration always yields the same model. Given
-    a numerics.ZeroInit instead, it builds the same arrays and attention
-    tie, all zero. A given embeddings table, as load_pretrained builds it
+    numerics.uniform_init fills every weight array where it lives, in a
+    fixed order (embeddings, context LSTM, target LSTM, context attention,
+    target attention, classifier), so a given seed and configuration always
+    yields the same model; with rng None, the same arrays and attention tie
+    are all zero. A given embeddings table, as load_pretrained builds it
     (float64, one row per token, pad row zero), is kept and trained in place.
     """
 
@@ -167,7 +167,7 @@ class ModelParams:
             self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_pool])
 
         feat = self.feature_dim()
-        self.W_l = uniform_init(rng, len(LABELS), feat)
+        self.W_l = uniform_init(rng, np.empty((len(LABELS), feat)))
         self.b_l = np.zeros(len(LABELS))
 
     def layout(self) -> dict:
@@ -521,7 +521,7 @@ def _params_from_npz(archive: zipfile.ZipFile):
     tokens = meta["vocab"]  # empty for the majority baseline
     if tokens and tokens[0] != PAD_TOKEN:
         raise ValueError("checkpoint vocabulary does not start with the pad token")
-    params = ModelParams(ZeroInit(), Vocabulary(tokens[1:]), **{key: meta[key] for key in LAYOUT})
+    params = ModelParams(None, Vocabulary(tokens[1:]), **{key: meta[key] for key in LAYOUT})
     for name, arr in _checkpoint_members(params):
         if f"{name}.npy" not in members:
             raise ValueError(f"checkpoint is missing array {name!r}")

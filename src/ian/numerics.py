@@ -23,18 +23,6 @@ def Rng(seed=None):
     return np.random.default_rng(seed)
 
 
-class ZeroInit:
-    """Init source whose every draw is zero.
-
-    Handing it to a parameter constructor builds a zero twin of the seeded
-    model (gradients, velocity, the shell a checkpoint fills) without
-    drawing a random number.
-    """
-
-    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
-        return np.zeros(shape)
-
-
 def softmax_stable(v, axis: int = -1):
     """Softmax along axis, with max-subtraction so large finite inputs
     never overflow.
@@ -68,7 +56,9 @@ def sigmoid(x, out):
 tanh = np.tanh
 
 
-def uniform_init(rng: Rng, *shape: int) -> np.ndarray:
-    """i.i.d. U(-0.1, 0.1) entries, the init range of every weight matrix and
-    embedding row; deterministic given the rng."""
-    return rng.uniform(-0.1, 0.1, shape)
+def uniform_init(rng: Rng | None, out: np.ndarray) -> np.ndarray:
+    """Fill out in place with i.i.d. U(-0.1, 0.1) entries, the init range of
+    every weight matrix and embedding row, and return it. With rng None,
+    zero it: a constructor given no rng builds a model's zero twin."""
+    out[...] = 0.0 if rng is None else rng.uniform(-0.1, 0.1, out.shape)
+    return out

@@ -20,22 +20,22 @@ import numpy as np
 from .embeddings import PAD_INDEX
 from .evaluate import evaluate_model
 from .model import LABELS, ModelParams, backward, chunks, forward
-from .numerics import Rng, ZeroInit
+from .numerics import Rng
 
 
 class GradSet(ModelParams):
     """Zero twin of a model, for gradients and momentum velocity;
     loss_and_grads adds a batch's gradient into one it is given.
 
-    Built by ModelParams' own constructor from an all-zero init source, so
-    it has the model's component attributes (for the layer backward
+    Built by ModelParams' own constructor with no rng, so every array is
+    zero and it has the model's component attributes (for the layer backward
     functions), its arrays and its attention tie: when the model ties its
     two attentions, both backward calls accumulate into the same arrays.
     Flat named iteration serves the optimizer and the checks.
     """
 
     def __init__(self, params: ModelParams):
-        super().__init__(ZeroInit(), params.vocab, **params.layout())
+        super().__init__(None, params.vocab, **params.layout())
         self._by_name = dict(self.named_arrays())
 
     def __getitem__(self, name: str) -> np.ndarray:

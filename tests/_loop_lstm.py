@@ -34,8 +34,8 @@ def reference_init(rng, input_dim, hidden_dim):
     """Per-gate arrays in the loop-era draw order: matrices, then zero biases."""
     arrays = {}
     for gate in GATES:
-        arrays[f"W{gate}_w"] = uniform_init(rng, hidden_dim, input_dim)
-        arrays[f"W{gate}_h"] = uniform_init(rng, hidden_dim, hidden_dim)
+        arrays[f"W{gate}_w"] = uniform_init(rng, np.empty((hidden_dim, input_dim)))
+        arrays[f"W{gate}_h"] = uniform_init(rng, np.empty((hidden_dim, hidden_dim)))
     for gate in GATES:
         arrays[f"b{gate}"] = np.zeros(hidden_dim)
     return arrays

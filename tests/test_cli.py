@@ -652,6 +652,31 @@ def test_predict_labels_warnings_and_gold_summary(tmp_path, capsys):
     assert "gold given for 1 lines" in captured.out
 
 
+def test_predict_gold_summary_counts_gold_lines_it_could_not_label(tmp_path, capsys):
+    ckpt, _ = trained_checkpoint(tmp_path, capsys)
+    src = tmp_path / "in.txt"
+    src.write_text(
+        "Battery life stretches past ten hours.\tBattery life\tpositive\n"
+        "The touch pad jumps around while typing.\ttouch pad\tnegative\n"
+        "Fan noise drowns out quiet scenes.\tFan noise\tnegative\n"
+        "zzzz everywhere\tzzzz\tneutral\n"
+        "my laptop is new\tlaptop\tpositive\n"
+        "Boot time sits around twelve seconds.\tBoot time\n",
+        encoding="utf-8",
+    )
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:5] == ["?", "?"]
+    assert re.fullmatch(r"gold given for 5 lines, 2 of them unlabelled \(\?\): "
+                        r"accuracy 0\.\d{4} over the other 3", out[-1])
+    # no gold line labelled: the count alone, no accuracy over zero lines
+    src.write_text("zzzz everywhere\tzzzz\tneutral\nmy laptop is new\tlaptop\tpositive\n",
+                   encoding="utf-8")
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "?", "?", "gold given for 2 lines, 2 of them unlabelled (?)"]
+
+
 def test_predict_reports_each_unusable_line_once(tmp_path):
     ckpt = tiny_checkpoint(tmp_path)
     src = tmp_path / "in.txt"

@@ -22,7 +22,7 @@ from ian.model import (
     mean_matrix,
     save_checkpoint,
 )
-from ian.numerics import Rng, ZeroInit
+from ian.numerics import Rng
 
 
 def tiny_vocab(n_tokens=10):
@@ -432,4 +432,4 @@ def test_checkpoint_load_builds_its_shell_from_zero_init(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ModelParams, "__init__", spy)
     load_checkpoint(path)
-    assert len(sources) == 1 and isinstance(sources[0], ZeroInit)
+    assert sources == [None]  # no generator: loading draws no random number

@@ -210,6 +210,20 @@ def test_per_gate_names_live_only_in_the_checkpoint_helper():
     assert len(found["inside"]) == 12  # the check sees the names where they are
 
 
+def test_uniform_init_is_the_only_uniform_draw_in_src():
+    # every weight array is filled in place by one function, so no second
+    # init mechanism (a fresh array copied in, a fake generator) comes back
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(sub): node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                 for sub in ast.walk(node)}
+        calls += [(path.stem, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "uniform"]
+    assert calls == [("numerics", "uniform_init")]
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # eval and predict draw no random number, so they should not pay for
     # importing numpy.random; Rng reaches it on its first call
