@@ -21,15 +21,15 @@ from .numerics import Rng, softmax_stable, tanh, uniform_init
 
 
 class AttentionParams:
-    """One score matrix (hidden_dim x query_dim) and a scalar bias.
+    """One score matrix (hidden_dim x query_dim) and a scalar bias, of dtype.
 
     The bias is kept as a 0-d array so every parameter in the model is an
     ndarray that can be updated in place.
     """
 
-    def __init__(self, rng: Rng, hidden_dim: int, query_dim: int):
-        self.W_a = uniform_init(rng, np.empty((hidden_dim, query_dim)))
-        self.b_a = np.zeros(())
+    def __init__(self, rng: Rng, hidden_dim: int, query_dim: int, dtype=np.float64):
+        self.W_a = uniform_init(rng, np.empty((hidden_dim, query_dim), dtype))
+        self.b_a = np.zeros((), dtype)
 
     def named_arrays(self, prefix: str = ""):
         yield prefix + "W_a", self.W_a
@@ -37,10 +37,10 @@ class AttentionParams:
 
 
 def pool_matrix(rows: np.ndarray, values: np.ndarray, tokens: int) -> np.ndarray:
-    """The (tokens, B) matrix holding values[k, b] (n, B) at row rows[k, b]
-    of column b wherever that row is >= 0, and zero everywhere else."""
+    """The (tokens, B) matrix of values' dtype holding values[k, b] (n, B) at
+    row rows[k, b] of column b wherever that row is >= 0, and zero elsewhere."""
     inside = rows >= 0
-    matrix = np.zeros((tokens, rows.shape[1]))
+    matrix = np.zeros((tokens, rows.shape[1]), values.dtype)
     matrix[rows[inside], np.nonzero(inside)[1]] = values[inside]
     return matrix
 
@@ -52,7 +52,7 @@ def attend(params: AttentionParams, states: np.ndarray, rows: np.ndarray, query:
     softmax leaves out at weight 0. Returns (weights (n, B), trace)."""
     proj = query @ params.W_a.T
     # every row scored against every query; each instance keeps its own
-    raw = tanh((states @ proj.T)[rows, np.arange(rows.shape[1])] + float(params.b_a))
+    raw = tanh((states @ proj.T)[rows, np.arange(rows.shape[1])] + params.b_a)
     weights = softmax_stable(np.where(rows >= 0, raw, -np.inf), axis=0)
     trace = dict(states=states, rows=rows, query=query, proj=proj, raw=raw, weights=weights)
     return weights, trace

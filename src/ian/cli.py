@@ -154,6 +154,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def check_writable(*paths):
+    """Refuse an output path (None: no file) that names a directory or lies in
+    a missing one."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: its directory does not exist")
+
+
 # --- train ---------------------------------------------------------------
 
 
@@ -199,11 +209,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = args.history or os.path.join(args.out_dir, "history.txt")
     checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
-    for path in (history_path, checkpoint_path):
-        if os.path.isdir(path):
-            raise ValueError(f"cannot write {path}: it is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"cannot write {path}: its directory does not exist")
+    check_writable(history_path, checkpoint_path)
     history = train(
         params, train_ds.instances, config, rng,
         eval_instances=test_ds.instances, log=print,
@@ -235,6 +241,7 @@ def _instances_for_checkpoint(params, reviews):
 
 
 def cmd_eval(args) -> int:
+    check_writable(args.out)
     params, meta = load_checkpoint(args.checkpoint)
     category = args.category or meta.get("config", {}).get("category", "restaurant")
     reviews, _ = load_reviews(category, args.split, args.data_dir)
@@ -276,6 +283,7 @@ def cmd_predict(args) -> int:
     """Label every line with one predict_all call; --output is opened only
     once every line has been read and labelled, so a failing call leaves
     an existing output file as it was."""
+    check_writable(None if args.output == "-" else args.output)
     params, _ = load_checkpoint(args.checkpoint)
     slots = []  # per non-blank line: its index into instances, or None for "?"
     instances = []
@@ -328,22 +336,23 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import check_tiny_model
+    from numpy import finfo
+
+    from .gradcheck import PRECISION, check_tiny_model
 
     if (args.embed_dim is None) != (args.hidden_dim is None):
         raise UsageError("give both --embed-dim and --hidden-dim or neither")
     if args.tgt_len > args.ctx_len:
         raise UsageError(f"--tgt-len {args.tgt_len} is longer than --ctx-len {args.ctx_len}")
-    if args.variant == "all":
-        if args.tie_attention:
-            raise UsageError("--tie-attention needs a single variant")
-        variants = tuple(ROUTES)
-    else:
-        variants = (args.variant,)
-    if args.embed_dim is None:
-        dims = ((3, 3), (8, 8))
-    else:
-        dims = ((args.embed_dim, args.hidden_dim),)
+    if args.variant == "all" and args.tie_attention:
+        raise UsageError("--tie-attention needs a single variant")
+    variants = tuple(ROUTES) if args.variant == "all" else (args.variant,)
+    dims = ((3, 3), (8, 8)) if args.embed_dim is None else ((args.embed_dim, args.hidden_dim),)
+    info = finfo(PRECISION)
+    print(f"precision {PRECISION.__name__} ({info.dtype}), eps {info.eps:.3e}")
+    if not info.eps < 1e-18:
+        print("warning: longdouble is float64 on this platform; the check runs at "
+              "float64 precision", file=sys.stderr)
     ok = True
     for variant, (embed_dim, hidden_dim) in itertools.product(variants, dims):
         began = time.perf_counter()
@@ -351,24 +360,19 @@ def cmd_gradcheck(args) -> int:
                                  n_tgt=args.tgt_len, variant=variant,
                                  tie_attention=args.tie_attention, l2=args.l2, eps=args.eps)
         elapsed = time.perf_counter() - began
+        head = f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  "
         for group in GROUPS:
             if group not in found:
                 continue  # variant without this component
             err, name, idx, analytic, numeric = found[group]
             passed = err <= args.tolerance
-            status = "ok" if passed else "FAIL"
-            line = (
-                f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  {group:<11} "
-                f"max rel err {err:.3e}  {status}"
-            )
+            line = f"{head}{group:<11} max rel err {err:.3e}  {'ok' if passed else 'FAIL'}"
             if not passed:
-                line += (
-                    f"  worst {name}[{','.join(str(int(i)) for i in idx)}]"
-                    f" analytic {analytic:.6e} vs numeric {numeric:.6e}"
-                )
+                line += (f"  worst {name}[{','.join(str(int(i)) for i in idx)}]"
+                         f" analytic {analytic:.6e} vs numeric {numeric:.6e}")
                 ok = False
             print(line)
-        print(f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  elapsed {elapsed:.2f}s")
+        print(f"{head}elapsed {elapsed:.2f}s")
     return 0 if ok else 1
 
 

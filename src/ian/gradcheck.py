@@ -11,10 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Instance
-from .embeddings import PAD_INDEX, Vocabulary
+from .embeddings import PAD_INDEX, Vocabulary, random_embeddings
 from .model import LABELS, ModelParams
 from .numerics import Rng
 from .training import GradSet, loss_and_grads
+
+# the checked model's dtype: at float64, finite-difference noise swamps tiny biases
+PRECISION = np.longdouble
 
 
 def group_of(name: str) -> str:
@@ -44,9 +47,9 @@ def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_toke
     """Analytic vs numeric gradients of the batch loss over cases, per group.
 
     Returns {group: (max rel err, parameter name, index, analytic,
-    numeric)}, the last four naming the worst coordinate. chunk_tokens is
-    passed to loss_and_grads, so a small budget checks the loss summed
-    over several chunks.
+    numeric)}, the last four naming the worst coordinate; the error is that
+    of its two values, rounded to float64. chunk_tokens is passed to
+    loss_and_grads, so a small budget checks the loss summed over chunks.
     """
     grads = GradSet(params)
     loss_and_grads(params, cases, l2=l2, grads=grads, chunk_tokens=chunk_tokens)
@@ -56,12 +59,12 @@ def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_toke
 
     found: dict[str, tuple] = {}
     for name, arr in params.named_arrays():
-        numeric = numeric_gradient(objective, arr, eps)
+        numeric = numeric_gradient(objective, arr, eps).astype(np.float64)
         if name == "embeddings":
             # the pad row is fixed at zero and never trained, though
             # td_lstm reads a case's trailing pads and so moves with it
             numeric[PAD_INDEX] = 0.0
-        analytic = grads[name]
+        analytic = grads[name].astype(np.float64)
         rel = relative_error(analytic, numeric)
         # argmax takes the first NaN, so a NaN error is the array's worst
         idx = np.unravel_index(np.argmax(rel), rel.shape)
@@ -83,12 +86,14 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, 
     the target. It runs as two chunks, so the check covers padding masks,
     the loss summed over chunks and the once-per-batch L2 term. Each
     case's target words are a slice of its context, so every variant,
-    span included, is exercised. Returns gradient_check's mapping.
+    span included, is exercised. Returns gradient_check's mapping. The table
+    is drawn first, as ModelParams draws it, then widened to PRECISION.
     """
     rng = Rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
+    table = random_embeddings(rng, vocab, embed_dim).astype(PRECISION)
     params = ModelParams(rng, vocab, variant=variant, embed_dim=embed_dim,
-                         hidden_dim=hidden_dim, tie_attention=tie_attention)
+                         hidden_dim=hidden_dim, tie_attention=tie_attention, embeddings=table)
     cases = []
     for extra in range(3):
         # the middle case is n_ctx tokens plus a trailing pad

@@ -43,14 +43,14 @@ from .numerics import Rng, sigmoid, tanh, uniform_init
 
 
 class LstmParams:
-    """Weights for one encoder: fused W_x, W_h and b. Biases start at zero,
-    weights at U(-0.1, 0.1)."""
+    """Weights for one encoder: fused W_x, W_h and b, of dtype. Biases start
+    at zero, weights at U(-0.1, 0.1)."""
 
-    def __init__(self, rng: Rng, input_dim: int, hidden_dim: int):
+    def __init__(self, rng: Rng, input_dim: int, hidden_dim: int, dtype=np.float64):
         self.hidden_dim = hidden_dim
-        self.W_x = np.empty((4 * hidden_dim, input_dim))
-        self.W_h = np.empty((4 * hidden_dim, hidden_dim))
-        self.b = np.zeros(4 * hidden_dim)
+        self.W_x = np.empty((4 * hidden_dim, input_dim), dtype)
+        self.W_h = np.empty((4 * hidden_dim, hidden_dim), dtype)
+        self.b = np.zeros(4 * hidden_dim, dtype)
         # each gate's word block, then its hidden block: a seed draws what it always has
         for lo in range(0, 4 * hidden_dim, hidden_dim):
             uniform_init(rng, self.W_x[lo:lo + hidden_dim])
@@ -95,8 +95,8 @@ def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray,
     read. Returns (states, row_of, trace): states (tokens, hidden_dim)
     holds one packed row per real step, row_of (n, B) the packed row of
     each (step, column), -1 past the column's length, and the trace what
-    the backward pass needs, every per-step array packed.
-    With keep_trace False the pass keeps only the states: it projects the
+    the backward pass needs, every per-step array packed, all in the table's
+    dtype. With keep_trace False the pass keeps only the states: it projects the
     gates in blocks of whole steps (at most BLOCK_ROWS packed rows, or one
     wider step), keeps one step's cells, and returns None for the trace.
     """
@@ -105,15 +105,15 @@ def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray,
     pack = packing(ids, lengths)
     word_ids, widths, starts = pack["ids"], pack["widths"], pack["starts"]
     ends = starts + widths
-    states = np.empty((len(word_ids), dh))
+    states = np.empty((len(word_ids), dh), table.dtype)
     # a traced pass keeps every step's cells, packed; otherwise step k's
     # overwrite step k - 1's, row for row. Step 0, the widest, sizes the
     # buffer of each step's recurrent product, then of its cell temporaries
-    cells = np.empty((len(word_ids) if keep_trace else batch, dh))
-    recurrent = np.empty((batch, 4 * dh))
+    cells = np.empty((len(word_ids) if keep_trace else batch, dh), table.dtype)
+    recurrent = np.empty((batch, 4 * dh), table.dtype)
     scratch = recurrent[:, :dh]
 
-    c = np.zeros((batch, dh))  # h and c are zero before the first step
+    c = np.zeros((batch, dh), table.dtype)  # h and c are zero before the first step
     block_end = 0
     for k in range(n):
         b, lo = widths[k], starts[k]
@@ -162,7 +162,7 @@ def lstm_backward(params: LstmParams, trace: dict, d_states: np.ndarray, grads,
 
     # the gradients flowing back from step k + 1 cover its rows only, a
     # prefix of step k's
-    dh_next = dc_next = np.zeros((0, dh))
+    dh_next = dc_next = np.zeros((0, dh), dZ.dtype)
     for k in reversed(range(len(widths))):
         b, lo = widths[k], starts[k]
         # each gate slot is read for the last time before its gradient

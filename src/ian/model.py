@@ -110,8 +110,8 @@ class ModelParams:
     fixed order (embeddings, context LSTM, target LSTM, context attention,
     target attention, classifier), so a given seed and configuration always
     yields the same model; with rng None, the same arrays and attention tie
-    are all zero. A given embeddings table, as load_pretrained builds it
-    (float64, one row per token, pad row zero), is kept and trained in place.
+    are all zero. A given embeddings table (one row per token, pad row zero)
+    is trained in place, and its dtype (float64 when drawn) is every array's.
     """
 
     def __init__(
@@ -151,24 +151,25 @@ class ModelParams:
         if embeddings is None:
             embeddings = random_embeddings(rng, vocab, embed_dim)
         self.embeddings = embeddings
+        dtype = embeddings.dtype
 
-        self.ctx_lstm = LstmParams(rng, embed_dim, hidden_dim)
+        self.ctx_lstm = LstmParams(rng, embed_dim, hidden_dim, dtype)
         if route.target in ("lstm", "span"):
-            self.tgt_lstm = LstmParams(rng, embed_dim, hidden_dim)
+            self.tgt_lstm = LstmParams(rng, embed_dim, hidden_dim, dtype)
         # an average of raw target embeddings is embed_dim wide, so the
         # score matrix it queries is hidden_dim x embed_dim
         query_dim = {"ctx": hidden_dim,
                      "tgt": embed_dim if route.target == "embed" else hidden_dim}
         if route.ctx_pool in query_dim:
-            self.ctx_attn = AttentionParams(rng, hidden_dim, query_dim[route.ctx_pool])
+            self.ctx_attn = AttentionParams(rng, hidden_dim, query_dim[route.ctx_pool], dtype)
         if tie_attention:
             self.tgt_attn = self.ctx_attn
         elif route.tgt_pool in query_dim:
-            self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_pool])
+            self.tgt_attn = AttentionParams(rng, hidden_dim, query_dim[route.tgt_pool], dtype)
 
         feat = self.feature_dim()
-        self.W_l = uniform_init(rng, np.empty((len(LABELS), feat)))
-        self.b_l = np.zeros(len(LABELS))
+        self.W_l = uniform_init(rng, np.empty((len(LABELS), feat), dtype))
+        self.b_l = np.zeros(len(LABELS), dtype)
 
     def layout(self) -> dict:
         return {key: getattr(self, key) for key in LAYOUT}
@@ -198,14 +199,14 @@ class ModelParams:
             yield "class_priors", self.class_priors
 
 
-def mean_matrix(rows: np.ndarray, tokens: int) -> np.ndarray:
-    """The (tokens, B) pooling matrix whose column b averages the packed
-    rows rows[:, b] names (those >= 0): 1/count on each of them."""
+def mean_matrix(rows: np.ndarray, tokens: int, dtype=np.float64) -> np.ndarray:
+    """The (tokens, B) pooling matrix, of dtype, whose column b averages the
+    packed rows rows[:, b] names (those >= 0): 1/count on each of them."""
     inside = rows >= 0
     count = inside.sum(axis=0)
     if np.any(count == 0):
         raise ValueError("mean over an empty selection")
-    return pool_matrix(rows, inside / count, tokens)
+    return pool_matrix(rows, np.divide(inside, count, dtype=dtype), tokens)
 
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
@@ -313,15 +314,15 @@ def _features(params, route, trace, keep_trace):
 
     def mean(side):
         if side not in means:
-            means[side] = mean_matrix(rows[side], len(states[side]))
+            means[side] = mean_matrix(rows[side], len(states[side]), states[side].dtype)
         return means[side]
 
     pools = []
 
     def pooling(side, pool):
         """One side's pooling matrix, kept in pools by a traced pass."""
-        if pool == "last":
-            matrix = pool_matrix(lasts[side], np.ones(lasts[side].shape), len(states[side]))
+        if pool == "last":  # the mean of one row, its last state
+            matrix = mean_matrix(lasts[side], len(states[side]), states[side].dtype)
         elif pool == "mean":
             matrix = mean(side)
         else:
@@ -532,7 +533,7 @@ def _params_from_npz(archive: zipfile.ZipFile):
 
 def _read_npy_into(member, name: str, arr: np.ndarray):
     """Fill arr from one .npy member whose header must describe arr's own
-    shape as C-ordered float64, in pieces of at most READ_PIECE bytes."""
+    shape and dtype, C-ordered, in pieces of at most READ_PIECE bytes."""
     # np.savez writes version 1.0 records for every array a model has
     version = npy_format.read_magic(member)
     if version != (1, 0):

@@ -1,9 +1,9 @@
 """Dense numeric primitives shared by every layer.
 
-Vectors are 1-D float64 numpy arrays, matrices are 2-D row-major float64
-arrays. Elementwise add/mul and scalar ops are numpy's native operators on
-those arrays; this module adds the pieces that need shape checks, numerical
-stabilization, or seeded determinism.
+Vectors are 1-D and matrices 2-D row-major numpy arrays of the model's dtype
+(its embedding table's), kept by every function here. Elementwise add/mul and
+scalar ops are numpy's native operators; this module adds the pieces that need
+shape checks, numerical stabilization, or seeded determinism.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def softmax_stable(v, axis: int = -1):
     along axis needs at least one finite entry. A NaN entry is a numerical
     fault, not a usage error, and raises FloatingPointError.
     """
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     hi = np.max(v, axis=axis, keepdims=True)
@@ -58,7 +58,7 @@ tanh = np.tanh
 
 def uniform_init(rng: Rng | None, out: np.ndarray) -> np.ndarray:
     """Fill out in place with i.i.d. U(-0.1, 0.1) entries, the init range of
-    every weight matrix and embedding row, and return it. With rng None,
-    zero it: a constructor given no rng builds a model's zero twin."""
+    every weight matrix and embedding row, drawn in float64, and return it.
+    With rng None, zero it: a constructor given no rng builds a zero twin."""
     out[...] = 0.0 if rng is None else rng.uniform(-0.1, 0.1, out.shape)
     return out

@@ -27,15 +27,16 @@ class GradSet(ModelParams):
     """Zero twin of a model, for gradients and momentum velocity;
     loss_and_grads adds a batch's gradient into one it is given.
 
-    Built by ModelParams' own constructor with no rng, so every array is
-    zero and it has the model's component attributes (for the layer backward
-    functions), its arrays and its attention tie: when the model ties its
-    two attentions, both backward calls accumulate into the same arrays.
+    Built by ModelParams' own constructor from a zero table like the model's
+    and no rng, so every array is zero, in the model's dtype, and it has its
+    component attributes (for the layer backward functions), arrays and
+    attention tie: both backward calls of a tied model add into one array.
     Flat named iteration serves the optimizer and the checks.
     """
 
     def __init__(self, params: ModelParams):
-        super().__init__(None, params.vocab, **params.layout())
+        table = None if params.embeddings is None else np.zeros_like(params.embeddings)
+        super().__init__(None, params.vocab, **params.layout(), embeddings=table)
         self._by_name = dict(self.named_arrays())
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -53,8 +54,8 @@ class GradSet(ModelParams):
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._by_name.values())))
 
 
-def dropout_mask(rng: Rng, shape, rate: float):
-    """Inverted-dropout mask: zero with probability rate, else 1/(1-rate).
+def dropout_mask(rng: Rng, shape, rate: float, dtype=np.float64):
+    """Inverted-dropout mask of dtype: zero with probability rate, else 1/(1-rate).
 
     shape is (B, dim), one row per instance of a batch; TrainConfig holds
     rate in [0, 1). Returns None for rate 0 so evaluation paths stay untouched.
@@ -62,26 +63,26 @@ def dropout_mask(rng: Rng, shape, rate: float):
     if rate == 0.0:
         return None
     keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    return np.divide(keep, 1.0 - rate, dtype=dtype)
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     """-log of the gold-class probability, summed over the rows of a
-    chunk's probs (B, n_classes) with labels (B,)."""
+    chunk's probs (B, n_classes) with labels (B,): a scalar of probs' dtype."""
     gold = probs[np.arange(len(probs)), labels]
     if gold.min() < 1e-12:
         warnings.warn(f"gold-class probability {gold.min()} clamped to 1e-12 before log")
         gold = np.maximum(gold, 1e-12)
-    return float(-np.log(gold).sum())
+    return -np.log(gold).sum()
 
 
-def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> float:
+def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None):
     """L2 penalty of a batch of cases; its gradient is added into grads if given.
 
     Each case pays l2 times the squared entries of every 2-D weight map
     except the embedding table (so no bias), and the squared embedding rows
     it reads: the distinct non-pad ids of its context and target. A row
-    read by k cases is penalized k times.
+    read by k cases is penalized k times. The sum is in the model's dtype.
     """
     if l2 == 0.0:
         return 0.0
@@ -90,12 +91,12 @@ def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> fl
     counts[PAD_INDEX] = 0
     hit = np.flatnonzero(counts)
     table = params.embeddings[hit]
-    weights = counts[hit][:, None]
-    total = float(np.sum(weights * table**2))
+    weights = counts[hit][:, None].astype(table.dtype)
+    total = np.sum(weights * table**2)
     for name, arr in params.named_arrays():
         if arr.ndim != 2 or name == "embeddings":
             continue
-        total += len(cases) * float(np.sum(arr**2))
+        total += len(cases) * np.sum(arr**2)
         if grads is not None:
             grad = grads[name]
             grad += (2.0 * l2 * len(cases)) * arr
@@ -105,7 +106,7 @@ def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None) -> fl
 
 
 def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
-                   grads: GradSet | None = None, chunk_tokens: int | None = None) -> float:
+                   grads: GradSet | None = None, chunk_tokens: int | None = None):
     """Training loss of a batch of cases; its gradient is added into grads
     if given, and without grads no backward pass runs.
 
@@ -114,7 +115,8 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
     budget), one forward and, with grads, one backward pass per chunk.
     drop_masks, when given, holds one dropout mask row per case. The loss
     is the sum of the per-case losses, cross-entropy plus the L2 penalty;
-    the L2 term is applied once for the whole batch.
+    the L2 term is applied once for the whole batch. Returns the sum's .item()
+    in the model's dtype: a float (0.0 for no case), or an np.longdouble.
     """
     labels = np.array([case.label for case in cases])
     loss = 0.0
@@ -125,7 +127,7 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
             backward(params, trace, labels[pos], grads)
         del trace  # free this chunk's activations before the next forward
         loss += cross_entropy(probs, labels[pos])
-    return loss + _l2_term(params, cases, l2, grads)
+    return np.add(loss, _l2_term(params, cases, l2, grads)).item()
 
 
 def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
@@ -221,7 +223,7 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
         total_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = [instances[j] for j in order[lo:lo + config.batch_size]]
-            masks = dropout_mask(rng, (len(batch), feat), config.dropout)
+            masks = dropout_mask(rng, (len(batch), feat), config.dropout, params.embeddings.dtype)
             grads.zero()
             try:
                 loss = loss_and_grads(params, batch, l2=config.l2, drop_masks=masks,

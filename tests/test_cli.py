@@ -525,6 +525,26 @@ def test_eval_matches_train_final_accuracy(tmp_path, capsys):
     assert row.split("\t")[0] == "ian"
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_eval_and_predict_refuse_an_unwritable_output_before_reading(tmp_path, capsys,
+                                                                     command, where):
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(str(ckpt), ModelParams(Rng(0), Vocabulary(["the", "food"]), variant="ian",
+                                           embed_dim=3, hidden_dim=3))
+    src = tmp_path / "in.txt"
+    src.write_text("the food\tfood\tpositive\n", encoding="utf-8")
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    argv = {"eval": ["eval", "--checkpoint", str(ckpt), "--out", str(path)],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--input", str(src),
+                        "--output", str(path)]}
+    assert run(argv[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "it is a directory" if where == "directory" else "its directory does not exist"
+    assert captured.err.splitlines() == [f"error: cannot write {path}: {reason}"]
+
+
 def test_eval_missing_checkpoint_fails(capsys):
     assert run(["eval", "--checkpoint", "/no/file.npz"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -906,6 +926,30 @@ def test_gradcheck_has_no_corruption_flag(capsys):
 def test_gradcheck_all_variants_refuses_tied_attention(capsys):
     assert run(["gradcheck", "--variant", "all", "--tie-attention"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+FLOAT64_WARNING = ("warning: longdouble is float64 on this platform; the check runs at "
+                   "float64 precision\n")
+
+
+def test_gradcheck_states_its_precision_first(capsys):
+    assert run([*GRADCHECK_ARGS, "--variant", "lstm_avg"]) == 0
+    captured = capsys.readouterr()
+    eps = np.finfo(np.longdouble).eps
+    assert captured.out.splitlines()[0] == (
+        f"precision longdouble ({np.dtype(np.longdouble)}), eps {eps:.3e}")
+    # a platform whose longdouble is float64 (MSVC, Apple silicon) says so
+    assert captured.err == ("" if eps < 1e-18 else FLOAT64_WARNING)
+
+
+def test_gradcheck_warns_when_it_runs_at_float64_precision(capsys, monkeypatch):
+    import ian.gradcheck
+
+    monkeypatch.setattr(ian.gradcheck, "PRECISION", np.float64)
+    assert run([*GRADCHECK_ARGS, "--variant", "lstm_avg"]) == 0  # exit code unchanged
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "precision float64 (float64), eps 2.220e-16"
+    assert captured.err == FLOAT64_WARNING
 
 
 # --- attention-viz ----------------------------------------------------

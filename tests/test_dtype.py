@@ -1,0 +1,137 @@
+"""One precision rule: a model's dtype is its embedding table's, and every
+array a pass allocates or returns follows it.
+
+Each test builds the model from a table of another dtype, np.longdouble
+(gradcheck's) or np.float32, and runs the passes on a batch with a shared
+context, trailing pads on both sides, dropout and L2.
+"""
+
+import numpy as np
+import pytest
+
+import ian.model
+from _per_case import case
+from ian.embeddings import PAD_INDEX, Vocabulary, random_embeddings
+from ian.evaluate import predict_all
+from ian.model import VARIANTS, ModelParams, chunks, forward
+from ian.numerics import Rng
+from ian.training import (
+    GradSet,
+    TrainConfig,
+    _l2_term,
+    cross_entropy,
+    dropout_mask,
+    loss_and_grads,
+    train,
+)
+
+VOCAB = Vocabulary([f"w{i}" for i in range(12)])
+TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
+DTYPES = [np.longdouble, np.float32]
+BATCH = [
+    case([1, 2, 3, 4, 5], [2, 3], (1, 3), 0),
+    case([1, 2, 3, 4, 5], [5], (4, 5), 2),  # the same context, another target
+    case([6, 7, 8, PAD_INDEX], [7, PAD_INDEX], (1, 2), 1),
+    case([9, 10, 11, 3, 4, 6, 2], [11], (2, 3), 0),
+]
+CHUNK_TOKENS = 6  # the batch runs as several chunks
+
+
+def make_model(variant, tie, dtype):
+    rng = Rng(5)
+    table = random_embeddings(rng, VOCAB, 4).astype(dtype)
+    return ModelParams(rng, VOCAB, variant=variant, embed_dim=4, hidden_dim=3,
+                       tie_attention=tie, embeddings=table)
+
+
+def float_arrays(obj, path="trace"):
+    """(path, array) for every floating array inside a nested trace."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from float_arrays(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from float_arrays(value, f"{path}[{k}]")
+
+
+def assert_dtype(pairs, dtype):
+    pairs = list(pairs)
+    assert pairs
+    for path, arr in pairs:
+        assert arr.dtype == dtype, (path, arr.dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_every_model_and_gradient_array_has_the_tables_dtype(variant, tie, dtype):
+    params = make_model(variant, tie, dtype)
+    assert_dtype(params.named_arrays(), dtype)
+    grads = GradSet(params)
+    assert_dtype(grads.named_arrays(), dtype)
+    assert all(not arr.any() for _, arr in grads.named_arrays())
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_traced_and_untraced_passes_keep_the_dtype(variant, tie, dtype):
+    params = make_model(variant, tie, dtype)
+    masks = dropout_mask(Rng(1), (len(BATCH), params.feature_dim()), 0.5, dtype)
+    assert masks.dtype == dtype
+    for keep_trace in (True, False):
+        for pos, ctx_idx, tgt_idx, layout in chunks(BATCH, CHUNK_TOKENS, keep_trace):
+            probs, trace = forward(params, ctx_idx, tgt_idx, keep_trace=keep_trace,
+                                   dropout_mask=masks[pos] if keep_trace else None, **layout)
+            assert probs.dtype == dtype
+            if keep_trace or params.ctx_attn is not None:
+                assert_dtype(float_arrays(trace), dtype)
+            if keep_trace:
+                labels = np.array([BATCH[i].label for i in pos])
+                assert type(cross_entropy(probs, labels)) is np.dtype(dtype).type
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_backward_and_loss_keep_the_dtype(monkeypatch, variant, tie, dtype):
+    params = make_model(variant, tie, dtype)
+    # what the layer backward passes are handed and hand back
+    seen = []
+    real_attention, real_lstm = ian.model.attention_backward, ian.model.lstm_backward
+
+    def attention_backward(*args):
+        d_states, d_query = real_attention(*args)
+        seen.extend([("attention d_states", d_states), ("attention d_query", d_query)])
+        return d_states, d_query
+
+    def lstm_backward(lstm, trace, d_states, grads, d_table):
+        seen.append(("lstm d_states", d_states))
+        real_lstm(lstm, trace, d_states, grads, d_table)
+        seen.append(("lstm dZ", trace["gates"]))
+
+    monkeypatch.setattr(ian.model, "attention_backward", attention_backward)
+    monkeypatch.setattr(ian.model, "lstm_backward", lstm_backward)
+    grads = GradSet(params)
+    masks = dropout_mask(Rng(1), (len(BATCH), params.feature_dim()), 0.5, dtype)
+    loss = loss_and_grads(params, BATCH, l2=0.01, drop_masks=masks, grads=grads,
+                          chunk_tokens=CHUNK_TOKENS)
+    assert_dtype(seen, dtype)
+    assert_dtype(grads.named_arrays(), dtype)
+    assert any(arr.any() for _, arr in grads.named_arrays())
+    assert type(_l2_term(params, BATCH, 0.01, None)) is np.dtype(dtype).type
+    if dtype is np.float32:  # .item() of a float32 sum is a float holding its value
+        assert type(loss) is float and float(np.float32(loss)) == loss
+    else:
+        assert type(loss) is np.longdouble
+
+
+def test_a_float32_model_trains_and_predicts_in_float32():
+    params = make_model("ian", False, np.float32)
+    config = TrainConfig(epochs=2, batch_size=2, dropout=0.5, l2=1e-3, clip_norm=1.0)
+    before = {name: arr.copy() for name, arr in params.named_arrays()}
+    history = train(params, BATCH, config, Rng(2))
+    assert all(np.isfinite(entry["loss"]) for entry in history)
+    assert_dtype(params.named_arrays(), np.float32)
+    assert any(not np.array_equal(arr, before[name]) for name, arr in params.named_arrays())
+    assert predict_all(params, BATCH).shape == (len(BATCH),)
