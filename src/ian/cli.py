@@ -336,9 +336,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from numpy import finfo
-
-    from .gradcheck import PRECISION, check_tiny_model
+    from .gradcheck import STEP, check_tiny_model
 
     if (args.embed_dim is None) != (args.hidden_dim is None):
         raise UsageError("give both --embed-dim and --hidden-dim or neither")
@@ -348,17 +346,13 @@ def cmd_gradcheck(args) -> int:
         raise UsageError("--tie-attention needs a single variant")
     variants = tuple(ROUTES) if args.variant == "all" else (args.variant,)
     dims = ((3, 3), (8, 8)) if args.embed_dim is None else ((args.embed_dim, args.hidden_dim),)
-    info = finfo(PRECISION)
-    print(f"precision {PRECISION.__name__} ({info.dtype}), eps {info.eps:.3e}")
-    if not info.eps < 1e-18:
-        print("warning: longdouble is float64 on this platform; the check runs at "
-              "float64 precision", file=sys.stderr)
+    print(f"complex step h {STEP:.0e} on a complex128 twin of the float64 model")
     ok = True
     for variant, (embed_dim, hidden_dim) in itertools.product(variants, dims):
         began = time.perf_counter()
         found = check_tiny_model(args.seed, embed_dim, hidden_dim, n_ctx=args.ctx_len,
                                  n_tgt=args.tgt_len, variant=variant,
-                                 tie_attention=args.tie_attention, l2=args.l2, eps=args.eps)
+                                 tie_attention=args.tie_attention, l2=args.l2)
         elapsed = time.perf_counter() - began
         head = f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  "
         for group in GROUPS:
@@ -497,7 +491,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("gradcheck",
-                        help="finite-difference check of the backward pass")
+                        help="complex-step check of the backward pass")
     p.add_argument("--embed-dim", type=positive_int, help="default: run both 3 and 8")
     p.add_argument("--hidden-dim", type=positive_int)
     p.add_argument("--seed", type=nonnegative_int, default=27)
@@ -507,9 +501,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="a trainable variant, or all of them")
     p.add_argument("--tie-attention", action="store_true")
     p.add_argument("--l2", type=nonnegative_float, default=0.01,
-                   help="penalty used during the check; keeps every weight "
-                        "gradient well above finite-difference noise")
-    p.add_argument("--eps", type=positive_float, default=1e-5)
+                   help="penalty used during the check, so its gradient is "
+                        "checked too")
     p.add_argument("--tolerance", type=positive_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -1,9 +1,10 @@
-"""Finite-difference verification of the hand-derived backward pass.
+"""Complex-step verification of the hand-derived backward pass.
 
-Compares every analytic parameter gradient of training.loss_and_grads,
-the one batch-loss function, with central differences of the same function
-run without a GradSet (forward only), grouped by component, and reports the
-worst relative error per group with the coordinate where it occurs.
+Compares every analytic parameter gradient of training.loss_and_grads, the
+one batch-loss function, on the float64 model with the derivative
+Im f(x + ih) / h of the same function run forward only on a complex128 twin,
+grouped by component, and reports the worst relative error per group with
+the coordinate where it occurs.
 """
 
 from __future__ import annotations
@@ -11,30 +12,28 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Instance
-from .embeddings import PAD_INDEX, Vocabulary, random_embeddings
+from .embeddings import PAD_INDEX, Vocabulary
 from .model import LABELS, ModelParams
 from .numerics import Rng
 from .training import GradSet, loss_and_grads
 
-# the checked model's dtype: at float64, finite-difference noise swamps tiny biases
-PRECISION = np.longdouble
+# h: nothing is subtracted, so any h from 1e-20 to 1e-100 gives the same derivatives
+STEP = 1e-30
 
 
 def group_of(name: str) -> str:
     return "classifier" if name in ("W_l", "b_l") else name.split(".", 1)[0]
 
 
-def numeric_gradient(objective, arr: np.ndarray, eps: float) -> np.ndarray:
-    """Central differences of a scalar objective() w.r.t. arr, in place."""
-    grad = np.zeros_like(arr)
+def numeric_gradient(objective, arr: np.ndarray) -> np.ndarray:
+    """Complex-step derivative of an analytic objective() w.r.t. the complex
+    array arr, one objective() per coordinate, perturbed in place."""
+    grad = np.zeros(arr.shape)
     for idx in np.ndindex(arr.shape):
         old = arr[idx]
-        arr[idx] = old + eps
-        hi = objective()
-        arr[idx] = old - eps
-        lo = objective()
+        arr[idx] = old + STEP * 1j
+        grad[idx] = objective().imag / STEP
         arr[idx] = old
-        grad[idx] = (hi - lo) / (2.0 * eps)
     return grad
 
 
@@ -43,28 +42,33 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_tokens: int):
-    """Analytic vs numeric gradients of the batch loss over cases, per group.
+def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
+    """Analytic vs complex-step gradients of the batch loss over cases, per group.
 
     Returns {group: (max rel err, parameter name, index, analytic,
-    numeric)}, the last four naming the worst coordinate; the error is that
-    of its two values, rounded to float64. chunk_tokens is passed to
-    loss_and_grads, so a small budget checks the loss summed over chunks.
+    numeric)}, the last four naming the worst coordinate. chunk_tokens is
+    passed to loss_and_grads, so a small budget checks the loss summed over
+    chunks.
     """
     grads = GradSet(params)
     loss_and_grads(params, cases, l2=l2, grads=grads, chunk_tokens=chunk_tokens)
+    # the model's arrays, values and tie in complex128
+    twin = ModelParams(None, params.vocab, **params.layout(),
+                       embeddings=params.embeddings.astype(np.complex128))
+    for (_, dst), (_, src) in zip(twin.named_arrays(), params.named_arrays()):
+        dst[...] = src
 
     def objective():
-        return loss_and_grads(params, cases, l2=l2, chunk_tokens=chunk_tokens)
+        return loss_and_grads(twin, cases, l2=l2, chunk_tokens=chunk_tokens)
 
     found: dict[str, tuple] = {}
-    for name, arr in params.named_arrays():
-        numeric = numeric_gradient(objective, arr, eps).astype(np.float64)
+    for name, arr in twin.named_arrays():
+        numeric = numeric_gradient(objective, arr)
         if name == "embeddings":
             # the pad row is fixed at zero and never trained, though
             # td_lstm reads a case's trailing pads and so moves with it
             numeric[PAD_INDEX] = 0.0
-        analytic = grads[name].astype(np.float64)
+        analytic = grads[name]
         rel = relative_error(analytic, numeric)
         # argmax takes the first NaN, so a NaN error is the array's worst
         idx = np.unravel_index(np.argmax(rel), rel.shape)
@@ -78,7 +82,7 @@ def gradient_check(params: ModelParams, cases, l2: float, eps: float, chunk_toke
 
 
 def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, n_tgt: int,
-                     variant: str, tie_attention: bool, l2: float, eps: float):
+                     variant: str, tie_attention: bool, l2: float):
     """Build a small random model and a batch, then run gradient_check.
 
     The batch holds three cases of n_ctx, n_ctx + 1 and n_ctx + 2 context
@@ -86,14 +90,12 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, 
     the target. It runs as two chunks, so the check covers padding masks,
     the loss summed over chunks and the once-per-batch L2 term. Each
     case's target words are a slice of its context, so every variant,
-    span included, is exercised. Returns gradient_check's mapping. The table
-    is drawn first, as ModelParams draws it, then widened to PRECISION.
+    span included, is exercised. Returns gradient_check's mapping.
     """
     rng = Rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
-    table = random_embeddings(rng, vocab, embed_dim).astype(PRECISION)
     params = ModelParams(rng, vocab, variant=variant, embed_dim=embed_dim,
-                         hidden_dim=hidden_dim, tie_attention=tie_attention, embeddings=table)
+                         hidden_dim=hidden_dim, tie_attention=tie_attention)
     cases = []
     for extra in range(3):
         # the middle case is n_ctx tokens plus a trailing pad
@@ -108,4 +110,4 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, 
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + n_tgt), label=label, target_text=""))
     # the two shorter cases fill one chunk; the longest needs a second
-    return gradient_check(params, cases, l2, eps, chunk_tokens=2 * (n_ctx + 1))
+    return gradient_check(params, cases, l2, chunk_tokens=2 * (n_ctx + 1))

@@ -481,8 +481,9 @@ def load_checkpoint(path: str):
     """Rebuild (params, meta) from a checkpoint written by save_checkpoint.
 
     Each array is read in place into a shell built from a zero init source
-    (loading draws no random numbers), after its .npy header is checked
-    against the shell's array; zipfile checks each member's CRC. A file
+    (loading draws no random numbers) in the stored embedding table's
+    dtype, float32 or float64, after its .npy header is checked against
+    the shell's array; zipfile checks each member's CRC. A file
     that cannot be read as one (not a zip archive, truncated, no or bad
     metadata, missing arrays or arrays of another shape, dtype or order,
     a zip entry flagged as encrypted or stored by an unsupported method
@@ -522,7 +523,16 @@ def _params_from_npz(archive: zipfile.ZipFile):
     tokens = meta["vocab"]  # empty for the majority baseline
     if tokens and tokens[0] != PAD_TOKEN:
         raise ValueError("checkpoint vocabulary does not start with the pad token")
-    params = ModelParams(None, Vocabulary(tokens[1:]), **{key: meta[key] for key in LAYOUT})
+    vocab, table = Vocabulary(tokens[1:]), None
+    if "embeddings.npy" in members:
+        # the shell takes the stored table's dtype, as a model takes its table's
+        with archive.open("embeddings.npy") as member:
+            dtype = _npy_header(member, "embeddings")[2]
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"checkpoint array 'embeddings' has dtype {dtype}; "
+                             "expected float32 or float64")
+        table = np.zeros((len(vocab), meta["embed_dim"]), dtype)
+    params = ModelParams(None, vocab, **{key: meta[key] for key in LAYOUT}, embeddings=table)
     for name, arr in _checkpoint_members(params):
         if f"{name}.npy" not in members:
             raise ValueError(f"checkpoint is missing array {name!r}")
@@ -531,14 +541,19 @@ def _params_from_npz(archive: zipfile.ZipFile):
     return params, meta
 
 
-def _read_npy_into(member, name: str, arr: np.ndarray):
-    """Fill arr from one .npy member whose header must describe arr's own
-    shape and dtype, C-ordered, in pieces of at most READ_PIECE bytes."""
+def _npy_header(member, name: str):
+    """(shape, Fortran order, dtype) from the header of one .npy member."""
     # np.savez writes version 1.0 records for every array a model has
     version = npy_format.read_magic(member)
     if version != (1, 0):
         raise ValueError(f"checkpoint array {name!r} has .npy version {version}")
-    shape, fortran, dtype = npy_format.read_array_header_1_0(member)
+    return npy_format.read_array_header_1_0(member)
+
+
+def _read_npy_into(member, name: str, arr: np.ndarray):
+    """Fill arr from one .npy member whose header must describe arr's own
+    shape and dtype, C-ordered, in pieces of at most READ_PIECE bytes."""
+    shape, fortran, dtype = _npy_header(member, name)
     if (shape, fortran, dtype) != (arr.shape, False, arr.dtype):
         raise ValueError(
             f"checkpoint array {name!r} has shape {shape}, dtype {dtype}"

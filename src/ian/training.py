@@ -116,7 +116,8 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
     drop_masks, when given, holds one dropout mask row per case. The loss
     is the sum of the per-case losses, cross-entropy plus the L2 penalty;
     the L2 term is applied once for the whole batch. Returns the sum's .item()
-    in the model's dtype: a float (0.0 for no case), or an np.longdouble.
+    in the model's dtype: a float (0.0 for no case), a complex for a
+    complex128 model (gradcheck's twin), or an np.longdouble.
     """
     labels = np.array([case.label for case in cases])
     loss = 0.0

@@ -828,15 +828,6 @@ def test_gradcheck_cli_detects_corruption(capsys, monkeypatch):
     assert "FAIL" in out and "worst ctx_lstm" in out
 
 
-@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "-1E-5"])
-def test_gradcheck_eps_takes_positive_numbers_only(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        run(["gradcheck", "--eps", value])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --eps: expects a positive finite number, got {value}" in err, err
-
-
 @pytest.mark.parametrize("flag,value,expects", [
     *[("--tolerance", v, "a positive finite number")
       for v in ("nan", "inf", "-0.5", "0", "-1e-4")],
@@ -851,8 +842,7 @@ def test_gradcheck_tolerance_and_l2_take_finite_numbers_only(capsys, flag, value
 
 
 @pytest.mark.parametrize("flag,value,parsed", [
-    ("--eps", "2e-5", 2e-5), ("--eps", "1E-4", 1e-4), ("--tolerance", "0.001", 1e-3),
-    ("--l2", "0", 0.0), ("--l2", "1e-3", 1e-3),
+    ("--tolerance", "0.001", 1e-3), ("--l2", "0", 0.0), ("--l2", "1e-3", 1e-3),
 ])
 def test_gradcheck_number_flags_take_valid_values(flag, value, parsed):
     parser, _ = build_parser()
@@ -928,28 +918,20 @@ def test_gradcheck_all_variants_refuses_tied_attention(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-FLOAT64_WARNING = ("warning: longdouble is float64 on this platform; the check runs at "
-                   "float64 precision\n")
+def test_gradcheck_has_no_eps_flag(capsys):
+    # the complex step h is fixed: any tiny h gives the same derivatives
+    with pytest.raises(SystemExit) as exc:
+        run([*GRADCHECK_ARGS, "--eps", "1e-5"])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
 
 
 def test_gradcheck_states_its_precision_first(capsys):
     assert run([*GRADCHECK_ARGS, "--variant", "lstm_avg"]) == 0
     captured = capsys.readouterr()
-    eps = np.finfo(np.longdouble).eps
     assert captured.out.splitlines()[0] == (
-        f"precision longdouble ({np.dtype(np.longdouble)}), eps {eps:.3e}")
-    # a platform whose longdouble is float64 (MSVC, Apple silicon) says so
-    assert captured.err == ("" if eps < 1e-18 else FLOAT64_WARNING)
-
-
-def test_gradcheck_warns_when_it_runs_at_float64_precision(capsys, monkeypatch):
-    import ian.gradcheck
-
-    monkeypatch.setattr(ian.gradcheck, "PRECISION", np.float64)
-    assert run([*GRADCHECK_ARGS, "--variant", "lstm_avg"]) == 0  # exit code unchanged
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[0] == "precision float64 (float64), eps 2.220e-16"
-    assert captured.err == FLOAT64_WARNING
+        "complex step h 1e-30 on a complex128 twin of the float64 model")
+    assert captured.err == ""
 
 
 # --- attention-viz ----------------------------------------------------

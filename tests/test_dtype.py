@@ -1,9 +1,10 @@
 """One precision rule: a model's dtype is its embedding table's, and every
 array a pass allocates or returns follows it.
 
-Each test builds the model from a table of another dtype, np.longdouble
-(gradcheck's) or np.float32, and runs the passes on a batch with a shared
-context, trailing pads on both sides, dropout and L2.
+Each test builds the model from a table of another dtype, np.longdouble,
+np.float32 or np.complex128 (gradcheck's complex-step twin), and runs the
+passes on a batch with a shared context, trailing pads on both sides,
+dropout and L2.
 """
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 import ian.model
 from _per_case import case
+from ian.cli import main
+from ian.data import build_instances, build_vocab, load_reviews
 from ian.embeddings import PAD_INDEX, Vocabulary, random_embeddings
-from ian.evaluate import predict_all
-from ian.model import VARIANTS, ModelParams, chunks, forward
+from ian.evaluate import evaluate_model, predict_all
+from ian.model import VARIANTS, ModelParams, chunks, forward, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import (
     GradSet,
@@ -27,7 +30,7 @@ from ian.training import (
 
 VOCAB = Vocabulary([f"w{i}" for i in range(12)])
 TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
-DTYPES = [np.longdouble, np.float32]
+DTYPES = [np.longdouble, np.float32, np.complex128]
 BATCH = [
     case([1, 2, 3, 4, 5], [2, 3], (1, 3), 0),
     case([1, 2, 3, 4, 5], [5], (4, 5), 2),  # the same context, another target
@@ -45,9 +48,9 @@ def make_model(variant, tie, dtype):
 
 
 def float_arrays(obj, path="trace"):
-    """(path, array) for every floating array inside a nested trace."""
+    """(path, array) for every floating or complex array inside a nested trace."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
+        if obj.dtype.kind in "fc":
             yield path, obj
     elif isinstance(obj, dict):
         for key, value in obj.items():
@@ -122,6 +125,8 @@ def test_backward_and_loss_keep_the_dtype(monkeypatch, variant, tie, dtype):
     assert type(_l2_term(params, BATCH, 0.01, None)) is np.dtype(dtype).type
     if dtype is np.float32:  # .item() of a float32 sum is a float holding its value
         assert type(loss) is float and float(np.float32(loss)) == loss
+    elif dtype is np.complex128:
+        assert type(loss) is complex
     else:
         assert type(loss) is np.longdouble
 
@@ -135,3 +140,49 @@ def test_a_float32_model_trains_and_predicts_in_float32():
     assert_dtype(params.named_arrays(), np.float32)
     assert any(not np.array_equal(arr, before[name]) for name, arr in params.named_arrays())
     assert predict_all(params, BATCH).shape == (len(BATCH),)
+
+
+def test_a_float32_checkpoint_loads_bit_for_bit_and_ian_eval_scores_it(tmp_path, capsys):
+    reviews, _ = load_reviews("laptop", "test")
+    vocab = build_vocab([reviews])
+    rng = Rng(6)
+    table = random_embeddings(rng, vocab, 4).astype(np.float32)
+    params = ModelParams(rng, vocab, variant="ian", embed_dim=4, hidden_dim=3,
+                         embeddings=table)
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, params, config={"category": "laptop"})
+    loaded, _ = load_checkpoint(path)
+    assert [name for name, _ in loaded.named_arrays()] == [
+        name for name, _ in params.named_arrays()]
+    for (name, arr), (_, back) in zip(params.named_arrays(), loaded.named_arrays()):
+        assert back.dtype == np.float32 and np.array_equal(arr, back), name
+    instances, _ = build_instances(reviews, vocab, drop_unknown=True)
+    report = evaluate_model(params, instances)
+    assert main(["eval", "--checkpoint", path]) == 0
+    assert (f"ian on laptop test: accuracy {report.correct}/{report.total} = "
+            f"{report.accuracy:.4f}") in capsys.readouterr().out
+
+
+def _float32_checkpoint(tmp_path, **members):
+    """A float32 ian checkpoint with the given members swapped in."""
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, make_model("ian", False, np.float32))
+    data = dict(np.load(path, allow_pickle=False))
+    np.savez(path, **{**data, **{name: edit(data[name]) for name, edit in members.items()}})
+    return path
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.complex128, ">f4", np.int32])
+def test_a_table_of_another_dtype_is_one_load_error(tmp_path, dtype):
+    path = _float32_checkpoint(tmp_path, embeddings=lambda arr: arr.astype(dtype))
+    with pytest.raises(ValueError, match="checkpoint array 'embeddings' has dtype .*; "
+                                         "expected float32 or float64$") as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")
+
+
+def test_a_member_unlike_a_float32_table_is_refused_by_name(tmp_path):
+    path = _float32_checkpoint(tmp_path, **{"ctx_attn.W_a": lambda arr: arr.astype(np.float64)})
+    with pytest.raises(ValueError, match="checkpoint array 'ctx_attn.W_a' has shape .*, "
+                                         "dtype float64; expected .*, dtype float32"):
+        load_checkpoint(path)

@@ -3,6 +3,7 @@ import pytest
 
 import ian.gradcheck
 from _corrupt import double_group
+from fdcheck import fd_grad, max_rel_err
 from ian.embeddings import Vocabulary
 from ian.gradcheck import (
     check_tiny_model,
@@ -12,13 +13,14 @@ from ian.gradcheck import (
 )
 from ian.model import GROUPS, ROUTES, ModelParams
 from ian.numerics import Rng
+from ian.training import loss_and_grads
 
-DEFAULT_SEED = 27  # the cli default; wide noise margin at both dims
+DEFAULT_SEED = 27  # the cli default
 
-# (variant, seed, dims) checks the float64 model failed at the default flags
-# (relative errors 1.0e-4 to 3.7e-3, all on a bias but one W_x entry): every
-# one over the six variants x seeds 0-29 at dims 3, and three of the 16 at
-# dims 8, among them the worst and one on an attention bias
+# (variant, seed, dims) checks that float64 central differences failed at
+# the default flags (relative errors 1.0e-4 to 3.7e-3, all on a bias but one
+# W_x entry): every one over the six variants x seeds 0-29 at dims 3, and
+# three of the 16 at dims 8, among them the worst and one on an attention bias
 FAILED_AT_FLOAT64 = [
     ("ian", 2, 3), ("ian", 8, 3), ("no_target", 19, 3), ("no_interaction", 2, 3),
     ("no_interaction", 8, 3), ("target2content", 3, 3), ("target2content", 10, 3),
@@ -37,8 +39,8 @@ def test_group_mapping():
 
 
 def test_numeric_gradient_on_a_quadratic():
-    arr = np.array([1.0, -2.0, 3.0])
-    got = numeric_gradient(lambda: float(np.sum(arr**2)), arr, 1e-5)
+    arr = np.array([1.0, -2.0, 3.0], dtype=np.complex128)
+    got = numeric_gradient(lambda: np.sum(arr**2).item(), arr)
     assert np.allclose(got, 2 * arr, atol=1e-8)
 
 
@@ -53,25 +55,25 @@ def test_relative_error_formula():
 def test_all_groups_pass_at_both_dims(dim):
     found = check_tiny_model(
         seed=DEFAULT_SEED, embed_dim=dim, hidden_dim=dim, n_ctx=4, n_tgt=2, variant="ian",
-        tie_attention=False, l2=0.01, eps=1e-5
+        tie_attention=False, l2=0.01
     )
     assert set(found) == set(GROUPS)
     for group, (err, name, idx, analytic, numeric) in found.items():
         assert err <= 1e-4, f"{group}: {err}"
         assert group_of(name) == group
-        assert abs(analytic - numeric) <= err * max(1e-8, abs(analytic) + abs(numeric))
+        assert err == abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
 
 
 def test_ten_random_instances_pass():
     for seed in range(10):
         found = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                                 variant="ian", tie_attention=False, l2=0.01, eps=1e-5)
+                                 variant="ian", tie_attention=False, l2=0.01)
         assert max(err for err, *_ in found.values()) <= 1e-4, (seed, found)
 
 
 def test_tied_attention_variant_checks_out():
     found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                             variant="ian", tie_attention=True, l2=0.01, eps=1e-5)
+                             variant="ian", tie_attention=True, l2=0.01)
     assert "tgt_attn" not in found
     assert max(err for err, *_ in found.values()) <= 1e-4
 
@@ -80,7 +82,7 @@ def test_tied_attention_variant_checks_out():
 def test_corrupting_a_group_is_detected(monkeypatch, group):
     double_group(monkeypatch, group)
     found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                             variant="ian", tie_attention=False, l2=0.01, eps=1e-5)
+                             variant="ian", tie_attention=False, l2=0.01)
     err, name, idx, analytic, numeric = found[group]
     assert err > 1e-4, found
     assert group_of(name) == group
@@ -94,7 +96,7 @@ def test_corrupting_a_group_is_detected(monkeypatch, group):
 @pytest.mark.parametrize("variant,seed,dim", FAILED_AT_FLOAT64)
 def test_checks_that_failed_in_float64_pass(variant, seed, dim):
     found = check_tiny_model(seed=seed, embed_dim=dim, hidden_dim=dim, n_ctx=4, n_tgt=2,
-                             variant=variant, tie_attention=False, l2=0.01, eps=1e-5)
+                             variant=variant, tie_attention=False, l2=0.01)
     assert max(err for err, *_ in found.values()) <= 1e-4, found
 
 
@@ -112,14 +114,49 @@ def test_checked_model_is_the_float64_model_in_precision(monkeypatch, variant, t
     monkeypatch.setattr(ian.gradcheck, "ModelParams", recording)
     monkeypatch.setattr(ian.gradcheck, "gradient_check", lambda *args, **kwargs: {})
     check_tiny_model(seed=11, embed_dim=embed_dim, hidden_dim=hidden_dim, n_ctx=4, n_tgt=2,
-                     variant=variant, tie_attention=tie, l2=0.01, eps=1e-5)
+                     variant=variant, tie_attention=tie, l2=0.01)
     rng = Rng(11)
     reference = ModelParams(rng, Vocabulary([f"w{i}" for i in range(8)]), variant=variant,
                             embed_dim=embed_dim, hidden_dim=hidden_dim, tie_attention=tie)
     checked = dict(built["params"].named_arrays())
     assert list(checked) == [name for name, _ in reference.named_arrays()]
     for name, arr in reference.named_arrays():
-        assert checked[name].dtype == np.dtype(ian.gradcheck.PRECISION), name
+        assert checked[name].dtype == np.float64, name
         assert np.array_equal(checked[name], arr), name
     # the generator stands where the float64 model leaves it
     assert built["state"] == rng.bit_generator.state
+
+
+def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
+    # the complex step on ian's twin against tests/fdcheck.py's central
+    # differences on the float64 model and batch check_tiny_model builds
+    seen = {"steps": []}
+    real_check, real_numeric = ian.gradcheck.gradient_check, ian.gradcheck.numeric_gradient
+
+    def recording_check(params, cases, l2, chunk_tokens):
+        seen.update(params=params, cases=cases, chunk_tokens=chunk_tokens)
+        return real_check(params, cases, l2, chunk_tokens)
+
+    def recording_numeric(objective, arr):
+        grad = real_numeric(objective, arr)
+        seen["steps"].append(grad.copy())  # before the check zeroes the pad row
+        return grad
+
+    monkeypatch.setattr(ian.gradcheck, "gradient_check", recording_check)
+    monkeypatch.setattr(ian.gradcheck, "numeric_gradient", recording_numeric)
+    check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
+                     variant="ian", tie_attention=False, l2=0.01)
+    params = seen["params"]
+
+    def loss():
+        return loss_and_grads(params, seen["cases"], l2=0.01, chunk_tokens=seen["chunk_tokens"])
+
+    arrays = list(params.named_arrays())
+    assert len(seen["steps"]) == len(arrays)
+    for (name, arr), step in zip(arrays, seen["steps"]):
+        central = fd_grad(loss, arr)
+        # central differences at eps 1e-5 carry about 5e-11 of noise here
+        assert np.max(np.abs(step - central)) <= 1e-9, name
+        large = np.abs(step) > 1e-6
+        if large.any():  # the attention biases' gradients are about 1e-17
+            assert max_rel_err(step[large], central[large]) <= 1e-4, name

@@ -224,6 +224,43 @@ def test_uniform_init_is_the_only_uniform_draw_in_src():
     assert calls == [("numerics", "uniform_init")]
 
 
+# the code a loss and its gradient run through: whole modules, or the
+# functions named
+LOSS_PATH = {
+    "attention": None, "lstm": None, "numerics": None,
+    "model": ("forward", "_features", "_classify", "backward"),
+    "training": ("loss_and_grads", "_l2_term", "cross_entropy"),
+}
+
+
+def _non_analytic(node):
+    """The non-analytic operation node is, or None."""
+    if isinstance(node, ast.Attribute) and node.attr == "real":
+        return ".real"
+    if (isinstance(node, ast.Attribute) and node.attr in ("abs", "absolute")
+            and isinstance(node.value, ast.Name) and node.value.id == "np"):
+        return f"np.{node.attr}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in ("abs", "float"):
+        return f"{node.func.id}("
+    return None
+
+
+def test_the_loss_path_stays_analytic():
+    # gradcheck's complex step Im f(x + ih) / h is exact only while every
+    # operation on the loss path is analytic; an abs, a .real or a float()
+    # drops or bends the imaginary part that carries the derivative
+    found = []
+    for module, names in LOSS_PATH.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        roots = [tree] if names is None else [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert len(roots) == (1 if names is None else len(names)), module
+        found += [f"{module}:{node.lineno} {what}" for root in roots
+                  for node in ast.walk(root) if (what := _non_analytic(node))]
+    assert found == []
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # eval and predict draw no random number, so they should not pay for
     # importing numpy.random; Rng reaches it on its first call
