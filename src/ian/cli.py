@@ -20,6 +20,8 @@ import warnings
 from dataclasses import asdict, fields, replace
 
 from .data import (
+    CATEGORIES,
+    SPLITS,
     AspectTerm,
     RawReview,
     build_instances,
@@ -35,8 +37,7 @@ from .data import (
 )
 from .embeddings import load_pretrained, text_lines
 from .evaluate import accuracy, evaluate_model, predict_all, render_report, report_tsv
-from .model import (GROUPS, LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint,
-                    save_checkpoint)
+from .model import LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .training import TrainConfig, train
 
@@ -129,7 +130,9 @@ def config_defaults(path: str, configurable: dict, command: str) -> dict:
 
 
 def cmd_stats(args) -> int:
-    categories = ("restaurant", "laptop") if args.category == "both" else (args.category,)
+    if args.dump_dir:
+        os.makedirs(args.dump_dir, exist_ok=True)
+    categories = CATEGORIES if args.category == "both" else (args.category,)
     for category in categories:
         train_ds, test_ds, reports = load_category(category, args.data_dir)
         for ds in (train_ds, test_ds):
@@ -146,7 +149,6 @@ def cmd_stats(args) -> int:
             if notes:
                 print("  note  " + ", ".join(notes))
             if args.dump_dir:
-                os.makedirs(args.dump_dir, exist_ok=True)
                 path = os.path.join(args.dump_dir, f"{category}_{ds.split}.txt")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(dump_instances(ds.instances))
@@ -355,10 +357,7 @@ def cmd_gradcheck(args) -> int:
                                  tie_attention=args.tie_attention, l2=args.l2)
         elapsed = time.perf_counter() - began
         head = f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  "
-        for group in GROUPS:
-            if group not in found:
-                continue  # variant without this component
-            err, name, idx, analytic, numeric = found[group]
+        for group, (err, name, idx, analytic, numeric) in found.items():
             passed = err <= args.tolerance
             line = f"{head}{group:<11} max rel err {err:.3e}  {'ok' if passed else 'FAIL'}"
             if not passed:
@@ -398,6 +397,8 @@ def cmd_attention_viz(args) -> int:
                          "pass --span START:END (token positions)")
     if inst is None:
         raise ValueError(f"no token of {what} is in the checkpoint vocabulary")
+    # after the input checks (a refused call makes no directory), before the forward pass
+    os.makedirs(args.out_dir, exist_ok=True)
     n_dropped = len(tokenize(args.sentence)) - len(inst.context_tokens)
     if n_dropped:
         print(
@@ -444,14 +445,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = configurable["stats"] = subs.add_parser(
         "stats", help="dataset polarity and target-length tables")
     _add_config_flags(p)
-    p.add_argument("--category", choices=("restaurant", "laptop", "both"), default="both")
+    p.add_argument("--category", choices=(*CATEGORIES, "both"), default="both")
     p.add_argument("--dump-dir", help="also write canonical instance dumps here")
     p.set_defaults(func=cmd_stats)
 
     p = configurable["train"] = subs.add_parser(
         "train", help="train a variant and write checkpoint + history")
     _add_config_flags(p)
-    p.add_argument("--category", choices=("restaurant", "laptop"), default="restaurant")
+    p.add_argument("--category", choices=CATEGORIES, default="restaurant")
     p.add_argument("--variant", choices=VARIANTS, default="ian")
     p.add_argument("--tie-attention", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--embed-dim", type=positive_int, default=300)
@@ -477,9 +478,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "eval", help="score a checkpoint on a data split")
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--category", choices=("restaurant", "laptop"),
+    p.add_argument("--category", choices=CATEGORIES,
                    help="default: the checkpoint's training category")
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", help="also write a machine-readable TSV report here")
     p.set_defaults(func=cmd_eval)
 

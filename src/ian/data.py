@@ -378,7 +378,7 @@ class DatasetStats:
     split: str
     total: int
     polarity_counts: dict = field(default_factory=dict)
-    length_hist: tuple = (0, 0, 0, 0, 0, 0)
+    length_hist: tuple = (0,) * len(HIST_BINS)
 
 
 def target_word_count(target_text: str) -> int:
@@ -389,11 +389,11 @@ def target_word_count(target_text: str) -> int:
 
 def dataset_stats(dataset: Dataset) -> DatasetStats:
     counts = {name: 0 for name in LABELS}
-    hist = [0] * 6
+    hist = [0] * len(HIST_BINS)
     for inst in dataset.instances:
         counts[LABELS[inst.label]] += 1
         words = target_word_count(inst.target_text)
-        hist[min(words, 6) - 1] += 1
+        hist[min(words, len(HIST_BINS)) - 1] += 1
     return DatasetStats(
         category=dataset.category,
         split=dataset.split,

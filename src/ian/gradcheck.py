@@ -46,9 +46,9 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
     """Analytic vs complex-step gradients of the batch loss over cases, per group.
 
     Returns {group: (max rel err, parameter name, index, analytic,
-    numeric)}, the last four naming the worst coordinate. chunk_tokens is
-    passed to loss_and_grads, so a small budget checks the loss summed over
-    chunks.
+    numeric)} in named_arrays() order, the last four naming the worst
+    coordinate. chunk_tokens is passed to loss_and_grads, so a small
+    budget checks the loss summed over chunks.
     """
     grads = GradSet(params)
     loss_and_grads(params, cases, l2=l2, grads=grads, chunk_tokens=chunk_tokens)

@@ -91,9 +91,6 @@ NO_TRACE_TOKENS = 512
 # has, their shapes and which are tied; a checkpoint's meta records them
 LAYOUT = ("variant", "tie_attention", "embed_dim", "hidden_dim")
 
-# the components a model's parameter arrays belong to, in construction order
-GROUPS = ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn", "classifier")
-
 
 def feature_sides(route: Route):
     """(side, pool) per pooled vector of the classifier input, in

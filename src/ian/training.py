@@ -12,6 +12,7 @@ batch size 1 reproduces plain per-case updates.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -31,27 +32,26 @@ class GradSet(ModelParams):
     and no rng, so every array is zero, in the model's dtype, and it has its
     component attributes (for the layer backward functions), arrays and
     attention tie: both backward calls of a tied model add into one array.
-    Flat named iteration serves the optimizer and the checks.
+    grads[name] reads an array by its attribute path ("ctx_lstm.W_x").
     """
 
     def __init__(self, params: ModelParams):
         table = None if params.embeddings is None else np.zeros_like(params.embeddings)
         super().__init__(None, params.vocab, **params.layout(), embeddings=table)
-        self._by_name = dict(self.named_arrays())
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._by_name[name]
+        return operator.attrgetter(name)(self)
 
     def zero(self):
-        for arr in self._by_name.values():
+        for _, arr in self.named_arrays():
             arr[...] = 0.0
 
     def scale(self, factor: float):
-        for arr in self._by_name.values():
+        for _, arr in self.named_arrays():
             arr *= factor
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._by_name.values())))
+        return float(np.sqrt(sum(float(np.sum(a * a)) for _, a in self.named_arrays())))
 
 
 def dropout_mask(rng: Rng, shape, rate: float, dtype=np.float64):

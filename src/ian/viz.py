@@ -93,7 +93,7 @@ def render_html(svg: str, dump: str) -> str:
 
 
 def write_attention_files(out_dir, params, instance, basename="attention"):
-    """Render one instance's attention and write svg/html/txt files.
+    """Render one instance's attention and write svg/html/txt files in out_dir.
 
     Returns (paths dict, predicted label name). The weights come from the
     pass predict_all runs, which keeps no trace, on a chunk of one.
@@ -107,7 +107,6 @@ def write_attention_files(out_dir, params, instance, basename="attention"):
     svg = render_svg(instance.context_tokens, ctx_w,
                      instance.target_tokens, tgt_w, predicted)
     page = render_html(svg, dump)
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for ext, content in (("svg", svg), ("html", page), ("txt", dump)):
         path = os.path.join(out_dir, f"{basename}.{ext}")

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -42,6 +43,28 @@ def test_help_exits_zero_for_every_subcommand(capsys):
             run([sub, "--help"])
         assert exc.value.code == 0
         assert "--help" in capsys.readouterr().out
+
+
+def readme_usage_flags():
+    """{subcommand: its long flags} from the usage block under README's CLI heading."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    flags = {}
+    for line in block.splitlines():
+        if line.startswith("ian "):
+            command = line.split()[1]
+            flags[command] = set()
+        flags[command].update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return flags
+
+
+def test_readme_usage_block_names_every_flag_and_no_other():
+    parser, _ = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {command: {flag for action in sub._actions for flag in action.option_strings
+                       if flag.startswith("--") and flag != "--help"}
+             for command, sub in subs.choices.items()}
+    assert readme_usage_flags() == flags
 
 
 def test_unknown_flag_fails_fast(capsys):
@@ -363,6 +386,16 @@ def test_stats_writes_instance_dumps(tmp_path, capsys):
     lines = (dump_dir / "restaurant_train.txt").read_text().strip().splitlines()
     assert len(lines) == 20
     assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+def test_stats_refuses_a_dump_dir_that_is_a_file_before_any_table(tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    assert run(["stats", "--category", "restaurant", "--dump-dir", str(a_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(a_file) in lines[0], lines
 
 
 # --- train ----------------------------------------------------------------
@@ -1027,6 +1060,21 @@ def test_attention_viz_names_a_found_target_outside_the_vocabulary(tmp_path, cap
     assert capsys.readouterr().err == (
         "error: no token of span 1:2 is in the checkpoint vocabulary\n")
     assert not (tmp_path / "viz").exists()
+
+
+def test_attention_viz_refuses_an_out_dir_that_is_a_file_before_the_forward_pass(
+        tmp_path, capsys, monkeypatch):
+    ckpt = tiny_checkpoint(tmp_path)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    forwards = []
+    monkeypatch.setattr(ian.model, "lstm_forward", lambda *args: forwards.append(args))
+    assert run(["attention-viz", "--checkpoint", ckpt, "--sentence", "the food",
+                "--target", "food", "--out-dir", str(a_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and forwards == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(a_file) in lines[0], lines
 
 
 def test_attention_viz_rejects_variant_without_attention(tmp_path, capsys):

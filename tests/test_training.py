@@ -259,6 +259,15 @@ def test_gradset_zero():
     assert all(np.all(arr == 0.0) for _, arr in grads.named_arrays())
 
 
+@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+def test_gradset_reads_each_named_array_by_its_name(variant, tie):
+    grads = GradSet(tiny_model(variant, tie=tie))
+    named = list(grads.named_arrays())
+    assert named and all(grads[name] is arr for name, arr in named)
+    if tie:  # the tied name reads the one shared array
+        assert grads["tgt_attn.W_a"] is grads["ctx_attn.W_a"]
+
+
 def test_momentum_hand_case():
     params = tiny_model("lstm_avg", seed=25, de=2, dh=2)
     grads = GradSet(params)
