@@ -50,9 +50,10 @@ class Vocabulary:
 
 
 def text_lines(path: str):
-    """Yield a UTF-8 text file's lines one at a time; a byte sequence that
-    is not UTF-8 raises ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield a UTF-8 text file's lines one at a time, without a leading
+    byte-order mark; a byte sequence that is not UTF-8 raises ValueError
+    naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:

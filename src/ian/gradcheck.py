@@ -19,6 +19,10 @@ from .training import GradSet, loss_and_grads
 
 # h: nothing is subtracted, so any h from 1e-20 to 1e-100 gives the same derivatives
 STEP = 1e-30
+# the one probe check_tiny_model runs: context and target tokens of its shortest
+# case, an L2 penalty so that its gradient is checked too, and the largest
+# relative error a group passes with
+CTX_LEN, TGT_LEN, L2, TOLERANCE = 4, 2, 0.01, 1e-4
 
 
 def group_of(name: str) -> str:
@@ -81,16 +85,17 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
     return found
 
 
-def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, n_tgt: int,
-                     variant: str, tie_attention: bool, l2: float):
+def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str,
+                     tie_attention: bool):
     """Build a small random model and a batch, then run gradient_check.
 
-    The batch holds three cases of n_ctx, n_ctx + 1 and n_ctx + 2 context
-    tokens; the middle one ends in a padding token, on the context and on
-    the target. It runs as two chunks, so the check covers padding masks,
-    the loss summed over chunks and the once-per-batch L2 term. Each
-    case's target words are a slice of its context, so every variant,
-    span included, is exercised. Returns gradient_check's mapping.
+    The batch holds three cases of CTX_LEN, CTX_LEN + 1 and CTX_LEN + 2
+    context tokens with TGT_LEN-token targets; the middle one ends in a
+    padding token, on the context and on the target. It runs as two
+    chunks, so the check covers padding masks, the loss summed over chunks
+    and the once-per-batch L2 term. Each case's target words are a slice
+    of its context, so every variant, span included, is exercised.
+    Returns gradient_check's mapping.
     """
     rng = Rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
@@ -98,16 +103,16 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, n_ctx: int, 
                          hidden_dim=hidden_dim, tie_attention=tie_attention)
     cases = []
     for extra in range(3):
-        # the middle case is n_ctx tokens plus a trailing pad
-        ctx_idx = rng.integers(1, len(vocab), n_ctx + 2 * (extra == 2))
-        start = int(rng.integers(0, n_ctx - n_tgt + 1))
-        tgt_idx = ctx_idx[start:start + n_tgt]
+        # the middle case is CTX_LEN tokens plus a trailing pad
+        ctx_idx = rng.integers(1, len(vocab), CTX_LEN + 2 * (extra == 2))
+        start = int(rng.integers(0, CTX_LEN - TGT_LEN + 1))
+        tgt_idx = ctx_idx[start:start + TGT_LEN]
         if extra == 1:
             ctx_idx = np.append(ctx_idx, PAD_INDEX)
             tgt_idx = np.append(tgt_idx, PAD_INDEX)
         label = int(rng.integers(0, len(LABELS)))
         cases.append(Instance(context_tokens=(), target_tokens=(),
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
-                              span=(start, start + n_tgt), label=label, target_text=""))
+                              span=(start, start + TGT_LEN), label=label, target_text=""))
     # the two shorter cases fill one chunk; the longest needs a second
-    return gradient_check(params, cases, l2, chunk_tokens=2 * (n_ctx + 1))
+    return gradient_check(params, cases, L2, chunk_tokens=2 * (CTX_LEN + 1))

@@ -86,6 +86,9 @@ CHECKPOINT_FORMAT = 1
 # has the measurements behind both figures
 CHUNK_TOKENS = 256
 NO_TRACE_TOKENS = 512
+# the instances a chunk holds, for either pass: a target side has a column per
+# instance, so its pooling and score matrices grow with their square
+CHUNK_INSTANCES = 96
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
@@ -256,29 +259,32 @@ def forward(params: ModelParams, ctx_idx, tgt_idx, span=None, dropout_mask=None,
 
 
 def _sides(route, ctx_idx, tgt_idx, span, lengths, tgt_lengths, contexts):
-    """(side, ids, row lengths, gather) per side the route encodes, in the
-    order they run. ids is time-major; gather is the ids column of each
-    instance: the distinct contexts run once each and serve all their
-    instances, and every other side has a column per instance, so a
-    target side runs first, its wide steps before the context's states
-    exist."""
+    """(side, ids, row lengths, gather, last) per side the route encodes,
+    in the order they run. ids is time-major; gather is the ids column of
+    each instance and last the step its last state is read at (None: its
+    column's last step): the distinct contexts run once each and serve all
+    their instances, and a target side has a column per instance, so it
+    runs first, its wide steps before the context's states exist."""
     if route.target != "span":
-        sides = [("ctx", ctx_idx, lengths, contexts)]
+        sides = [("ctx", ctx_idx, lengths, contexts, None)]
         if route.target is not None:
-            sides.insert(0, ("tgt", tgt_idx, tgt_lengths, np.arange(len(contexts))))
+            sides.insert(0, ("tgt", tgt_idx, tgt_lengths, np.arange(len(contexts)), None))
         return sides
     if span is None:
         raise ValueError("td_lstm needs the target span inside the context")
-    # where each side starts depends on the span: one row per instance
-    ctx_idx, lengths = ctx_idx[:, contexts], lengths[contexts]
     span = np.asarray(span, dtype=np.int64).reshape(len(contexts), 2)
     # a span reaching past the row's end is cut there, as a slice would be
-    start, end = span[:, 0], np.minimum(span[:, 1], lengths)
-    rev = lengths - 1 - np.arange(len(ctx_idx))[:(lengths - start).max(), None]
-    each = np.arange(len(contexts))
-    return [("ctx", ctx_idx[:end.max()], end, each),
+    start, end = span[:, 0], np.minimum(span[:, 1], lengths[contexts])
+    # each distinct context runs forward up to its instances' furthest end and
+    # reversed down to their earliest start; an instance reads its own position
+    # of both, whose state has read exactly its own slice
+    reach, low = np.zeros_like(lengths), lengths.copy()
+    np.maximum.at(reach, contexts, end)
+    np.minimum.at(low, contexts, start)
+    rev = lengths - 1 - np.arange(len(ctx_idx))[:(lengths - low).max(), None]
+    return [("ctx", ctx_idx[:reach.max()], reach, contexts, end - 1),
             ("tgt", np.take_along_axis(ctx_idx, np.maximum(rev, 0), axis=0),
-             lengths - start, each)]
+             lengths - low, contexts, lengths[contexts] - 1 - start)]
 
 
 def _features(params, route, trace, keep_trace):
@@ -294,7 +300,7 @@ def _features(params, route, trace, keep_trace):
     trace keeps only an attention's weights (its matrix and trace took a
     shared-context predict_all from 4.0 to 4.9 MB)."""
     states, rows, lasts = {}, {}, {}
-    for side, ids, lens, gather in trace["sides"]:
+    for side, ids, lens, gather, last in trace["sides"]:
         lstm = getattr(params, f"{side}_lstm")
         if lstm is None:  # the side's states are its word vectors
             pack = packing(ids, lens)
@@ -305,7 +311,7 @@ def _features(params, route, trace, keep_trace):
                 lstm, ids, params.embeddings, lens, keep_trace)
         # the packed row each instance reads at each position, -1 at a pad
         rows[side] = np.where(ids != PAD_INDEX, row_of, -1)[:, gather]
-        lasts[side] = row_of[lens[gather] - 1, gather][None]
+        lasts[side] = row_of[lens[gather] - 1 if last is None else last, gather][None]
 
     means = {}
 
@@ -412,25 +418,33 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     context LSTM once each. A chunk holds at most budget real tokens of
     distinct contexts: CHUNK_TOKENS for a traced pass (keep_trace),
     NO_TRACE_TOKENS for a pass that keeps no trace, unless budget is
-    given. A context over the budget is a chunk of its own; a run of
-    instances sharing a context is never cut. Yields (positions, ctx_idx,
-    tgt_idx, layout) per chunk: positions index instances in column order,
-    ctx_idx holds the distinct contexts, and layout holds the rest of
-    forward's chunk arguments (span, lengths, tgt_lengths, contexts).
+    given, and at most CHUNK_INSTANCES instances. A context over the
+    budget is a chunk of its own; a run of instances sharing a context is
+    cut only into pieces of CHUNK_INSTANCES, each running the context.
+    Yields (positions, ctx_idx, tgt_idx, layout) per chunk: positions
+    index instances in column order, ctx_idx holds the distinct contexts,
+    and layout holds the rest of forward's chunk arguments (span, lengths,
+    tgt_lengths, contexts).
     """
     if budget is None:
         budget = CHUNK_TOKENS if keep_trace else NO_TRACE_TOKENS
     ids = [tuple(inst.context_ids) for inst in instances]
     order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
                      dtype=np.int64)
-    # where in order each distinct context's run of instances starts
-    firsts = [k for k in range(len(order)) if k == 0 or ids[order[k]] != ids[order[k - 1]]]
+    # where in order each run of instances sharing a context starts, a
+    # longer run than CHUNK_INSTANCES cut into pieces
+    firsts = []
+    for k in range(len(order)):
+        if (not firsts or ids[order[k]] != ids[order[k - 1]]
+                or k - firsts[-1] == CHUNK_INSTANCES):
+            firsts.append(k)
     bounds = np.array(firsts + [len(order)])
     # reach[g1] - reach[g0]: the tokens of the runs' contexts g0 to g1 - 1
     reach = np.cumsum([0] + [len(ids[order[k]]) for k in firsts])
     cuts = [0] if firsts else []
     for g in range(1, len(firsts)):
-        if reach[g + 1] - reach[cuts[-1]] > budget:
+        if (reach[g + 1] - reach[cuts[-1]] > budget
+                or bounds[g + 1] - bounds[cuts[-1]] > CHUNK_INSTANCES):
             cuts.append(g)
     for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
         rows = order[bounds[g0]:bounds[g1]]

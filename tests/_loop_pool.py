@@ -45,16 +45,16 @@ def loop_features(params, trace):
     """(classifier input (B, feature_dim), {side: attention weights (n,
     B)}) pooled position by position from trace["states"]."""
     states, row_of, masks, lasts, gathers = trace["states"], {}, {}, {}, {}
-    for side, ids, lens, gather in trace["sides"]:
+    for side, ids, lens, gather, last in trace["sides"]:
         row_of[side] = packing(ids, lens)["row_of"]
         masks[side] = (ids != PAD_INDEX) & (row_of[side] >= 0)
-        lasts[side] = row_of[side][lens - 1, np.arange(len(lens))]
+        lasts[side] = row_of[side][lens[gather] - 1 if last is None else last, gather]
         gathers[side] = gather
     pooled, weights = [], {}
     for side, pool in feature_sides(ROUTES[params.variant]):
         gather = gathers[side]
         if pool == "last":
-            vec = states[side][lasts[side][gather]]
+            vec = states[side][lasts[side]]
         elif pool == "mean":
             vec = masked_mean(states[side], row_of[side], masks[side])[gather]
         else:

@@ -260,6 +260,32 @@ def test_chunk_budget_counts_a_shared_context_once():
     assert len(list(chunks(batch, 6))) == 2
 
 
+def test_chunks_cut_a_long_run_of_one_context_into_pieces(monkeypatch):
+    monkeypatch.setattr(ian.model, "CHUNK_INSTANCES", 3)
+    ctx = [3, 4, 5, 6, 7]
+    batch = [case(ctx, ctx[k:k + 1], (k, k + 1), 0) for k in range(4)]
+    batch += [case([8, 9], [9], (1, 2), 1), case([8, 9], [8], (0, 1), 2)]
+    cut = list(chunks(batch, 100))
+    # the run of four is cut after three, and its last piece runs the
+    # context again, beside the next context's run
+    assert [list(layout["lengths"]) for *_, layout in cut] == [[5], [5, 2]]
+    assert [list(layout["contexts"]) for *_, layout in cut] == [[0, 0, 0], [0, 1, 1]]
+    assert sorted(i for pos, *_ in cut for i in pos) == list(range(6))
+
+
+def test_td_lstm_runs_a_shared_context_once_each_way():
+    ctx = [3, 4, 5, 6, 7, 8]
+    batch = [case(ctx, ctx[1:3], (1, 3), 0), case(ctx, ctx[4:5], (4, 5), 1)]
+    (_, ctx_idx, tgt_idx, layout), = chunks(batch)
+    _, trace = forward(make_model("td_lstm"), ctx_idx, tgt_idx, **layout)
+    (_, _, ahead, _, ends), (_, _, behind, _, starts) = trace["sides"]
+    # forward up to the furthest span end, reversed down to the earliest start
+    assert list(ahead) == [5] and list(behind) == [5]
+    # each instance reads the state that has read its own slice: step end - 1
+    # forward, step len - 1 - start reversed
+    assert list(ends) == [2, 4] and list(starts) == [4, 1]
+
+
 def test_batch_equals_per_case_at_paper_dims(monkeypatch):
     monkeypatch.setattr(ian.model, "CHUNK_TOKENS", 40)
     params = make_model("ian", embed_dim=300, hidden_dim=300, seed=3)
@@ -404,6 +430,38 @@ def test_predict_all_memory_stays_bounded_on_skewed_lengths(mix):
     vocab = Vocabulary([f"w{i}" for i in range(499)])
     params = ModelParams(Rng(0), vocab, variant="ian", embed_dim=300, hidden_dim=300)
     batch = skewed_cases(Rng(2), mix)
+    peak = traced_peak_mb(lambda: predict_all(params, batch))
+    assert peak <= PREDICT_ALL_PEAK_MB, peak
+
+
+def one_shared_context(n, tokens):
+    """n instances with two-token targets on one context of tokens tokens."""
+    rng = Rng(2)
+    ctx = rng.integers(1, 500, tokens)
+    return [case(ctx, ctx[start:start + 2], (int(start), int(start) + 2), int(rng.integers(0, 3)))
+            for start in rng.integers(0, tokens - 1, n)]
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_memory_stays_bounded_on_a_thousand_terms_of_one_context(variant, tie):
+    # a target side has a column per instance: its pooling and score matrices
+    # grow with the square of a chunk's instances, and td_lstm's sides with
+    # its instances times their context
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, variant=variant, embed_dim=300, hidden_dim=300,
+                         tie_attention=tie)
+    batch = one_shared_context(1000, 20)
+    peak = traced_peak_mb(lambda: predict_all(params, batch))
+    assert peak <= PREDICT_ALL_PEAK_MB, peak
+    grads = GradSet(params)
+    peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
+    assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
+
+
+def test_td_lstm_memory_stays_bounded_on_many_terms_of_a_long_context():
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, variant="td_lstm", embed_dim=300, hidden_dim=300)
+    batch = one_shared_context(32, 80)
     peak = traced_peak_mb(lambda: predict_all(params, batch))
     assert peak <= PREDICT_ALL_PEAK_MB, peak
 

@@ -80,6 +80,15 @@ def test_load_pretrained_hits_and_misses(tmp_path):
     assert np.array_equal(table[PAD_INDEX], np.zeros(3))
 
 
+def test_load_pretrained_reads_a_first_row_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("food 1.0 2.0 3.0\ngreat 0.5 -0.5 0.25\n", encoding="utf-8-sig")
+    vocab = Vocabulary(["food", "great", "zebra"])
+    table, hits, misses = load_pretrained(str(path), vocab, 3, Rng(1))
+    assert (hits, misses) == (2, 1)
+    assert np.array_equal(table[vocab.tokens.index("food")], [1.0, 2.0, 3.0])
+
+
 def test_load_pretrained_miss_rows_deterministic(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1.0 1.0\n")

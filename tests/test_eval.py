@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _loop_score import loop_accuracy, loop_macro_f1
 from ian.evaluate import (
+    EvalReport,
     accuracy,
     evaluate_model,
     predict_all,
@@ -163,6 +164,18 @@ def test_render_report_mentions_counts_and_labels():
     assert "auxiliary" in text
     for name in ("positive", "neutral", "negative"):
         assert name in text
+
+
+def test_render_report_prints_recall_per_gold_row():
+    # no neutral gold instance: its recall is undefined and prints nan
+    confusion = np.array([[2, 1, 0], [0, 0, 0], [1, 0, 3]])
+    report = EvalReport(variant="ian", dataset="toy", correct=5, total=7, accuracy=5 / 7,
+                        confusion=confusion, macro_f1=0.0)
+    rows = [line.split() for line in render_report(report).splitlines()
+            if line.startswith("gold ")]
+    assert rows == [["gold", "positive", "2", "1", "0", "0.6667"],
+                    ["gold", "neutral", "0", "0", "0", "nan"],
+                    ["gold", "negative", "1", "0", "3", "0.7500"]]
 
 
 def test_reports_tsv_round_trips_fields():

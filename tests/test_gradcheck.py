@@ -6,6 +6,7 @@ from _corrupt import double_group
 from fdcheck import fd_grad, max_rel_err
 from ian.embeddings import Vocabulary
 from ian.gradcheck import (
+    TOLERANCE,
     check_tiny_model,
     group_of,
     numeric_gradient,
@@ -56,10 +57,8 @@ def test_relative_error_formula():
 
 @pytest.mark.parametrize("dim", [3, 8])
 def test_all_groups_pass_at_both_dims(dim):
-    found = check_tiny_model(
-        seed=DEFAULT_SEED, embed_dim=dim, hidden_dim=dim, n_ctx=4, n_tgt=2, variant="ian",
-        tie_attention=False, l2=0.01
-    )
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=dim, hidden_dim=dim,
+                             variant="ian", tie_attention=False)
     assert tuple(found) == GROUPS
     for group, (err, name, idx, analytic, numeric) in found.items():
         assert err <= 1e-4, f"{group}: {err}"
@@ -69,14 +68,14 @@ def test_all_groups_pass_at_both_dims(dim):
 
 def test_ten_random_instances_pass():
     for seed in range(10):
-        found = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                                 variant="ian", tie_attention=False, l2=0.01)
+        found = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3,
+                                 variant="ian", tie_attention=False)
         assert max(err for err, *_ in found.values()) <= 1e-4, (seed, found)
 
 
 def test_tied_attention_variant_checks_out():
-    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                             variant="ian", tie_attention=True, l2=0.01)
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
+                             variant="ian", tie_attention=True)
     assert "tgt_attn" not in found
     assert max(err for err, *_ in found.values()) <= 1e-4
 
@@ -84,8 +83,8 @@ def test_tied_attention_variant_checks_out():
 @pytest.mark.parametrize("group", GROUPS)
 def test_corrupting_a_group_is_detected(monkeypatch, group):
     double_group(monkeypatch, group)
-    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                             variant="ian", tie_attention=False, l2=0.01)
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
+                             variant="ian", tie_attention=False)
     err, name, idx, analytic, numeric = found[group]
     assert err > 1e-4, found
     assert group_of(name) == group
@@ -98,9 +97,18 @@ def test_corrupting_a_group_is_detected(monkeypatch, group):
 
 @pytest.mark.parametrize("variant,seed,dim", FAILED_AT_FLOAT64)
 def test_checks_that_failed_in_float64_pass(variant, seed, dim):
-    found = check_tiny_model(seed=seed, embed_dim=dim, hidden_dim=dim, n_ctx=4, n_tgt=2,
-                             variant=variant, tie_attention=False, l2=0.01)
+    found = check_tiny_model(seed=seed, embed_dim=dim, hidden_dim=dim,
+                             variant=variant, tie_attention=False)
     assert max(err for err, *_ in found.values()) <= 1e-4, found
+
+
+@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+def test_unequal_dims_pass(variant, tie):
+    # a narrower embedding than hidden state: a place that uses one dim for
+    # the other (no_target's query is embed_dim wide) cannot pass by accident
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=5, variant=variant,
+                             tie_attention=tie)
+    assert max(err for err, *_ in found.values()) <= TOLERANCE, found
 
 
 @pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
@@ -116,8 +124,8 @@ def test_checked_model_is_the_float64_model_in_precision(monkeypatch, variant, t
 
     monkeypatch.setattr(ian.gradcheck, "ModelParams", recording)
     monkeypatch.setattr(ian.gradcheck, "gradient_check", lambda *args, **kwargs: {})
-    check_tiny_model(seed=11, embed_dim=embed_dim, hidden_dim=hidden_dim, n_ctx=4, n_tgt=2,
-                     variant=variant, tie_attention=tie, l2=0.01)
+    check_tiny_model(seed=11, embed_dim=embed_dim, hidden_dim=hidden_dim,
+                     variant=variant, tie_attention=tie)
     rng = Rng(11)
     reference = ModelParams(rng, Vocabulary([f"w{i}" for i in range(8)]), variant=variant,
                             embed_dim=embed_dim, hidden_dim=hidden_dim, tie_attention=tie)
@@ -137,7 +145,7 @@ def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
     real_check, real_numeric = ian.gradcheck.gradient_check, ian.gradcheck.numeric_gradient
 
     def recording_check(params, cases, l2, chunk_tokens):
-        seen.update(params=params, cases=cases, chunk_tokens=chunk_tokens)
+        seen.update(params=params, cases=cases, l2=l2, chunk_tokens=chunk_tokens)
         return real_check(params, cases, l2, chunk_tokens)
 
     def recording_numeric(objective, arr):
@@ -147,12 +155,13 @@ def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
 
     monkeypatch.setattr(ian.gradcheck, "gradient_check", recording_check)
     monkeypatch.setattr(ian.gradcheck, "numeric_gradient", recording_numeric)
-    check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3, n_ctx=4, n_tgt=2,
-                     variant="ian", tie_attention=False, l2=0.01)
+    check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
+                     variant="ian", tie_attention=False)
     params = seen["params"]
 
     def loss():
-        return loss_and_grads(params, seen["cases"], l2=0.01, chunk_tokens=seen["chunk_tokens"])
+        return loss_and_grads(params, seen["cases"], l2=seen["l2"],
+                              chunk_tokens=seen["chunk_tokens"])
 
     arrays = list(params.named_arrays())
     assert len(seen["steps"]) == len(arrays)
