@@ -23,6 +23,10 @@ STEP = 1e-30
 # case, an L2 penalty so that its gradient is checked too, and the largest
 # relative error a group passes with
 CTX_LEN, TGT_LEN, L2, TOLERANCE = 4, 2, 0.01, 1e-4
+# what the drawn model's arrays are multiplied by: at the init range the
+# attention biases' gradients read 1e-21 to 1e-17, below relative_error's
+# floor, where a wrong one passes (README.md has the scale sweep)
+SCALE = 20.0
 
 
 def group_of(name: str) -> str:
@@ -46,16 +50,16 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
+def gradient_check(params: ModelParams, cases, l2: float, chunk_rows: int):
     """Analytic vs complex-step gradients of the batch loss over cases, per group.
 
     Returns {group: (max rel err, parameter name, index, analytic,
     numeric)} in named_arrays() order, the last four naming the worst
-    coordinate. chunk_tokens is passed to loss_and_grads, so a small
+    coordinate. chunk_rows is passed to loss_and_grads, so a small
     budget checks the loss summed over chunks.
     """
     grads = GradSet(params)
-    loss_and_grads(params, cases, l2=l2, grads=grads, chunk_tokens=chunk_tokens)
+    loss_and_grads(params, cases, l2=l2, grads=grads, chunk_rows=chunk_rows)
     # the model's arrays, values and tie in complex128
     twin = ModelParams(None, params.vocab, **params.layout(),
                        embeddings=params.embeddings.astype(np.complex128))
@@ -63,7 +67,7 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
         dst[...] = src
 
     def objective():
-        return loss_and_grads(twin, cases, l2=l2, chunk_tokens=chunk_tokens)
+        return loss_and_grads(twin, cases, l2=l2, chunk_rows=chunk_rows)
 
     found: dict[str, tuple] = {}
     for name, arr in twin.named_arrays():
@@ -87,7 +91,8 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_tokens: int):
 
 def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str,
                      tie_attention: bool):
-    """Build a small random model and a batch, then run gradient_check.
+    """Build a small random model, its arrays scaled by SCALE, and a batch,
+    then run gradient_check.
 
     The batch holds three cases of CTX_LEN, CTX_LEN + 1 and CTX_LEN + 2
     context tokens with TGT_LEN-token targets; the middle one ends in a
@@ -101,6 +106,8 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str
     vocab = Vocabulary([f"w{i}" for i in range(8)])
     params = ModelParams(rng, vocab, variant=variant, embed_dim=embed_dim,
                          hidden_dim=hidden_dim, tie_attention=tie_attention)
+    for _, arr in params.named_arrays():
+        arr *= SCALE
     cases = []
     for extra in range(3):
         # the middle case is CTX_LEN tokens plus a trailing pad
@@ -114,5 +121,5 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str
         cases.append(Instance(context_tokens=(), target_tokens=(),
                               context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + TGT_LEN), label=label, target_text=""))
-    # the two shorter cases fill one chunk; the longest needs a second
-    return gradient_check(params, cases, L2, chunk_tokens=2 * (CTX_LEN + 1))
+    # the two shorter cases' rows fill one chunk; the longest needs a second
+    return gradient_check(params, cases, L2, chunk_rows=2 * (CTX_LEN + TGT_LEN + 3))

@@ -80,15 +80,12 @@ VARIANTS = (*ROUTES, "majority")
 
 CHECKPOINT_FORMAT = 1
 
-# the real tokens of distinct contexts a chunk holds, which every packed
-# array of its pass grows with: a traced pass keeps its activations for
-# backward, a pass that keeps no trace its hidden states only. README.md
-# has the measurements behind both figures
-CHUNK_TOKENS = 256
-NO_TRACE_TOKENS = 512
-# the instances a chunk holds, for either pass: a target side has a column per
-# instance, so its pooling and score matrices grow with their square
-CHUNK_INSTANCES = 96
+# the packed rows a chunk of a traced pass holds, twice as many for a pass
+# that keeps no trace: each distinct context's tokens once, and each
+# instance's target tokens plus 2 rows for its own vectors (its query, pooled
+# vectors and features). README.md has the measurements behind the figure,
+# and why it counts rows, not bytes
+CHUNK_ROWS = 320
 
 # constructor arguments that, with the vocabulary, fix which arrays a model
 # has, their shapes and which are tied; a checkpoint's meta records them
@@ -415,36 +412,38 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     Instances are ordered by context length, longest first, then by
     context ids, so the instances sharing a context (one sentence's aspect
     terms) sit side by side, and each chunk's contexts run through the
-    context LSTM once each. A chunk holds at most budget real tokens of
-    distinct contexts: CHUNK_TOKENS for a traced pass (keep_trace),
-    NO_TRACE_TOKENS for a pass that keeps no trace, unless budget is
-    given, and at most CHUNK_INSTANCES instances. A context over the
-    budget is a chunk of its own; a run of instances sharing a context is
-    cut only into pieces of CHUNK_INSTANCES, each running the context.
+    context LSTM once each. A chunk holds at most budget packed rows:
+    CHUNK_ROWS for a traced pass (keep_trace), twice that for a pass that
+    keeps no trace, unless budget is given. Its rows are each distinct
+    context's tokens once, plus each instance's target tokens and 2 rows
+    for its own vectors. A run of instances sharing a context is cut only
+    where its own rows exceed the budget, each piece running the context
+    again; a piece over the budget is a chunk of its own.
     Yields (positions, ctx_idx, tgt_idx, layout) per chunk: positions
     index instances in column order, ctx_idx holds the distinct contexts,
     and layout holds the rest of forward's chunk arguments (span, lengths,
     tgt_lengths, contexts).
     """
     if budget is None:
-        budget = CHUNK_TOKENS if keep_trace else NO_TRACE_TOKENS
+        budget = CHUNK_ROWS if keep_trace else 2 * CHUNK_ROWS
     ids = [tuple(inst.context_ids) for inst in instances]
     order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
                      dtype=np.int64)
-    # where in order each run of instances sharing a context starts, a
-    # longer run than CHUNK_INSTANCES cut into pieces
-    firsts = []
-    for k in range(len(order)):
-        if (not firsts or ids[order[k]] != ids[order[k - 1]]
-                or k - firsts[-1] == CHUNK_INSTANCES):
+    own = [len(instances[i].target_ids) + 2 for i in order]
+    # where in order each piece of a run of instances sharing a context starts
+    firsts, piece = [], 0
+    for k, i in enumerate(order):
+        if not firsts or ids[i] != ids[order[k - 1]] or piece + own[k] > budget:
             firsts.append(k)
+            piece = len(ids[i])
+        piece += own[k]
     bounds = np.array(firsts + [len(order)])
-    # reach[g1] - reach[g0]: the tokens of the runs' contexts g0 to g1 - 1
-    reach = np.cumsum([0] + [len(ids[order[k]]) for k in firsts])
+    # reach[g1] - reach[g0]: the rows of pieces g0 to g1 - 1
+    reach = (np.cumsum([0] + own)[bounds]
+             + np.cumsum([0] + [len(ids[order[k]]) for k in firsts]))
     cuts = [0] if firsts else []
     for g in range(1, len(firsts)):
-        if (reach[g + 1] - reach[cuts[-1]] > budget
-                or bounds[g + 1] - bounds[cuts[-1]] > CHUNK_INSTANCES):
+        if reach[g + 1] - reach[cuts[-1]] > budget:
             cuts.append(g)
     for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
         rows = order[bounds[g0]:bounds[g1]]

@@ -3,11 +3,11 @@
 The per-case loss is cross-entropy plus an L2 penalty on every 2-D weight
 matrix and on the embedding rows the case actually reads; biases and the
 pad row are never penalized. loss_and_grads is the one batch-loss
-function: it runs the batch as the length-sorted chunks of model.chunks,
-one forward and (given a GradSet) one backward pass per chunk, each
-distinct context through the context LSTM once, and applies the L2 term
-once. A batch's gradient is the average of its per-case gradients, so
-batch size 1 reproduces plain per-case updates.
+function: it runs the batch as the length-sorted chunks of model.chunks
+(of CHUNK_ROWS packed rows at most), one forward and (given a GradSet) one
+backward pass per chunk, each distinct context through the context LSTM
+once, and applies the L2 term once. A batch's gradient is the average of
+its per-case gradients, so batch size 1 reproduces plain per-case updates.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def _l2_term(params: ModelParams, cases, l2: float, grads: GradSet | None):
 
 
 def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
-                   grads: GradSet | None = None, chunk_tokens: int | None = None):
+                   grads: GradSet | None = None, chunk_rows: int | None = None):
     """Training loss of a batch of cases; its gradient is added into grads
     if given, and without grads no backward pass runs.
 
     cases are instances (context_ids, target_ids, span, label); they run in
-    the length-sorted chunks of model.chunks (chunk_tokens overrides its
+    the length-sorted chunks of model.chunks (chunk_rows overrides its
     budget), one forward and, with grads, one backward pass per chunk.
     drop_masks, when given, holds one dropout mask row per case. The loss
     is the sum of the per-case losses, cross-entropy plus the L2 penalty;
@@ -121,7 +121,7 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
     """
     labels = np.array([case.label for case in cases])
     loss = 0.0
-    for pos, ctx_idx, tgt_idx, layout in chunks(cases, chunk_tokens):
+    for pos, ctx_idx, tgt_idx, layout in chunks(cases, chunk_rows):
         masks = None if drop_masks is None else drop_masks[pos]
         probs, trace = forward(params, ctx_idx, tgt_idx, dropout_mask=masks, **layout)
         if grads is not None:

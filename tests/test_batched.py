@@ -1,15 +1,21 @@
 """The chunked batch passes against the per-case reference they replaced.
 
 _per_case.py holds the per-case model, loss and training loop. Every test
-here lowers the chunk budgets (model.CHUNK_TOKENS for traced passes,
-model.NO_TRACE_TOKENS for passes that keep no trace) so that one batch runs
-as several chunks, each running its distinct contexts through the context LSTM
+here lowers the chunk budget (model.CHUNK_ROWS packed rows for traced
+passes, twice that for passes that keep no trace) so that one batch runs as
+several chunks, each running its distinct contexts through the context LSTM
 once, on packed steps. Chunking changes the order of floating-point sums
 (GEMMs over all rows of a chunk, the gradients of a shared context summed
 before its LSTM backward pass, gradients added chunk by chunk, the L2 term
-once per batch), so the results agree to rounding: the loss and every
-gradient array within 1e-10 absolute, a seeded training run within 1e-9,
-and predicted labels exactly.
+once per batch), so the results agree to rounding: the loss within 1e-10,
+every gradient array within 1e-10 of its largest magnitude, a seeded
+training run within 1e-9, and predicted labels exactly. The models are
+drawn at gradcheck's probe scale: at the init scale the attention biases'
+gradients are rounding noise (about 1e-17), which no comparison can check.
+
+A chunk's rows are each distinct context's tokens once, plus each
+instance's target tokens and 2 rows for its own vectors; the memory guards
+at the end hold a chunk of that budget at 300/300, long targets included.
 """
 
 import itertools
@@ -28,6 +34,7 @@ from _per_case import case, case_loss_and_grads, case_predict, case_train
 from _per_case import forward as case_forward
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.evaluate import predict_all
+from ian.gradcheck import SCALE
 from ian.model import VARIANTS, ModelParams, chunks, forward
 from ian.numerics import Rng
 from ian.training import GradSet, TrainConfig, dropout_mask, loss_and_grads, train
@@ -36,10 +43,13 @@ VOCAB = Vocabulary([f"w{i}" for i in range(30)])
 # every trainable variant, plus ian with its two attentions tied
 TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-LOW_BUDGET = 12  # context tokens per chunk: a batch of ragged cases spans several
+LOW_ROWS = 16  # packed rows per traced chunk: a batch of ragged cases spans several
 
 
-def make_model(variant, tie=False, embed_dim=5, hidden_dim=4, seed=0, scale=1.0):
+def make_model(variant, tie=False, embed_dim=5, hidden_dim=4, seed=0, scale=SCALE):
+    """A seeded model, every array scaled by scale: by default gradcheck's
+    probe scale, where each gradient array, the attention biases' too,
+    stands clear of rounding and the classes stand apart."""
     rng = Rng(seed)
     params = ModelParams(rng, VOCAB, variant=variant, embed_dim=embed_dim,
                          hidden_dim=hidden_dim, tie_attention=tie)
@@ -97,13 +107,20 @@ def per_case_sums(params, batch, l2, masks):
     return loss, grads
 
 
-def assert_batch_equals_per_case(params, batch, l2, masks, atol=1e-10):
+def disagreeing(grads, ref_grads, rtol=1e-10):
+    """Names of the arrays of grads further from ref_grads than rtol of the
+    reference array's largest magnitude."""
+    return [name for name, arr in grads.named_arrays()
+            if np.max(np.abs(arr - ref_grads[name]), initial=0.0)
+            > rtol * np.max(np.abs(ref_grads[name]), initial=0.0)]
+
+
+def assert_batch_equals_per_case(params, batch, l2, masks, tol=1e-10):
     grads = GradSet(params)
     loss = loss_and_grads(params, batch, l2=l2, drop_masks=masks, grads=grads)
     ref_loss, ref_grads = per_case_sums(params, batch, l2, masks)
-    assert abs(loss - ref_loss) <= atol
-    for name, arr in grads.named_arrays():
-        assert np.max(np.abs(arr - ref_grads[name]), initial=0.0) <= atol, name
+    assert abs(loss - ref_loss) <= tol
+    assert disagreeing(grads, ref_grads, tol) == []
 
 
 @pytest.mark.parametrize("variant,tie", TRAINABLE)
@@ -114,7 +131,7 @@ def test_batch_loss_and_grads_equal_per_case_sums(variant, tie, batch, dropout, 
     masks = dropout_mask(Rng(len(batch)), (len(batch), params.feature_dim()),
                          0.5 if dropout else 0.0)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+        m.setattr(ian.model, "CHUNK_ROWS", LOW_ROWS)
         assert_batch_equals_per_case(params, batch, l2, masks)
 
 
@@ -125,22 +142,20 @@ def test_shared_contexts_equal_per_case(variant, tie, batch, dropout, l2):
     params = make_model(variant, tie)
     masks = dropout_mask(Rng(len(batch)), (len(batch), params.feature_dim()),
                          0.5 if dropout else 0.0)
-    spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
-        m.setattr(ian.model, "NO_TRACE_TOKENS", LOW_BUDGET)
+        m.setattr(ian.model, "CHUNK_ROWS", LOW_ROWS)
         assert_batch_equals_per_case(params, batch, l2, masks)
-        assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
+        assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
 
 
 @pytest.mark.parametrize("variant,tie", TRAINABLE)
 @PROPERTY
 @given(batch=shared_contexts())
 def test_no_trace_forward_equals_the_traced_one(variant, tie, batch):
-    params = make_model(variant, tie, scale=10.0)  # classes apart, for labels
+    params = make_model(variant, tie)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ian.lstm, "BLOCK_ROWS", 3)  # several gate blocks per LSTM pass
-        for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_BUDGET, keep_trace=False):
+        for _, ctx_idx, tgt_idx, layout in chunks(batch, LOW_ROWS, keep_trace=False):
             traced, full = forward(params, ctx_idx, tgt_idx, **layout)
             bare, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
             # it keeps the weights of the variant's attentions, and nothing else
@@ -181,10 +196,8 @@ def test_packed_passes_equal_the_references_on_skewed_shared_contexts(variant, t
     batch = packed_layout_cases(Rng(31))
     params = make_model(variant, tie)
     masks = dropout_mask(Rng(32), (len(batch), params.feature_dim()), 0.5)
-    spread = make_model(variant, tie, scale=10.0)  # classes apart, for labels
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_TOKENS", 16)
-        m.setattr(ian.model, "NO_TRACE_TOKENS", 16)
+        m.setattr(ian.model, "CHUNK_ROWS", 48)  # the long context's run fits
         assert_batch_equals_per_case(params, batch, 1e-3, masks)
         for keep_trace in (True, False):
             for pos, ctx_idx, tgt_idx, layout in chunks(batch, keep_trace=keep_trace):
@@ -195,7 +208,22 @@ def test_packed_passes_equal_the_references_on_skewed_shared_contexts(variant, t
                     assert np.max(np.abs(got - ref)) <= 1e-10
                     if variant != "td_lstm":
                         assert np.max(np.abs(got - oracle_probs(params, *ids))) <= 1e-10
-        assert np.array_equal(predict_all(spread, batch), case_predict(spread, batch))
+        assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
+
+
+def test_the_comparison_sees_a_doubled_attention_bias_gradient():
+    # at the init scale these gradients are about 1e-17, inside any absolute
+    # tolerance; drawn at the probe scale and compared relative to each
+    # array's largest magnitude, a doubled one is flagged
+    params = make_model("ian")
+    batch = packed_layout_cases(Rng(31))
+    grads = GradSet(params)
+    loss_and_grads(params, batch, grads=grads)
+    ref_grads = per_case_sums(params, batch, 0.0, None)[1]
+    assert disagreeing(grads, ref_grads) == []
+    grads.ctx_attn.b_a *= 2.0
+    grads.tgt_attn.b_a *= 2.0
+    assert disagreeing(grads, ref_grads) == ["ctx_attn.b_a", "tgt_attn.b_a"]
 
 
 @pytest.mark.parametrize("variant,tie", TRAINABLE)
@@ -206,7 +234,7 @@ def test_pooling_matrices_equal_the_position_loops(variant, tie):
     batch = packed_layout_cases(Rng(33))
     params = make_model(variant, tie)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "CHUNK_TOKENS", 16)
+        m.setattr(ian.model, "CHUNK_ROWS", 48)
         for _, ctx_idx, tgt_idx, layout in chunks(batch):
             _, trace = forward(params, ctx_idx, tgt_idx, **layout)
             features, weights = loop_features(params, trace)
@@ -216,10 +244,11 @@ def test_pooling_matrices_equal_the_position_loops(variant, tie):
 
 
 def chunk_layouts(batch, cut):
-    """Check that the chunks of cut hold every instance of batch once,
-    each distinct context in one column of one chunk with its instances
-    side by side; returns each chunk's (context lengths, instance count)."""
-    seen, chunk_contexts, layouts = [], [], []
+    """Check that the chunks of cut hold every instance of batch once, each
+    chunk's distinct contexts in one column each with their instances side
+    by side; returns each chunk's (context lengths, packed rows, instance
+    count, distinct contexts)."""
+    seen, layouts = [], []
     for pos, ctx_idx, tgt_idx, layout in cut:
         lengths, contexts = layout["lengths"], layout["contexts"]
         distinct = [tuple(ctx_idx[:length, g]) for g, length in enumerate(lengths)]
@@ -232,42 +261,53 @@ def chunk_layouts(batch, cut):
             assert tuple(tgt_idx[:length, b]) == tuple(batch[i].target_ids)
             assert layout["span"][b] == batch[i].span
         seen += list(pos)
-        chunk_contexts.append(set(distinct))
-        layouts.append((lengths, len(pos)))
+        rows = sum(lengths) + sum(len(batch[i].target_ids) + 2 for i in pos)
+        layouts.append((lengths, rows, len(pos), set(distinct)))
     assert sorted(seen) == list(range(len(batch)))
-    for a, b in itertools.combinations(chunk_contexts, 2):
-        assert not a & b  # no run of one context is cut across chunks
     return layouts
 
 
+def run_rows(batch, context):
+    """The packed rows of all instances of batch on context, run as one piece."""
+    return len(context) + sum(len(inst.target_ids) + 2 for inst in batch
+                              if tuple(inst.context_ids) == context)
+
+
 @PROPERTY
-@given(batch=shared_contexts(), budget=st.integers(1, 30), keep_trace=st.booleans())
-def test_chunks_hold_each_context_once_within_the_token_budget(batch, budget, keep_trace):
-    for lengths, _ in chunk_layouts(batch, chunks(batch, budget, keep_trace)):
-        # the budget counts each distinct context's tokens once, for
-        # either kind of pass
+@given(batch=shared_contexts(), budget=st.integers(1, 60), keep_trace=st.booleans())
+def test_chunks_hold_each_context_once_within_the_row_budget(batch, budget, keep_trace):
+    layouts = chunk_layouts(batch, chunks(batch, budget, keep_trace))
+    for lengths, rows, instances, _ in layouts:
+        # the budget counts each distinct context's tokens once and each
+        # instance's target tokens plus 2, for either kind of pass; only a
+        # piece of one instance may exceed it
         assert lengths[0] == max(lengths)
-        assert sum(lengths) <= budget or len(lengths) == 1
+        assert rows <= budget or instances == 1
+    for (*_, a), (*_, b) in itertools.combinations(layouts, 2):
+        for context in a & b:  # a run of one context is cut only past the budget
+            assert run_rows(batch, context) > budget
 
 
 def test_chunk_budget_counts_a_shared_context_once():
     ctx = [3, 4, 5, 6, 7]
     batch = [case(ctx, ctx[k:k + 1], (k, k + 1), 0) for k in range(5)]
     batch.append(case([8, 9], [9], (1, 2), 1))
-    (pos, ctx_idx, tgt_idx, layout), = chunks(batch, 7)  # 25 instance tokens, 7 distinct
+    # 7 distinct context tokens and 6 instances of 1 target token and 2 rows
+    # each: 25 rows, where a context per instance would be 45
+    (pos, ctx_idx, tgt_idx, layout), = chunks(batch, 25)
     assert ctx_idx.shape == (5, 2) and list(layout["lengths"]) == [5, 2]
     assert list(layout["contexts"]) == [0, 0, 0, 0, 0, 1]
-    assert len(list(chunks(batch, 6))) == 2
+    assert len(list(chunks(batch, 24))) == 2
 
 
-def test_chunks_cut_a_long_run_of_one_context_into_pieces(monkeypatch):
-    monkeypatch.setattr(ian.model, "CHUNK_INSTANCES", 3)
+def test_chunks_cut_a_long_run_of_one_context_into_pieces():
     ctx = [3, 4, 5, 6, 7]
     batch = [case(ctx, ctx[k:k + 1], (k, k + 1), 0) for k in range(4)]
     batch += [case([8, 9], [9], (1, 2), 1), case([8, 9], [8], (0, 1), 2)]
-    cut = list(chunks(batch, 100))
-    # the run of four is cut after three, and its last piece runs the
-    # context again, beside the next context's run
+    cut = list(chunks(batch, 16))
+    # the run of four (5 + 4 x 3 rows) is cut after three (14 rows), and its
+    # last piece runs the context again (8 rows), beside the next context's
+    # run (8 rows)
     assert [list(layout["lengths"]) for *_, layout in cut] == [[5], [5, 2]]
     assert [list(layout["contexts"]) for *_, layout in cut] == [[0, 0, 0], [0, 1, 1]]
     assert sorted(i for pos, *_ in cut for i in pos) == list(range(6))
@@ -287,8 +327,9 @@ def test_td_lstm_runs_a_shared_context_once_each_way():
 
 
 def test_batch_equals_per_case_at_paper_dims(monkeypatch):
-    monkeypatch.setattr(ian.model, "CHUNK_TOKENS", 40)
-    params = make_model("ian", embed_dim=300, hidden_dim=300, seed=3)
+    monkeypatch.setattr(ian.model, "CHUNK_ROWS", 48)
+    # at the init scale, where 300 dims alone lift every gradient clear of rounding
+    params = make_model("ian", embed_dim=300, hidden_dim=300, seed=3, scale=1.0)
     rng = Rng(4)
     batch = []
     for n, pads in ((9, 0), (3, 2), (12, 1), (1, 0), (7, 0), (11, 3)):
@@ -304,11 +345,11 @@ def test_batch_equals_per_case_at_paper_dims(monkeypatch):
 @PROPERTY
 @given(batch=cases(max_cases=12))
 def test_predict_all_equals_per_case_argmax(variant, batch):
-    params = make_model(variant, scale=10.0)  # spread the classes apart
+    params = make_model(variant)
     if variant == "majority":
         params.class_priors[:] = [0.2, 0.5, 0.3]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ian.model, "NO_TRACE_TOKENS", LOW_BUDGET)
+        m.setattr(ian.model, "CHUNK_ROWS", LOW_ROWS)
         assert np.array_equal(predict_all(params, batch), case_predict(params, batch))
 
 
@@ -322,7 +363,7 @@ def test_batch_dropout_masks_take_the_per_case_draws():
 
 @pytest.mark.parametrize("variant,tie", [("ian", False), ("td_lstm", False), ("ian", True)])
 def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
-    monkeypatch.setattr(ian.model, "CHUNK_TOKENS", LOW_BUDGET)
+    monkeypatch.setattr(ian.model, "CHUNK_ROWS", LOW_ROWS)
     rng = Rng(21)
     instances = []
     for k in range(11):
@@ -348,13 +389,16 @@ def test_seeded_train_equals_per_case_train(monkeypatch, variant, tie):
 # a chunk layout that grows these peaks past the bounds would break the
 # benchmark's peak_rss_mb bound (10%) too. Every array a pass grows with its
 # chunk holds one row per real token, so skewed lengths are held to the
-# same bounds. Peaks with packed states at 300/300, numpy 2.4:
-# - loss_and_grads: 5.7 MB on the sixty-token cases, 6.9 MB on 11
-#   twenty-token contexts with three terms each, 6.9 MB on 1x120 + 31x8
-#   tokens and 7.5 MB on 2x80 + 10x12 tokens with three terms each (25.5
-#   and 13.0 MB while backward held padded (n, G, .) arrays);
-# - predict_all: 2.9 MB on 200 sixty-token cases, 3.9 MB on 1x120 + 199x8
-#   tokens and 4.4 MB on 2x80 + 100x12 tokens with three terms each; each
+# same bounds. Peaks with packed states at 300/300, numpy 2.4, at
+# model.CHUNK_ROWS 320:
+# - loss_and_grads: 6.8 MB on the sixty-token cases, 6.3 MB on 11
+#   twenty-token contexts with three terms each, 6.6 MB on 1x120 + 31x8
+#   tokens and 6.2 MB on 2x80 + 10x12 tokens with three terms each (25.5
+#   and 13.0 MB while backward held padded (n, G, .) arrays), 6.3 MB on 32
+#   or 96 twenty-token targets of one 40-token context (15.6 and 47.4 MB
+#   while chunks counted no target token);
+# - predict_all: 3.1 MB on 200 sixty-token cases, 3.5 MB on 1x120 + 199x8
+#   tokens and 3.1 MB on 2x80 + 100x12 tokens with three terms each; each
 #   untraced LSTM step writes its recurrent product and cell temporaries
 #   into buffers sized once by the pass's widest step.
 LOSS_AND_GRADS_PEAK_MB = 9.0
@@ -434,12 +478,13 @@ def test_predict_all_memory_stays_bounded_on_skewed_lengths(mix):
     assert peak <= PREDICT_ALL_PEAK_MB, peak
 
 
-def one_shared_context(n, tokens):
-    """n instances with two-token targets on one context of tokens tokens."""
+def one_shared_context(n, tokens, target=2):
+    """n instances with target-token targets on one context of tokens tokens."""
     rng = Rng(2)
     ctx = rng.integers(1, 500, tokens)
-    return [case(ctx, ctx[start:start + 2], (int(start), int(start) + 2), int(rng.integers(0, 3)))
-            for start in rng.integers(0, tokens - 1, n)]
+    return [case(ctx, ctx[start:start + target], (int(start), int(start) + target),
+                 int(rng.integers(0, 3)))
+            for start in rng.integers(0, tokens - target + 1, n)]
 
 
 @pytest.mark.parametrize("variant,tie", TRAINABLE)
@@ -456,6 +501,22 @@ def test_memory_stays_bounded_on_a_thousand_terms_of_one_context(variant, tie):
     grads = GradSet(params)
     peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
     assert peak <= LOSS_AND_GRADS_PEAK_MB, peak
+
+
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_memory_stays_bounded_on_long_targets_of_one_context(variant, tie):
+    # a target LSTM's states and trace, and its (target rows, B) pooling and
+    # score matrices, grow with the target tokens of a chunk's instances
+    vocab = Vocabulary([f"w{i}" for i in range(499)])
+    params = ModelParams(Rng(0), vocab, variant=variant, embed_dim=300, hidden_dim=300,
+                         tie_attention=tie)
+    grads = GradSet(params)
+    for n in (32, 96):  # a default batch, and a predict_all of three such
+        batch = one_shared_context(n, 40, target=20)
+        peak = traced_peak_mb(lambda: predict_all(params, batch))
+        assert peak <= PREDICT_ALL_PEAK_MB, (n, peak)
+        peak = traced_peak_mb(lambda: loss_and_grads(params, batch, l2=1e-5, grads=grads))
+        assert peak <= LOSS_AND_GRADS_PEAK_MB, (n, peak)
 
 
 def test_td_lstm_memory_stays_bounded_on_many_terms_of_a_long_context():

@@ -37,7 +37,7 @@ BATCH = [
     case([6, 7, 8, PAD_INDEX], [7, PAD_INDEX], (1, 2), 1),
     case([9, 10, 11, 3, 4, 6, 2], [11], (2, 3), 0),
 ]
-CHUNK_TOKENS = 6  # the batch runs as several chunks
+CHUNK_ROWS = 12  # the batch runs as three chunks, one per distinct context
 
 
 def make_model(variant, tie, dtype):
@@ -84,7 +84,7 @@ def test_traced_and_untraced_passes_keep_the_dtype(variant, tie, dtype):
     masks = dropout_mask(Rng(1), (len(BATCH), params.feature_dim()), 0.5, dtype)
     assert masks.dtype == dtype
     for keep_trace in (True, False):
-        for pos, ctx_idx, tgt_idx, layout in chunks(BATCH, CHUNK_TOKENS, keep_trace):
+        for pos, ctx_idx, tgt_idx, layout in chunks(BATCH, CHUNK_ROWS, keep_trace):
             probs, trace = forward(params, ctx_idx, tgt_idx, keep_trace=keep_trace,
                                    dropout_mask=masks[pos] if keep_trace else None, **layout)
             assert probs.dtype == dtype
@@ -118,7 +118,7 @@ def test_backward_and_loss_keep_the_dtype(monkeypatch, variant, tie, dtype):
     grads = GradSet(params)
     masks = dropout_mask(Rng(1), (len(BATCH), params.feature_dim()), 0.5, dtype)
     loss = loss_and_grads(params, BATCH, l2=0.01, drop_masks=masks, grads=grads,
-                          chunk_tokens=CHUNK_TOKENS)
+                          chunk_rows=CHUNK_ROWS)
     assert_dtype(seen, dtype)
     assert_dtype(grads.named_arrays(), dtype)
     assert any(arr.any() for _, arr in grads.named_arrays())

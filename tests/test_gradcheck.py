@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import ian.gradcheck
-from _corrupt import double_group
+from _corrupt import double_array, double_group
 from fdcheck import fd_grad, max_rel_err
 from ian.embeddings import Vocabulary
 from ian.gradcheck import (
+    SCALE,
     TOLERANCE,
     check_tiny_model,
     group_of,
@@ -17,6 +20,9 @@ from ian.numerics import Rng
 from ian.training import loss_and_grads
 
 DEFAULT_SEED = 27  # the cli default
+# seeds at which every array of every variant is doubled in turn: at dims 3
+# they draw the smallest attention-bias gradients of CI's 30-seed sweep
+DOUBLED_SEEDS = (8, 29)
 
 # the components of an untied ian model, in the order of its named_arrays()
 GROUPS = ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "tgt_attn", "classifier")
@@ -95,6 +101,28 @@ def test_corrupting_a_group_is_detected(monkeypatch, group):
             assert other_err <= 1e-4, (other, other_err)
 
 
+@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+def test_doubling_any_one_array_fails(variant, tie):
+    # every hand-derived gradient array is load-bearing for the check: each
+    # round doubles one array of each group, and each such group fails on it
+    model = ModelParams(None, Vocabulary([]), variant=variant, embed_dim=3, hidden_dim=3,
+                        tie_attention=tie)
+    groups = {}
+    for name, _ in model.named_arrays():
+        groups.setdefault(group_of(name), []).append(name)
+    for seed in DOUBLED_SEEDS:
+        for picks in itertools.zip_longest(*groups.values()):
+            picks = [name for name in picks if name is not None]
+            with pytest.MonkeyPatch.context() as m:
+                for name in picks:
+                    double_array(m, name)
+                found = check_tiny_model(seed=seed, embed_dim=3, hidden_dim=3,
+                                         variant=variant, tie_attention=tie)
+            for name in picks:
+                err, worst, *_ = found[group_of(name)]
+                assert err > TOLERANCE and worst == name, (seed, name, found)
+
+
 @pytest.mark.parametrize("variant,seed,dim", FAILED_AT_FLOAT64)
 def test_checks_that_failed_in_float64_pass(variant, seed, dim):
     found = check_tiny_model(seed=seed, embed_dim=dim, hidden_dim=dim,
@@ -133,7 +161,7 @@ def test_checked_model_is_the_float64_model_in_precision(monkeypatch, variant, t
     assert list(checked) == [name for name, _ in reference.named_arrays()]
     for name, arr in reference.named_arrays():
         assert checked[name].dtype == np.float64, name
-        assert np.array_equal(checked[name], arr), name
+        assert np.array_equal(checked[name], SCALE * arr), name
     # the generator stands where the float64 model leaves it
     assert built["state"] == rng.bit_generator.state
 
@@ -144,9 +172,9 @@ def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
     seen = {"steps": []}
     real_check, real_numeric = ian.gradcheck.gradient_check, ian.gradcheck.numeric_gradient
 
-    def recording_check(params, cases, l2, chunk_tokens):
-        seen.update(params=params, cases=cases, l2=l2, chunk_tokens=chunk_tokens)
-        return real_check(params, cases, l2, chunk_tokens)
+    def recording_check(params, cases, l2, chunk_rows):
+        seen.update(params=params, cases=cases, l2=l2, chunk_rows=chunk_rows)
+        return real_check(params, cases, l2, chunk_rows)
 
     def recording_numeric(objective, arr):
         grad = real_numeric(objective, arr)
@@ -161,7 +189,7 @@ def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
 
     def loss():
         return loss_and_grads(params, seen["cases"], l2=seen["l2"],
-                              chunk_tokens=seen["chunk_tokens"])
+                              chunk_rows=seen["chunk_rows"])
 
     arrays = list(params.named_arrays())
     assert len(seen["steps"]) == len(arrays)
@@ -170,5 +198,5 @@ def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
         # central differences at eps 1e-5 carry about 5e-11 of noise here
         assert np.max(np.abs(step - central)) <= 1e-9, name
         large = np.abs(step) > 1e-6
-        if large.any():  # the attention biases' gradients are about 1e-17
+        if large.any():  # at the probe's scale only the pad row's gradients are not
             assert max_rel_err(step[large], central[large]) <= 1e-4, name

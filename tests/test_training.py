@@ -209,13 +209,13 @@ def test_loss_without_a_gradset_runs_no_backward_and_equals_the_loss_with_one(
     cases = [case(*tiny_instance(rng, n=n)) for n in (3, 5, 4)]
     masks = dropout_mask(Rng(47), (len(cases), params.feature_dim()), 0.5)
     with_grads = loss_and_grads(params, cases, l2=0.01, drop_masks=masks,
-                                grads=GradSet(params), chunk_tokens=8)
+                                grads=GradSet(params), chunk_rows=16)
 
     def no_backward(*args):
         raise AssertionError("backward ran without a GradSet")
 
     monkeypatch.setattr(training_module, "backward", no_backward)
-    alone = loss_and_grads(params, cases, l2=0.01, drop_masks=masks, chunk_tokens=8)
+    alone = loss_and_grads(params, cases, l2=0.01, drop_masks=masks, chunk_rows=16)
     assert type(alone) is float
     assert alone == with_grads
 
