@@ -37,7 +37,7 @@ from .data import (
 )
 from .embeddings import load_pretrained, text_lines
 from .evaluate import accuracy, evaluate_model, predict_all, render_report, report_tsv
-from .model import LABELS, ROUTES, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
+from .model import LABELS, TRAINABLE, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .training import TrainConfig, train
 
@@ -333,22 +333,22 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import STEP, TOLERANCE, check_tiny_model
+    """Check every trainable layout at every gradcheck.DIMS pair, one model
+    after another; a tied layout is named variant+tied. Exit 1 if any group
+    of any model fails."""
+    from .gradcheck import DIMS, STEP, TOLERANCE, check_tiny_model
 
-    if (args.embed_dim is None) != (args.hidden_dim is None):
-        raise UsageError("give both --embed-dim and --hidden-dim or neither")
-    if args.variant == "all" and args.tie_attention:
-        raise UsageError("--tie-attention needs a single variant")
-    variants = tuple(ROUTES) if args.variant == "all" else (args.variant,)
-    dims = ((3, 3), (8, 5)) if args.embed_dim is None else ((args.embed_dim, args.hidden_dim),)
+    labels = [variant + "+tied" * tie for variant, tie in TRAINABLE]
+    width = max(map(len, labels))
     print(f"complex step h {STEP:.0e} on a complex128 twin of the float64 model")
     ok = True
-    for variant, (embed_dim, hidden_dim) in itertools.product(variants, dims):
+    for (label, (variant, tie)), (embed_dim, hidden_dim) in itertools.product(
+            zip(labels, TRAINABLE), DIMS):
         began = time.perf_counter()
         found = check_tiny_model(args.seed, embed_dim, hidden_dim, variant=variant,
-                                 tie_attention=args.tie_attention)
+                                 tie_attention=tie)
         elapsed = time.perf_counter() - began
-        head = f"{variant:<14} d_e={embed_dim} d_h={hidden_dim}  "
+        head = f"{label:<{width}} d_e={embed_dim} d_h={hidden_dim}  "
         for group, (err, name, idx, analytic, numeric) in found.items():
             passed = err <= TOLERANCE
             line = f"{head}{group:<11} max rel err {err:.3e}  {'ok' if passed else 'FAIL'}"
@@ -484,14 +484,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("gradcheck",
-                        help="complex-step check of the backward pass")
-    p.add_argument("--embed-dim", type=positive_int,
-                   help="default: run both 3/3 and 8/5 embed/hidden dims")
-    p.add_argument("--hidden-dim", type=positive_int)
+                        help="complex-step check of the backward pass of every trainable layout")
     p.add_argument("--seed", type=nonnegative_int, default=27)
-    p.add_argument("--variant", choices=(*ROUTES, "all"), default="ian",
-                   help="a trainable variant, or all of them")
-    p.add_argument("--tie-attention", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("attention-viz",

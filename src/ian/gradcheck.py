@@ -23,6 +23,9 @@ STEP = 1e-30
 # case, an L2 penalty so that its gradient is checked too, and the largest
 # relative error a group passes with
 CTX_LEN, TGT_LEN, L2, TOLERANCE = 4, 2, 0.01, 1e-4
+# the (embed, hidden) dims each trainable layout is checked at: the second
+# pair differs, so a place that reads one dim for the other cannot pass
+DIMS = ((3, 3), (8, 5))
 # what the drawn model's arrays are multiplied by: at the init range the
 # attention biases' gradients read 1e-21 to 1e-17, below relative_error's
 # floor, where a wrong one passes (README.md has the scale sweep)
@@ -91,8 +94,9 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_rows: int):
 
 def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str,
                      tie_attention: bool):
-    """Build a small random model, its arrays scaled by SCALE, and a batch,
-    then run gradient_check.
+    """Build a small random model of one trainable layout, its arrays scaled
+    by SCALE, and a batch, then run gradient_check. `ian gradcheck` calls it
+    for every layout of model.TRAINABLE at every DIMS pair.
 
     The batch holds three cases of CTX_LEN, CTX_LEN + 1 and CTX_LEN + 2
     context tokens with TGT_LEN-token targets; the middle one ends in a

@@ -78,6 +78,11 @@ ROUTES = {
 
 VARIANTS = (*ROUTES, "majority")
 
+# every (variant, tie_attention) pair a model can be trained as: a variant
+# that attends both sides may share one attention between them
+TRAINABLE = tuple((variant, tie) for variant, route in ROUTES.items() for tie in (False, True)
+                  if not tie or route.tgt_pool in ("ctx", "tgt"))
+
 CHECKPOINT_FORMAT = 1
 
 # the packed rows a chunk of a traced pass holds, twice as many for a pass
@@ -123,9 +128,9 @@ class ModelParams:
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        route = ROUTES.get(variant)
-        if tie_attention and (route is None or route.tgt_pool not in ("ctx", "tgt")):
+        if tie_attention and (variant, True) not in TRAINABLE:
             raise ValueError(f"variant {variant!r} has no second attention to tie")
+        route = ROUTES.get(variant)
         self.variant = variant
         self.vocab = vocab
         self.embed_dim = embed_dim

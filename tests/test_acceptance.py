@@ -43,14 +43,14 @@ def criterion(num, ok, text):
 
 def test_criterion_1_gradcheck(capsys):
     start = time.perf_counter()
-    rc = cli.main(["gradcheck"])  # defaults: dims 3 and 8, 4 ctx / 2 tgt tokens
+    rc = cli.main(["gradcheck"])  # 8 trainable layouts at dims 3/3 and 8/5, 4 ctx / 2 tgt tokens
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     groups_reported = out.count("max rel err")
-    ok = rc == 0 and elapsed < 10.0 and groups_reported == 12
+    ok = rc == 0 and elapsed < 10.0 and groups_reported == 76
     criterion(1, ok,
-              f"every parameter group within 1e-4 of complex-step derivatives "
-              f"at dims 3 and 8 ({groups_reported} group lines, "
+              f"every parameter group of every trainable layout within 1e-4 of "
+              f"complex-step derivatives at dims 3 and 8 ({groups_reported} group lines, "
               f"{elapsed:.1f}s < 10s)")
 
 

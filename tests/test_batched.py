@@ -35,13 +35,11 @@ from _per_case import forward as case_forward
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.evaluate import predict_all
 from ian.gradcheck import SCALE
-from ian.model import VARIANTS, ModelParams, chunks, forward
+from ian.model import TRAINABLE, VARIANTS, ModelParams, chunks, forward
 from ian.numerics import Rng
 from ian.training import GradSet, TrainConfig, dropout_mask, loss_and_grads, train
 
 VOCAB = Vocabulary([f"w{i}" for i in range(30)])
-# every trainable variant, plus ian with its two attentions tied
-TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 LOW_ROWS = 16  # packed rows per traced chunk: a batch of ragged cases spans several
 

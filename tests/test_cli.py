@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ian.evaluate
+import ian.gradcheck
 import ian.model
 from _corrupt import double_group
 from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
@@ -21,7 +22,15 @@ from ian.data import RawReview, build_instances, load_category, load_reviews
 from ian.embeddings import Vocabulary
 from ian.evaluate import predict_all
 from ian.lstm import lstm_forward
-from ian.model import LABELS, VARIANTS, ModelParams, load_checkpoint, save_checkpoint
+from ian.gradcheck import group_of
+from ian.model import (
+    LABELS,
+    TRAINABLE,
+    VARIANTS,
+    ModelParams,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ian.numerics import Rng
 from ian.training import TrainConfig
 from ian.viz import render_svg, weight_dump
@@ -232,19 +241,16 @@ def test_train_value_flags_reject_what_cannot_train(tmp_path, capsys, flag, valu
 
 TRAIN_ARGS = ["train", "--category", "laptop", "--embed-dim", "3", "--hidden-dim", "3",
               "--epochs", "1"]
-GRADCHECK_ARGS = ["gradcheck", "--embed-dim", "3", "--hidden-dim", "3"]
 
 
 @pytest.mark.parametrize("argv,flag", [
     (TRAIN_ARGS, "--epochs"), (TRAIN_ARGS, "--embed-dim"), (TRAIN_ARGS, "--hidden-dim"),
-    (TRAIN_ARGS, "--batch-size"), (GRADCHECK_ARGS, "--embed-dim"),
-    (GRADCHECK_ARGS, "--hidden-dim"),
+    (TRAIN_ARGS, "--batch-size"),
 ])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_flags_take_positive_integers_only(tmp_path, capsys, argv, flag, value):
-    out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "train" else []
     with pytest.raises(SystemExit) as exc:
-        run([*argv, *out_dir, flag, value])
+        run([*argv, "--out-dir", str(tmp_path), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expects a positive integer, got {value}" in err, err
@@ -261,7 +267,7 @@ def test_count_flag_in_a_config_file_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [TRAIN_ARGS, GRADCHECK_ARGS])
+@pytest.mark.parametrize("argv", [TRAIN_ARGS, ["gradcheck"]])
 def test_seed_flags_take_non_negative_integers_only(tmp_path, capsys, argv):
     out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "train" else []
     with pytest.raises(SystemExit) as exc:
@@ -349,11 +355,12 @@ def test_stats_fixture_counts(capsys):
 def test_stats_notes_every_dropped_and_repaired_term(tmp_path, capsys):
     # food: kept; food/conflict and service/mixed: dropped by polarity;
     # great: wrong offsets, found elsewhere; pizza: wrong offsets, nowhere;
-    # "slow .": wrong offsets, not found verbatim, found as tokens
+    # " ": no token; "slow .": wrong offsets, not found verbatim, found as tokens
     text = "The food was great but the service was slow."
     terms = [("food", "positive", 4, 8), ("food", "conflict", 4, 8),
              ("service", "mixed", 27, 34), ("great", "positive", 0, 5),
-             ("pizza", "negative", 100, 105), ("slow .", "negative", 200, 206)]
+             ("pizza", "negative", 100, 105), (" ", "negative", 3, 4),
+             ("slow .", "negative", 200, 206)]
     xml = (f"<sentences><sentence id=\"1\"><text>{text}</text><aspectTerms>"
            + "".join(f"<aspectTerm term=\"{t}\" polarity=\"{p}\" from=\"{a}\" to=\"{b}\" />"
                      for t, p, a, b in terms)
@@ -366,7 +373,19 @@ def test_stats_notes_every_dropped_and_repaired_term(tmp_path, capsys):
         assert run(["stats", "--category", "restaurant", "--data-dir", str(data)]) == 0
     notes = [line for line in capsys.readouterr().out.splitlines() if "note" in line]
     assert notes == ["  note  dropped 1 conflict, dropped 1 unknown polarity, "
-                     "dropped 1 unlocatable/empty, 1 span fallbacks, 3 offsets realigned"] * 2
+                     "dropped 2 unlocatable/empty, 1 span fallbacks, 3 offsets realigned"] * 2
+
+
+def test_stats_on_a_sentence_without_text_is_one_error_line(tmp_path, capsys):
+    xml = ('<sentences><sentence id="3"><aspectTerms><aspectTerm term="food" '
+           'polarity="positive" from="0" to="4"/></aspectTerms></sentence></sentences>\n')
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("Restaurants_Train_v2.xml", "Restaurants_Test_Gold.xml"):
+        (data / name).write_text(xml, encoding="utf-8")
+    assert run(["stats", "--category", "restaurant", "--data-dir", str(data)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {data / 'Restaurants_Train_v2.xml'}: sentence 3 has no text node\n")
 
 
 def test_stats_single_category(capsys):
@@ -793,6 +812,25 @@ def test_predict_empty_input_empty_output(tmp_path, capsys):
     assert dst.read_text() == ""
 
 
+def test_predict_skips_blank_and_whitespace_only_lines(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    src = tmp_path / "in.txt"
+    src.write_text("\n   \nthe food\tfood\n\t \n\nthe food\tthe\n", encoding="utf-8")
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert set(captured.out.splitlines()) <= set(LABELS) and captured.err == ""
+
+
+def test_predict_target_longer_than_its_sentence_is_unlabelled(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    src = tmp_path / "in.txt"
+    src.write_text("food\tthe food\n", encoding="utf-8")
+    assert run(["predict", "--checkpoint", ckpt, "--input", str(src)]) == 1
+    assert capsys.readouterr() == (
+        "?\n", "warning: line 1: target 'the food' not usable in this sentence\n")
+
+
 def test_predict_gold_free_prints_labels_only(tmp_path, capsys):
     ckpt, _ = trained_checkpoint(tmp_path, capsys)
     src = tmp_path / "in.txt"
@@ -852,27 +890,63 @@ def test_predict_non_utf8_input_names_the_file(tmp_path, capsys):
 # --- gradcheck --------------------------------------------------------
 
 
-def test_gradcheck_cli_single_dim_passes(capsys):
-    assert run(["gradcheck", "--embed-dim", "3", "--hidden-dim", "3"]) == 0
+def layout_groups():
+    """(report label, its groups in report order) per trainable layout."""
+    for variant, tie in TRAINABLE:
+        model = ModelParams(None, Vocabulary([]), variant=variant, embed_dim=3, hidden_dim=3,
+                            tie_attention=tie)
+        groups = dict.fromkeys(group_of(name) for name, _ in model.named_arrays())
+        yield variant + "+tied" * tie, tuple(groups)
+
+
+def test_gradcheck_all_variants_passes(capsys):
+    # the real sweep: every trainable layout, tied ones under a name of their
+    # own, at both dims, in a name column as wide as the longest name
+    assert run(["gradcheck"]) == 0
     out = capsys.readouterr().out
+    layouts = list(layout_groups())
+    assert len(layouts) == 8
+    assert ("no_interaction+tied",
+            ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn", "classifier")) in layouts
+    width = len("no_interaction+tied")
+    for (label, groups), dims in itertools.product(layouts, ("d_e=3 d_h=3", "d_e=8 d_h=5")):
+        head = f"{label:<{width}} {dims}  "
+        for group in groups:
+            assert re.search(rf"^{re.escape(head)}{group:<11} max rel err \S+  ok$", out, re.M), (
+                head, group)
+        assert re.search(rf"^{re.escape(head)}elapsed \d+\.\d\ds$", out, re.M), head
+    assert out.count("elapsed") == 16
+    assert out.count("max rel err") == 2 * sum(len(groups) for _, groups in layouts) == 76
+    assert "FAIL" not in out
+
+
+def test_gradcheck_cli_single_dim_passes(capsys, monkeypatch):
+    # every layout at one dims pair: every group of every model is ok
+    monkeypatch.setattr(ian.gradcheck, "DIMS", ((3, 3),))
+    assert run(["gradcheck"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.count("elapsed") == len(TRAINABLE) == 8
     for group in ("embeddings", "ctx_lstm", "tgt_lstm", "ctx_attn",
                   "tgt_attn", "classifier"):
         assert re.search(rf"{group}\s+max rel err \S+  ok", out)
 
 
 def test_gradcheck_cli_detects_corruption(capsys, monkeypatch):
+    # every layout at one dims pair: a doubled ctx_lstm fails in each of them
+    monkeypatch.setattr(ian.gradcheck, "DIMS", ((3, 3),))
     double_group(monkeypatch, "ctx_lstm")
-    rc = run(["gradcheck", "--embed-dim", "3", "--hidden-dim", "3"])
-    assert rc == 1
+    assert run(["gradcheck"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "worst ctx_lstm" in out
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == len(TRAINABLE) == 8
+    assert all(re.search(r"ctx_lstm\s+max rel err \S+  FAIL  worst ctx_lstm\.", line)
+               for line in fails), fails
 
 
 def test_gradcheck_fails_and_names_a_nan_gradient(capsys, monkeypatch):
     # a NaN in the first array of a group must not be replaced by the
     # finite errors of the arrays after it
-    import ian.gradcheck
-
     real = ian.gradcheck.loss_and_grads
 
     def nan_grads(*args, grads=None, **kwargs):
@@ -881,75 +955,63 @@ def test_gradcheck_fails_and_names_a_nan_gradient(capsys, monkeypatch):
             grads["ctx_lstm.W_x"][0, 0] = np.nan
         return loss
 
+    monkeypatch.setattr(ian.gradcheck, "DIMS", ((3, 3),))
     monkeypatch.setattr(ian.gradcheck, "loss_and_grads", nan_grads)
-    assert run(GRADCHECK_ARGS) == 1
+    assert run(["gradcheck"]) == 1
     out = capsys.readouterr().out
-    assert re.search(r"ctx_lstm\s+max rel err nan  FAIL  worst ctx_lstm\.W_x\[0,0\] "
-                     r"analytic nan", out), out
-    assert out.count("FAIL") == 1
-
-
-def test_gradcheck_requires_both_dims(capsys):
-    assert run(["gradcheck", "--embed-dim", "3"]) == 2
-
-
-def test_gradcheck_all_variants_passes(capsys):
-    assert run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3"]) == 0
-    out = capsys.readouterr().out
-    trainable = [v for v in VARIANTS if v != "majority"]
-    assert len(trainable) == 6
-    for variant in trainable:
-        assert re.search(rf"^{variant}\s+d_e=3 d_h=3  ctx_lstm\s+max rel err \S+  ok$",
-                         out, re.M), variant
-        assert re.search(rf"^{variant}\s+d_e=3 d_h=3  elapsed", out, re.M), variant
-    assert "FAIL" not in out
+    nan_line = (r"ctx_lstm\s+max rel err nan  FAIL  worst ctx_lstm\.W_x\[0,0\] "
+                r"analytic nan vs numeric \S+$")
+    assert len(re.findall(nan_line, out, re.M)) == out.count("FAIL") == 8, out
 
 
 def test_gradcheck_all_variants_fails_on_one_corrupt_group(capsys, monkeypatch):
-    double_group(monkeypatch, "ctx_lstm")
-    rc = run(["gradcheck", "--variant", "all", "--embed-dim", "3", "--hidden-dim", "3"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert out.count("worst ctx_lstm") == 6
-    assert out.count("FAIL") == 6
+    # a doubled tgt_attn fails where that group exists: in the two untied
+    # layouts with two attentions, and not in their tied twins, which hold
+    # one attention, under the context name
+    monkeypatch.setattr(ian.gradcheck, "DIMS", ((3, 3),))
+    double_group(monkeypatch, "tgt_attn")
+    assert run(["gradcheck"]) == 1
+    fails = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if "FAIL" in line]
+    assert fails == ["ian", "no_interaction"]
 
 
 def test_gradcheck_has_no_corruption_flag(capsys):
     with pytest.raises(SystemExit) as exc:
-        run([*GRADCHECK_ARGS, "--corrupt-group", "ctx_lstm"])
+        run(["gradcheck", "--corrupt-group", "ctx_lstm"])
     assert exc.value.code == 2
     assert "--corrupt-group" in capsys.readouterr().err
-
-
-def test_gradcheck_all_variants_refuses_tied_attention(capsys):
-    assert run(["gradcheck", "--variant", "all", "--tie-attention"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_gradcheck_has_no_eps_flag(capsys):
     # the complex step h is fixed: any tiny h gives the same derivatives
     with pytest.raises(SystemExit) as exc:
-        run([*GRADCHECK_ARGS, "--eps", "1e-5"])
+        run(["gradcheck", "--eps", "1e-5"])
     assert exc.value.code == 2
     assert "--eps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [
     ("--ctx-len", "4"), ("--tgt-len", "2"), ("--l2", "0.01"), ("--tolerance", "1e-4"),
+    ("--variant", "all"), ("--tie-attention", None), ("--embed-dim", "3"),
+    ("--hidden-dim", "3"),
 ])
 def test_gradcheck_runs_one_fixed_probe(capsys, flag, value):
     # the probe's lengths, its L2 penalty and the tolerance are constants of
-    # ian.gradcheck, not flags
+    # ian.gradcheck, and the models it checks are model.TRAINABLE at
+    # gradcheck.DIMS, not flags
+    argv = [flag] if value is None else [flag, value]
     with pytest.raises(SystemExit) as exc:
-        run([*GRADCHECK_ARGS, flag, value])
+        run(["gradcheck", *argv])
     assert exc.value.code == 2
     usage, error = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: ian ")
-    assert error == f"ian: error: unrecognized arguments: {flag} {value}"
+    assert error == f"ian: error: unrecognized arguments: {' '.join(argv)}"
 
 
-def test_gradcheck_states_its_precision_first(capsys):
-    assert run([*GRADCHECK_ARGS, "--variant", "lstm_avg"]) == 0
+def test_gradcheck_states_its_precision_first(capsys, monkeypatch):
+    monkeypatch.setattr(ian.gradcheck, "check_tiny_model", lambda *args, **kwargs: {})
+    assert run(["gradcheck"]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == (
         "complex step h 1e-30 on a complex128 twin of the float64 model")
@@ -1097,13 +1159,14 @@ def test_attention_viz_names_the_variant_without_attention(tmp_path, capsys, var
 # of the checkpoint at {ckpt} over the words "the" and "food", exit code,
 # the one stderr line)
 SENTENCE = ["--sentence", "the food was great"]
+NO_CHECKPOINT = ["--checkpoint", "no_such_model.npz"]
+NO_CHECKPOINT_LINE = ("cannot load checkpoint no_such_model.npz: "
+                      "[Errno 2] No such file or directory: 'no_such_model.npz'")
 FAILURES = [
-    (["gradcheck", "--embed-dim", "3"], None, 2,
-     "give both --embed-dim and --hidden-dim or neither"),
-    (["gradcheck", "--hidden-dim", "5"], None, 2,
-     "give both --embed-dim and --hidden-dim or neither"),
-    (["gradcheck", "--variant", "all", "--tie-attention"], None, 2,
-     "--tie-attention needs a single variant"),
+    (["eval", *NO_CHECKPOINT], None, 1, NO_CHECKPOINT_LINE),
+    (["predict", *NO_CHECKPOINT, "--input", "no_such_lines.txt"], None, 1, NO_CHECKPOINT_LINE),
+    (["attention-viz", *NO_CHECKPOINT, *SENTENCE, "--target", "food"], None, 1,
+     NO_CHECKPOINT_LINE),
     ([*SENTENCE, "--target", "food", "--span", "1-2"], "ian", 2,
      "--span expects START:END token positions"),
     ([*SENTENCE, "--target", "food", "--span", "1:5"], "ian", 2,

@@ -494,6 +494,8 @@ def test_resolve_data_file_env_handling(tmp_path, monkeypatch):
 
     with pytest.raises(ValueError):
         resolve_data_file("hotel", "train")
+    with pytest.raises(ValueError, match="unknown split 'dev'"):
+        resolve_data_file("restaurant", "dev")
 
 
 def test_load_reviews_fixture_mode(monkeypatch):

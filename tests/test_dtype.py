@@ -16,7 +16,7 @@ from ian.cli import main
 from ian.data import build_instances, build_vocab, load_reviews
 from ian.embeddings import PAD_INDEX, Vocabulary, random_embeddings
 from ian.evaluate import evaluate_model, predict_all
-from ian.model import VARIANTS, ModelParams, chunks, forward, load_checkpoint, save_checkpoint
+from ian.model import TRAINABLE, ModelParams, chunks, forward, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import (
     GradSet,
@@ -29,7 +29,6 @@ from ian.training import (
 )
 
 VOCAB = Vocabulary([f"w{i}" for i in range(12)])
-TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 DTYPES = [np.longdouble, np.float32, np.complex128]
 BATCH = [
     case([1, 2, 3, 4, 5], [2, 3], (1, 3), 0),

@@ -18,13 +18,11 @@ from _per_case import case
 
 from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import LstmParams
-from ian.model import LABELS, VARIANTS, ModelParams, forward, load_checkpoint, save_checkpoint
+from ian.model import LABELS, TRAINABLE, ModelParams, forward, load_checkpoint, save_checkpoint
 from ian.numerics import Rng
 from ian.training import GradSet, dropout_mask, loss_and_grads, momentum_step
 
 VOCAB = Vocabulary([f"w{i}" for i in range(30)])
-# every trainable variant, plus ian with its two attentions tied
-TRAINABLE = [(v, False) for v in VARIANTS if v != "majority"] + [("ian", True)]
 DIMS = [(300, 300), (7, 5), (50, 30)]
 # (target tokens, trailing pads on the context, on the target, dropout, l2)
 CASES = [(1, 2, 1, True, 1e-3), (3, 1, 2, True, 1e-3), (2, 0, 0, False, 0.0)]

@@ -15,7 +15,7 @@ from ian.gradcheck import (
     numeric_gradient,
     relative_error,
 )
-from ian.model import ROUTES, ModelParams
+from ian.model import TRAINABLE, ModelParams
 from ian.numerics import Rng
 from ian.training import loss_and_grads
 
@@ -101,7 +101,7 @@ def test_corrupting_a_group_is_detected(monkeypatch, group):
             assert other_err <= 1e-4, (other, other_err)
 
 
-@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 def test_doubling_any_one_array_fails(variant, tie):
     # every hand-derived gradient array is load-bearing for the check: each
     # round doubles one array of each group, and each such group fails on it
@@ -130,7 +130,7 @@ def test_checks_that_failed_in_float64_pass(variant, seed, dim):
     assert max(err for err, *_ in found.values()) <= 1e-4, found
 
 
-@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 def test_unequal_dims_pass(variant, tie):
     # a narrower embedding than hidden state: a place that uses one dim for
     # the other (no_target's query is embed_dim wide) cannot pass by accident
@@ -139,7 +139,7 @@ def test_unequal_dims_pass(variant, tie):
     assert max(err for err, *_ in found.values()) <= TOLERANCE, found
 
 
-@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 @pytest.mark.parametrize("embed_dim,hidden_dim", [(3, 3), (7, 5)])
 def test_checked_model_is_the_float64_model_in_precision(monkeypatch, variant, tie,
                                                          embed_dim, hidden_dim):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ian.embeddings import PAD_INDEX, Vocabulary, load_pretrained
-from ian.model import LABELS, VARIANTS, ModelParams
+from ian.model import LABELS, TRAINABLE, ModelParams
 from ian.numerics import Rng, uniform_init
 
-CASES = [(variant, False) for variant in VARIANTS] + [("ian", True)]
+CASES = [("majority", False), *TRAINABLE]
 
 
 def copied_init(seed: int, params: ModelParams) -> tuple:

@@ -15,8 +15,10 @@ from ian.embeddings import PAD_INDEX, Vocabulary
 from ian.lstm import lstm_forward
 from ian.model import (
     LABELS,
+    TRAINABLE,
     VARIANTS,
     ModelParams,
+    backward,
     forward,
     load_checkpoint,
     mean_matrix,
@@ -119,6 +121,26 @@ def test_majority_returns_priors_and_ignores_text():
     p2, _ = forward(params, [4], [4, 4])
     assert np.array_equal(p1, [[0.5, 0.2, 0.3]])
     assert np.array_equal(p1, p2)
+
+
+def test_majority_has_no_backward_pass():
+    params = make("majority")
+    _, trace = forward(params, [1, 2, 3], [1])
+    with pytest.raises(ValueError, match="majority baseline has no gradients"):
+        backward(params, trace, [0], grads=None)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_model_ties_its_attentions_only_in_a_trainable_layout(variant):
+    # the variants that attend both sides, each side by an average query
+    assert {v for v, tie in TRAINABLE if tie} == {"ian", "no_interaction"}
+    assert (variant, False) in TRAINABLE or variant == "majority"
+    if (variant, True) in TRAINABLE:
+        params = make(variant, tie=True)
+        assert params.tgt_attn is params.ctx_attn
+    else:
+        with pytest.raises(ValueError, match=f"variant '{variant}' has no second attention"):
+            make(variant, tie=True)
 
 
 def test_td_lstm_branches_meet_at_the_span():

@@ -42,6 +42,11 @@ def test_softmax_masked_entries_exactly_zero():
     assert abs(out.sum() - 1.0) < 1e-12
 
 
+def test_softmax_rejects_an_empty_input():
+    with pytest.raises(ValueError, match="empty"):
+        softmax_stable(np.array([]))
+
+
 def test_softmax_rejects_all_masked():
     with pytest.raises(ValueError):
         softmax_stable(np.array([-np.inf, -np.inf]))

@@ -5,7 +5,7 @@ from _oracles import oracle_cross_entropy, oracle_probs
 from _per_case import case
 from fdcheck import fd_grad, grads_close, max_rel_err
 from ian.embeddings import PAD_INDEX, Vocabulary
-from ian.model import ROUTES, ModelParams, forward
+from ian.model import TRAINABLE, ModelParams, forward
 from ian.numerics import Rng
 from ian.training import (
     GradSet,
@@ -199,7 +199,7 @@ def test_l2_gradient_decays_every_weight_map_and_no_bias(monkeypatch, variant, t
         assert not grads[name].any(), name
 
 
-@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 def test_loss_without_a_gradset_runs_no_backward_and_equals_the_loss_with_one(
         monkeypatch, variant, tie):
     import ian.training as training_module
@@ -259,7 +259,7 @@ def test_gradset_zero():
     assert all(np.all(arr == 0.0) for _, arr in grads.named_arrays())
 
 
-@pytest.mark.parametrize("variant,tie", [(v, False) for v in ROUTES] + [("ian", True)])
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
 def test_gradset_reads_each_named_array_by_its_name(variant, tie):
     grads = GradSet(tiny_model(variant, tie=tie))
     named = list(grads.named_arrays())
