@@ -215,9 +215,7 @@ def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: di
     dropped = features if dropout_mask is None else features * dropout_mask
     x = tanh(dropped @ params.W_l.T + params.b_l)
     probs = softmax_stable(x, axis=-1)
-    trace.update(
-        features=features, dropout_mask=dropout_mask, dropped=dropped, x=x, probs=probs
-    )
+    trace.update(dropout_mask=dropout_mask, dropped=dropped, x=x, probs=probs)
     return probs
 
 
@@ -402,13 +400,8 @@ def backward(params: ModelParams, trace: dict, labels, grads):
 def _pad_time_major(rows):
     """((longest, B) int array holding row b in column b, padded after its
     end with the padding index; the rows' lengths (B,))."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    out = np.full((lengths.max(), len(rows)), PAD_INDEX, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    steps = np.arange(lengths.sum()) - np.repeat(starts, lengths)
-    out[steps, np.repeat(np.arange(len(rows)), lengths)] = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.int64)
-    return out, lengths
+    return (np.array(list(itertools.zip_longest(*rows, fillvalue=PAD_INDEX)), dtype=np.int64),
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
 
 
 def chunks(instances, budget: int | None = None, keep_trace: bool = True):
@@ -421,9 +414,11 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     CHUNK_ROWS for a traced pass (keep_trace), twice that for a pass that
     keeps no trace, unless budget is given. Its rows are each distinct
     context's tokens once, plus each instance's target tokens and 2 rows
-    for its own vectors. A run of instances sharing a context is cut only
-    where its own rows exceed the budget, each piece running the context
-    again; a piece over the budget is a chunk of its own.
+    for its own vectors. A first greedy loop cuts the ordered instances
+    into pieces of one context each: a piece starts where the context
+    changes or where an instance's own rows would take it past the budget,
+    and runs its context once. A second closes a chunk only where its next
+    piece would not fit, so a piece over the budget is a chunk of its own.
     Yields (positions, ctx_idx, tgt_idx, layout) per chunk: positions
     index instances in column order, ctx_idx holds the distinct contexts,
     and layout holds the rest of forward's chunk arguments (span, lengths,
@@ -432,33 +427,30 @@ def chunks(instances, budget: int | None = None, keep_trace: bool = True):
     if budget is None:
         budget = CHUNK_ROWS if keep_trace else 2 * CHUNK_ROWS
     ids = [tuple(inst.context_ids) for inst in instances]
-    order = np.array(sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])),
-                     dtype=np.int64)
-    own = [len(instances[i].target_ids) + 2 for i in order]
-    # where in order each piece of a run of instances sharing a context starts
-    firsts, piece = [], 0
-    for k, i in enumerate(order):
-        if not firsts or ids[i] != ids[order[k - 1]] or piece + own[k] > budget:
-            firsts.append(k)
-            piece = len(ids[i])
-        piece += own[k]
-    bounds = np.array(firsts + [len(order)])
-    # reach[g1] - reach[g0]: the rows of pieces g0 to g1 - 1
-    reach = (np.cumsum([0] + own)[bounds]
-             + np.cumsum([0] + [len(ids[order[k]]) for k in firsts]))
-    cuts = [0] if firsts else []
-    for g in range(1, len(firsts)):
-        if reach[g + 1] - reach[cuts[-1]] > budget:
-            cuts.append(g)
-    for g0, g1 in zip(cuts, cuts[1:] + [len(firsts)]):
-        rows = order[bounds[g0]:bounds[g1]]
-        ctx_idx, lengths = _pad_time_major([ids[order[k]] for k in firsts[g0:g1]])
-        tgt_idx, tgt_lengths = _pad_time_major([instances[i].target_ids for i in rows])
-        yield rows, ctx_idx, tgt_idx, {
-            "span": [instances[i].span for i in rows],
+    pieces, rows = [], []
+    for i in sorted(range(len(ids)), key=lambda i: (-len(ids[i]), ids[i])):
+        own = len(instances[i].target_ids) + 2
+        if not pieces or ids[i] != ids[pieces[-1][0]] or rows[-1] + own > budget:
+            pieces.append([])
+            rows.append(len(ids[i]))
+        pieces[-1].append(i)
+        rows[-1] += own
+    groups, total = [], 0
+    for piece, n in zip(pieces, rows):
+        if not groups or total + n > budget:
+            groups.append([])
+            total = 0
+        groups[-1].append(piece)
+        total += n
+    for group in groups:
+        pos = [i for piece in group for i in piece]
+        ctx_idx, lengths = _pad_time_major([ids[piece[0]] for piece in group])
+        tgt_idx, tgt_lengths = _pad_time_major([instances[i].target_ids for i in pos])
+        yield np.array(pos, dtype=np.int64), ctx_idx, tgt_idx, {
+            "span": [instances[i].span for i in pos],
             "lengths": lengths,
             "tgt_lengths": tgt_lengths,
-            "contexts": np.repeat(np.arange(g1 - g0), np.diff(bounds[g0:g1 + 1])),
+            "contexts": np.repeat(np.arange(len(group)), [len(piece) for piece in group]),
         }
 
 

@@ -236,19 +236,29 @@ def test_pooling_matrices_equal_the_position_loops(variant, tie):
         for _, ctx_idx, tgt_idx, layout in chunks(batch):
             _, trace = forward(params, ctx_idx, tgt_idx, **layout)
             features, weights = loop_features(params, trace)
-            assert np.max(np.abs(trace["features"] - features)) <= 1e-12
+            assert np.max(np.abs(trace["dropped"] - features)) <= 1e-12
             for side, ref in weights.items():
                 assert np.max(np.abs(trace[f"{side}_weights"] - ref)) <= 1e-12
+
+
+def own_rows(inst):
+    """The packed rows an instance adds to its context's: its target tokens
+    and 2 rows for its own vectors."""
+    return len(inst.target_ids) + 2
 
 
 def chunk_layouts(batch, cut):
     """Check that the chunks of cut hold every instance of batch once, each
     chunk's distinct contexts in one column each with their instances side
-    by side; returns each chunk's (context lengths, packed rows, instance
-    count, distinct contexts)."""
+    by side, as int64 ids padded with the padding index; returns each
+    chunk's (context lengths, packed rows per column, positions, distinct
+    contexts in column order)."""
     seen, layouts = [], []
     for pos, ctx_idx, tgt_idx, layout in cut:
         lengths, contexts = layout["lengths"], layout["contexts"]
+        for ids, ends in ((ctx_idx, lengths), (tgt_idx, layout["tgt_lengths"])):
+            assert ids.dtype == np.int64 and ids.shape == (max(ends), len(ends))
+            assert all(np.all(ids[end:, b] == PAD_INDEX) for b, end in enumerate(ends))
         distinct = [tuple(ctx_idx[:length, g]) for g, length in enumerate(lengths)]
         # one column per distinct context, its instances side by side
         assert len(set(distinct)) == len(distinct)
@@ -259,15 +269,16 @@ def chunk_layouts(batch, cut):
             assert tuple(tgt_idx[:length, b]) == tuple(batch[i].target_ids)
             assert layout["span"][b] == batch[i].span
         seen += list(pos)
-        rows = sum(lengths) + sum(len(batch[i].target_ids) + 2 for i in pos)
-        layouts.append((lengths, rows, len(pos), set(distinct)))
+        pieces = [length + sum(own_rows(batch[i]) for i, c in zip(pos, contexts) if c == g)
+                  for g, length in enumerate(lengths)]
+        layouts.append((lengths, pieces, list(pos), distinct))
     assert sorted(seen) == list(range(len(batch)))
     return layouts
 
 
 def run_rows(batch, context):
     """The packed rows of all instances of batch on context, run as one piece."""
-    return len(context) + sum(len(inst.target_ids) + 2 for inst in batch
+    return len(context) + sum(own_rows(inst) for inst in batch
                               if tuple(inst.context_ids) == context)
 
 
@@ -275,15 +286,21 @@ def run_rows(batch, context):
 @given(batch=shared_contexts(), budget=st.integers(1, 60), keep_trace=st.booleans())
 def test_chunks_hold_each_context_once_within_the_row_budget(batch, budget, keep_trace):
     layouts = chunk_layouts(batch, chunks(batch, budget, keep_trace))
-    for lengths, rows, instances, _ in layouts:
+    for lengths, pieces, pos, _ in layouts:
         # the budget counts each distinct context's tokens once and each
         # instance's target tokens plus 2, for either kind of pass; only a
         # piece of one instance may exceed it
         assert lengths[0] == max(lengths)
-        assert rows <= budget or instances == 1
+        assert sum(pieces) <= budget or len(pos) == 1
     for (*_, a), (*_, b) in itertools.combinations(layouts, 2):
-        for context in a & b:  # a run of one context is cut only past the budget
+        for context in set(a) & set(b):  # a run of one context is cut only past the budget
             assert run_rows(batch, context) > budget
+    for (_, first, _, a), (_, second, pos, b) in zip(layouts, layouts[1:]):
+        # both cuts are greedy: a chunk closes only where its next piece
+        # would not fit, and a piece only where its next instance would not
+        assert sum(first) + second[0] > budget
+        if a[-1] == b[0]:
+            assert first[-1] + own_rows(batch[pos[0]]) > budget
 
 
 def test_chunk_budget_counts_a_shared_context_once():
@@ -309,6 +326,11 @@ def test_chunks_cut_a_long_run_of_one_context_into_pieces():
     assert [list(layout["lengths"]) for *_, layout in cut] == [[5], [5, 2]]
     assert [list(layout["contexts"]) for *_, layout in cut] == [[0, 0, 0], [0, 1, 1]]
     assert sorted(i for pos, *_ in cut for i in pos) == list(range(6))
+    # at 17 rows the run of four fits exactly, so it stays one piece, and
+    # the next context's run goes to a chunk of its own
+    cut = list(chunks(batch, 17))
+    assert [list(layout["lengths"]) for *_, layout in cut] == [[5], [2]]
+    assert [list(layout["contexts"]) for *_, layout in cut] == [[0, 0, 0, 0], [0, 0]]
 
 
 def test_td_lstm_runs_a_shared_context_once_each_way():

@@ -154,7 +154,7 @@ def test_td_lstm_branches_meet_at_the_span():
     right_h, _, _ = lstm_forward(params.tgt_lstm, ctx[2:][::-1, None], params.embeddings,
                                  np.array([5]))
     expected = np.concatenate([left_h[-1], right_h[-1]])
-    assert np.allclose(trace["features"], expected, atol=1e-15)
+    assert np.allclose(trace["dropped"], expected, atol=1e-15)
 
 
 def test_td_lstm_requires_span():
