@@ -17,7 +17,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 from .data import (
     CATEGORIES,
@@ -216,8 +216,7 @@ def cmd_train(args) -> int:
     save_checkpoint(checkpoint_path, params,
                     config={"category": args.category, **asdict(config)})
     print(f"wrote {checkpoint_path} and {history_path}")
-    report = history[-1]["eval_report"]
-    print(render_report(replace(report, dataset=f"{args.category} test")))
+    print(render_report(history[-1]["eval_report"], args.variant, f"{args.category} test"))
     return 0
 
 
@@ -246,11 +245,14 @@ def cmd_eval(args) -> int:
     dropped = report.dropped_unlocatable + report.dropped_empty
     if dropped:
         print(f"note: {dropped} instances dropped during encoding", file=sys.stderr)
-    result = evaluate_model(params, instances, dataset=f"{category} {args.split}")
-    print(render_report(result))
+    dataset = f"{category} {args.split}"
+    if not instances:
+        raise ValueError(f"no usable instance in {dataset}")
+    result = evaluate_model(params, instances)
+    print(render_report(result, params.variant, dataset))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_tsv(result))
+            fh.write(report_tsv(result, params.variant, dataset))
         print(f"wrote {args.out}")
     return 0
 
@@ -521,7 +523,7 @@ def main(argv=None) -> int:
                 **config_defaults(args.config, configurable, args.command))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError, FloatingPointError) as err:
+    except (ValueError, OSError, KeyError, FloatingPointError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, UsageError) else 1
     finally:

@@ -16,10 +16,8 @@ from .model import LABELS, ModelParams, chunks, forward
 
 @dataclass
 class EvalReport:
-    """Outcome of scoring one model variant on one dataset."""
+    """Counts from scoring predictions against gold labels."""
 
-    variant: str
-    dataset: str
     correct: int
     total: int
     accuracy: float
@@ -46,7 +44,7 @@ def _macro_f1(confusion: np.ndarray) -> float:
     return float(np.mean(2.0 * np.diag(confusion) / np.maximum(denom, 1)))
 
 
-def accuracy(preds, golds, variant: str = "", dataset: str = "") -> EvalReport:
+def accuracy(preds, golds) -> EvalReport:
     """Score a prediction sequence against gold labels.
 
     Both sequences hold class indices; they must be equally long and
@@ -69,8 +67,6 @@ def accuracy(preds, golds, variant: str = "", dataset: str = "") -> EvalReport:
     correct = int(np.trace(confusion))
     total = len(golds)
     return EvalReport(
-        variant=variant,
-        dataset=dataset,
         correct=correct,
         total=total,
         accuracy=correct / total,
@@ -79,22 +75,18 @@ def accuracy(preds, golds, variant: str = "", dataset: str = "") -> EvalReport:
     )
 
 
-def evaluate_model(params: ModelParams, instances, dataset: str = "") -> EvalReport:
-    """Predict every instance and score against the stored gold labels."""
-    if not instances:
-        raise ValueError("evaluate_model over an empty instance list")
+def evaluate_model(params: ModelParams, instances) -> EvalReport:
+    """Predict every instance and score against the stored gold labels; an
+    empty list raises, as accuracy does."""
     preds = predict_all(params, instances)
-    golds = [inst.label for inst in instances]
-    return accuracy(preds, golds, variant=params.variant, dataset=dataset)
+    return accuracy(preds, [inst.label for inst in instances])
 
 
-def render_report(report: EvalReport) -> str:
-    """Human-readable accuracy plus the confusion matrix and per-class recall."""
-    head = f"{report.variant or 'model'}"
-    if report.dataset:
-        head += f" on {report.dataset}"
+def render_report(report: EvalReport, variant: str, dataset: str) -> str:
+    """Human-readable accuracy of `variant` on `dataset`, plus the confusion
+    matrix and per-class recall."""
     lines = [
-        f"{head}: accuracy {report.correct}/{report.total}"
+        f"{variant} on {dataset}: accuracy {report.correct}/{report.total}"
         f" = {report.accuracy:.4f}   macro-F1 {report.macro_f1:.4f} (auxiliary)",
         "",
     ]
@@ -110,10 +102,10 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def report_tsv(report: EvalReport) -> str:
+def report_tsv(report: EvalReport, variant: str, dataset: str) -> str:
     """Machine-readable tab-separated dump of the same report."""
     return (
         "variant\tdataset\tcorrect\ttotal\taccuracy\tmacro_f1_aux\n"
-        f"{report.variant}\t{report.dataset}\t{report.correct}\t{report.total}"
+        f"{variant}\t{dataset}\t{report.correct}\t{report.total}"
         f"\t{report.accuracy:.6f}\t{report.macro_f1:.6f}\n"
     )

@@ -492,9 +492,10 @@ def load_checkpoint(path: str):
     dtype, float32 or float64, after its .npy header is checked against
     the shell's array; zipfile checks each member's CRC. A file
     that cannot be read as one (not a zip archive, truncated, no or bad
-    metadata, missing arrays or arrays of another shape, dtype or order,
-    a zip entry flagged as encrypted or stored by an unsupported method
-    or version) raises one ValueError naming the path and the cause.
+    metadata, missing or unexpected arrays, arrays of another shape, dtype
+    or order, a shell too large to allocate, a zip entry flagged as
+    encrypted or stored by an unsupported method or version) raises one
+    ValueError naming the path and the cause.
     """
     try:
         with open(path, "rb") as fh:
@@ -504,7 +505,7 @@ def load_checkpoint(path: str):
             with zipfile.ZipFile(fh) as archive:
                 return _params_from_npz(archive)
     except (ValueError, KeyError, TypeError, EOFError, OSError, zipfile.BadZipFile,
-            NotImplementedError, RuntimeError) as err:
+            NotImplementedError, RuntimeError, MemoryError) as err:
         raise ValueError(f"cannot load checkpoint {path}: {err}") from None
 
 
@@ -540,9 +541,13 @@ def _params_from_npz(archive: zipfile.ZipFile):
                              "expected float32 or float64")
         table = np.zeros((len(vocab), meta["embed_dim"]), dtype)
     params = ModelParams(None, vocab, **{key: meta[key] for key in LAYOUT}, embeddings=table)
+    # exactly the layout's members, so none is dropped unread (an untied
+    # attention under a meta that says tied would load as a tied model)
+    expected = {f"{name}.npy" for name, _ in _checkpoint_members(params)} | {"__meta__.npy"}
+    if members != expected:
+        raise ValueError(f"checkpoint members differ from its __meta__ layout: missing "
+                         f"{sorted(expected - members)}, unexpected {sorted(members - expected)}")
     for name, arr in _checkpoint_members(params):
-        if f"{name}.npy" not in members:
-            raise ValueError(f"checkpoint is missing array {name!r}")
         with archive.open(f"{name}.npy") as member:
             _read_npy_into(member, name, arr)
     return params, meta

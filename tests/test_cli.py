@@ -567,21 +567,42 @@ def test_train_names_a_vectors_file_that_is_not_utf8(tmp_path, capsys):
 def trained_checkpoint(tmp_path, capsys):
     out = tmp_path / "ckpt"
     assert run(["train", *TINY, "--out-dir", str(out)]) == 0
-    printed = capsys.readouterr().out
-    final = re.search(r"accuracy (\d+)/(\d+) = (0\.\d{4})", printed)
-    assert final is not None
-    return str(out / "model.npz"), final.group(0)
+    return str(out / "model.npz"), last_report(capsys.readouterr().out)
+
+
+def last_report(printed):
+    """The 7 lines of the last report render_report printed, from its
+    `<variant> on <dataset>:` line through `(rows gold, columns predicted)`."""
+    lines = printed.splitlines()
+    end = len(lines) - lines[::-1].index("(rows gold, columns predicted)")
+    return lines[end - 7:end]
 
 
 def test_eval_matches_train_final_accuracy(tmp_path, capsys):
-    ckpt, final_line = trained_checkpoint(tmp_path, capsys)
+    ckpt, train_report = trained_checkpoint(tmp_path, capsys)
+    head = re.match(r"ian on laptop test: accuracy (\d+)/(\d+) = ", train_report[0])
+    assert head, train_report
+    correct, total = head.groups()
     tsv = tmp_path / "report.tsv"
     assert run(["eval", "--checkpoint", ckpt, "--out", str(tsv)]) == 0
-    printed = capsys.readouterr().out
-    assert final_line in printed  # checkpoint round trip, same accuracy
+    # checkpoint round trip: the same counts, rendered under the same names
+    assert capsys.readouterr().out == "\n".join(train_report) + f"\nwrote {tsv}\n"
     header, row = tsv.read_text().strip().splitlines()
-    assert header.split("\t")[:2] == ["variant", "dataset"]
-    assert row.split("\t")[0] == "ian"
+    assert header.split("\t")[:4] == ["variant", "dataset", "correct", "total"]
+    assert row.split("\t")[:4] == ["ian", "laptop test", correct, total]
+
+
+def test_eval_names_a_split_without_a_usable_instance(tmp_path, capsys):
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(str(ckpt), ModelParams(Rng(0), Vocabulary(["a", "b"]), variant="ian",
+                                           embed_dim=3, hidden_dim=3))
+    with pytest.warns(UserWarning, match="lost all known tokens"):
+        assert run(["eval", "--checkpoint", str(ckpt), "--category", "laptop"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: no usable instance in laptop test"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -609,22 +630,58 @@ def test_eval_missing_checkpoint_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+# (damage, what the error line says of it)
+CHECKPOINT_DAMAGE = [
+    ("truncated", "not a zip archive"),
+    ("not_zip", "not a zip archive"),
+    ("untied_arrays_under_tied_meta",
+     "missing [], unexpected ['tgt_attn.W_a.npy', 'tgt_attn.b_a.npy']"),
+    ("junk_member", "missing [], unexpected ['junk.npy']"),
+    # a 3-row table of 2.4e17 bytes: past 2**57 bytes, more than any user
+    # address space, so it fails at once under any overcommit setting; below
+    # 2**63 bytes, where numpy still raises MemoryError, not "array is too big"
+    ("too_large_to_allocate", "Unable to allocate"),
+]
+
+
+@pytest.mark.parametrize("damage, cause", CHECKPOINT_DAMAGE,
+                         ids=[damage for damage, _ in CHECKPOINT_DAMAGE])
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command, damage):
+def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command, damage, cause):
     path = tmp_path / "model.npz"
     params = ModelParams(Rng(0), Vocabulary(["the", "food"]), variant="ian", embed_dim=3,
                          hidden_dim=3)
     save_checkpoint(str(path), params)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"not a model\n")
+    if damage in ("truncated", "not_zip"):
+        path.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"not a model\n")
+    else:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta.update({"untied_arrays_under_tied_meta": {"tie_attention": True},
+                     "too_large_to_allocate": {"embed_dim": 10**16}}.get(damage, {}))
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        if damage == "junk_member":
+            arrays["junk"] = np.zeros(2)
+        np.savez(path, **arrays)
     src = tmp_path / "in.txt"
     src.write_text("the food\tfood\n", encoding="utf-8")
     argv = {"eval": ["eval", "--checkpoint", str(path)],
             "predict": ["predict", "--checkpoint", str(path), "--input", str(src)]}
     assert run(argv[command]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    line = assert_one_error_line_naming(capsys, path)
+    assert line.startswith(f"error: cannot load checkpoint {path}: ") and cause in line, line
+
+
+def test_train_dim_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    # the 131-word restaurant table at this width is about 1e18 bytes, a size
+    # between 2**57 and 2**63 bytes as above
+    assert run(["train", "--embed-dim", str(10**15), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", CENTRAL_ENTRY_EDITS)

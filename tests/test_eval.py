@@ -144,23 +144,21 @@ def test_accuracy_errors_equal_the_loops_they_replace(preds, golds, message):
 def test_evaluate_model_matches_hand_count():
     # labels cycle 0,1,2 over 20 instances: 7 zeros, 7 ones, 6 twos
     params, instances = majority_fixed([1.0, 0.0, 0.0])
-    report = evaluate_model(params, instances, dataset="synthetic")
+    report = evaluate_model(params, instances)
     assert report.accuracy == pytest.approx(7 / 20)
-    assert report.variant == "majority"
-    assert report.dataset == "synthetic"
     assert np.array_equal(report.confusion[:, 0], [7, 7, 6])
 
     params.class_priors[:] = [0.0, 0.0, 1.0]
     assert evaluate_model(params, instances).accuracy == pytest.approx(6 / 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="accuracy over an empty label sequence"):
         evaluate_model(params, [])
 
 
 def test_render_report_mentions_counts_and_labels():
-    report = accuracy([0, 0, 1], [0, 1, 1], variant="majority", dataset="toy")
-    text = render_report(report)
+    report = accuracy([0, 0, 1], [0, 1, 1])
+    text = render_report(report, "majority", "toy")
     assert "2/3" in text
-    assert "majority" in text and "toy" in text
+    assert text.startswith("majority on toy: accuracy 2/3 = 0.6667")
     assert "auxiliary" in text
     for name in ("positive", "neutral", "negative"):
         assert name in text
@@ -169,9 +167,8 @@ def test_render_report_mentions_counts_and_labels():
 def test_render_report_prints_recall_per_gold_row():
     # no neutral gold instance: its recall is undefined and prints nan
     confusion = np.array([[2, 1, 0], [0, 0, 0], [1, 0, 3]])
-    report = EvalReport(variant="ian", dataset="toy", correct=5, total=7, accuracy=5 / 7,
-                        confusion=confusion, macro_f1=0.0)
-    rows = [line.split() for line in render_report(report).splitlines()
+    report = EvalReport(correct=5, total=7, accuracy=5 / 7, confusion=confusion, macro_f1=0.0)
+    rows = [line.split() for line in render_report(report, "ian", "toy").splitlines()
             if line.startswith("gold ")]
     assert rows == [["gold", "positive", "2", "1", "0", "0.6667"],
                     ["gold", "neutral", "0", "0", "0", "nan"],
@@ -179,8 +176,8 @@ def test_render_report_prints_recall_per_gold_row():
 
 
 def test_reports_tsv_round_trips_fields():
-    report = accuracy([0, 1, 2], [0, 1, 1], variant="ian", dataset="toy")
-    text = report_tsv(report)
+    report = accuracy([0, 1, 2], [0, 1, 1])
+    text = report_tsv(report, "ian", "toy")
     lines = text.strip().splitlines()
     assert lines[0].split("\t")[:2] == ["variant", "dataset"]
     fields = lines[1].split("\t")

@@ -301,7 +301,7 @@ def test_checkpoint_rejects_missing_arrays(tmp_path):
     del data["W_l"]
     broken = str(tmp_path / "broken.npz")
     np.savez(broken, **data)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing \['W_l.npy'\], unexpected \[\]$"):
         load_checkpoint(broken)
 
 
