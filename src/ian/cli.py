@@ -129,10 +129,10 @@ def cmd_stats(args) -> int:
         os.makedirs(args.dump_dir, exist_ok=True)
     categories = CATEGORIES if args.category == "both" else (args.category,)
     for category in categories:
-        train_ds, test_ds, reports = load_category(category, args.data_dir)
-        for ds in (train_ds, test_ds):
-            print(render_stats(dataset_stats(ds)))
-            report, realigned = reports[ds.split]
+        *splits, vocab, reports = load_category(category, args.data_dir)
+        for split, instances in zip(SPLITS, splits):
+            print(render_stats(dataset_stats(instances), f"{category} {split}"))
+            report, realigned = reports[split]
             notes = [text.format(count) for count, text in (
                 (report.dropped_conflict, "dropped {} conflict"),
                 (report.dropped_other_polarity, "dropped {} unknown polarity"),
@@ -144,9 +144,9 @@ def cmd_stats(args) -> int:
             if notes:
                 print("  note  " + ", ".join(notes))
             if args.dump_dir:
-                path = os.path.join(args.dump_dir, f"{category}_{ds.split}.txt")
+                path = os.path.join(args.dump_dir, f"{category}_{split}.txt")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(dump_instances(ds.instances))
+                    fh.write(dump_instances(instances, vocab))
                 print(f"  wrote {path}")
     return 0
 
@@ -168,34 +168,32 @@ def _write_history(history, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# epoch\tloss\ttrain_acc\teval_acc\n")
         for entry in history:
-            eval_acc = entry.get("eval_acc")
             fh.write(
                 f"{entry['epoch']}\t{entry['loss']:.6f}\t{entry['train_acc']:.6f}"
-                f"\t{'' if eval_acc is None else f'{eval_acc:.6f}'}\n"
+                f"\t{entry['eval_acc']:.6f}\n"
             )
 
 
 def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    train_ds, test_ds, _ = load_category(args.category, args.data_dir)
+    train_instances, test_instances, vocab, _ = load_category(args.category, args.data_dir)
     print(
-        f"{args.category}: {len(train_ds.instances)} train / {len(test_ds.instances)} test "
-        f"instances, vocabulary {len(train_ds.vocab)}"
+        f"{args.category}: {len(train_instances)} train / {len(test_instances)} test "
+        f"instances, vocabulary {len(vocab)}"
     )
-    if not train_ds.instances:
+    if not train_instances:
         raise ValueError("no usable training instance")
-    if not test_ds.instances:
+    if not test_instances:
         raise ValueError("no usable test instance")
 
     rng = Rng(config.seed)
     table = None
     if args.embeddings_path and args.variant != "majority":
-        table, hits, misses = load_pretrained(args.embeddings_path, train_ds.vocab,
-                                              args.embed_dim, rng)
+        table, hits, misses = load_pretrained(args.embeddings_path, vocab, args.embed_dim, rng)
         print(f"pretrained vectors: {hits} hits, {misses} misses")
     params = ModelParams(
         rng,
-        train_ds.vocab,
+        vocab,
         variant=args.variant,
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
@@ -208,8 +206,8 @@ def cmd_train(args) -> int:
     checkpoint_path = args.checkpoint or os.path.join(args.out_dir, "model.npz")
     check_writable(history_path, checkpoint_path)
     history = train(
-        params, train_ds.instances, config, rng,
-        eval_instances=test_ds.instances, log=print,
+        params, train_instances, config, rng,
+        eval_instances=test_instances, log=print,
     )
 
     _write_history(history, history_path)
@@ -393,7 +391,7 @@ def cmd_attention_viz(args) -> int:
         raise ValueError(f"no token of {what} is in the checkpoint vocabulary")
     # after the input checks (a refused call makes no directory), before the forward pass
     os.makedirs(args.out_dir, exist_ok=True)
-    n_dropped = len(tokenize(args.sentence)) - len(inst.context_tokens)
+    n_dropped = len(tokenize(args.sentence)) - len(inst.context_ids)
     if n_dropped:
         print(
             f"note: {n_dropped} tokens unknown to the checkpoint "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import Vocabulary
 from .model import LABEL_INDEX, LABELS
@@ -67,23 +67,14 @@ class RawReview:
 
 @dataclass
 class Instance:
-    """One (sentence, target occurrence) classification case."""
+    """One (sentence, target occurrence) classification case; its words are
+    ids into the vocabulary that built it."""
 
-    context_tokens: tuple
-    target_tokens: tuple
     context_ids: tuple
     target_ids: tuple
     span: tuple  # (start, end) token positions of the target in the context
     label: int
     target_text: str
-
-
-@dataclass
-class Dataset:
-    instances: list
-    vocab: Vocabulary
-    split: str
-    category: str
 
 
 @dataclass
@@ -278,8 +269,6 @@ def build_instances(reviews, vocab: Vocabulary, drop_unknown: bool = False):
                     continue
             instances.append(
                 Instance(
-                    context_tokens=tuple(ctx_tokens),
-                    target_tokens=tuple(tgt_tokens),
                     context_ids=vocab.encode(ctx_tokens),
                     target_ids=vocab.encode(tgt_tokens),
                     span=span,
@@ -351,19 +340,16 @@ def load_reviews(category: str, split: str, data_dir=None):
 def load_category(category: str, data_dir=None):
     """Both splits of one category with a shared transductive vocabulary.
 
-    Returns (train_dataset, test_dataset, reports), where reports maps each
-    split name to its (BuildReport, realigned offset count).
+    Returns (train instances, test instances, vocabulary, reports), where
+    reports maps each split name to its (BuildReport, realigned offset count).
     """
     train_reviews, train_realigned = load_reviews(category, "train", data_dir)
     test_reviews, test_realigned = load_reviews(category, "test", data_dir)
     vocab = build_vocab([train_reviews, test_reviews])
     train_instances, train_report = build_instances(train_reviews, vocab)
     test_instances, test_report = build_instances(test_reviews, vocab)
-    return (
-        Dataset(train_instances, vocab, "train", category),
-        Dataset(test_instances, vocab, "test", category),
-        {"train": (train_report, train_realigned), "test": (test_report, test_realigned)},
-    )
+    reports = {"train": (train_report, train_realigned), "test": (test_report, test_realigned)}
+    return train_instances, test_instances, vocab, reports
 
 
 # --- statistics ---------------------------------------------------------
@@ -374,11 +360,9 @@ HIST_BINS = ("1", "2", "3", "4", "5", ">5")
 
 @dataclass
 class DatasetStats:
-    category: str
-    split: str
     total: int
-    polarity_counts: dict = field(default_factory=dict)
-    length_hist: tuple = (0,) * len(HIST_BINS)
+    polarity_counts: dict
+    length_hist: tuple
 
 
 def target_word_count(target_text: str) -> int:
@@ -387,26 +371,20 @@ def target_word_count(target_text: str) -> int:
     return len(target_text.split())
 
 
-def dataset_stats(dataset: Dataset) -> DatasetStats:
+def dataset_stats(instances) -> DatasetStats:
     counts = {name: 0 for name in LABELS}
     hist = [0] * len(HIST_BINS)
-    for inst in dataset.instances:
+    for inst in instances:
         counts[LABELS[inst.label]] += 1
         words = target_word_count(inst.target_text)
         hist[min(words, len(HIST_BINS)) - 1] += 1
-    return DatasetStats(
-        category=dataset.category,
-        split=dataset.split,
-        total=len(dataset.instances),
-        polarity_counts=counts,
-        length_hist=tuple(hist),
-    )
+    return DatasetStats(total=len(instances), polarity_counts=counts, length_hist=tuple(hist))
 
 
-def render_stats(stats: DatasetStats) -> str:
+def render_stats(stats: DatasetStats, dataset: str) -> str:
     """Polarity counts plus the target-length histogram as count/ratio
-    cells (ratio of the split total, 4 decimals)."""
-    lines = [f"{stats.category} {stats.split}: {stats.total} instances"]
+    cells (ratio of the split total, 4 decimals), under the dataset's name."""
+    lines = [f"{dataset}: {stats.total} instances"]
     lines.append(
         "  polarity  " + "  ".join(f"{name} {stats.polarity_counts[name]}" for name in LABELS)
     )
@@ -418,17 +396,18 @@ def render_stats(stats: DatasetStats) -> str:
     return "\n".join(lines)
 
 
-def dump_instances(instances) -> str:
+def dump_instances(instances, vocab: Vocabulary) -> str:
     """Line-delimited canonical dump for diffing: four tab-separated fields
-    per instance — context tokens, target tokens, start:end, label name."""
+    per instance — context tokens, target tokens (decoded through vocab),
+    start:end, label name."""
     lines = []
     for inst in instances:
         label = LABELS[inst.label] if inst.label is not None else "-"
         lines.append(
             "\t".join(
                 (
-                    " ".join(inst.context_tokens),
-                    " ".join(inst.target_tokens),
+                    " ".join(vocab.tokens[i] for i in inst.context_ids),
+                    " ".join(vocab.tokens[i] for i in inst.target_ids),
                     f"{inst.span[0]}:{inst.span[1]}",
                     label,
                 )

@@ -122,8 +122,7 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str
             ctx_idx = np.append(ctx_idx, PAD_INDEX)
             tgt_idx = np.append(tgt_idx, PAD_INDEX)
         label = int(rng.integers(0, len(LABELS)))
-        cases.append(Instance(context_tokens=(), target_tokens=(),
-                              context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
+        cases.append(Instance(context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + TGT_LEN), label=label, target_text=""))
     # the two shorter cases' rows fill one chunk; the longest needs a second
     return gradient_check(params, cases, L2, chunk_rows=2 * (CTX_LEN + TGT_LEN + 3))

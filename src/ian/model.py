@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import zipfile
 from typing import NamedTuple
 
@@ -490,9 +491,13 @@ def load_checkpoint(path: str):
     Each array is read in place into a shell built from a zero init source
     (loading draws no random numbers) in the stored embedding table's
     dtype, float32 or float64, after its .npy header is checked against
-    the shell's array; zipfile checks each member's CRC. A file
-    that cannot be read as one (not a zip archive, truncated, no or bad
-    metadata, missing or unexpected arrays, arrays of another shape, dtype
+    the shell's array; zipfile checks each member's CRC. The metadata's
+    dims are checked against the headers of `embeddings` and `W_l`, and
+    those headers against their members' sizes in the zip directory,
+    before the shell is built, so a small file cannot size a large
+    allocation. A file that cannot be read as one (not a zip archive,
+    truncated, no or bad metadata, metadata dims its members do not
+    declare, missing or unexpected arrays, arrays of another shape, dtype
     or order, a shell too large to allocate, a zip entry flagged as
     encrypted or stored by an unsupported method or version) raises one
     ValueError naming the path and the cause.
@@ -532,15 +537,24 @@ def _params_from_npz(archive: zipfile.ZipFile):
     if tokens and tokens[0] != PAD_TOKEN:
         raise ValueError("checkpoint vocabulary does not start with the pad token")
     vocab, table = Vocabulary(tokens[1:]), None
-    if "embeddings.npy" in members:
-        # the shell takes the stored table's dtype, as a model takes its table's
-        with archive.open("embeddings.npy") as member:
-            dtype = _npy_header(member, "embeddings")[2]
-        if dtype not in (np.float32, np.float64):
-            raise ValueError(f"checkpoint array 'embeddings' has dtype {dtype}; "
-                             "expected float32 or float64")
-        table = np.zeros((len(vocab), meta["embed_dim"]), dtype)
-    params = ModelParams(None, vocab, **{key: meta[key] for key in LAYOUT}, embeddings=table)
+    layout = {key: meta[key] for key in LAYOUT}
+    if layout["variant"] in ROUTES:
+        # the meta's dims size the shell, so before anything is allocated
+        # they must be the dims the headers of embeddings and W_l declare;
+        # without both members the members check below refuses the file, and
+        # its shell takes the least dims
+        if not {"embeddings.npy", "W_l.npy"} <= members:
+            layout.update(embed_dim=1, hidden_dim=1)
+        else:
+            # the shell takes the stored table's dtype, as a model takes its table's
+            dtype = _declared_dtype(archive, "embeddings", (len(vocab), layout["embed_dim"]))
+            if dtype not in (np.float32, np.float64):
+                raise ValueError(f"checkpoint array 'embeddings' has dtype {dtype}; "
+                                 "expected float32 or float64")
+            sides = len(feature_sides(ROUTES[layout["variant"]]))
+            _declared_dtype(archive, "W_l", (len(LABELS), sides * layout["hidden_dim"]))
+            table = np.zeros((len(vocab), layout["embed_dim"]), dtype)
+    params = ModelParams(None, vocab, **layout, embeddings=table)
     # exactly the layout's members, so none is dropped unread (an untied
     # attention under a meta that says tied would load as a tied model)
     expected = {f"{name}.npy" for name, _ in _checkpoint_members(params)} | {"__meta__.npy"}
@@ -560,6 +574,23 @@ def _npy_header(member, name: str):
     if version != (1, 0):
         raise ValueError(f"checkpoint array {name!r} has .npy version {version}")
     return npy_format.read_array_header_1_0(member)
+
+
+def _declared_dtype(archive: zipfile.ZipFile, name: str, shape: tuple):
+    """The dtype in the header of one .npy member, which must declare shape
+    and as many data bytes as the zip directory gives the member; no array
+    data is read."""
+    info = archive.getinfo(f"{name}.npy")
+    with archive.open(info) as member:
+        declared, _, dtype = _npy_header(member, name)
+        excess = info.file_size - member.tell() - math.prod(declared) * dtype.itemsize
+    if declared != shape:
+        raise ValueError(f"checkpoint array {name!r} has shape {declared}; "
+                         f"its __meta__ implies {shape}")
+    if excess:
+        raise ValueError(f"checkpoint array {name!r} "
+                         + ("has trailing bytes" if excess > 0 else "is truncated"))
+    return dtype
 
 
 def _read_npy_into(member, name: str, arr: np.ndarray):

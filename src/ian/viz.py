@@ -93,7 +93,8 @@ def render_html(svg: str, dump: str) -> str:
 
 
 def write_attention_files(out_dir, params, instance, basename="attention"):
-    """Render one instance's attention and write svg/html/txt files in out_dir.
+    """Render one instance's attention, its words decoded through
+    params.vocab, and write svg/html/txt files in out_dir.
 
     Returns (paths dict, predicted label name). The weights come from the
     pass predict_all runs, which keeps no trace, on a chunk of one.
@@ -102,10 +103,10 @@ def write_attention_files(out_dir, params, instance, basename="attention"):
     probs, trace = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)
     ctx_w, tgt_w = (trace[k][:, 0] if k in trace else None for k in ("ctx_weights", "tgt_weights"))
     predicted = LABELS[int(probs[0].argmax())]
-    dump = weight_dump(instance.context_tokens, ctx_w,
-                       instance.target_tokens, tgt_w, predicted)
-    svg = render_svg(instance.context_tokens, ctx_w,
-                     instance.target_tokens, tgt_w, predicted)
+    ctx_tokens, tgt_tokens = ([params.vocab.tokens[i] for i in ids]
+                              for ids in (instance.context_ids, instance.target_ids))
+    dump = weight_dump(ctx_tokens, ctx_w, tgt_tokens, tgt_w, predicted)
+    svg = render_svg(ctx_tokens, ctx_w, tgt_tokens, tgt_w, predicted)
     page = render_html(svg, dump)
     paths = {}
     for ext, content in (("svg", svg), ("html", page), ("txt", dump)):

@@ -22,8 +22,8 @@ from ian.training import GradSet, momentum_step
 
 def case(ctx_idx, tgt_idx, span, label):
     """An Instance holding only what the passes read."""
-    return Instance(context_tokens=(), target_tokens=(), context_ids=tuple(ctx_idx),
-                    target_ids=tuple(tgt_idx), span=span, label=label, target_text="")
+    return Instance(context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx), span=span,
+                    label=label, target_text="")
 
 
 def sigmoid(x):

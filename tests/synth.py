@@ -33,7 +33,5 @@ def synthetic_separable(n=20):
             target_ids=vocab.encode([noun]),
             span=span,
             label=label,
-            context_tokens=tokens,
-            target_tokens=[noun],
         ))
     return vocab, instances

@@ -21,7 +21,7 @@ from synth import synthetic_separable
 from _oracles import oracle_probs
 
 from ian import cli
-from ian.data import DATA_ENV, REAL_FILENAMES, dataset_stats, fixture_path, load_category
+from ian.data import DATA_ENV, REAL_FILENAMES, SPLITS, dataset_stats, fixture_path, load_category
 from ian.embeddings import PAD_INDEX, Vocabulary, load_pretrained
 from ian.evaluate import accuracy, evaluate_model
 from ian.model import ModelParams, forward
@@ -146,14 +146,14 @@ def test_criterion_4_statistics(capsys, monkeypatch):
     # fixture mode always runs, through the same loader the CLI uses
     mismatches = []
     for category in ("restaurant", "laptop"):
-        train_ds, test_ds, _ = load_category(category)
-        for dataset in (train_ds, test_ds):
-            stats = dataset_stats(dataset)
-            want_pol, want_hist = FIXTURE_EXPECTED[(category, dataset.split)]
+        *splits, _, _ = load_category(category)
+        for split, instances in zip(SPLITS, splits):
+            stats = dataset_stats(instances)
+            want_pol, want_hist = FIXTURE_EXPECTED[(category, split)]
             if polarity_triple(stats) != want_pol:
-                mismatches.append(f"{category} {dataset.split} polarity")
+                mismatches.append(f"{category} {split} polarity")
             if stats.length_hist != want_hist:
-                mismatches.append(f"{category} {dataset.split} histogram")
+                mismatches.append(f"{category} {split} histogram")
 
     assert cli.main(["stats"]) == 0
     rendered = capsys.readouterr().out
@@ -164,24 +164,23 @@ def test_criterion_4_statistics(capsys, monkeypatch):
 
     if data_dir:
         for category in ("restaurant", "laptop"):
-            train_ds, test_ds, _ = load_category(category, data_dir=data_dir)
-            for dataset in (train_ds, test_ds):
-                stats = dataset_stats(dataset)
-                want_pol, want_hist, want_ratio = REAL_EXPECTED[
-                    (category, dataset.split)]
+            *splits, _, _ = load_category(category, data_dir=data_dir)
+            for split, instances in zip(SPLITS, splits):
+                stats = dataset_stats(instances)
+                want_pol, want_hist, want_ratio = REAL_EXPECTED[(category, split)]
                 if polarity_triple(stats) != want_pol:
                     mismatches.append(
-                        f"real {category} {dataset.split} polarity "
+                        f"real {category} {split} polarity "
                         f"{polarity_triple(stats)} != {want_pol}")
                 if stats.length_hist != want_hist:
                     mismatches.append(
-                        f"real {category} {dataset.split} histogram "
+                        f"real {category} {split} histogram "
                         f"{stats.length_hist} != {want_hist}")
                 got_ratio = tuple(round(c / stats.total, 4)
                                   for c in stats.length_hist)
                 if got_ratio != want_ratio:
                     mismatches.append(
-                        f"real {category} {dataset.split} ratios "
+                        f"real {category} {split} ratios "
                         f"{got_ratio} != {want_ratio}")
         scope = "fixtures and the real benchmark files"
     else:
@@ -304,18 +303,17 @@ def stretch_runs(data_dir, vectors, dim, epochs):
     report = []
     ok = True
     for category in ("restaurant", "laptop"):
-        train_ds, test_ds, _ = load_category(category, data_dir=data_dir)
-        table, hits, misses = load_pretrained(vectors, train_ds.vocab, dim,
-                                              Rng(0))
+        train_instances, test_instances, vocab, _ = load_category(category, data_dir=data_dir)
+        table, hits, misses = load_pretrained(vectors, vocab, dim, Rng(0))
         print(f"{category}: {hits} pretrained hits, {misses} misses")
 
         def run(variant, seed):
-            params = ModelParams(Rng(seed), train_ds.vocab, variant=variant,
+            params = ModelParams(Rng(seed), vocab, variant=variant,
                                  embed_dim=dim, hidden_dim=dim,
                                  embeddings=table.copy())
             config = TrainConfig(seed=seed, epochs=epochs)
-            train(params, train_ds.instances, config, Rng(seed))
-            return evaluate_model(params, test_ds.instances).accuracy
+            train(params, train_instances, config, Rng(seed))
+            return evaluate_model(params, test_instances).accuracy
 
         accs = {seed: [run(variant, seed) for variant in ABLATION_ORDER]
                 for seed in seeds}

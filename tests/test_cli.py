@@ -16,7 +16,7 @@ import ian.evaluate
 import ian.gradcheck
 import ian.model
 from _corrupt import double_group
-from _damage import CENTRAL_ENTRY_EDITS, edit_central_entry
+from _damage import CENTRAL_ENTRY_EDITS, claim_table, edit_central_entry
 from ian.cli import build_parser, main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
 from ian.embeddings import Vocabulary
@@ -459,8 +459,8 @@ def test_train_scores_the_test_split_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ian.evaluate, "predict_all", counted)
     assert run(["train", *TINY, "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
-    train_ds, test_ds, _ = load_category("laptop")
-    assert calls == [len(train_ds.instances), len(test_ds.instances)]
+    train_instances, test_instances, _, _ = load_category("laptop")
+    assert calls == [len(train_instances), len(test_instances)]
     assert "on laptop test: accuracy" in capsys.readouterr().out
 
 
@@ -470,8 +470,8 @@ def test_train_lr_zero_leaves_params_at_init(tmp_path):
     saved, _ = load_checkpoint(str(out / "model.npz"))
 
     # rebuild the init exactly as cmd_train does: one seeded stream
-    train_ds, _, _ = load_category("laptop")
-    fresh = ModelParams(Rng(3), train_ds.vocab, variant="ian",
+    vocab = load_category("laptop")[2]
+    fresh = ModelParams(Rng(3), vocab, variant="ian",
                         embed_dim=8, hidden_dim=8)
     for (name, arr), (_, ref) in zip(
         saved.named_arrays(),
@@ -637,9 +637,14 @@ CHECKPOINT_DAMAGE = [
     ("untied_arrays_under_tied_meta",
      "missing [], unexpected ['tgt_attn.W_a.npy', 'tgt_attn.b_a.npy']"),
     ("junk_member", "missing [], unexpected ['junk.npy']"),
-    # a 3-row table of 2.4e17 bytes: past 2**57 bytes, more than any user
-    # address space, so it fails at once under any overcommit setting; below
-    # 2**63 bytes, where numpy still raises MemoryError, not "array is too big"
+    # a meta whose dims no member declares is refused before the shell is built
+    ("meta_dims_disagree",
+     "'W_l' has shape (3, 6); its __meta__ implies (3, 4000)"),
+    ("table_header_past_its_data", "'embeddings' is truncated"),
+    # meta, header and zip directory agree on a 3-row table of 2.4e17 bytes:
+    # past 2**57 bytes, more than any user address space, so it fails at once
+    # under any overcommit setting; below 2**63 bytes, where numpy still
+    # raises MemoryError, not "array is too big"
     ("too_large_to_allocate", "Unable to allocate"),
 ]
 
@@ -659,12 +664,20 @@ def test_corrupt_checkpoint_fails_with_one_error_line(tmp_path, capsys, command,
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays["__meta__"]))
+        huge = {"embed_dim": 10**16}
         meta.update({"untied_arrays_under_tied_meta": {"tie_attention": True},
-                     "too_large_to_allocate": {"embed_dim": 10**16}}.get(damage, {}))
+                     "meta_dims_disagree": {"hidden_dim": 2000},
+                     "table_header_past_its_data": huge,
+                     "too_large_to_allocate": huge}.get(damage, {}))
         arrays["__meta__"] = np.array(json.dumps(meta))
         if damage == "junk_member":
             arrays["junk"] = np.zeros(2)
         np.savez(path, **arrays)
+        # the table's header says what the meta says; the zip directory holds
+        # its 128 header bytes, or those plus the 3 * 10**16 float64 values
+        claimed = {"table_header_past_its_data": 0, "too_large_to_allocate": 24 * 10**16}
+        if damage in claimed:
+            claim_table(path, (3, 10**16), claimed[damage])
     src = tmp_path / "in.txt"
     src.write_text("the food\tfood\n", encoding="utf-8")
     argv = {"eval": ["eval", "--checkpoint", str(path)],
@@ -741,8 +754,8 @@ def test_eval_checkpoint_whose_config_is_not_an_object_is_one_error_line(tmp_pat
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
-    train_ds, _, _ = load_category("laptop")
-    params = ModelParams(Rng(4), train_ds.vocab, variant=variant, embed_dim=4, hidden_dim=4)
+    vocab = load_category("laptop")[2]
+    params = ModelParams(Rng(4), vocab, variant=variant, embed_dim=4, hidden_dim=4)
     for _, arr in params.named_arrays():
         arr *= 10.0  # spread the classes so the labels differ between lines
     if variant == "majority":
@@ -752,7 +765,7 @@ def test_predict_labels_equal_predict_all(tmp_path, capsys, variant):
 
     reviews = [RawReview(r.text, [t]) for r in load_reviews("laptop", "test")[0]
                for t in r.terms if r.text.count(t.text) == 1 and t.polarity != "conflict"]
-    instances, _ = build_instances(reviews, train_ds.vocab)
+    instances, _ = build_instances(reviews, vocab)
     src = tmp_path / "in.txt"
     src.write_text("".join(f"{r.text}\t{r.terms[0].text}\n" for r in reviews),
                    encoding="utf-8")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ian.data import (
     AspectTerm,
     BuildReport,
-    Dataset,
     RawReview,
     build_instances,
     build_vocab,
@@ -52,6 +51,11 @@ FIXTURE_COUNTS = {
         (2, 3, 0, 0, 0, 0),
     ),
 }
+
+
+def words(vocab, ids):
+    """The tokens of a sequence of ids under the vocabulary that encoded it."""
+    return [vocab.tokens[i] for i in ids]
 
 
 # --- tokenization -------------------------------------------------------
@@ -139,11 +143,13 @@ def _span_term(data, text):
 def test_span_tokens_equal_the_term_tokens(text, data):
     tokens, term = _span_term(data, text)
     review = RawReview(text, [term])
-    (inst,), _ = build_instances([review], build_vocab([[review]]))
+    vocab = build_vocab([[review]])
+    (inst,), _ = build_instances([review], vocab)
     start, end = inst.span
-    assert list(inst.context_tokens) == tokens
-    assert list(inst.context_tokens[start:end]) == tokenize(term.text)
-    assert list(inst.target_tokens) == tokenize(term.text)
+    context = words(vocab, inst.context_ids)
+    assert context == tokens
+    assert context[start:end] == tokenize(term.text)
+    assert words(vocab, inst.target_ids) == tokenize(term.text)
 
 
 @PROPERTY
@@ -152,18 +158,20 @@ def test_drop_unknown_span_holds_the_kept_target_tokens(text, data):
     tokens, term = _span_term(data, text)
     known = data.draw(st.sets(st.sampled_from(tokens)))
     kept_target = [t for t in tokenize(term.text) if t in known]
+    vocab = Vocabulary(sorted(known))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        instances, report = build_instances([RawReview(text, [term])],
-                                            Vocabulary(sorted(known)), drop_unknown=True)
+        instances, report = build_instances([RawReview(text, [term])], vocab,
+                                            drop_unknown=True)
     if not kept_target:
         assert instances == [] and report.dropped_empty == 1
         return
     (inst,) = instances
     start, end = inst.span
-    assert list(inst.context_tokens) == [t for t in tokens if t in known]
-    assert list(inst.context_tokens[start:end]) == kept_target
-    assert list(inst.target_tokens) == kept_target
+    context = words(vocab, inst.context_ids)
+    assert context == [t for t in tokens if t in known]
+    assert context[start:end] == kept_target
+    assert words(vocab, inst.target_ids) == kept_target
 
 
 @pytest.mark.parametrize("text,term,expected", [
@@ -304,20 +312,20 @@ def test_repeated_term_binds_each_occurrence():
 
 def test_span_slice_covers_target_tokens():
     for category, split in FIXTURE_COUNTS:
-        instances, _, _ = fixture_dataset(category, split)
+        instances, _, vocab = fixture_dataset(category, split)
         for inst in instances:
             a, b = inst.span
-            assert 0 <= a < b <= len(inst.context_tokens)
+            assert 0 <= a < b <= len(inst.context_ids)
             # offsets bind the right region: the context slice and the
             # target tokens cover the same text for these fixtures
-            assert list(inst.context_tokens[a:b]) == list(inst.target_tokens)
+            assert words(vocab, inst.context_ids[a:b]) == words(vocab, inst.target_ids)
 
 
 def test_target_round_trips_modulo_case_and_spacing():
     for category, split in FIXTURE_COUNTS:
-        instances, _, _ = fixture_dataset(category, split)
+        instances, _, vocab = fixture_dataset(category, split)
         for inst in instances:
-            joined = "".join(inst.target_tokens)
+            joined = "".join(words(vocab, inst.target_ids))
             squeezed = "".join(inst.target_text.lower().split())
             assert joined == squeezed
 
@@ -369,9 +377,9 @@ def test_drop_unknown_remaps_span():
     )
     instances, report = build_instances([review], vocab, drop_unknown=True)
     inst = instances[0]
-    assert inst.context_tokens == ("the", "soup", "was", "great", ".")
+    assert words(vocab, inst.context_ids) == ["the", "soup", "was", "great", "."]
     assert inst.span == (1, 2)
-    assert inst.target_tokens == ("soup",)
+    assert words(vocab, inst.target_ids) == ["soup"]
     assert len(instances) == 1
 
 
@@ -412,8 +420,8 @@ def test_target_word_count_uses_whitespace_words():
 
 def test_fixture_stats_match_hand_counts():
     for (category, split), (total, by_label, hist) in FIXTURE_COUNTS.items():
-        instances, _, vocab = fixture_dataset(category, split)
-        stats = dataset_stats(Dataset(instances, vocab, split, category))
+        instances, _, _ = fixture_dataset(category, split)
+        stats = dataset_stats(instances)
         assert stats.total == total
         assert stats.polarity_counts == by_label
         assert stats.length_hist == hist
@@ -423,8 +431,8 @@ def test_stats_agree_with_bruteforce_recount():
     from ian.model import LABELS
 
     for category, split in FIXTURE_COUNTS:
-        instances, _, vocab = fixture_dataset(category, split)
-        stats = dataset_stats(Dataset(instances, vocab, split, category))
+        instances, _, _ = fixture_dataset(category, split)
+        stats = dataset_stats(instances)
         recount = {name: 0 for name in LABELS}
         hist = [0] * 6
         for inst in instances:
@@ -438,17 +446,17 @@ def test_stats_agree_with_bruteforce_recount():
 
 
 def test_stats_on_empty_dataset_are_zero():
-    stats = dataset_stats(Dataset([], Vocabulary(), "train", "restaurant"))
+    stats = dataset_stats([])
     assert stats.total == 0
     assert all(v == 0 for v in stats.polarity_counts.values())
     assert stats.length_hist == (0, 0, 0, 0, 0, 0)
-    assert "0/0.0000" in render_stats(stats)
+    assert "0/0.0000" in render_stats(stats, "restaurant train")
 
 
 def test_render_stats_count_slash_ratio_cells():
-    instances, _, vocab = fixture_dataset("restaurant", "train")
-    text = render_stats(dataset_stats(Dataset(instances, vocab, "train", "restaurant")))
-    assert "20 instances" in text
+    instances, _, _ = fixture_dataset("restaurant", "train")
+    text = render_stats(dataset_stats(instances), "restaurant train")
+    assert text.startswith("restaurant train: 20 instances\n")
     assert "positive 11" in text
     assert "1: 11/0.5500" in text
     assert ">5: 1/0.0500" in text
@@ -464,20 +472,18 @@ def test_dump_instances_format():
     )
     vocab = build_vocab([[review]])
     instances, _ = build_instances([review], vocab)
-    dump = dump_instances(instances)
+    dump = dump_instances(instances, vocab)
     assert dump == "the soup was hot !\tsoup\t1:2\tnegative\n"
-    assert dump_instances([]) == ""
+    assert dump_instances([], vocab) == ""
 
 
 def test_load_category_shares_transductive_vocab():
-    train, test, _ = load_category("laptop")
-    assert train.vocab is test.vocab
-    assert (train.split, train.category) == ("train", "laptop")
-    assert (test.split, test.category) == ("test", "laptop")
-    assert len(train.instances) == 14 and len(test.instances) == 5
-    # transductive: every test token is in the shared vocabulary
-    for inst in test.instances:
-        assert all(t in train.vocab for t in inst.context_tokens)
+    train, test, vocab, _ = load_category("laptop")
+    assert len(train) == 14 and len(test) == 5
+    # transductive: the shared vocabulary encodes the test reviews, as the
+    # returned test instances
+    reviews, _ = load_reviews("laptop", "test")
+    assert build_instances(reviews, vocab)[0] == test
 
 
 def test_resolve_data_file_env_handling(tmp_path, monkeypatch):

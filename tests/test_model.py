@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -303,6 +305,33 @@ def test_checkpoint_rejects_missing_arrays(tmp_path):
     np.savez(broken, **data)
     with pytest.raises(ValueError, match=r"missing \['W_l.npy'\], unexpected \[\]$"):
         load_checkpoint(broken)
+
+
+@pytest.mark.parametrize("dropped, cause", [
+    (None, "'W_l' has shape (3, 6); its __meta__ implies (3, 4000)"),
+    ("W_l", "missing ['W_l.npy'], unexpected []"),
+    ("embeddings", "missing ['embeddings.npy'], unexpected []"),
+])
+def test_meta_dims_no_member_declares_are_refused_before_any_allocation(tmp_path, dropped,
+                                                                        cause):
+    # an 11 KB checkpoint whose meta says hidden_dim 2000: a shell built from
+    # the meta alone takes about 300 MiB before a member shape refuses it;
+    # without W_l or embeddings no header can vouch for the dims either
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, make("ian", seed=2, de=4, dh=3))
+    data = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(str(data["__meta__"]))
+    data["__meta__"] = np.array(json.dumps({**meta, "hidden_dim": 2000}))
+    data.pop(dropped, None)
+    np.savez(path, **data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 @pytest.mark.parametrize("stored", [

@@ -5,7 +5,7 @@ from _oracles import oracle_cross_entropy, oracle_probs
 from _per_case import case
 from fdcheck import fd_grad, grads_close, max_rel_err
 from ian.embeddings import PAD_INDEX, Vocabulary
-from ian.model import TRAINABLE, ModelParams, forward
+from ian.model import TRAINABLE, ModelParams, chunks, forward
 from ian.numerics import Rng
 from ian.training import (
     GradSet,
@@ -444,10 +444,25 @@ def test_nan_abort_names_the_first_non_finite_gradient(monkeypatch):
         train(params, instances, TrainConfig(epochs=1), rng)
 
 
-def test_cross_entropy_clamps_vanished_gold_probability():
-    with pytest.warns(UserWarning):
-        value = cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([1]))
-    assert value == pytest.approx(-np.log(1e-12))
+@pytest.mark.parametrize("variant,tie", TRAINABLE)
+def test_gold_probability_never_falls_below_the_tanh_softmax_floor(variant, tie):
+    # the softmax reads tanh outputs in [-1, 1], so at saturated classifier
+    # weights a class whose bias is -1e6 gets exactly e^-1 / (e^-1 + 2e), and
+    # no class less: the log in cross_entropy is always finite
+    floor = np.exp(-1) / (np.exp(-1) + 2 * np.exp(1))
+    params = tiny_model(variant, seed=5, tie=tie)
+    params.W_l *= 1e6
+    rng = Rng(9)
+    cases = [case(*tiny_instance(rng, n=n)) for n in (3, 5, 7)]
+    for low in range(3):
+        params.b_l[:] = 1e6
+        params.b_l[low] = -1e6
+        for pos, ctx_idx, tgt_idx, layout in chunks(cases):
+            probs, _ = forward(params, ctx_idx, tgt_idx, **layout)
+            assert probs.min() == pytest.approx(floor, rel=1e-12)
+            assert probs[:, low] == pytest.approx(floor, rel=1e-12)
+            gold = np.full(len(pos), low)
+            assert cross_entropy(probs, gold) == pytest.approx(-len(pos) * np.log(floor))
 
 
 def test_config_validation():
