@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Rng, softmax_stable, tanh, uniform_init
+from .numerics import Rng, softmax_stable, uniform_init
 
 
 class AttentionParams:
@@ -52,7 +52,7 @@ def attend(params: AttentionParams, states: np.ndarray, rows: np.ndarray, query:
     softmax leaves out at weight 0. Returns (weights (n, B), trace)."""
     proj = query @ params.W_a.T
     # every row scored against every query; each instance keeps its own
-    raw = tanh((states @ proj.T)[rows, np.arange(rows.shape[1])] + params.b_a)
+    raw = np.tanh((states @ proj.T)[rows, np.arange(rows.shape[1])] + params.b_a)
     weights = softmax_stable(np.where(rows >= 0, raw, -np.inf), axis=0)
     trace = dict(states=states, rows=rows, query=query, proj=proj, raw=raw, weights=weights)
     return weights, trace

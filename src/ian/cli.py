@@ -170,7 +170,7 @@ def _write_history(history, path):
         for entry in history:
             fh.write(
                 f"{entry['epoch']}\t{entry['loss']:.6f}\t{entry['train_acc']:.6f}"
-                f"\t{entry['eval_acc']:.6f}\n"
+                f"\t{entry['eval_report'].accuracy:.6f}\n"
             )
 
 

@@ -107,10 +107,6 @@ def tokenize(text: str):
     return tokenize_with_spans(text)[0]
 
 
-def _collapse_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
 def find_term(text: str, term: str) -> int:
     """Character offset of the first occurrence of term in text: an exact
     match first, else a case-insensitive one; -1 when neither exists."""
@@ -164,7 +160,7 @@ def parse_semeval_xml(path: str):
                     f"{path}: sentence {sid} term {term!r} has non-integer offsets"
                 ) from err
             snippet = text[start:end]
-            if snippet != term and _collapse_ws(snippet) != _collapse_ws(term):
+            if snippet.split() != term.split():
                 # best-effort realignment: find the term text elsewhere
                 pos = find_term(text, term)
                 realigned += 1
@@ -360,9 +356,12 @@ HIST_BINS = ("1", "2", "3", "4", "5", ">5")
 
 @dataclass
 class DatasetStats:
-    total: int
     polarity_counts: dict
     length_hist: tuple
+
+    @property
+    def total(self) -> int:
+        return sum(self.polarity_counts.values())
 
 
 def target_word_count(target_text: str) -> int:
@@ -378,7 +377,7 @@ def dataset_stats(instances) -> DatasetStats:
         counts[LABELS[inst.label]] += 1
         words = target_word_count(inst.target_text)
         hist[min(words, len(HIST_BINS)) - 1] += 1
-    return DatasetStats(total=len(instances), polarity_counts=counts, length_hist=tuple(hist))
+    return DatasetStats(polarity_counts=counts, length_hist=tuple(hist))
 
 
 def render_stats(stats: DatasetStats, dataset: str) -> str:

@@ -16,13 +16,29 @@ from .model import LABELS, ModelParams, chunks, forward
 
 @dataclass
 class EvalReport:
-    """Counts from scoring predictions against gold labels."""
+    """Predictions scored against gold labels, every score read from confusion."""
 
-    correct: int
-    total: int
-    accuracy: float
     confusion: np.ndarray  # rows gold, columns predicted
-    macro_f1: float  # auxiliary diagnostic, not the benchmark metric
+
+    @property
+    def correct(self) -> int:
+        return int(np.trace(self.confusion))
+
+    @property
+    def total(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / self.total
+
+    @property
+    def macro_f1(self) -> float:
+        """Unweighted mean of per-class F1 (auxiliary, not the benchmark
+        metric); a class with no gold and no predicted occurrences gives 0."""
+        # such a class has tp 0, so any nonzero denominator gives it 0
+        denom = self.confusion.sum(axis=0) + self.confusion.sum(axis=1)
+        return float(np.mean(2.0 * np.diag(self.confusion) / np.maximum(denom, 1)))
 
 
 def predict_all(params: ModelParams, instances) -> np.ndarray:
@@ -34,14 +50,6 @@ def predict_all(params: ModelParams, instances) -> np.ndarray:
         probs = forward(params, ctx_idx, tgt_idx, keep_trace=False, **layout)[0]
         out[pos] = np.argmax(probs, axis=1)
     return out
-
-
-def _macro_f1(confusion: np.ndarray) -> float:
-    """Unweighted mean of per-class F1; a class with no gold and no predicted
-    occurrences contributes 0."""
-    # such a class has tp 0, so any nonzero denominator gives it 0
-    denom = confusion.sum(axis=0) + confusion.sum(axis=1)
-    return float(np.mean(2.0 * np.diag(confusion) / np.maximum(denom, 1)))
 
 
 def accuracy(preds, golds) -> EvalReport:
@@ -63,16 +71,7 @@ def accuracy(preds, golds) -> EvalReport:
     if len(bad):
         k = bad[0]
         raise ValueError(f"label index out of range: pred={preds[k]} gold={golds[k]}")
-    confusion = np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
-    correct = int(np.trace(confusion))
-    total = len(golds)
-    return EvalReport(
-        correct=correct,
-        total=total,
-        accuracy=correct / total,
-        confusion=confusion,
-        macro_f1=_macro_f1(confusion),
-    )
+    return EvalReport(np.bincount(golds * n + preds, minlength=n * n).reshape(n, n))
 
 
 def evaluate_model(params: ModelParams, instances) -> EvalReport:

@@ -48,18 +48,40 @@ def numeric_gradient(objective, arr: np.ndarray) -> np.ndarray:
     return grad
 
 
+def directional_derivative(objective, arr: np.ndarray, direction: np.ndarray) -> float:
+    """Complex-step derivative of an analytic objective() along direction,
+    one objective() with the real complex array arr moved by ih * direction
+    in place."""
+    arr.imag = STEP * direction
+    value = objective().imag / STEP
+    arr.imag = 0.0
+    return value
+
+
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     """|a - n| / max(1e-8, |a| + |n|) per coordinate."""
     return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-def gradient_check(params: ModelParams, cases, l2: float, chunk_rows: int):
+def _worst(analytic: np.ndarray, numeric: np.ndarray):
+    """(relative error, index, analytic, numeric) where the error is largest."""
+    rel = relative_error(analytic, numeric)
+    # argmax takes the first NaN, so a NaN error is the worst
+    idx = np.unravel_index(np.argmax(rel), rel.shape)
+    return float(rel[idx]), idx, float(analytic[idx]), float(numeric[idx])
+
+
+def gradient_check(params: ModelParams, cases, l2: float, chunk_rows: int, rng):
     """Analytic vs complex-step gradients of the batch loss over cases, per group.
 
-    Returns {group: (max rel err, parameter name, index, analytic,
-    numeric)} in named_arrays() order, the last four naming the worst
-    coordinate. chunk_rows is passed to loss_and_grads, so a small
-    budget checks the loss summed over chunks.
+    Each array is checked along three random +-1 directions from rng, one
+    complex-step pass each (Im f(x + ihv) / h is the gradient times v to
+    rounding), and only an array that fails along one is checked
+    coordinate by coordinate. Returns {group: (max rel err, parameter
+    name, index, analytic, numeric)} in named_arrays() order, the last
+    four naming the worst coordinate of a coordinate check, or holding the
+    worst direction's pair under index None. chunk_rows is passed to
+    loss_and_grads, so a small budget checks the loss summed over chunks.
     """
     grads = GradSet(params)
     loss_and_grads(params, cases, l2=l2, grads=grads, chunk_rows=chunk_rows)
@@ -74,21 +96,27 @@ def gradient_check(params: ModelParams, cases, l2: float, chunk_rows: int):
 
     found: dict[str, tuple] = {}
     for name, arr in twin.named_arrays():
-        numeric = numeric_gradient(objective, arr)
-        if name == "embeddings":
-            # the pad row is fixed at zero and never trained, though
-            # td_lstm reads a case's trailing pads and so moves with it
-            numeric[PAD_INDEX] = 0.0
         analytic = grads[name]
-        rel = relative_error(analytic, numeric)
-        # argmax takes the first NaN, so a NaN error is the array's worst
-        idx = np.unravel_index(np.argmax(rel), rel.shape)
-        err = float(rel[idx])
+        # the pad row is fixed at zero and never trained, though td_lstm
+        # reads a case's trailing pads and so moves with it
+        free = np.ones(arr.shape)
+        if name == "embeddings":
+            free[PAD_INDEX] = 0.0
+        directions = [free * rng.choice((-1.0, 1.0), arr.shape) for _ in range(3)]
+        err, _, a, n = _worst(
+            np.array([np.sum(analytic * v) for v in directions]),
+            np.array([directional_derivative(objective, arr, v) for v in directions]))
+        idx = None
+        if not err <= TOLERANCE:
+            numeric = numeric_gradient(objective, arr)
+            if name == "embeddings":
+                numeric[PAD_INDEX] = 0.0
+            err, idx, a, n = _worst(analytic, numeric)
         group = group_of(name)
         worst = found.get(group, (-1.0,))[0]
         # a NaN error replaces any error of its group and is never replaced
         if not np.isnan(worst) and not err < worst:
-            found[group] = (err, name, idx, float(analytic[idx]), float(numeric[idx]))
+            found[group] = (err, name, idx, a, n)
     return found
 
 
@@ -125,4 +153,4 @@ def check_tiny_model(seed: int, embed_dim: int, hidden_dim: int, *, variant: str
         cases.append(Instance(context_ids=tuple(ctx_idx), target_ids=tuple(tgt_idx),
                               span=(start, start + TGT_LEN), label=label, target_text=""))
     # the two shorter cases' rows fill one chunk; the longest needs a second
-    return gradient_check(params, cases, L2, chunk_rows=2 * (CTX_LEN + TGT_LEN + 3))
+    return gradient_check(params, cases, L2, chunk_rows=2 * (CTX_LEN + TGT_LEN + 3), rng=rng)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Rng, sigmoid, tanh, uniform_init
+from .numerics import Rng, sigmoid, uniform_init
 
 
 class LstmParams:
@@ -133,10 +133,10 @@ def lstm_forward(params: LstmParams, ids: np.ndarray, table: np.ndarray,
             np.matmul(states[prev:prev + b], params.W_h.T, out=recurrent[:b])
             z += recurrent[:b]
         sigmoid(z[:, :3 * dh], out=z[:, :3 * dh])
-        tanh(z[:, 3 * dh:], out=z[:, 3 * dh:])
+        np.tanh(z[:, 3 * dh:], out=z[:, 3 * dh:])
         c = np.multiply(z[:, dh:2 * dh], c[:b], out=cells[lo:lo + b] if keep_trace else cells[:b])
         c += np.multiply(z[:, :dh], z[:, 3 * dh:], out=scratch[:b])
-        np.multiply(z[:, 2 * dh:3 * dh], tanh(c, out=scratch[:b]), out=states[lo:lo + b])
+        np.multiply(z[:, 2 * dh:3 * dh], np.tanh(c, out=scratch[:b]), out=states[lo:lo + b])
 
     if not keep_trace:
         return states, pack["row_of"], None
@@ -169,7 +169,7 @@ def lstm_backward(params: LstmParams, trace: dict, d_states: np.ndarray, grads,
         # is written over it
         z = dZ[lo:lo + b]
         i_g, f_g, o_g, c_hat = (z[:, g * dh:(g + 1) * dh] for g in range(4))
-        tanh_c = tanh(cells[lo:lo + b])
+        tanh_c = np.tanh(cells[lo:lo + b])
         dh_k = d_states[lo:lo + b].copy()
         dh_k[:len(dh_next)] += dh_next
         dc = dh_k * o_g * (1.0 - tanh_c**2)

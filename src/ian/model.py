@@ -44,7 +44,7 @@ from numpy.lib import format as npy_format
 from .attention import AttentionParams, attend, attention_backward, pool_matrix
 from .embeddings import PAD_INDEX, PAD_TOKEN, Vocabulary, lookup, random_embeddings
 from .lstm import LstmParams, lstm_backward, lstm_forward, packing
-from .numerics import Rng, softmax_stable, tanh, uniform_init
+from .numerics import Rng, softmax_stable, uniform_init
 
 LABELS = ("positive", "neutral", "negative")
 LABEL_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -214,7 +214,7 @@ def mean_matrix(rows: np.ndarray, tokens: int, dtype=np.float64) -> np.ndarray:
 
 def _classify(params: ModelParams, features: np.ndarray, dropout_mask, trace: dict):
     dropped = features if dropout_mask is None else features * dropout_mask
-    x = tanh(dropped @ params.W_l.T + params.b_l)
+    x = np.tanh(dropped @ params.W_l.T + params.b_l)
     probs = softmax_stable(x, axis=-1)
     trace.update(dropout_mask=dropout_mask, dropped=dropped, x=x, probs=probs)
     return probs

@@ -53,9 +53,6 @@ def sigmoid(x, out):
     return out
 
 
-tanh = np.tanh
-
-
 def uniform_init(rng: Rng | None, out: np.ndarray) -> np.ndarray:
     """Fill out in place with i.i.d. U(-0.1, 0.1) entries, the init range of
     every weight matrix and embedding row, drawn in float64, and return it.

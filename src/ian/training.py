@@ -130,12 +130,14 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
 
 def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
                   lr: float, momentum: float):
-    """Classical momentum: v <- momentum*v + lr*g; theta <- theta - v."""
+    """Classical momentum: v <- momentum*v + lr*g; theta <- theta - v. The
+    gradients are left scaled by lr, in place."""
     for (name, p_arr), (_, g_arr), (_, v_arr) in zip(
         params.named_arrays(), grads.named_arrays(), velocity.named_arrays()
     ):
         v_arr *= momentum
-        v_arr += lr * g_arr
+        g_arr *= lr
+        v_arr += g_arr
         p_arr -= v_arr
 
 
@@ -185,12 +187,11 @@ def fit_majority(params: ModelParams, instances):
 
 
 def _scores(params: ModelParams, instances, eval_instances) -> dict:
-    """Train accuracy and, given eval instances, eval accuracy with its
-    full report, for one history entry."""
+    """Train accuracy and, given eval instances, the eval set's report, for
+    one history entry."""
     entry = {"train_acc": evaluate_model(params, instances).accuracy}
     if eval_instances:
-        report = evaluate_model(params, eval_instances)
-        entry.update(eval_acc=report.accuracy, eval_report=report)
+        entry["eval_report"] = evaluate_model(params, eval_instances)
     return entry
 
 
@@ -250,6 +251,6 @@ def train(params: ModelParams, instances, config: TrainConfig, rng: Rng,
             msg = (f"epoch {epoch:3d}  loss {entry['loss']:.4f}  "
                    f"train_acc {entry['train_acc']:.4f}")
             if eval_instances:
-                msg += f"  eval_acc {entry['eval_acc']:.4f}"
+                msg += f"  eval_acc {entry['eval_report'].accuracy:.4f}"
             log(msg)
     return history

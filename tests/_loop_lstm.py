@@ -15,7 +15,7 @@ package's chunk passes.
 import numpy as np
 
 from _per_case import sigmoid
-from ian.numerics import tanh, uniform_init
+from ian.numerics import uniform_init
 
 GATES = ("i", "f", "o", "c")
 
@@ -64,10 +64,10 @@ def loop_lstm_forward(params, inputs):
         i_g[k] = sigmoid(p["Wi_w"] @ w + p["Wi_h"] @ h + p["bi"])
         f_g[k] = sigmoid(p["Wf_w"] @ w + p["Wf_h"] @ h + p["bf"])
         o_g[k] = sigmoid(p["Wo_w"] @ w + p["Wo_h"] @ h + p["bo"])
-        c_hat[k] = tanh(p["Wc_w"] @ w + p["Wc_h"] @ h + p["bc"])
+        c_hat[k] = np.tanh(p["Wc_w"] @ w + p["Wc_h"] @ h + p["bc"])
         c = f_g[k] * c + i_g[k] * c_hat[k]
         cells[k] = c
-        tanh_c[k] = tanh(c)
+        tanh_c[k] = np.tanh(c)
         h = o_g[k] * tanh_c[k]
         hiddens[k] = h
 

@@ -13,7 +13,7 @@ import numpy as np
 from ian.embeddings import PAD_INDEX
 from ian.lstm import packing
 from ian.model import ROUTES, feature_sides
-from ian.numerics import softmax_stable, tanh
+from ian.numerics import softmax_stable
 
 
 def masked_mean(states, row_of, mask):
@@ -34,7 +34,7 @@ def attend(params, states, row_of, query, mask, gather):
     (n, G) where mask (n, G) is True: (pooled (B, H), weights (n, B))."""
     proj = query @ params.W_a.T
     rows = row_of[:, gather]
-    raw = tanh(np.array([np.einsum("bh,bh->b", states[at], proj) for at in rows])
+    raw = np.tanh(np.array([np.einsum("bh,bh->b", states[at], proj) for at in rows])
                + float(params.b_a))
     weights = softmax_stable(np.where(mask[:, gather], raw, -np.inf), axis=0)
     pooled = sum(w[:, None] * states[at] for w, at in zip(weights, rows))

@@ -16,7 +16,6 @@ import numpy as np
 from ian.data import Instance
 from ian.embeddings import PAD_INDEX
 from ian.model import ROUTES, feature_sides
-from ian.numerics import tanh
 from ian.training import GradSet, momentum_step
 
 
@@ -55,10 +54,10 @@ def lstm_forward(params, inputs):
         z = gates[k]
         z += params.W_h @ h
         z[:3 * dh] = sigmoid(z[:3 * dh])
-        z[3 * dh:] = tanh(z[3 * dh:])
+        z[3 * dh:] = np.tanh(z[3 * dh:])
         c = z[dh:2 * dh] * c + z[:dh] * z[3 * dh:]
         cells[k] = c
-        tanh_c[k] = tanh(c)
+        tanh_c[k] = np.tanh(c)
         h = z[2 * dh:3 * dh] * tanh_c[k]
         hiddens[k] = h
     return hiddens, {"inputs": inputs, "gates": gates, "cells": cells, "tanh_c": tanh_c,
@@ -100,7 +99,7 @@ def lstm_backward(params, trace, d_hiddens, grads):
 
 
 def attend(params, hiddens, query, mask):
-    raw = tanh(hiddens @ (params.W_a @ query) + float(params.b_a))
+    raw = np.tanh(hiddens @ (params.W_a @ query) + float(params.b_a))
     weights = _softmax(np.where(mask, raw, -np.inf))
     return weights @ hiddens, {"hiddens": hiddens, "query": query, "raw": raw,
                                "weights": weights}
@@ -162,7 +161,7 @@ def forward(params, ctx_idx, tgt_idx, span=None, dropout_mask=None):
                 pooled.append(vec)
         features = np.concatenate(pooled)
     dropped = features if dropout_mask is None else features * dropout_mask
-    x = tanh(params.W_l @ dropped + params.b_l)
+    x = np.tanh(params.W_l @ dropped + params.b_l)
     probs = _softmax(x)
     trace.update(dropout_mask=dropout_mask, dropped=dropped, x=x, probs=probs)
     return probs, trace

@@ -15,7 +15,7 @@ import pytest
 import ian.evaluate
 import ian.gradcheck
 import ian.model
-from _corrupt import double_group
+from _corrupt import double_group, shift_coordinate
 from _damage import CENTRAL_ENTRY_EDITS, claim_table, edit_central_entry
 from ian.cli import build_parser, main, read_config_file
 from ian.data import RawReview, build_instances, load_category, load_reviews
@@ -1012,6 +1012,22 @@ def test_gradcheck_cli_detects_corruption(capsys, monkeypatch):
     assert len(fails) == len(TRAINABLE) == 8
     assert all(re.search(r"ctx_lstm\s+max rel err \S+  FAIL  worst ctx_lstm\.", line)
                for line in fails), fails
+
+
+def test_gradcheck_names_one_wrong_coordinate(capsys, monkeypatch):
+    # one coordinate of ctx_lstm.W_h off by 1% of the array's largest
+    # |gradient|: along any +-1 direction v that is at least 0.01 / (2 * 36 +
+    # 0.01) > 1e-4 of |g.v| + |g.v + error|, because |g.v| is at most the
+    # 36 entries' sum, so every direction fails, and the coordinate check
+    # that follows names the shifted entry, whose error is the array's largest
+    monkeypatch.setattr(ian.gradcheck, "DIMS", ((3, 3),))
+    shift_coordinate(monkeypatch, "ctx_lstm.W_h", (7, 1), 0.01)
+    assert run(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == len(TRAINABLE) == 8, out
+    assert all(re.search(r"ctx_lstm\s+max rel err \S+  FAIL  worst ctx_lstm\.W_h\[7,1\] "
+                         r"analytic \S+ vs numeric \S+$", line) for line in fails), fails
 
 
 def test_gradcheck_fails_and_names_a_nan_gradient(capsys, monkeypatch):

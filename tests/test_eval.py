@@ -167,9 +167,12 @@ def test_render_report_mentions_counts_and_labels():
 def test_render_report_prints_recall_per_gold_row():
     # no neutral gold instance: its recall is undefined and prints nan
     confusion = np.array([[2, 1, 0], [0, 0, 0], [1, 0, 3]])
-    report = EvalReport(correct=5, total=7, accuracy=5 / 7, confusion=confusion, macro_f1=0.0)
-    rows = [line.split() for line in render_report(report, "ian", "toy").splitlines()
-            if line.startswith("gold ")]
+    report = EvalReport(confusion)
+    head, *lines = render_report(report, "ian", "toy").splitlines()
+    # every count and score is read from the one matrix
+    assert head == (f"ian on toy: accuracy 5/7 = {5 / 7:.4f}   "
+                    f"macro-F1 {loop_macro_f1(confusion):.4f} (auxiliary)")
+    rows = [line.split() for line in lines if line.startswith("gold ")]
     assert rows == [["gold", "positive", "2", "1", "0", "0.6667"],
                     ["gold", "neutral", "0", "0", "0", "nan"],
                     ["gold", "negative", "1", "0", "3", "0.7500"]]

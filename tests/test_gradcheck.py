@@ -11,6 +11,7 @@ from ian.gradcheck import (
     SCALE,
     TOLERANCE,
     check_tiny_model,
+    directional_derivative,
     group_of,
     numeric_gradient,
     relative_error,
@@ -52,6 +53,28 @@ def test_numeric_gradient_on_a_quadratic():
     arr = np.array([1.0, -2.0, 3.0], dtype=np.complex128)
     got = numeric_gradient(lambda: np.sum(arr**2).item(), arr)
     assert np.allclose(got, 2 * arr, atol=1e-8)
+
+
+def test_directional_derivative_on_a_quadratic():
+    arr = np.array([[1.0, -2.0], [3.0, 0.5]], dtype=np.complex128)
+    direction = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    got = directional_derivative(lambda: np.sum(arr**3).item(), arr, direction)
+    assert got == pytest.approx(np.sum(3 * arr.real**2 * direction), rel=1e-15)
+    assert not arr.imag.any()
+
+
+def test_a_model_that_passes_runs_no_coordinate_check(monkeypatch):
+    # every array passes along its directions, so no pass per coordinate runs
+    # and each group holds its worst direction's pair under index None
+    def refused(objective, arr):
+        raise AssertionError("coordinate check on a passing array")
+
+    monkeypatch.setattr(ian.gradcheck, "numeric_gradient", refused)
+    found = check_tiny_model(seed=DEFAULT_SEED, embed_dim=8, hidden_dim=5,
+                             variant="ian", tie_attention=False)
+    assert tuple(found) == GROUPS
+    for err, name, idx, analytic, numeric in found.values():
+        assert idx is None and err == relative_error(analytic, numeric) <= TOLERANCE
 
 
 def test_relative_error_formula():
@@ -167,34 +190,32 @@ def test_checked_model_is_the_float64_model_in_precision(monkeypatch, variant, t
 
 
 def test_complex_step_agrees_with_float64_central_differences(monkeypatch):
-    # the complex step on ian's twin against tests/fdcheck.py's central
+    # numeric_gradient, coordinate by coordinate, on a complex128 twin of
+    # every array of ian's probe against tests/fdcheck.py's central
     # differences on the float64 model and batch check_tiny_model builds
-    seen = {"steps": []}
-    real_check, real_numeric = ian.gradcheck.gradient_check, ian.gradcheck.numeric_gradient
+    seen = {}
+    real_check = ian.gradcheck.gradient_check
 
-    def recording_check(params, cases, l2, chunk_rows):
+    def recording_check(params, cases, l2, chunk_rows, rng):
         seen.update(params=params, cases=cases, l2=l2, chunk_rows=chunk_rows)
-        return real_check(params, cases, l2, chunk_rows)
-
-    def recording_numeric(objective, arr):
-        grad = real_numeric(objective, arr)
-        seen["steps"].append(grad.copy())  # before the check zeroes the pad row
-        return grad
+        return real_check(params, cases, l2, chunk_rows, rng)
 
     monkeypatch.setattr(ian.gradcheck, "gradient_check", recording_check)
-    monkeypatch.setattr(ian.gradcheck, "numeric_gradient", recording_numeric)
     check_tiny_model(seed=DEFAULT_SEED, embed_dim=3, hidden_dim=3,
                      variant="ian", tie_attention=False)
     params = seen["params"]
+    twin = ModelParams(None, params.vocab, **params.layout(),
+                       embeddings=params.embeddings.astype(np.complex128))
+    for (_, dst), (_, src) in zip(twin.named_arrays(), params.named_arrays()):
+        dst[...] = src
 
-    def loss():
-        return loss_and_grads(params, seen["cases"], l2=seen["l2"],
+    def loss(model):
+        return loss_and_grads(model, seen["cases"], l2=seen["l2"],
                               chunk_rows=seen["chunk_rows"])
 
-    arrays = list(params.named_arrays())
-    assert len(seen["steps"]) == len(arrays)
-    for (name, arr), step in zip(arrays, seen["steps"]):
-        central = fd_grad(loss, arr)
+    for (name, arr), (_, complex_arr) in zip(params.named_arrays(), twin.named_arrays()):
+        step = numeric_gradient(lambda: loss(twin), complex_arr)
+        central = fd_grad(lambda: loss(params), arr)
         # central differences at eps 1e-5 carry about 5e-11 of noise here
         assert np.max(np.abs(step - central)) <= 1e-9, name
         large = np.abs(step) > 1e-6

@@ -367,7 +367,8 @@ def _as_npy_v2(record: bytes) -> bytes:
     return out.getvalue()
 
 
-# edits of the W_l member's bytes, each written back under a valid zip CRC
+# edits of one member's bytes (W_l unless named), each written back under a
+# valid zip CRC
 MEMBER_EDITS = {
     "npy_v2": _as_npy_v2,
     "short_member": lambda record: record[:-8],
@@ -379,7 +380,7 @@ META_EDITS = {"bad_format": lambda meta: {**meta, "format": 2},
               "config_text": lambda meta: {**meta, "config": "x"}}
 
 
-def _damaged(tmp_path, how):
+def _damaged(tmp_path, how, member="W_l"):
     path = tmp_path / "model.npz"
     save_checkpoint(str(path), make("ian", seed=2))
     raw = path.read_bytes()
@@ -390,7 +391,7 @@ def _damaged(tmp_path, how):
     elif how in MEMBER_EDITS:
         with zipfile.ZipFile(path) as archive:
             records = {name: archive.read(name) for name in archive.namelist()}
-        records["W_l.npy"] = MEMBER_EDITS[how](records["W_l.npy"])
+        records[f"{member}.npy"] = MEMBER_EDITS[how](records[f"{member}.npy"])
         with zipfile.ZipFile(path, "w") as archive:
             for name, record in records.items():
                 archive.writestr(name, record)
@@ -422,6 +423,20 @@ def _damaged(tmp_path, how):
 ])
 def test_checkpoint_load_failure_is_one_value_error(tmp_path, how, cause):
     path = _damaged(tmp_path, how)
+    with pytest.raises(ValueError, match=cause) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")
+
+
+@pytest.mark.parametrize("how, cause", [
+    ("short_member", "'ctx_attn.W_a' is truncated$"),
+    ("trailing_bytes", "'ctx_attn.W_a' has trailing bytes$"),
+])
+def test_damaged_data_of_a_member_read_into_the_shell_is_one_value_error(tmp_path, how,
+                                                                       cause):
+    # only the headers of embeddings and W_l are checked before the shell is
+    # built; an attention matrix's missing or extra data is found as it is read
+    path = _damaged(tmp_path, how, member="ctx_attn.W_a")
     with pytest.raises(ValueError, match=cause) as exc:
         load_checkpoint(path)
     assert str(exc.value).startswith(f"cannot load checkpoint {path}: ")

@@ -8,7 +8,6 @@ from ian.numerics import (
     Rng,
     sigmoid,
     softmax_stable,
-    tanh,
     uniform_init,
 )
 
@@ -86,11 +85,6 @@ def test_sigmoid_agrees_with_the_where_form_without_warnings():
         sigmoid(in_place, out=in_place)
     assert np.max(np.abs(got - ref)) <= 1e-15
     assert np.array_equal(in_place, got)
-
-
-def test_tanh_is_odd():
-    x = np.linspace(-4, 4, 33)
-    assert np.allclose(tanh(x) + tanh(-x), 0.0, atol=1e-12)
 
 
 def test_uniform_init_deterministic_and_in_range():
