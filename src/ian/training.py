@@ -130,14 +130,12 @@ def loss_and_grads(params: ModelParams, cases, l2: float = 0.0, drop_masks=None,
 
 def momentum_step(params: ModelParams, grads: GradSet, velocity: GradSet,
                   lr: float, momentum: float):
-    """Classical momentum: v <- momentum*v + lr*g; theta <- theta - v. The
-    gradients are left scaled by lr, in place."""
+    """Classical momentum: v <- momentum*v + lr*g; theta <- theta - v."""
     for (name, p_arr), (_, g_arr), (_, v_arr) in zip(
         params.named_arrays(), grads.named_arrays(), velocity.named_arrays()
     ):
         v_arr *= momentum
-        g_arr *= lr
-        v_arr += g_arr
+        v_arr += lr * g_arr
         p_arr -= v_arr
 
 

@@ -133,12 +133,11 @@ def test_momentum_step_reaches_fused_storage():
     rng = Rng(5)
     for _, arr in grads.named_arrays():
         arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
-    steps = {name: 0.1 * arr for name, arr in grads.named_arrays()}
     momentum_step(params, grads, velocity, lr=0.1, momentum=0.9)
     for (W_x, W_h, b), lstm, side in zip(before, lstms(params), ("ctx", "tgt")):
         for name, old in (("W_x", W_x), ("W_h", W_h), ("b", b)):
-            step = steps[f"{side}_lstm.{name}"]
-            assert np.array_equal(getattr(lstm, name), old - step), name
+            step = grads[f"{side}_lstm.{name}"]
+            assert np.array_equal(getattr(lstm, name), old - 0.1 * step), name
 
 
 # td_lstm is left out: a trailing context pad is the first word its
